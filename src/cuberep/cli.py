@@ -66,6 +66,16 @@ def _seed_type(text: str) -> int:
     return value
 
 
+def _trials_type(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"trials must be an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"trials must be >= 1, got {value}")
+    return value
+
+
 def _resolve_seed(seed: int | None) -> int:
     if seed is None:
         seed = random.SystemRandom().getrandbits(64)
@@ -305,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         "probe",
         help="survival frequencies per cross non-edge and a failure-rate estimate")
     p_probe.add_argument("graph", help="graph file path")
-    p_probe.add_argument("--trials", type=int, default=1000,
+    p_probe.add_argument("--trials", type=_trials_type, default=1000,
                          help="samples for both the table and the failure estimate")
     p_probe.add_argument("--seed", type=_seed_type, default=None)
     p_probe.add_argument("--t", type=int, default=None,
@@ -318,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("graph", help="graph file path")
     p_bench.add_argument("--t", type=int, default=None)
     p_bench.add_argument("--seed", type=_seed_type, default=None)
-    p_bench.add_argument("--trials", type=int, default=5, help="timing rounds")
+    p_bench.add_argument("--trials", type=_trials_type, default=5, help="timing rounds")
     p_bench.add_argument("--format", choices=("human", "machine"), default="human")
     p_bench.set_defaults(func=cmd_bench)
     return parser

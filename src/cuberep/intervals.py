@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -172,28 +173,50 @@ def vertex_key(v: Vertex) -> str:
 
 
 def parse_vertex_key(key: str) -> Vertex:
+    """Inverse of vertex_key.  Only its spelling (ASCII digits, no leading
+    zero) is accepted, so no two keys such as A1 and A01 name one vertex."""
     side, digits = key[:1], key[1:]
-    if side not in (SIDE_A, SIDE_B) or not digits.isdigit() or int(digits) < 1:
+    if side not in (SIDE_A, SIDE_B) or not (digits.isascii() and digits.isdigit()) \
+            or digits.startswith("0"):
         raise ValueError(f"bad vertex key {key!r}")
     return (side, int(digits))
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0 whose gcd with num is already 1."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def rep_to_jsonable(rep: CubeRepresentation) -> dict:
     """JSON-ready dump: per dimension its threshold and placement, plus the
-    cubes view with rationals rendered in lowest terms."""
-    dims = [
-        {
+    cubes view of to_unit_cubes with rationals rendered in lowest terms.
+
+    The cube ends f/c and (f + c)/c share the reducing factor gcd(f, c), so
+    each cell takes one integer gcd instead of two Fraction objects.
+    """
+    verts = rep.vertices()
+    keys = [vertex_key(v) for v in verts]
+    cells: list[list[list[str]]] = [[] for _ in verts]
+    dims = []
+    for dim, tag in zip(rep.dims, rep.provenance):
+        f = dim.placement
+        c = dim.threshold
+        try:
+            values = [f[v] for v in verts]
+        except KeyError as exc:
+            raise ValueError(f"no placement for {exc.args[0]!r}") from None
+        if len(f) != len(verts):
+            raise ValueError("placement holds a vertex outside the representation")
+        for x, intervals in zip(values, cells):
+            d = math.gcd(x, c)
+            intervals.append([_ratio_text(x // d, c // d), _ratio_text((x + c) // d, c // d)])
+        dims.append({
             "provenance": tag,
-            "threshold": dim.threshold,
-            "placement": {vertex_key(v): x for v, x in dim.placement.items()},
-        }
-        for dim, tag in zip(rep.dims, rep.provenance)
-    ]
-    cubes = {
-        vertex_key(v): [[str(lo), str(hi)] for lo, hi in intervals]
-        for v, intervals in to_unit_cubes(rep).items()
-    }
-    return {"a_count": rep.a_count, "b_count": rep.b_count, "dims": dims, "cubes": cubes}
+            "threshold": c,
+            "placement": dict(zip(keys, values)),
+        })
+    return {"a_count": rep.a_count, "b_count": rep.b_count, "dims": dims,
+            "cubes": dict(zip(keys, cells))}
 
 
 def rep_from_jsonable(obj: object) -> CubeRepresentation:
@@ -201,13 +224,14 @@ def rep_from_jsonable(obj: object) -> CubeRepresentation:
         raise ValueError("dump must be a JSON object")
     a_count = obj.get("a_count")
     b_count = obj.get("b_count")
-    if not isinstance(a_count, int) or not isinstance(b_count, int):
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in (a_count, b_count)):
         raise ValueError("dump needs integer a_count and b_count")
     raw_dims = obj.get("dims")
     if not isinstance(raw_dims, list):
         raise ValueError("dump needs a list of dims")
     dims: list[UnitIntervalRep] = []
     tags: list[str] = []
+    vertex_of: dict[str, Vertex] = {}  # keys already parsed and range-checked
     for pos, raw in enumerate(raw_dims):
         if not isinstance(raw, dict):
             raise ValueError(f"dim {pos} must be an object")
@@ -217,11 +241,13 @@ def rep_from_jsonable(obj: object) -> CubeRepresentation:
             raise ValueError(f"dim {pos} needs a placement object")
         placement: dict[Vertex, int] = {}
         for key, value in raw_placement.items():
-            v = parse_vertex_key(key)
-            side, index = v
-            limit = a_count if side == SIDE_A else b_count
-            if index > limit:
-                raise ValueError(f"dim {pos}: vertex {key} outside declared counts")
+            v = vertex_of.get(key)
+            if v is None:
+                v = parse_vertex_key(key)
+                side, index = v
+                if index > (a_count if side == SIDE_A else b_count):
+                    raise ValueError(f"dim {pos}: vertex {key} outside declared counts")
+                vertex_of[key] = v
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"dim {pos}: placement of {key} must be an integer")
             placement[v] = value

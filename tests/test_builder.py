@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import bipartite_graphs
+from conftest import all_pairs, bipartite_graphs
 from cuberep import (
     SIDE_A,
     SIDE_B,
@@ -33,6 +36,42 @@ from cuberep.intervals import random_dim_tag
 
 K44_MINUS_CORNER = BipartiteGraph(
     4, 4, {(a, b) for a in range(1, 5) for b in range(1, 5)} - {(4, 4)})
+
+
+def oracle_violations(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
+    """verify's result computed with the reference induced_graph and
+    intersect_graphs, pair by pair."""
+    verts = rep.vertices()
+    if rep.dims:
+        edges = intersect_graphs([induced_graph(d, verts) for d in rep.dims]).edges
+    else:
+        edges = {frozenset(pair) for pair in all_pairs(verts)}
+    violations = []
+    for u, v in all_pairs(verts):
+        adjacent = frozenset((u, v)) in edges
+        wanted = u[0] == SIDE_A and v[0] == SIDE_B and (u[1], v[1]) in g.edges
+        if adjacent and not wanted:
+            violations.append(Violation("extra-edge", u, v))
+        elif wanted and not adjacent:
+            violations.append(Violation("missing-edge", u, v))
+    return sorted(violations)
+
+
+@st.composite
+def hostile_cases(draw):
+    """A graph and a representation of the same vertex set with small,
+    possibly negative and tied placements and any threshold from 1 to the
+    placement span, so both verdicts and both violation kinds occur."""
+    g = draw(bipartite_graphs(max_a=4, max_b=5))
+    verts = CubeRepresentation(g.a_count, g.b_count, (), ()).vertices()
+    reach = draw(st.integers(0, 4))
+    dims = tuple(
+        UnitIntervalRep({v: draw(st.integers(-reach, reach)) for v in verts},
+                        draw(st.integers(1, max(1, 2 * reach))))
+        for _ in range(draw(st.integers(0, 4))))
+    rep = CubeRepresentation(g.a_count, g.b_count, dims,
+                             tuple(random_dim_tag(j + 1) for j in range(len(dims))))
+    return rep, g
 
 
 class TestDefaults:
@@ -86,6 +125,51 @@ class TestVerify:
         rep = CubeRepresentation(2, 1, (dim,), (random_dim_tag(1),))
         with pytest.raises(ValueError, match="cover the vertex set"):
             verify(rep, g)
+
+    def test_extra_placement_rejected(self):
+        g = BipartiteGraph(1, 1, frozenset())
+        dim = UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 0, (SIDE_B, 2): 0}, 1)
+        rep = CubeRepresentation(1, 1, (dim,), (random_dim_tag(1),))
+        with pytest.raises(ValueError, match="cover the vertex set"):
+            verify(rep, g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hostile_cases())
+    def test_matches_oracle_on_hostile_representations(self, case):
+        rep, g = case
+        assert verify(rep, g) == oracle_violations(rep, g)
+
+    def test_single_placement_change_caught_exactly(self):
+        # verify reports a violation exactly when the changed placement
+        # changes the represented graph, and then names the same pairs
+        rng = random.Random(7)
+        caught = 0
+        for number in range(6):
+            g = gen_random_bipartite(3 + number % 3, 6, 0.4, seed=number)
+            rep, _ = build_representation(g, BuildParams(master_seed=number))
+            verts = rep.vertices()
+            for _ in range(15):
+                pos = rng.randrange(rep.dimension)
+                moved = dict(rep.dims[pos].placement)
+                moved[rng.choice(verts)] += rng.choice((-3, -2, -1, 1, 2, 3))
+                dims = list(rep.dims)
+                dims[pos] = UnitIntervalRep(moved, dims[pos].threshold)
+                changed = CubeRepresentation(rep.a_count, rep.b_count, dims, rep.provenance)
+                expected = oracle_violations(changed, g)
+                assert verify(changed, g) == expected
+                caught += bool(expected)
+        assert 0 < caught < 90  # both outcomes occurred
+
+    def test_memory_stays_small_at_300_by_600(self):
+        g = gen_random_bipartite(300, 600, 4 / 300, seed=1)
+        rep, _ = build_representation(g, BuildParams(master_seed=1))
+        tracemalloc.start()
+        try:
+            assert verify(rep, g) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
 
 class TestBuildRepresentation:
@@ -247,6 +331,17 @@ class TestDumpRoundTrip:
         text = render_dump(rep, report)
         with pytest.raises(ValueError, match="not valid JSON"):
             parse_dump(text[: len(text) // 2])
+
+    def test_repeated_key_rejected(self):
+        g = gen_random_bipartite(3, 5, 0.5, seed=8)
+        text = render_dump(*build_representation(g, BuildParams(master_seed=21)))
+        doubled = text.replace('"A1": ', '"A1": 0, "A1": ', 1)
+        with pytest.raises(ValueError, match="repeats the key 'A1'"):
+            parse_dump(doubled)
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(ValueError, match="nests too deeply"):
+            parse_dump("[" * 100_000)
 
     def test_report_block_excludes_timings_by_default(self):
         g = BipartiteGraph(1, 1, {(1, 1)})

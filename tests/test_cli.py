@@ -7,9 +7,14 @@ to pytest without subprocess overhead.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cuberep
 from cuberep import parse_dump, parse_graph
 from cuberep.cli import main
 
@@ -155,6 +160,24 @@ class TestVerify:
         assert main(["verify", graph, str(tmp_path / "absent.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_aliased_vertex_key_exit_two(self, tmp_path, capsys):
+        # A01 names A1; letting it through let the later key win silently
+        graph, dump = self._dump_for(tmp_path, SPARSE_23)
+        payload = json.loads((tmp_path / "rep.json").read_text())
+        payload["dims"][0]["placement"]["A01"] = 10 ** 6
+        (tmp_path / "rep.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", graph, dump]) == 2
+        assert capsys.readouterr().err == "error: bad vertex key 'A01'\n"
+
+    def test_repeated_key_exit_two(self, tmp_path, capsys):
+        graph, dump = self._dump_for(tmp_path, SPARSE_23)
+        text = (tmp_path / "rep.json").read_text()
+        (tmp_path / "rep.json").write_text(text.replace('"B2": ', '"B2": 0, "B2": ', 1))
+        capsys.readouterr()
+        assert main(["verify", graph, dump]) == 2
+        assert capsys.readouterr().err == "error: dump repeats the key 'B2' in one object\n"
+
     def test_malformed_graph_exit_two(self, tmp_path, capsys):
         graph = write_graph(tmp_path, "bad.txt", "p bipartite 2 2 1\ne 9 1\n")
         _, dump = self._dump_for(tmp_path, COMPLETE_22)
@@ -226,3 +249,25 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["probe", "bench"])
+    @pytest.mark.parametrize("trials", ["0", "-3", "many"])
+    def test_bad_trials_is_usage_error(self, tmp_path, capsys, command, trials):
+        graph = write_graph(tmp_path, "g.txt", SPARSE_23)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, graph, "--trials", trials, "--seed", "0"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert len(errors) == 1 and "argument --trials: trials must be" in errors[0]
+
+    def test_import_loads_no_numpy(self):
+        # the command line must stay free of heavy imports: numpy alone adds
+        # about 14 MB of resident memory to every run
+        src = str(Path(cuberep.__file__).resolve().parent.parent)
+        code = "import sys, cuberep.cli; print('numpy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert result.stdout.strip() == "False"

@@ -187,7 +187,8 @@ class TestDumpPayload:
     def test_vertex_key_round_trip(self):
         for v in [(SIDE_A, 1), (SIDE_B, 17)]:
             assert parse_vertex_key(vertex_key(v)) == v
-        for bad in ["C1", "A0", "A", "Ax", "1A", ""]:
+        for bad in ["C1", "A0", "A", "Ax", "1A", "", "A01", "B007", "A+1",
+                    "A\u0661", "A\u00b2"]:
             with pytest.raises(ValueError):
                 parse_vertex_key(bad)
 
@@ -204,9 +205,25 @@ class TestDumpPayload:
         lambda p: p["dims"][0].update(threshold=0),
         lambda p: p["dims"][0]["placement"].update(A9=1),
         lambda p: p["dims"][0]["placement"].update(A1=1.5),
+        lambda p: p["dims"][0]["placement"].update(A01=7),
+        lambda p: p.update(a_count=True),
     ])
     def test_malformed_payload_rejected(self, mangle):
         payload = rep_to_jsonable(two_dim_rep())
         mangle(payload)
         with pytest.raises(ValueError):
             rep_from_jsonable(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(unit_interval_reps(), max_size=4))
+    def test_cubes_text_matches_to_unit_cubes(self, dims):
+        rep = CubeRepresentation(2, 2, tuple(dims),
+                                 tuple(random_dim_tag(j + 1) for j in range(len(dims))))
+        expected = {vertex_key(v): [[str(lo), str(hi)] for lo, hi in cells]
+                    for v, cells in to_unit_cubes(rep).items()}
+        assert rep_to_jsonable(rep)["cubes"] == expected
+
+    def test_placement_outside_vertex_set_rejected(self):
+        stray = UnitIntervalRep({**dict.fromkeys(VERTS, 0), (SIDE_B, 3): 0}, 1)
+        with pytest.raises(ValueError, match="outside the representation"):
+            rep_to_jsonable(CubeRepresentation(2, 2, (stray,), (random_dim_tag(1),)))
