@@ -60,9 +60,7 @@ from .randomized import (
     derive_seed,
     make_rng,
     nonedge_survival_exact,
-    project,
     random_permutation,
-    random_supergraph,
     supergraph_from_permutation,
 )
 
@@ -103,9 +101,7 @@ __all__ = [
     "other_side",
     "parse_dump",
     "parse_graph",
-    "project",
     "random_permutation",
-    "random_supergraph",
     "render_dump",
     "rep_from_jsonable",
     "rep_to_jsonable",

@@ -13,10 +13,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from operator import or_
-from typing import NamedTuple
+from operator import and_, or_
+from typing import Iterator, NamedTuple
 
-from .bitfamily import build_bit_family
+from .bitfamily import BitEncodingFamily, build_bit_family
 from .graphs import SIDE_A, SIDE_B, BipartiteGraph, Vertex, degree_profile
 from .intervals import (
     CubeRepresentation,
@@ -31,7 +31,9 @@ from .randomized import (
     choose_permuted_side,
     derive_seed,
     make_rng,
+    neighbour_masks,
     random_permutation,
+    reached_below,
     supergraph_from_permutation,
 )
 
@@ -148,49 +150,71 @@ def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
     return sorted(violations)
 
 
+@dataclass(frozen=True)
+class BuildPlan:
+    """What all attempts on one normalized graph share; d' is kept for the
+    nominal bound."""
+
+    graph: BipartiteGraph
+    t: int
+    delta_prime: int
+    side: str
+    side_size: int
+    fam_a: BitEncodingFamily
+    fam_b: BitEncodingFamily
+    provenance: tuple[str, ...]
+
+
+def make_plan(g: BipartiteGraph, t_override: int | None = None) -> BuildPlan:
+    """The plan of a normalized graph (a_count <= b_count); t is t_override,
+    or default_t when that is None."""
+    if g.a_count > g.b_count:
+        raise ValueError("graph is not normalized (a_count > b_count); "
+                         "apply normalize_sides first")
+    profile = degree_profile(g)
+    t = t_override if t_override is not None else default_t(profile.delta_prime, g.b_count)
+    fam_a = build_bit_family(g, SIDE_A)
+    fam_b = build_bit_family(g, SIDE_B)
+    side = choose_permuted_side(profile)
+    provenance = (tuple(random_dim_tag(j + 1) for j in range(t))
+                  + tuple(bit_dim_tag(SIDE_A, i + 1) for i in range(fam_a.bit_count))
+                  + tuple(bit_dim_tag(SIDE_B, i + 1) for i in range(fam_b.bit_count)))
+    return BuildPlan(g, t, profile.delta_prime, side, g.side_count(side),
+                     fam_a, fam_b, provenance)
+
+
+def attempt(plan: BuildPlan, master_seed: int, index: int) -> CubeRepresentation:
+    """Attempt `index`: t random dimensions, dimension j drawn from
+    derive_seed(master_seed, index, j), then both bit families."""
+    g = plan.graph
+    dims = tuple(supergraph_from_permutation(random_permutation(
+        plan.side_size, make_rng(derive_seed(master_seed, index, j)), plan.side), g)
+        for j in range(plan.t))
+    return CubeRepresentation(g.a_count, g.b_count,
+                              dims + plan.fam_a.reps + plan.fam_b.reps, plan.provenance)
+
+
 def build_representation(
     g: BipartiteGraph, params: BuildParams
 ) -> tuple[CubeRepresentation, BuildReport]:
     """Build a verified representation of a normalized graph (a_count <= b_count).
 
-    Each attempt draws t random dimensions from seeds derived per (attempt,
-    dimension), appends both bit families, and verifies.  Attempts repeat with
-    fresh derived seeds until verification passes or max_retries attempts are
-    exhausted, which raises BuildFailure listing the surviving pairs.
+    Attempts (see `attempt`) repeat with fresh derived seeds until
+    verification passes or max_retries attempts are exhausted, which raises
+    BuildFailure listing the surviving pairs.
     """
-    if g.a_count > g.b_count:
-        raise ValueError("graph is not normalized (a_count > b_count); "
-                         "apply normalize_sides first")
-    profile = degree_profile(g)
-    t = params.t_override if params.t_override is not None \
-        else default_t(profile.delta_prime, g.b_count)
-    has_cross_non_edge = g.edge_count < g.a_count * g.b_count
-    if t == 0 and has_cross_non_edge:
+    plan = make_plan(g, params.t_override)
+    if plan.t == 0 and g.edge_count < g.a_count * g.b_count:
         violations = sorted(Violation("extra-edge", (SIDE_A, a), (SIDE_B, b))
                             for a, b in g.cross_non_edges())
         raise BuildFailure(
             "zero random dimensions cannot remove cross non-edges", violations)
-    fam_a = build_bit_family(g, SIDE_A)
-    fam_b = build_bit_family(g, SIDE_B)
-    side = choose_permuted_side(profile)
-    side_size = g.side_count(side)
-    provenance = (tuple(random_dim_tag(j + 1) for j in range(t))
-                  + tuple(bit_dim_tag(SIDE_A, i + 1) for i in range(fam_a.bit_count))
-                  + tuple(bit_dim_tag(SIDE_B, i + 1) for i in range(fam_b.bit_count)))
     construct_seconds = 0.0
     verify_seconds = 0.0
     violations = []
-    for attempt in range(params.max_retries):
+    for index in range(params.max_retries):
         started = time.perf_counter()
-        random_dims = []
-        for j in range(t):
-            rng = make_rng(derive_seed(params.master_seed, attempt, j))
-            pi = random_permutation(side_size, rng, side)
-            random_dims.append(supergraph_from_permutation(pi, g))
-        rep = CubeRepresentation(
-            g.a_count, g.b_count,
-            tuple(random_dims) + fam_a.reps + fam_b.reps,
-            provenance)
+        rep = attempt(plan, params.master_seed, index)
         checked = time.perf_counter()
         construct_seconds += checked - started
         violations = verify(rep, g)
@@ -201,12 +225,12 @@ def build_representation(
         if not violations:
             report = BuildReport(
                 dimension=rep.dimension,
-                t=t,
-                bits_a=fam_a.bit_count,
-                bits_b=fam_b.bit_count,
-                retries=attempt,
+                t=plan.t,
+                bits_a=plan.fam_a.bit_count,
+                bits_b=plan.fam_b.bit_count,
+                retries=index,
                 seed=params.master_seed & MASK64,
-                nominal_bound=nominal_dimension_bound(profile.delta_prime, g.b_count),
+                nominal_bound=nominal_dimension_bound(plan.delta_prime, g.b_count),
                 construct_seconds=construct_seconds,
                 verify_seconds=verify_seconds)
             return rep, report
@@ -214,39 +238,40 @@ def build_representation(
         f"verification still failing after {params.max_retries} attempts", violations)
 
 
+def attempt_survivors(plan: BuildPlan, master_seed: int,
+                      trials: int) -> Iterator[list[tuple[int, int]]]:
+    """For attempts 0..trials-1 in turn, the cross non-edges (a, b) adjacent
+    in all t random dimensions of attempt(plan, master_seed, index), sorted:
+    exactly the violations verify reports on that attempt, since random
+    dimensions keep every edge and the bit families remove every same-side
+    pair and no cross pair.  Each permuted-side vertex keeps the bitset of its
+    live non-edges, cut per dimension by reached_below until all are empty.
+    """
+    g, side, size = plan.graph, plan.side, plan.side_size
+    count = g.vertex_count - size
+    neighbours = neighbour_masks(g, side)
+    start = [((1 << count) - 1) ^ mask for mask in neighbours]
+    for index in range(trials):
+        alive = start
+        for j in range(plan.t):
+            if not any(alive):
+                break
+            ranks = random_permutation(
+                size, make_rng(derive_seed(master_seed, index, j)), side).ranks
+            alive = list(map(and_, alive, reached_below(ranks, neighbours)))
+        pairs = [(p + 1, f + 1) for p, mask in enumerate(alive)
+                 for f in range(count) if mask >> f & 1]
+        yield sorted(pairs if side == SIDE_A else [(a, b) for b, a in pairs])
+
+
 def estimate_failure_rate(g: BipartiteGraph, params: BuildParams, trials: int) -> float:
-    """Fraction of `trials` independent single attempts (no retry) whose
-    verification fails.  Uses the same per-attempt seed derivation as
-    build_representation."""
+    """Fraction of `trials` independent single attempts (no retry), seeded as
+    build_representation seeds them, whose verification fails: those that
+    leave some cross non-edge alive (see attempt_survivors)."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if g.a_count > g.b_count:
-        raise ValueError("graph is not normalized (a_count > b_count); "
-                         "apply normalize_sides first")
-    profile = degree_profile(g)
-    t = params.t_override if params.t_override is not None \
-        else default_t(profile.delta_prime, g.b_count)
-    fam_a = build_bit_family(g, SIDE_A)
-    fam_b = build_bit_family(g, SIDE_B)
-    side = choose_permuted_side(profile)
-    side_size = g.side_count(side)
-    provenance = (tuple(random_dim_tag(j + 1) for j in range(t))
-                  + tuple(bit_dim_tag(SIDE_A, i + 1) for i in range(fam_a.bit_count))
-                  + tuple(bit_dim_tag(SIDE_B, i + 1) for i in range(fam_b.bit_count)))
-    failures = 0
-    for trial in range(trials):
-        random_dims = []
-        for j in range(t):
-            rng = make_rng(derive_seed(params.master_seed, trial, j))
-            pi = random_permutation(side_size, rng, side)
-            random_dims.append(supergraph_from_permutation(pi, g))
-        rep = CubeRepresentation(
-            g.a_count, g.b_count,
-            tuple(random_dims) + fam_a.reps + fam_b.reps,
-            provenance)
-        if verify(rep, g):
-            failures += 1
-    return failures / trials
+    plan = make_plan(g, params.t_override)
+    return sum(map(bool, attempt_survivors(plan, params.master_seed, trials))) / trials
 
 
 def report_to_jsonable(report: BuildReport, swapped: bool = False,

@@ -16,14 +16,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .bitfamily import build_bit_family
 from .builder import (
     BuildFailure,
     BuildParams,
+    attempt,
     build_representation,
     default_t,
     estimate_failure_rate,
     format_violation,
+    make_plan,
     parse_dump,
     render_dump,
     report_to_jsonable,
@@ -31,28 +32,21 @@ from .builder import (
 )
 from .graphs import (
     SIDE_A,
-    SIDE_B,
     GraphFormatError,
     degree_profile,
     gen_random_bipartite,
     normalize_sides,
+    other_side,
     parse_graph,
     serialize_graph,
 )
-from .intervals import (
-    CubeRepresentation,
-    bit_dim_tag,
-    random_dim_tag,
-    swap_sides,
-    vertex_key,
-)
+from .intervals import swap_sides, vertex_key
 from .randomized import (
     choose_permuted_side,
-    derive_seed,
     make_rng,
-    nonedge_survival_exact,
+    neighbour_masks,
     random_permutation,
-    supergraph_from_permutation,
+    reached_below,
 )
 
 
@@ -66,14 +60,21 @@ def _seed_type(text: str) -> int:
     return value
 
 
-def _trials_type(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"trials must be an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"trials must be >= 1, got {value}")
-    return value
+def _count_type(name: str, minimum: int):
+    """argparse type for an integer option that must be at least `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+_trials_type = _count_type("trials", 1)
+_t_type = _count_type("t", 0)
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -164,31 +165,20 @@ def cmd_probe(args: argparse.Namespace) -> int:
     side = choose_permuted_side(profile)
     bound = Fraction(profile.delta_prime, profile.delta_prime + 1)
     non_edges = sorted(g.cross_non_edges())
-
-    def orient(a: int, b: int) -> tuple[tuple[str, int], tuple[str, int]]:
-        # (permuted endpoint, non-permuted endpoint)
-        if side == SIDE_A:
-            return (SIDE_A, a), (SIDE_B, b)
-        return (SIDE_B, b), (SIDE_A, a)
-
-    counts = {pair: 0 for pair in non_edges}
+    # each non-edge as 0-based (permuted endpoint, other endpoint)
+    ends = [(a - 1, b - 1) if side == SIDE_A else (b - 1, a - 1) for a, b in non_edges]
+    neighbours = neighbour_masks(g, side)
+    counts = [0] * len(non_edges)
     rng = make_rng(seed)
-    size = g.side_count(side)
     for _ in range(trials):
-        pi = random_permutation(size, rng, side)
-        dim = supergraph_from_permutation(pi, g)
-        for a, b in non_edges:
-            if dim.adjacent((SIDE_A, a), (SIDE_B, b)):
-                counts[(a, b)] += 1
+        pi = random_permutation(g.side_count(side), rng, side)
+        reached = reached_below(pi.ranks, neighbours)
+        counts = [c + (reached[p] >> f & 1) for c, (p, f) in zip(counts, ends)]
     rows = []
-    for a, b in non_edges:
-        permuted, fixed = orient(a, b)
-        exact = nonedge_survival_exact(g, permuted, fixed)
-        rows.append({
-            "pair": f"A{a}-B{b}",
-            "observed": counts[(a, b)] / trials,
-            "exact": str(exact),
-        })
+    for (a, b), (_, f), count in zip(non_edges, ends, counts):
+        d = profile.degree((other_side(side), f + 1))  # survival is exactly d/(d + 1)
+        rows.append({"pair": f"A{a}-B{b}", "observed": count / trials,
+                     "exact": str(Fraction(d, d + 1))})
     normalized, _ = normalize_sides(g)
     t_used = args.t if args.t is not None else \
         default_t(profile.delta_prime, normalized.b_count)
@@ -224,28 +214,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.graph))
     normalized, _ = normalize_sides(g)
     seed = _resolve_seed(args.seed)
-    profile = degree_profile(normalized)
-    t = args.t if args.t is not None else \
-        default_t(profile.delta_prime, normalized.b_count)
-    side = choose_permuted_side(profile)
-    size = normalized.side_count(side)
-    fam_a = build_bit_family(normalized, SIDE_A)
-    fam_b = build_bit_family(normalized, SIDE_B)
-    provenance = (tuple(random_dim_tag(j + 1) for j in range(t))
-                  + tuple(bit_dim_tag(SIDE_A, i + 1) for i in range(fam_a.bit_count))
-                  + tuple(bit_dim_tag(SIDE_B, i + 1) for i in range(fam_b.bit_count)))
+    plan = make_plan(normalized, args.t)
     construct_times = []
     verify_times = []
     passes = 0
     for round_index in range(args.trials):
         started = time.perf_counter()
-        dims = []
-        for j in range(t):
-            rng = make_rng(derive_seed(seed, round_index, j))
-            pi = random_permutation(size, rng, side)
-            dims.append(supergraph_from_permutation(pi, normalized))
-        rep = CubeRepresentation(normalized.a_count, normalized.b_count,
-                                 tuple(dims) + fam_a.reps + fam_b.reps, provenance)
+        rep = attempt(plan, seed, round_index)
         checked = time.perf_counter()
         violations = verify(rep, normalized)
         done = time.perf_counter()
@@ -253,12 +228,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         verify_times.append(done - checked)
         if not violations:
             passes += 1
-    per_invocation = min(construct_times) / t if t else 0.0
+    per_invocation = min(construct_times) / plan.t if plan.t else 0.0
     summary = {
         "n1": normalized.a_count,
         "n2": normalized.b_count,
         "m": normalized.edge_count,
-        "t": t,
+        "t": plan.t,
         "rounds": args.trials,
         "passes": passes,
         "construct_mean_seconds": statistics.mean(construct_times),
@@ -272,7 +247,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(json.dumps(summary, sort_keys=True))
     else:
         print(f"graph: {summary['n1']}+{summary['n2']} vertices, {summary['m']} edges")
-        print(f"t: {t}  rounds: {args.trials}  first-attempt passes: {passes}")
+        print(f"t: {plan.t}  rounds: {args.trials}  first-attempt passes: {passes}")
         print(f"construct: mean {summary['construct_mean_seconds']:.6f}s"
               f"  min {summary['construct_min_seconds']:.6f}s")
         print(f"per random dimension (min round): {per_invocation:.6f}s")
@@ -298,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="build and verify a representation")
     p_build.add_argument("graph", help="graph file path")
     p_build.add_argument("--seed", type=_seed_type, default=None)
-    p_build.add_argument("--t", type=int, default=None,
+    p_build.add_argument("--t", type=_t_type, default=None,
                          help="random dimension count (default from the graph)")
     p_build.add_argument("--max-retries", type=int, default=16)
     p_build.add_argument("--out", default=None, help="write the dump here")
@@ -318,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--trials", type=_trials_type, default=1000,
                          help="samples for both the table and the failure estimate")
     p_probe.add_argument("--seed", type=_seed_type, default=None)
-    p_probe.add_argument("--t", type=int, default=None,
+    p_probe.add_argument("--t", type=_t_type, default=None,
                          help="random dimension count for the failure estimate")
     p_probe.add_argument("--format", choices=("human", "machine"), default="human")
     p_probe.set_defaults(func=cmd_probe)
@@ -326,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench", help="time construction separately from verification")
     p_bench.add_argument("graph", help="graph file path")
-    p_bench.add_argument("--t", type=int, default=None)
+    p_bench.add_argument("--t", type=_t_type, default=None)
     p_bench.add_argument("--seed", type=_seed_type, default=None)
     p_bench.add_argument("--trials", type=_trials_type, default=5, help="timing rounds")
     p_bench.add_argument("--format", choices=("human", "machine"), default="human")

@@ -83,7 +83,7 @@ class BipartiteGraph:
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """Per-vertex degrees and neighborhoods plus the two side maxima.
+    """Per-vertex degrees plus the two side maxima.
 
     delta_prime is min(delta_a, delta_b); it is 0 exactly when the graph has
     no edges, since every edge raises both side maxima to at least 1.
@@ -93,26 +93,19 @@ class DegreeProfile:
     delta_b: int
     delta_prime: int
     degrees: dict[Vertex, int]
-    neighborhoods: dict[Vertex, frozenset[Vertex]]
 
     def degree(self, v: Vertex) -> int:
         return self.degrees[v]
 
-    def neighbors(self, v: Vertex) -> frozenset[Vertex]:
-        return self.neighborhoods[v]
-
 
 def degree_profile(g: BipartiteGraph) -> DegreeProfile:
-    neigh: dict[Vertex, set[Vertex]] = {v: set() for v in g.vertices()}
+    degrees = dict.fromkeys(g.vertices(), 0)
     for a, b in g.edges:
-        va, vb = (SIDE_A, a), (SIDE_B, b)
-        neigh[va].add(vb)
-        neigh[vb].add(va)
-    frozen = {v: frozenset(ns) for v, ns in neigh.items()}
-    degrees = {v: len(ns) for v, ns in frozen.items()}
+        degrees[(SIDE_A, a)] += 1
+        degrees[(SIDE_B, b)] += 1
     delta_a = max(degrees[(SIDE_A, i)] for i in range(1, g.a_count + 1))
     delta_b = max(degrees[(SIDE_B, j)] for j in range(1, g.b_count + 1))
-    return DegreeProfile(delta_a, delta_b, min(delta_a, delta_b), degrees, frozen)
+    return DegreeProfile(delta_a, delta_b, min(delta_a, delta_b), degrees)
 
 
 def normalize_sides(g: BipartiteGraph) -> tuple[BipartiteGraph, bool]:

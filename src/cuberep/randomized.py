@@ -13,7 +13,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Sequence
 
 from .graphs import (
     SIDE_A,
@@ -78,18 +78,6 @@ def random_permutation(size: int, rng: random.Random, side: str = SIDE_A) -> Per
     return Permutation(side, tuple(ranks))
 
 
-def project(pi: Permutation, subset: Iterable[int]) -> dict[int, int]:
-    """Rank the subset's indices 1..|subset| in the same order pi ranks them."""
-    xs = sorted(set(subset))
-    if not xs:
-        raise ValueError("cannot project onto an empty subset")
-    for x in xs:
-        if not 1 <= x <= pi.size:
-            raise ValueError(f"index {x} outside 1..{pi.size}")
-    ordered = sorted(xs, key=pi.rank)
-    return {x: position for position, x in enumerate(ordered, start=1)}
-
-
 def supergraph_from_permutation(pi: Permutation, g: BipartiteGraph) -> UnitIntervalRep:
     """The unit interval dimension a permutation of one side determines.
 
@@ -130,12 +118,33 @@ def choose_permuted_side(profile: DegreeProfile) -> str:
     return SIDE_A if profile.delta_b <= profile.delta_a else SIDE_B
 
 
-def random_supergraph(g: BipartiteGraph, rng: random.Random) -> UnitIntervalRep:
-    """One random dimension: uniform permutation of the side chosen by
-    choose_permuted_side, then supergraph_from_permutation."""
-    side = choose_permuted_side(degree_profile(g))
-    pi = random_permutation(g.side_count(side), rng, side)
-    return supergraph_from_permutation(pi, g)
+def neighbour_masks(g: BipartiteGraph, side: str) -> list[int]:
+    """For each vertex of `side` (entry i for vertex i + 1), the bitset of its
+    neighbours on the other side, bit j for vertex j + 1."""
+    masks = [0] * g.side_count(side)
+    for a, b in g.edges:
+        p, f = (b, a) if side == SIDE_B else (a, b)
+        masks[p - 1] |= 1 << (f - 1)
+    return masks
+
+
+def reached_below(ranks: Sequence[int], neighbours: list[int]) -> list[int]:
+    """For each permuted vertex p (0-based, like `ranks`), the bitset of
+    other-side vertices with a neighbour ranked below p (`neighbours` as from
+    neighbour_masks).  This restates supergraph_from_permutation in ranks: a
+    cross non-edge (p, f) is adjacent in its dimension iff f is in reached[p],
+    since f sits at n + (its lowest neighbour rank), p at ranks[p] < n, and
+    the threshold is n; an f without neighbours is never reached.
+    """
+    at_rank = [0] * len(ranks)
+    for p, r in enumerate(ranks):
+        at_rank[r - 1] = p
+    reached = [0] * len(ranks)
+    seen = 0
+    for p in at_rank:
+        reached[p] = seen
+        seen |= neighbours[p]
+    return reached
 
 
 def nonedge_survival_exact(g: BipartiteGraph, permuted: Vertex, other: Vertex) -> Fraction:

@@ -7,7 +7,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_pairs, bipartite_graphs
@@ -32,6 +32,7 @@ from cuberep import (
     report_to_jsonable,
     verify,
 )
+from cuberep.builder import attempt, attempt_survivors, make_plan
 from cuberep.intervals import random_dim_tag
 
 K44_MINUS_CORNER = BipartiteGraph(
@@ -317,6 +318,82 @@ class TestEstimateFailureRate:
         g = BipartiteGraph(1, 1, frozenset())
         with pytest.raises(ValueError):
             estimate_failure_rate(g, BuildParams(master_seed=1), 0)
+
+    def test_unnormalized_rejected(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            estimate_failure_rate(BipartiteGraph(2, 1, frozenset()),
+                                  BuildParams(master_seed=1), 5)
+
+    def test_zero_dimensions_fail_iff_a_cross_non_edge_exists(self):
+        # isolated vertices included: with no random dimension nothing removes
+        # their cross pairs
+        params = BuildParams(master_seed=4, t_override=0)
+        assert estimate_failure_rate(BipartiteGraph(2, 3, {(1, 1)}), params, 7) == 1.0
+        assert estimate_failure_rate(BipartiteGraph(2, 2, frozenset()), params, 7) == 1.0
+        assert estimate_failure_rate(
+            BipartiteGraph(2, 2, {(a, b) for a in (1, 2) for b in (1, 2)}), params, 7) == 0.0
+
+
+def normalized_graphs(max_a: int = 4, max_b: int = 5):
+    return bipartite_graphs(max_a=max_a, max_b=max_b).map(
+        lambda g: g if g.a_count <= g.b_count else
+        BipartiteGraph(g.b_count, g.a_count, frozenset((b, a) for a, b in g.edges)))
+
+
+# b1 sees all three A vertices, no A vertex sees more than two, so
+# delta_b > delta_a and side B is permuted
+SIDE_B_PERMUTED = BipartiteGraph(3, 4, {(1, 1), (2, 1), (3, 1), (1, 2), (2, 3)})
+
+
+class TestAttemptPlan:
+    def test_plan_fields(self):
+        g = gen_random_bipartite(5, 9, 0.35, seed=4)
+        plan = make_plan(g)
+        assert plan.t == default_t(plan.delta_prime, 9)
+        assert (plan.side, plan.side_size) == (SIDE_A, 5)
+        assert (plan.fam_a.bit_count, plan.fam_b.bit_count) == (3, 4)
+        assert len(plan.provenance) == plan.t + 3 + 4
+        assert make_plan(g, 2).t == 2
+        assert make_plan(SIDE_B_PERMUTED).side == SIDE_B
+
+    def test_unnormalized_rejected(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            make_plan(BipartiteGraph(3, 2, frozenset()))
+
+    def test_build_returns_the_passing_attempt(self):
+        rep, report = build_representation(
+            K44_MINUS_CORNER, BuildParams(master_seed=0, t_override=1))
+        assert report.retries == 2
+        assert rep == attempt(make_plan(K44_MINUS_CORNER, 1), 0, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(normalized_graphs(), st.sampled_from([0, 1, 2, None]), st.integers(0, 2 ** 64 - 1))
+    # empty, complete, isolated vertices on both sides, sides of size 1, side B
+    @example(BipartiteGraph(3, 4, frozenset()), 1, 5)
+    @example(BipartiteGraph(2, 3, {(a, b) for a in (1, 2) for b in (1, 2, 3)}), 0, 5)
+    @example(BipartiteGraph(3, 4, {(1, 1), (2, 1)}), 2, 5)
+    @example(BipartiteGraph(1, 4, {(1, 2)}), 1, 5)
+    @example(BipartiteGraph(1, 1, frozenset()), 0, 5)
+    @example(SIDE_B_PERMUTED, 1, 5)
+    @example(SIDE_B_PERMUTED, None, 5)
+    def test_survivors_are_exactly_verify_violations(self, g, t, seed):
+        # the filter's pairs are the extra edges verify finds on the very
+        # attempt build_representation would check, and verify finds nothing else
+        plan = make_plan(g, t)
+        trials = 6
+        survivors = list(attempt_survivors(plan, seed, trials))
+        assert len(survivors) == trials
+        for index, pairs in enumerate(survivors):
+            violations = verify(attempt(plan, seed, index), g)
+            assert violations == [Violation("extra-edge", (SIDE_A, a), (SIDE_B, b))
+                                  for a, b in pairs]
+        rate = estimate_failure_rate(g, BuildParams(master_seed=seed, t_override=t), trials)
+        assert rate == sum(map(bool, survivors)) / trials
+
+    def test_both_verdicts_on_side_b(self):
+        plan = make_plan(SIDE_B_PERMUTED, 4)
+        verdicts = {bool(pairs) for pairs in attempt_survivors(plan, 3, 20)}
+        assert verdicts == {False, True}
 
 
 class TestDumpRoundTrip:

@@ -28,6 +28,55 @@ def write_graph(tmp_path, name, text):
 SINGLE_EDGE = "p bipartite 2 1 1\ne 1 1\n"
 COMPLETE_22 = "p bipartite 2 2 4\ne 1 1\ne 1 2\ne 2 1\ne 2 2\n"
 SPARSE_23 = "p bipartite 2 3 2\ne 1 1\ne 2 3\n"
+# gen 4 7 0.35 --seed 3 and gen 5 4 0.4 --seed 8; the second has more rows
+# than columns, so its failure estimate runs on swapped sides, and its table
+# permutes side B
+GEN_47 = ("p bipartite 4 7 10\ne 1 1\ne 1 3\ne 1 5\ne 2 1\ne 2 4\ne 2 5\ne 2 6\n"
+          "e 3 4\ne 3 5\ne 3 6\n")
+GEN_54 = "p bipartite 5 4 6\ne 1 1\ne 2 4\ne 3 1\ne 3 4\ne 4 1\ne 4 2\n"
+# probe --trials 40 --seed 11 --t 5 --format machine on the two graphs above,
+# recorded from the implementation that built every dimension and verified
+# every attempt in full, which counting in ranks must reproduce byte for byte
+PROBE_GEN_47 = (
+    '{"bound": "3/4", "delta_prime": 3, "failure": {"rate": 0.375'
+    ', "t": 5}, "nonedges": [{"exact": "0", "observed": 0.0'
+    ', "pair": "A1-B2"}, {"exact": "2/3", "observed": 0.725'
+    ', "pair": "A1-B4"}, {"exact": "2/3", "observed": 0.725'
+    ', "pair": "A1-B6"}, {"exact": "0", "observed": 0.0'
+    ', "pair": "A1-B7"}, {"exact": "0", "observed": 0.0'
+    ', "pair": "A2-B2"}, {"exact": "1/2", "observed": 0.5'
+    ', "pair": "A2-B3"}, {"exact": "0", "observed": 0.0'
+    ', "pair": "A2-B7"}, {"exact": "2/3", "observed": 0.7'
+    ', "pair": "A3-B1"}, {"exact": "0", "observed": 0.0'
+    ', "pair": "A3-B2"}, {"exact": "1/2", "observed": 0.425'
+    ', "pair": "A3-B3"}, {"exact": "0", "observed": 0.0'
+    ', "pair": "A3-B7"}, {"exact": "2/3", "observed": 0.675'
+    ', "pair": "A4-B1"}, {"exact": "0", "observed": 0.0'
+    ', "pair": "A4-B2"}, {"exact": "1/2", "observed": 0.425'
+    ', "pair": "A4-B3"}, {"exact": "2/3", "observed": 0.7'
+    ', "pair": "A4-B4"}, {"exact": "3/4", "observed": 0.75'
+    ', "pair": "A4-B5"}, {"exact": "2/3", "observed": 0.7'
+    ', "pair": "A4-B6"}, {"exact": "0", "observed": 0.0'
+    ', "pair": "A4-B7"}], "permuted_side": "A", "seed": 11'
+    ', "trials": 40}' + "\n")
+PROBE_GEN_54 = (
+    '{"bound": "2/3", "delta_prime": 2, "failure": {"rate": 0.375'
+    ', "t": 5}, "nonedges": [{"exact": "1/2", "observed": 0.5'
+    ', "pair": "A1-B2"}, {"exact": "1/2", "observed": 0.425'
+    ', "pair": "A1-B3"}, {"exact": "1/2", "observed": 0.425'
+    ', "pair": "A1-B4"}, {"exact": "1/2", "observed": 0.575'
+    ', "pair": "A2-B1"}, {"exact": "1/2", "observed": 0.475'
+    ', "pair": "A2-B2"}, {"exact": "1/2", "observed": 0.425'
+    ', "pair": "A2-B3"}, {"exact": "2/3", "observed": 0.625'
+    ', "pair": "A3-B2"}, {"exact": "2/3", "observed": 0.625'
+    ', "pair": "A3-B3"}, {"exact": "2/3", "observed": 0.7'
+    ', "pair": "A4-B3"}, {"exact": "2/3", "observed": 0.675'
+    ', "pair": "A4-B4"}, {"exact": "0", "observed": 0.0'
+    ', "pair": "A5-B1"}, {"exact": "0", "observed": 0.0'
+    ', "pair": "A5-B2"}, {"exact": "0", "observed": 0.0'
+    ', "pair": "A5-B3"}, {"exact": "0", "observed": 0.0'
+    ', "pair": "A5-B4"}], "permuted_side": "B", "seed": 11'
+    ', "trials": 40}' + "\n")
 
 
 class TestGen:
@@ -207,6 +256,14 @@ class TestProbe:
         assert "no cross non-edges" in out
         assert "failure rate (t=7): 0.0000" in out
 
+    @pytest.mark.parametrize("text, expected", [(GEN_47, PROBE_GEN_47),
+                                                (GEN_54, PROBE_GEN_54)])
+    def test_machine_output_golden(self, tmp_path, capsys, text, expected):
+        graph = write_graph(tmp_path, "g.txt", text)
+        assert main(["probe", graph, "--trials", "40", "--seed", "11", "--t", "5",
+                     "--format", "machine"]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_t_override_flows_into_estimate(self, tmp_path, capsys):
         graph = write_graph(tmp_path, "g.txt", SINGLE_EDGE)
         rc = main(["probe", graph, "--trials", "400", "--seed", "2",
@@ -229,6 +286,25 @@ class TestBench:
         assert payload["passes"] == 2  # complete graph: nothing can survive
         assert payload["per_invocation_seconds"] > 0.0
         assert payload["verify_min_seconds"] >= 0.0
+
+    def test_machine_keys_and_counts_pinned(self, tmp_path, capsys):
+        graph = write_graph(tmp_path, "g.txt", GEN_47)
+        assert main(["bench", graph, "--t", "3", "--trials", "6", "--seed", "2",
+                     "--format", "machine"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "n1", "n2", "m", "t", "rounds", "passes", "construct_mean_seconds",
+            "construct_min_seconds", "per_invocation_seconds", "verify_mean_seconds",
+            "verify_min_seconds", "seed"}
+        assert {key: payload[key] for key in ("n1", "n2", "m", "t", "rounds", "passes")} \
+            == {"n1": 4, "n2": 7, "m": 10, "t": 3, "rounds": 6, "passes": 3}
+
+    def test_swapped_graph_counts_pinned(self, tmp_path, capsys):
+        graph = write_graph(tmp_path, "g.txt", GEN_54)
+        assert main(["bench", graph, "--t", "4", "--trials", "6", "--seed", "2",
+                     "--format", "machine"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["n1"], payload["n2"], payload["t"], payload["passes"]) == (4, 5, 4, 1)
 
     def test_human_summary(self, tmp_path, capsys):
         graph = write_graph(tmp_path, "g.txt", SPARSE_23)
@@ -261,6 +337,19 @@ class TestParser:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error" in line]
         assert len(errors) == 1 and "argument --trials: trials must be" in errors[0]
+
+    @pytest.mark.parametrize("command", ["build", "probe", "bench"])
+    @pytest.mark.parametrize("t", ["-1", "-3", "few"])
+    def test_bad_t_is_usage_error(self, tmp_path, capsys, command, t):
+        graph = write_graph(tmp_path, "g.txt", SPARSE_23)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, graph, "--t", t, "--seed", "0"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any work is done
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert len(errors) == 1 and "argument --t: t must be" in errors[0]
 
     def test_import_loads_no_numpy(self):
         # the command line must stay free of heavy imports: numpy alone adds

@@ -21,11 +21,10 @@ from cuberep import (
     gen_random_bipartite,
     make_rng,
     nonedge_survival_exact,
-    project,
     random_permutation,
-    random_supergraph,
     supergraph_from_permutation,
 )
+from cuberep.randomized import neighbour_masks, reached_below
 
 
 def enumerate_survival(g: BipartiteGraph, side: str, pair: tuple[int, int]) -> Fraction:
@@ -98,33 +97,6 @@ class TestPermutation:
         assert sorted(pi.ranks) == list(range(1, size + 1))
 
 
-class TestProject:
-    def test_identity_subset_example(self):
-        pi = Permutation(SIDE_A, (1, 2, 3, 4, 5))
-        assert project(pi, {2, 4, 5}) == {2: 1, 4: 2, 5: 3}
-
-    def test_reordered_example(self):
-        pi = Permutation(SIDE_A, (3, 1, 2))
-        assert project(pi, {1, 3}) == {3: 1, 1: 2}
-
-    def test_validates_subset(self):
-        pi = Permutation(SIDE_A, (1, 2))
-        with pytest.raises(ValueError):
-            project(pi, [])
-        with pytest.raises(ValueError):
-            project(pi, [3])
-
-    def test_rank_one_equivalence(self):
-        # a ranks below every member of X exactly when the projection onto
-        # X + {a} puts a at rank 1; exhaustive over all size-4 permutations.
-        for ranks in itertools.permutations(range(1, 5)):
-            pi = Permutation(SIDE_A, ranks)
-            for x_mask in range(1, 8):
-                xs = {i + 2 for i in range(3) if x_mask >> i & 1}
-                below_all = all(pi.rank(1) < pi.rank(x) for x in xs)
-                assert below_all == (project(pi, xs | {1})[1] == 1)
-
-
 class TestSupergraphFromPermutation:
     def test_single_edge_example(self):
         g = BipartiteGraph(1, 1, {(1, 1)})
@@ -186,6 +158,32 @@ class TestSupergraphFromPermutation:
             assert dim.adjacent((SIDE_A, a), (SIDE_B, b))
 
 
+class TestReachedBelow:
+    def test_example(self):
+        # b1 sees a2 and a3, b2 sees nothing
+        g = BipartiteGraph(3, 2, {(2, 1), (3, 1)})
+        neighbours = neighbour_masks(g, SIDE_A)
+        assert neighbours == [0b00, 0b01, 0b01]
+        assert neighbour_masks(g, SIDE_B) == [0b110, 0b000]
+        # ranks a1 = 1, a3 = 2, a2 = 3: b1 is reached from rank 2 on
+        assert reached_below((1, 3, 2), neighbours) == [0b00, 0b01, 0b00]
+
+    def test_rank_rule_matches_dimension_exhaustive_small(self):
+        # a cross non-edge (p, f) is adjacent in the constructed dimension
+        # exactly when f is reached below p, over every permutation of either side
+        for n1, n2 in [(1, 2), (2, 2), (3, 2)]:
+            for g in all_graphs(n1, n2):
+                for side in (SIDE_A, SIDE_B):
+                    neighbours = neighbour_masks(g, side)
+                    for ranks in itertools.permutations(range(1, g.side_count(side) + 1)):
+                        dim = supergraph_from_permutation(Permutation(side, ranks), g)
+                        reached = reached_below(ranks, neighbours)
+                        for a, b in g.cross_non_edges():
+                            p, f = (a, b) if side == SIDE_A else (b, a)
+                            assert dim.adjacent((SIDE_A, a), (SIDE_B, b)) == \
+                                bool(reached[p - 1] >> (f - 1) & 1)
+
+
 class TestBranchChoice:
     def test_permutes_side_with_smaller_opposite_maximum(self):
         wide_star = BipartiteGraph(1, 3, {(1, 1), (1, 2), (1, 3)})
@@ -196,14 +194,6 @@ class TestBranchChoice:
     def test_tie_permutes_side_a(self):
         square = BipartiteGraph(2, 2, {(1, 1), (2, 2)})
         assert choose_permuted_side(degree_profile(square)) == SIDE_A
-
-    def test_random_supergraph_equals_hoisted_composition(self):
-        g = BipartiteGraph(3, 4, {(1, 2), (2, 2), (3, 1), (3, 4)})
-        side = choose_permuted_side(degree_profile(g))
-        for seed in range(5):
-            direct = random_supergraph(g, make_rng(seed))
-            pi = random_permutation(g.side_count(side), make_rng(seed), side)
-            assert direct == supergraph_from_permutation(pi, g)
 
 
 class TestNonedgeSurvival:
