@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 Vertex = tuple[str, int]
@@ -69,6 +70,33 @@ class BipartiteGraph:
             yield (SIDE_A, i)
         for j in range(1, self.b_count + 1):
             yield (SIDE_B, j)
+
+    def side_vertices(self, side: str) -> tuple[Vertex, ...]:
+        """The vertices of `side` in index order, built once per graph."""
+        return self._side_vertices[side]
+
+    def neighbours(self, side: str) -> tuple[tuple[int, ...], ...]:
+        """For each vertex of `side` (entry i for vertex i + 1), the 0-based
+        indices of its neighbours on the other side, ascending; built once per
+        graph."""
+        return self._neighbours[side]
+
+    @cached_property
+    def _side_vertices(self) -> dict[str, tuple[Vertex, ...]]:
+        return {SIDE_A: tuple((SIDE_A, i) for i in range(1, self.a_count + 1)),
+                SIDE_B: tuple((SIDE_B, j) for j in range(1, self.b_count + 1))}
+
+    @cached_property
+    def _neighbours(self) -> dict[str, tuple[tuple[int, ...], ...]]:
+        # one int object per index, shared by every list that holds it
+        index = list(range(max(self.a_count, self.b_count)))
+        of_a: list[list[int]] = [[] for _ in range(self.a_count)]
+        of_b: list[list[int]] = [[] for _ in range(self.b_count)]
+        for a, b in sorted(self.edges):
+            of_a[a - 1].append(index[b - 1])
+            of_b[b - 1].append(index[a - 1])
+        return {SIDE_A: tuple(tuple(ns) for ns in of_a),
+                SIDE_B: tuple(tuple(ns) for ns in of_b)}
 
     def has_edge(self, a_index: int, b_index: int) -> bool:
         return (a_index, b_index) in self.edges

@@ -30,6 +30,16 @@ class UnitIntervalRep:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"placement of {v!r} must be an integer, got {x!r}")
 
+    @classmethod
+    def owning(cls, placement: dict[Vertex, int], threshold: int) -> UnitIntervalRep:
+        """Wrap a fresh dict of int placements and a positive int threshold as
+        they are, skipping the copy and the checks of the constructor; the
+        caller must not keep or mutate the dict."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "placement", placement)
+        object.__setattr__(rep, "threshold", threshold)
+        return rep
+
     def adjacent(self, u: Vertex, v: Vertex) -> bool:
         f = self.placement
         return abs(f[u] - f[v]) <= self.threshold

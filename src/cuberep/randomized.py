@@ -90,26 +90,17 @@ def supergraph_from_permutation(pi: Permutation, g: BipartiteGraph) -> UnitInter
     if pi.size != s_size:
         raise ValueError(f"permutation size {pi.size} != side {pi.side} size {s_size}")
     t_side = other_side(pi.side)
-    t_size = g.side_count(t_side)
     n = g.vertex_count
-    ranks = pi.ranks
-    placement: dict[Vertex, int] = {}
-    for i in range(1, s_size + 1):
-        placement[(pi.side, i)] = ranks[i - 1]
-    best = [0] * (t_size + 1)  # 0 marks "no neighbor seen", real ranks are >= 1
-    if pi.side == SIDE_A:
-        for a, b in g.edges:
-            r = ranks[a - 1]
-            if best[b] == 0 or r < best[b]:
-                best[b] = r
-    else:
-        for a, b in g.edges:
-            r = ranks[b - 1]
-            if best[a] == 0 or r < best[a]:
-                best[a] = r
-    for j in range(1, t_size + 1):
-        placement[(t_side, j)] = n + best[j] if best[j] else 2 * n + 2
-    return UnitIntervalRep(placement, n)
+    best = [0] * g.side_count(t_side)  # 0: no neighbour seen; ranks are >= 1
+    for neighbours, r in zip(g.neighbours(pi.side), pi.ranks):
+        for f in neighbours:
+            b = best[f]
+            if not b or r < b:
+                best[f] = r
+    placement: dict[Vertex, int] = dict(zip(g.side_vertices(pi.side), pi.ranks))
+    placement.update(zip(g.side_vertices(t_side),
+                         [n + r if r else 2 * n + 2 for r in best]))
+    return UnitIntervalRep.owning(placement, n)
 
 
 def choose_permuted_side(profile: DegreeProfile) -> str:

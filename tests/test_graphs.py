@@ -44,6 +44,23 @@ class TestBipartiteGraph:
         assert list(g.vertices()) == [
             (SIDE_A, 1), (SIDE_A, 2), (SIDE_B, 1), (SIDE_B, 2), (SIDE_B, 3)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(bipartite_graphs(max_a=6, max_b=6))
+    def test_neighbours_and_side_vertices(self, g):
+        for side, other_count in ((SIDE_A, g.b_count), (SIDE_B, g.a_count)):
+            neighbours = g.neighbours(side)
+            assert len(neighbours) == g.side_count(side)
+            for i, ns in enumerate(neighbours, start=1):
+                expected = [j - 1 for j in range(1, other_count + 1)
+                            if (g.has_edge(i, j) if side == SIDE_A else g.has_edge(j, i))]
+                assert list(ns) == expected
+            assert g.side_vertices(side) == tuple(
+                v for v in g.vertices() if v[0] == side)
+        # the cached lists are no part of the value
+        twin = BipartiteGraph(g.a_count, g.b_count, g.edges)
+        assert twin == g and hash(twin) == hash(g)
+        assert g.neighbours(SIDE_A) is g.neighbours(SIDE_A)
+
     def test_cross_non_edges_complement(self):
         g = BipartiteGraph(2, 2, {(1, 1), (2, 2)})
         assert list(g.cross_non_edges()) == [(1, 2), (2, 1)]

@@ -56,6 +56,12 @@ class TestUnitIntervalRep:
         with pytest.raises(ValueError):
             UnitIntervalRep({(SIDE_A, 1): 0.5}, 1)
 
+    def test_owning_wraps_without_copy(self):
+        placement = {(SIDE_A, 1): 0, (SIDE_B, 1): 4}
+        rep = UnitIntervalRep.owning(placement, 4)
+        assert rep.placement is placement
+        assert rep == UnitIntervalRep(placement, 4)
+
     def test_adjacency_is_closed(self):
         rep = UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 4, (SIDE_B, 2): 5}, 4)
         # distance exactly the threshold counts as adjacent

@@ -15,6 +15,7 @@ from cuberep import (
     SIDE_B,
     BipartiteGraph,
     Permutation,
+    UnitIntervalRep,
     choose_permuted_side,
     degree_profile,
     derive_seed,
@@ -138,6 +139,22 @@ class TestSupergraphFromPermutation:
         g = BipartiteGraph(2, 1, {(1, 1)})
         with pytest.raises(ValueError):
             supergraph_from_permutation(Permutation(SIDE_A, (1,)), g)
+
+    @settings(max_examples=120, deadline=None)
+    @given(bipartite_graphs(max_a=7, max_b=7), st.integers(0, 10 ** 6),
+           st.sampled_from([SIDE_A, SIDE_B]))
+    def test_placement_matches_definition(self, g, seed, side):
+        other = SIDE_B if side == SIDE_A else SIDE_A
+        n = g.vertex_count
+        pi = random_permutation(g.side_count(side), make_rng(seed), side)
+        dim = supergraph_from_permutation(pi, g)
+        expected = {(side, i): pi.rank(i) for i in range(1, g.side_count(side) + 1)}
+        for j in range(1, g.side_count(other) + 1):
+            ranks = [pi.rank(i) for i in range(1, g.side_count(side) + 1)
+                     if (g.has_edge(i, j) if side == SIDE_A else g.has_edge(j, i))]
+            expected[(other, j)] = n + min(ranks) if ranks else 2 * n + 2
+        assert list(dim.placement.items()) == list(expected.items())
+        assert dim == UnitIntervalRep(expected, n)
 
     def test_every_edge_kept_exhaustive_small(self):
         for n1, n2 in [(1, 1), (2, 2), (3, 2)]:
