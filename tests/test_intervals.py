@@ -12,11 +12,13 @@ from conftest import all_pairs
 from cuberep import (
     SIDE_A,
     SIDE_B,
+    BuildReport,
     CubeRepresentation,
     UnitIntervalRep,
     VertexGraph,
     induced_graph,
     intersect_graphs,
+    render_dump,
     rep_from_jsonable,
     rep_to_jsonable,
     swap_sides,
@@ -231,5 +233,12 @@ class TestDumpPayload:
 
     def test_placement_outside_vertex_set_rejected(self):
         stray = UnitIntervalRep({**dict.fromkeys(VERTS, 0), (SIDE_B, 3): 0}, 1)
-        with pytest.raises(ValueError, match="outside the representation"):
-            rep_to_jsonable(CubeRepresentation(2, 2, (stray,), (random_dim_tag(1),)))
+        missing = UnitIntervalRep(dict.fromkeys(VERTS[:3], 0), 1)
+        report = BuildReport(0, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
+        for dim, message in ((stray, "outside the representation"),
+                             (missing, r"no placement for \('B', 2\)")):
+            rep = CubeRepresentation(2, 2, (dim,), (random_dim_tag(1),))
+            with pytest.raises(ValueError, match=message):
+                rep_to_jsonable(rep)
+            with pytest.raises(ValueError, match=message):
+                render_dump(rep, report)
