@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import SIDE_A, SIDE_B, BipartiteGraph, Vertex, other_side
+from .graphs import SIDE_A, BipartiteGraph, other_side, vertex_order
 from .intervals import UnitIntervalRep, VertexGraph, induced_graph, intersect_graphs
 
 
@@ -41,25 +41,21 @@ def build_bit_family(g: BipartiteGraph, side: str) -> BitEncodingFamily:
     all get distinct patterns; bit i means the i-th least significant bit.
     """
     size = g.side_count(side)
-    opposite = other_side(side)
-    opposite_size = g.side_count(opposite)
+    opposite = [1] * g.side_count(other_side(side))
+    order = vertex_order(g.a_count, g.b_count)
     bits = bit_count_for(size)
     reps = []
-    for i in range(1, bits + 1):
-        placement: dict[Vertex, int] = {}
-        for j in range(1, size + 1):
-            placement[(side, j)] = 2 if ((j - 1) >> (i - 1)) & 1 else 0
-        for j in range(1, opposite_size + 1):
-            placement[(opposite, j)] = 1
-        reps.append(UnitIntervalRep(placement, 1))
+    for i in range(bits):
+        encoded = [2 if j >> i & 1 else 0 for j in range(size)]
+        values = encoded + opposite if side == SIDE_A else opposite + encoded
+        reps.append(UnitIntervalRep.column(order, values, 1))
     return BitEncodingFamily(side, bits, g.a_count, g.b_count, tuple(reps))
 
 
 def family_intersection(fam: BitEncodingFamily) -> VertexGraph:
     """Intersection of the family's induced graphs; the empty family (size-1
     side) intersects to the complete graph on A union B."""
-    verts = ([(SIDE_A, i) for i in range(1, fam.a_count + 1)]
-             + [(SIDE_B, j) for j in range(1, fam.b_count + 1)])
+    verts = vertex_order(fam.a_count, fam.b_count)
     if not fam.reps:
         edges = frozenset(
             frozenset((verts[i], verts[j]))

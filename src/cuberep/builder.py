@@ -7,6 +7,7 @@ affects how many attempts that takes.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import time
@@ -17,7 +18,7 @@ from operator import and_, or_
 from typing import Iterator, NamedTuple
 
 from .bitfamily import BitEncodingFamily, build_bit_family
-from .graphs import SIDE_A, SIDE_B, BipartiteGraph, Vertex, degree_profile
+from .graphs import SIDE_A, SIDE_B, BipartiteGraph, Vertex, degree_profile, vertex_order
 from .intervals import (
     CubeRepresentation,
     bit_dim_tag,
@@ -96,12 +97,13 @@ def nominal_dimension_bound(delta_prime: int, n2: int) -> int:
 def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
     """Exact check that the dims' intersection graph equals g.
 
-    Vertices are indexed in canonical order (A1..An1, B1..Bn2) and each
-    vertex i keeps an integer bitset alive[i] whose bit j (j > i) is set
-    while the pair (i, j) is adjacent in every dimension seen so far.  Per
-    dimension, the vertices sorted by placement give prefix OR-masks, and the
-    vertices within the threshold of i form one contiguous run of that order,
-    so alive[i] is cut by a single XOR of two prefixes.  That is
+    Vertices are indexed in canonical order (A1..An1, B1..Bn2), the order of
+    each dimension's value column, and each vertex i keeps an integer
+    bitset alive[i] whose bit j (j > i) is set while the pair (i, j) is
+    adjacent in every dimension seen so far.  Per dimension, the vertices
+    sorted by placement give prefix OR-masks, and the vertices within the
+    threshold of i form one contiguous run of that order, so alive[i] is cut
+    by a single XOR of two prefixes.  That is
     O(k n log n) interpreted steps plus O(k n^2 / 64) word operations, with
     O(n^2) bits of memory.  Dimensions run tightest threshold first (the
     intersection does not depend on the order): bit dimensions then empty the
@@ -113,19 +115,16 @@ def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
         raise ValueError(
             f"vertex mismatch: representation is {rep.a_count}+{rep.b_count}, "
             f"graph is {g.a_count}+{g.b_count}")
-    verts = rep.vertices()
+    verts = vertex_order(rep.a_count, rep.b_count)
     count = len(verts)
     bit = [1 << i for i in range(count)]
     full = (1 << count) - 1
     alive = [full ^ ((b << 1) - 1) for b in bit]
     for pos, dim in sorted(enumerate(rep.dims), key=lambda item: item[1].threshold):
-        f = dim.placement
         try:
-            values = list(map(f.__getitem__, verts))
-        except KeyError:
-            values = []
-        if len(values) != count or len(f) != count:
-            raise ValueError(f"dimension {pos} placement does not cover the vertex set")
+            values = dim.values_in(verts)
+        except ValueError:
+            raise ValueError(f"dimension {pos} placement does not cover the vertex set") from None
         c = dim.threshold
         order = sorted(range(count), key=values.__getitem__)
         ranked = list(map(values.__getitem__, order))
@@ -309,29 +308,23 @@ def render_dump(rep: CubeRepresentation, report: BuildReport,
     The text is exactly json.dumps(payload, sort_keys=True, indent=2) + "\n"
     for payload = rep_to_jsonable(rep) plus the "report" block, written in
     one pass: vertex keys are sorted once (as strings, so A10 precedes A2),
-    and each dimension formats the cube cell of a placement value once per
-    distinct value and threshold.  Provenance tags and the report block go
-    through json.dumps, which keeps its escaping.
+    each dimension's value column is reordered to that key order once, and
+    the cube cell of a placement value is formatted once per distinct value
+    and threshold.  Provenance tags and the report block go through
+    json.dumps, which keeps its escaping.
     """
-    verts = rep.vertices()
+    verts = vertex_order(rep.a_count, rep.b_count)
     keys = [vertex_key(v) for v in verts]
     order = sorted(range(len(verts)), key=keys.__getitem__)
-    verts = [verts[i] for i in order]
     keys = [keys[i] for i in order]
     placement_lines = [f'\n        "{key}": ' for key in keys]
     cell_text: dict[int, dict[int, str]] = {}  # threshold -> value -> cell
     columns = []
     dim_texts = []
     for dim, tag in zip(rep.dims, rep.provenance):
-        f = dim.placement
         c = dim.threshold
-        try:
-            values = list(map(f.__getitem__, verts))
-        except KeyError:
-            missing = next(v for v in rep.vertices() if v not in f)
-            raise ValueError(f"no placement for {missing!r}") from None
-        if len(f) != len(verts):
-            raise ValueError("placement holds a vertex outside the representation")
+        column = dim.values_in(verts)
+        values = list(map(column.__getitem__, order))
         cells = cell_text.setdefault(c, {})
         for x in set(values).difference(cells):
             lo, hi = cube_cell(x, c)
@@ -359,27 +352,46 @@ def render_dump(rep: CubeRepresentation, report: BuildReport,
         "\n}\n"))
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """json object hook that refuses repeated keys, which json.loads would
-    otherwise merge silently, last value winning."""
+def _dump_object(pairs: list[tuple[str, object]]) -> dict:
+    """json object hook for dumps.  It refuses repeated keys, which json.loads
+    would otherwise merge silently, last value winning.  An object whose
+    values are all lists, such as the cubes block, keeps its keys but drops
+    its lists as soon as it is decoded: rep_from_jsonable reads no list but
+    the dims of the top-level object, which also holds the counts, so the
+    result is the same, and the decode's peak memory no longer holds the
+    cubes block and the dims at once."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
         counts = Counter(key for key, _ in pairs)
         repeated = next(key for key, n in counts.items() if n > 1)
         raise ValueError(f"dump repeats the key {repeated!r} in one object")
+    if all(type(value) is list for value in obj.values()):
+        return dict.fromkeys(obj)
     return obj
 
 
 def parse_dump(text: str) -> CubeRepresentation:
     """Read a dump back into a representation; raises ValueError on malformed
-    or truncated input, including repeated keys and non-canonical vertex keys."""
+    or truncated input, including repeated keys and non-canonical vertex keys.
+
+    The cyclic garbage collector is paused while the dump is decoded and
+    converted: the decode makes hundreds of thousands of lists, dicts and
+    tuples, none of which can form a cycle, and each collection would scan
+    them all again.  The collector's state is restored on every exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        payload = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"dump is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise ValueError("dump nests too deeply to be a representation") from None
-    return rep_from_jsonable(payload)
+        try:
+            payload = json.loads(text, object_pairs_hook=_dump_object)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"dump is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError("dump nests too deeply to be a representation") from None
+        return rep_from_jsonable(payload)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def format_violation(violation: Violation) -> str:

@@ -5,13 +5,26 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 Vertex = tuple[str, int]
 
 SIDE_A = "A"
 SIDE_B = "B"
+
+# Most vertices a graph file or a dump may declare.  verify keeps one
+# n-bit set per vertex, n^2 / 2 bits in all: 64 MiB at this size.  It stays
+# above the 16,000 vertices of the largest graph the acceptance tests build.
+MAX_VERTICES = 1 << 15
+
+
+@lru_cache(maxsize=16)
+def vertex_order(a_count: int, b_count: int) -> tuple[Vertex, ...]:
+    """The canonical vertex order (A1..An1, B1..Bn2), one shared tuple per
+    size, so a column in this order is recognized by identity."""
+    return (tuple((SIDE_A, i) for i in range(1, a_count + 1))
+            + tuple((SIDE_B, j) for j in range(1, b_count + 1)))
 
 
 def other_side(side: str) -> str:
@@ -72,19 +85,15 @@ class BipartiteGraph:
             yield (SIDE_B, j)
 
     def side_vertices(self, side: str) -> tuple[Vertex, ...]:
-        """The vertices of `side` in index order, built once per graph."""
-        return self._side_vertices[side]
+        """The vertices of `side` in index order."""
+        order = vertex_order(self.a_count, self.b_count)
+        return order[:self.a_count] if other_side(side) == SIDE_B else order[self.a_count:]
 
     def neighbours(self, side: str) -> tuple[tuple[int, ...], ...]:
         """For each vertex of `side` (entry i for vertex i + 1), the 0-based
         indices of its neighbours on the other side, ascending; built once per
         graph."""
         return self._neighbours[side]
-
-    @cached_property
-    def _side_vertices(self) -> dict[str, tuple[Vertex, ...]]:
-        return {SIDE_A: tuple((SIDE_A, i) for i in range(1, self.a_count + 1)),
-                SIDE_B: tuple((SIDE_B, j) for j in range(1, self.b_count + 1))}
 
     @cached_property
     def _neighbours(self) -> dict[str, tuple[tuple[int, ...], ...]]:
@@ -186,7 +195,8 @@ def parse_graph(text: str) -> BipartiteGraph:
         e <a-index> <b-index>     (1-based, one line per edge)
 
     Raises GraphFormatError with the offending line number on malformed
-    headers, out-of-range indices, and duplicate edges.
+    headers, more than MAX_VERTICES vertices, out-of-range indices, and
+    duplicate edges.
     """
     n1 = n2 = m = None
     edges: set[tuple[int, int]] = set()
@@ -208,6 +218,9 @@ def parse_graph(text: str) -> BipartiteGraph:
                                        lineno) from None
             if n1 < 1 or n2 < 1:
                 raise GraphFormatError("side counts must be >= 1", lineno)
+            if n1 + n2 > MAX_VERTICES:
+                raise GraphFormatError(
+                    f"{n1}+{n2} vertices exceed the limit of {MAX_VERTICES}", lineno)
             if m < 0:
                 raise GraphFormatError("edge count must be >= 0", lineno)
         elif fields[0] == "e":
@@ -235,6 +248,10 @@ def parse_graph(text: str) -> BipartiteGraph:
         raise GraphFormatError("missing 'p bipartite' header")
     if len(edges) != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
+    # The cached canonical order lives on.  Made here, before a dump of this
+    # size is decoded, it does not land amid the decoded dump's objects,
+    # where it would keep their memory from going back to the system.
+    vertex_order(n1, n2)
     return BipartiteGraph(n1, n2, frozenset(edges))
 
 

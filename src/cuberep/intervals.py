@@ -5,47 +5,97 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import SIDE_A, SIDE_B, Vertex
+from .graphs import MAX_VERTICES, SIDE_A, SIDE_B, Vertex, vertex_order
 
 
-@dataclass(frozen=True)
 class UnitIntervalRep:
     """A placement f over vertices plus a positive threshold c.
 
     Induces the graph with an edge between u and v iff |f(u) - f(v)| <= c
     (closed comparison: equality counts as adjacent).  Placements are kept
     integral so induced adjacency is exact.
+
+    Stored as a column: the vertex tuple `verts` and the parallel list of
+    int `values`, which nothing may mutate.  Dimensions built by the library
+    use the canonical order vertex_order(a_count, b_count), one tuple shared
+    by all of them.  `placement` is a read-only mapping view of the column,
+    built on first use.
     """
 
-    placement: Mapping[Vertex, int]
-    threshold: int
+    __slots__ = ("verts", "values", "threshold", "_view")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "placement", dict(self.placement))
-        if not isinstance(self.threshold, int) or self.threshold <= 0:
-            raise ValueError(f"threshold must be a positive integer, got {self.threshold!r}")
-        for v, x in self.placement.items():
+    def __init__(self, placement: Mapping[Vertex, int], threshold: int) -> None:
+        if not isinstance(threshold, int) or threshold <= 0:
+            raise ValueError(f"threshold must be a positive integer, got {threshold!r}")
+        for v, x in placement.items():
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"placement of {v!r} must be an integer, got {x!r}")
+        self._set(tuple(placement), list(placement.values()), threshold)
 
     @classmethod
-    def owning(cls, placement: dict[Vertex, int], threshold: int) -> UnitIntervalRep:
-        """Wrap a fresh dict of int placements and a positive int threshold as
-        they are, skipping the copy and the checks of the constructor; the
-        caller must not keep or mutate the dict."""
+    def column(cls, verts: tuple[Vertex, ...], values: list[int],
+               threshold: int) -> UnitIntervalRep:
+        """Wrap distinct vertices, a fresh list of their int values and a
+        positive int threshold as they are, skipping the checks of the
+        constructor."""
         rep = object.__new__(cls)
-        object.__setattr__(rep, "placement", placement)
-        object.__setattr__(rep, "threshold", threshold)
+        rep._set(verts, values, threshold)
         return rep
+
+    def _set(self, verts, values, threshold) -> None:
+        for name, value in (("verts", verts), ("values", values),
+                            ("threshold", threshold), ("_view", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: UnitIntervalRep is immutable")
+
+    def __reduce__(self):
+        return UnitIntervalRep.column, (self.verts, self.values, self.threshold)
+
+    @property
+    def placement(self) -> Mapping[Vertex, int]:
+        view = self._view
+        if view is None:
+            view = MappingProxyType(dict(zip(self.verts, self.values)))
+            object.__setattr__(self, "_view", view)
+        return view
+
+    def values_in(self, order: tuple[Vertex, ...]) -> list[int]:
+        """The values of the vertices of `order`, in that order; ValueError
+        unless the placement covers exactly those vertices."""
+        if self.verts is order or self.verts == order:
+            return self.values
+        f = self.placement
+        missing = next((v for v in order if v not in f), None)
+        if missing is not None:
+            raise ValueError(f"no placement for {missing!r}")
+        if len(f) != len(order):
+            raise ValueError("placement holds a vertex outside the representation")
+        return list(map(f.__getitem__, order))
 
     def adjacent(self, u: Vertex, v: Vertex) -> bool:
         f = self.placement
         return abs(f[u] - f[v]) <= self.threshold
 
     def vertices(self) -> set[Vertex]:
-        return set(self.placement)
+        return set(self.verts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UnitIntervalRep):
+            return NotImplemented
+        if self.threshold != other.threshold:
+            return False
+        if self.verts is other.verts or self.verts == other.verts:
+            return self.values == other.values
+        return self.placement == other.placement
+
+    def __repr__(self) -> str:
+        return f"UnitIntervalRep({dict(self.placement)!r}, {self.threshold!r})"
 
 
 @dataclass(frozen=True)
@@ -136,8 +186,7 @@ class CubeRepresentation:
         return len(self.dims)
 
     def vertices(self) -> list[Vertex]:
-        return ([(SIDE_A, i) for i in range(1, self.a_count + 1)]
-                + [(SIDE_B, j) for j in range(1, self.b_count + 1)])
+        return list(vertex_order(self.a_count, self.b_count))
 
 
 def to_unit_cubes(rep: CubeRepresentation) -> dict[Vertex, list[tuple[Fraction, Fraction]]]:
@@ -159,9 +208,9 @@ def to_unit_cubes(rep: CubeRepresentation) -> dict[Vertex, list[tuple[Fraction, 
 def swap_sides(rep: CubeRepresentation) -> CubeRepresentation:
     """Relabel side A as side B and vice versa (undoes side normalization).
 
-    Every dimension's placement keys come from one relabelling of the vertex
-    set, so the dimensions share their key tuples; the values were checked
-    when the dimensions were made and are kept as they are.
+    A dimension in canonical order keeps its values: the B block moves in
+    front of the A block, which is the canonical order of the swapped sizes.
+    Any other column keeps its order and relabels its vertices.
     """
 
     def swap_vertex(v: Vertex) -> Vertex:
@@ -175,14 +224,18 @@ def swap_sides(rep: CubeRepresentation) -> CubeRepresentation:
             return "side-a-" + tag[len("side-b-"):]
         return tag
 
-    relabel = {v: swap_vertex(v) for v in rep.vertices()}
-    dims = tuple(
-        UnitIntervalRep.owning(
-            dict(zip([relabel.get(v) or swap_vertex(v) for v in dim.placement],
-                     dim.placement.values())),
-            dim.threshold)
-        for dim in rep.dims
-    )
+    order = vertex_order(rep.a_count, rep.b_count)
+    swapped = vertex_order(rep.b_count, rep.a_count)
+    split = rep.a_count
+
+    def swap_dim(dim: UnitIntervalRep) -> UnitIntervalRep:
+        if dim.verts is order or dim.verts == order:
+            values = dim.values[split:] + dim.values[:split]
+            return UnitIntervalRep.column(swapped, values, dim.threshold)
+        return UnitIntervalRep.column(tuple(map(swap_vertex, dim.verts)), dim.values,
+                                      dim.threshold)
+
+    dims = tuple(swap_dim(dim) for dim in rep.dims)
     tags = tuple(swap_tag(t) for t in rep.provenance)
     return CubeRepresentation(rep.b_count, rep.a_count, dims, tags)
 
@@ -218,19 +271,13 @@ def rep_to_jsonable(rep: CubeRepresentation) -> dict:
     """JSON-ready dump: per dimension its threshold and placement, plus the
     cubes view of to_unit_cubes with rationals rendered in lowest terms
     (cube_cell)."""
-    verts = rep.vertices()
+    verts = vertex_order(rep.a_count, rep.b_count)
     keys = [vertex_key(v) for v in verts]
     cells: list[list[list[str]]] = [[] for _ in verts]
     dims = []
     for dim, tag in zip(rep.dims, rep.provenance):
-        f = dim.placement
         c = dim.threshold
-        try:
-            values = [f[v] for v in verts]
-        except KeyError as exc:
-            raise ValueError(f"no placement for {exc.args[0]!r}") from None
-        if len(f) != len(verts):
-            raise ValueError("placement holds a vertex outside the representation")
+        values = dim.values_in(verts)
         for x, intervals in zip(values, cells):
             intervals.append(list(cube_cell(x, c)))
         dims.append({
@@ -243,18 +290,30 @@ def rep_to_jsonable(rep: CubeRepresentation) -> dict:
 
 
 def rep_from_jsonable(obj: object) -> CubeRepresentation:
+    """The representation a dump payload describes; ValueError if it is
+    malformed.  A placement holding exactly the declared vertices with int
+    values becomes a column in canonical order through one lookup per
+    vertex; any other placement goes through the per-key checks, which name
+    the first bad key or value, or builds a dimension over its own vertex
+    set, which verify then refuses."""
     if not isinstance(obj, dict):
         raise ValueError("dump must be a JSON object")
     a_count = obj.get("a_count")
     b_count = obj.get("b_count")
     if not all(isinstance(n, int) and not isinstance(n, bool) for n in (a_count, b_count)):
         raise ValueError("dump needs integer a_count and b_count")
+    if a_count < 1 or b_count < 1:
+        raise ValueError("side counts must be >= 1")
+    count = a_count + b_count
+    if count > MAX_VERTICES:
+        raise ValueError(f"dump declares {a_count}+{b_count} vertices, "
+                         f"more than the limit of {MAX_VERTICES}")
     raw_dims = obj.get("dims")
     if not isinstance(raw_dims, list):
         raise ValueError("dump needs a list of dims")
+    order = lookup = None  # built for the first placement of the declared size
     dims: list[UnitIntervalRep] = []
     tags: list[str] = []
-    vertex_of: dict[str, Vertex] = {}  # keys already parsed and range-checked
     for pos, raw in enumerate(raw_dims):
         if not isinstance(raw, dict):
             raise ValueError(f"dim {pos} must be an object")
@@ -262,23 +321,46 @@ def rep_from_jsonable(obj: object) -> CubeRepresentation:
         raw_placement = raw.get("placement")
         if not isinstance(raw_placement, dict):
             raise ValueError(f"dim {pos} needs a placement object")
-        placement: dict[Vertex, int] = {}
-        for key, value in raw_placement.items():
-            v = vertex_of.get(key)
-            if v is None:
-                v = parse_vertex_key(key)
-                side, index = v
-                if index > (a_count if side == SIDE_A else b_count):
-                    raise ValueError(f"dim {pos}: vertex {key} outside declared counts")
-                vertex_of[key] = v
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"dim {pos}: placement of {key} must be an integer")
-            placement[v] = value
+        values = None
+        if len(raw_placement) == count:
+            if lookup is None:
+                order = vertex_order(a_count, b_count)
+                lookup = itemgetter(*map(vertex_key, order))
+            values = _int_column(lookup, raw_placement)
+        if values is None:
+            placement = _checked_placement(raw_placement, pos, a_count, b_count)
         if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold <= 0:
             raise ValueError(f"dim {pos}: threshold must be a positive integer")
-        dims.append(UnitIntervalRep(placement, threshold))
+        dims.append(UnitIntervalRep(placement, threshold) if values is None
+                    else UnitIntervalRep.column(order, values, threshold))
         tag = raw.get("provenance", f"dim-{pos + 1}")
         if not isinstance(tag, str):
             raise ValueError(f"dim {pos}: provenance must be a string")
         tags.append(tag)
     return CubeRepresentation(a_count, b_count, tuple(dims), tuple(tags))
+
+
+def _int_column(lookup: itemgetter, raw_placement: dict) -> list[int] | None:
+    """The values `lookup` picks from a dump placement, or None unless each
+    of its keys is there with an int value (a JSON true is a bool)."""
+    try:
+        values = list(lookup(raw_placement))
+    except KeyError:
+        return None
+    return values if set(map(type, values)) == {int} else None
+
+
+def _checked_placement(raw_placement: dict, pos: int, a_count: int,
+                       b_count: int) -> dict[Vertex, int]:
+    """A dump placement key by key: each key canonical and within the
+    declared counts, each value an int."""
+    placement: dict[Vertex, int] = {}
+    for key, value in raw_placement.items():
+        v = parse_vertex_key(key)
+        side, index = v
+        if index > (a_count if side == SIDE_A else b_count):
+            raise ValueError(f"dim {pos}: vertex {key} outside declared counts")
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"dim {pos}: placement of {key} must be an integer")
+        placement[v] = value
+    return placement

@@ -13,6 +13,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .graphs import (
@@ -23,6 +24,7 @@ from .graphs import (
     Vertex,
     degree_profile,
     other_side,
+    vertex_order,
 )
 from .intervals import UnitIntervalRep
 
@@ -97,10 +99,18 @@ def supergraph_from_permutation(pi: Permutation, g: BipartiteGraph) -> UnitInter
             b = best[f]
             if not b or r < b:
                 best[f] = r
-    placement: dict[Vertex, int] = dict(zip(g.side_vertices(pi.side), pi.ranks))
-    placement.update(zip(g.side_vertices(t_side),
-                         [n + r if r else 2 * n + 2 for r in best]))
-    return UnitIntervalRep.owning(placement, n)
+    reached = map(_placed(n, s_size).__getitem__, best)
+    values = [*pi.ranks, *reached] if pi.side == SIDE_A else [*reached, *pi.ranks]
+    return UnitIntervalRep.column(vertex_order(g.a_count, g.b_count), values, n)
+
+
+@lru_cache(maxsize=16)
+def _placed(n: int, size: int) -> tuple[int, ...]:
+    """Entry r: the placement of a non-permuted vertex whose lowest neighbour
+    rank is r, or of an isolated one for r = 0.  Shared by all dimensions of
+    one graph size, so they share these int objects instead of each making
+    its own."""
+    return (2 * n + 2, *range(n + 1, n + size + 1))
 
 
 def choose_permuted_side(profile: DegreeProfile) -> str:

@@ -182,6 +182,33 @@ class TestBuild:
         assert main(["verify", graph, dump]) == 0
 
 
+HUGE_HEADER = "p bipartite 100000000 100000000 0\n"
+HUGE_HEADER_ERROR = "error: line 1: 100000000+100000000 vertices exceed the limit of 32768\n"
+
+
+class TestVertexLimit:
+    # Without the limit, build and verify would allocate per declared vertex.
+    def test_build_refuses_huge_header(self, tmp_path, capsys):
+        graph = write_graph(tmp_path, "g.txt", HUGE_HEADER)
+        assert main(["build", graph, "--seed", "1"]) == 2
+        assert capsys.readouterr().err == HUGE_HEADER_ERROR
+
+    def test_verify_refuses_huge_header(self, tmp_path, capsys):
+        graph = write_graph(tmp_path, "g.txt", HUGE_HEADER)
+        dump = write_graph(tmp_path, "rep.json", json.dumps(
+            {"a_count": 10 ** 8, "b_count": 10 ** 8, "dims": []}))
+        assert main(["verify", graph, dump]) == 2
+        assert capsys.readouterr().err == HUGE_HEADER_ERROR
+
+    def test_verify_refuses_dump_declaring_huge_counts(self, tmp_path, capsys):
+        graph = write_graph(tmp_path, "g.txt", SPARSE_23)
+        dump = write_graph(tmp_path, "rep.json", json.dumps(
+            {"a_count": 10 ** 8, "b_count": 10 ** 8, "dims": []}))
+        assert main(["verify", graph, dump]) == 2
+        assert capsys.readouterr().err == (
+            "error: dump declares 100000000+100000000 vertices, more than the limit of 32768\n")
+
+
 class TestVerify:
     def _dump_for(self, tmp_path, graph_text, seed="5"):
         graph = write_graph(tmp_path, "g.txt", graph_text)

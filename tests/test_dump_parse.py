@@ -1,0 +1,235 @@
+"""Dump parsing into value columns: hostile payloads against a per-key
+reference decoder, the command line's exits, the garbage collector's state,
+and the memory a representation keeps."""
+
+from __future__ import annotations
+
+import contextlib
+import gc
+import io
+import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cuberep import (
+    SIDE_A,
+    SIDE_B,
+    BuildParams,
+    BuildReport,
+    CubeRepresentation,
+    UnitIntervalRep,
+    build_representation,
+    gen_random_bipartite,
+    parse_dump,
+    parse_graph,
+    render_dump,
+    rep_from_jsonable,
+    serialize_graph,
+    verify,
+)
+from cuberep.cli import main
+from cuberep.intervals import parse_vertex_key, random_dim_tag
+
+EMPTY_REPORT = BuildReport(0, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
+
+
+def reference_rep_from_jsonable(obj: object) -> CubeRepresentation:
+    """One dict per dimension, key by key through parse_vertex_key in item
+    order: the decoder whose results and error texts rep_from_jsonable keeps."""
+    if not isinstance(obj, dict):
+        raise ValueError("dump must be a JSON object")
+    a_count, b_count = obj.get("a_count"), obj.get("b_count")
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in (a_count, b_count)):
+        raise ValueError("dump needs integer a_count and b_count")
+    raw_dims = obj.get("dims")
+    if not isinstance(raw_dims, list):
+        raise ValueError("dump needs a list of dims")
+    dims, tags = [], []
+    for pos, raw in enumerate(raw_dims):
+        if not isinstance(raw, dict):
+            raise ValueError(f"dim {pos} must be an object")
+        threshold = raw.get("threshold")
+        raw_placement = raw.get("placement")
+        if not isinstance(raw_placement, dict):
+            raise ValueError(f"dim {pos} needs a placement object")
+        placement = {}
+        for key, value in raw_placement.items():
+            side, index = v = parse_vertex_key(key)
+            if index > (a_count if side == SIDE_A else b_count):
+                raise ValueError(f"dim {pos}: vertex {key} outside declared counts")
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"dim {pos}: placement of {key} must be an integer")
+            placement[v] = value
+        if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold <= 0:
+            raise ValueError(f"dim {pos}: threshold must be a positive integer")
+        dims.append(UnitIntervalRep(placement, threshold))
+        tag = raw.get("provenance", f"dim-{pos + 1}")
+        if not isinstance(tag, str):
+            raise ValueError(f"dim {pos}: provenance must be a string")
+        tags.append(tag)
+    return CubeRepresentation(a_count, b_count, tuple(dims), tuple(tags))
+
+
+MUTATIONS = ("none", "remove", "out-of-range", "alias", "reorder", "value",
+             "all-lists", "other-vertex-set")
+BAD_VALUES = (True, 1.0, "1", None, 10 ** 30)
+
+
+@st.composite
+def hostile_payloads(draw):
+    """The payload of a rendered random representation (sides 1 to 12, zero
+    to four dimensions, negative and tied values), then one mutation of it:
+    (mutation, payload)."""
+    a_count, b_count = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    verts = CubeRepresentation(a_count, b_count, (), ()).vertices()
+    reach = draw(st.integers(0, 6))
+    dims = tuple(
+        UnitIntervalRep({v: draw(st.integers(-reach, reach)) for v in verts},
+                        draw(st.integers(1, 7)))
+        for _ in range(draw(st.integers(0, 4))))
+    rep = CubeRepresentation(a_count, b_count, dims,
+                             tuple(random_dim_tag(j + 1) for j in range(len(dims))))
+    payload = json.loads(render_dump(rep, EMPTY_REPORT))
+    mutation = draw(st.sampled_from(MUTATIONS))
+    if mutation == "other-vertex-set":
+        # well formed, but every placement now misses a declared vertex
+        payload[draw(st.sampled_from(["a_count", "b_count"]))] += 1
+    elif mutation != "none" and dims:
+        placement = payload["dims"][draw(st.integers(0, len(dims) - 1))]["placement"]
+        keys = list(placement)
+        key = draw(st.sampled_from(keys))
+        if mutation == "remove":
+            del placement[key]
+        elif mutation == "out-of-range":
+            side = draw(st.sampled_from(["A", "B"]))
+            index = (a_count if side == "A" else b_count) + draw(st.integers(1, 3))
+            placement[f"{side}{index}"] = 0
+        elif mutation == "alias":
+            placement[f"{key[0]}0{key[1:]}"] = placement[key]
+        elif mutation == "reorder":
+            shuffled = draw(st.permutations(keys))
+            values = dict(placement)
+            placement.clear()
+            placement.update((k, values[k]) for k in shuffled)
+        elif mutation == "value":
+            placement[key] = draw(st.sampled_from(BAD_VALUES))
+        elif mutation == "all-lists":
+            placement.update((k, [v]) for k, v in placement.items())
+    return mutation, payload
+
+
+def outcome(decode, payload):
+    try:
+        return "accepted", decode(payload)
+    except ValueError as exc:
+        return "rejected", str(exc)
+
+
+def run_verify(payload: dict) -> tuple[int, str]:
+    """(exit code, stderr) of cuberep verify on the payload as a dump file,
+    against an edgeless graph of the declared counts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, dump = Path(tmp, "g.txt"), Path(tmp, "rep.json")
+        graph.write_text(f"p bipartite {payload['a_count']} {payload['b_count']} 0\n")
+        dump.write_text(json.dumps(payload))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["verify", str(graph), str(dump)])
+    return rc, err.getvalue()
+
+
+class TestHostileDumps:
+    @settings(max_examples=300, deadline=None)
+    @given(hostile_payloads())
+    def test_column_parse_matches_per_key_decoder(self, case):
+        mutation, payload = case
+        expected = outcome(reference_rep_from_jsonable, payload)
+        assert outcome(rep_from_jsonable, payload) == expected
+        # through the text, where the object hook drops all-list objects' lists
+        assert outcome(parse_dump, json.dumps(payload)) == expected
+        if mutation in ("none", "reorder"):
+            assert expected[0] == "accepted"
+
+    @settings(max_examples=150, deadline=None)
+    @given(hostile_payloads())
+    def test_verify_command_exits_two_with_one_line(self, case):
+        _, payload = case
+        verdict, result = outcome(reference_rep_from_jsonable, payload)
+        rc, err = run_verify(payload)
+        if verdict == "rejected":
+            assert (rc, err) == (2, f"error: {result}\n")
+            return
+        # verify visits the dimensions tightest threshold first
+        visited = sorted(range(result.dimension), key=lambda i: result.dims[i].threshold)
+        uncovered = [i for i in visited
+                     if result.dims[i].vertices() != set(result.vertices())]
+        if uncovered:
+            assert (rc, err) == (
+                2, f"error: dimension {uncovered[0]} placement does not cover the vertex set\n")
+        else:
+            assert rc in (0, 1) and err == ""
+
+    def test_reordered_keys_give_a_canonical_column(self):
+        rep = CubeRepresentation(2, 1, (UnitIntervalRep(
+            {(SIDE_A, 1): 5, (SIDE_A, 2): -1, (SIDE_B, 1): 5}, 2),), ("random-1",))
+        payload = json.loads(render_dump(rep, EMPTY_REPORT))
+        payload["dims"][0]["placement"] = {"B1": 5, "A2": -1, "A1": 5}
+        dim = rep_from_jsonable(payload).dims[0]
+        assert dim.verts == tuple(rep.vertices()) and dim.values == [5, -1, 5]
+
+
+VALID_DUMP = render_dump(CubeRepresentation(1, 1, (UnitIntervalRep(
+    {(SIDE_A, 1): 0, (SIDE_B, 1): 1}, 1),), ("random-1",)), EMPTY_REPORT)
+
+
+class TestGarbageCollectorState:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("text, error", [
+        (VALID_DUMP, None),
+        (VALID_DUMP[:-10], "not valid JSON"),
+        (VALID_DUMP.replace('"A1"', '"A01"'), "bad vertex key 'A01'"),
+        ("[" * 100_000, "nests too deeply"),
+    ])
+    def test_parse_dump_restores_the_state_it_found(self, enabled, text, error):
+        was = gc.isenabled()
+        gc.enable() if enabled else gc.disable()
+        try:
+            if error is None:
+                assert parse_dump(text).dimension == 1
+            else:
+                with pytest.raises(ValueError, match=error):
+                    parse_dump(text)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+
+def retained_bytes(make):
+    """(result, bytes still allocated after make() returned)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = make()
+        return result, tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_representations_keep_under_half_the_dict_storage():
+    # With one dict per dimension (CPython 3.11), this build kept 6,197 kB
+    # and its parsed dump 5,487 kB; the bounds are half of each.
+    g = parse_graph(serialize_graph(gen_random_bipartite(150, 300, 4 / 150, seed=11)))
+    g.neighbours(SIDE_A), g.neighbours(SIDE_B)  # the graph's caches are not the representation's
+    (rep, report), built = retained_bytes(
+        lambda: build_representation(g, BuildParams(master_seed=5)))
+    text = render_dump(rep, report)
+    parsed, held = retained_bytes(lambda: parse_dump(text))
+    assert rep.dimension == 206 and parsed == rep and verify(parsed, g) == []
+    assert built < 6_197_000 // 2
+    assert held < 5_487_000 // 2

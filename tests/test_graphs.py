@@ -19,6 +19,7 @@ from cuberep import (
     parse_graph,
     serialize_graph,
 )
+from cuberep.graphs import MAX_VERTICES
 
 
 class TestBipartiteGraph:
@@ -215,6 +216,14 @@ class TestGraphFile:
             parse_graph(text)
         assert excinfo.value.line == line
         assert f"line {line}:" in str(excinfo.value)
+
+    def test_vertex_count_limit(self):
+        half = MAX_VERTICES // 2
+        assert parse_graph(f"p bipartite {half} {half} 0\n").vertex_count == MAX_VERTICES
+        with pytest.raises(GraphFormatError) as excinfo:
+            parse_graph(f"c big\np bipartite {half} {half + 1} 0\n")
+        assert str(excinfo.value) == (
+            f"line 2: {half}+{half + 1} vertices exceed the limit of {MAX_VERTICES}")
 
     def test_missing_header(self):
         with pytest.raises(GraphFormatError) as excinfo:

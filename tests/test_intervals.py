@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -58,11 +60,40 @@ class TestUnitIntervalRep:
         with pytest.raises(ValueError):
             UnitIntervalRep({(SIDE_A, 1): 0.5}, 1)
 
-    def test_owning_wraps_without_copy(self):
-        placement = {(SIDE_A, 1): 0, (SIDE_B, 1): 4}
-        rep = UnitIntervalRep.owning(placement, 4)
-        assert rep.placement is placement
-        assert rep == UnitIntervalRep(placement, 4)
+    def test_column_wraps_without_copy(self):
+        verts, values = ((SIDE_A, 1), (SIDE_B, 1)), [0, 4]
+        rep = UnitIntervalRep.column(verts, values, 4)
+        assert rep.verts is verts and rep.values is values
+        assert rep == UnitIntervalRep(dict(zip(verts, values)), 4)
+
+    def test_placement_is_a_cached_read_only_view(self):
+        rep = UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 4}, 4)
+        assert rep.placement is rep.placement
+        with pytest.raises(TypeError):
+            rep.placement[(SIDE_A, 1)] = 7
+        with pytest.raises(AttributeError):
+            rep.threshold = 2
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda rep: pickle.loads(pickle.dumps(rep))])
+    def test_copies_and_pickles(self, duplicate):
+        rep = UnitIntervalRep({(SIDE_B, 1): 5, (SIDE_A, 1): 1}, 4)
+        assert duplicate(rep) == rep
+
+    def test_values_in_refuses_another_vertex_set(self):
+        rep = UnitIntervalRep({(SIDE_B, 1): 5, (SIDE_A, 1): 1}, 4)
+        order = ((SIDE_A, 1), (SIDE_B, 1))
+        assert rep.values_in(order) == [1, 5]
+        with pytest.raises(ValueError, match=r"no placement for \('A', 2\)"):
+            rep.values_in(order + ((SIDE_A, 2),))
+        with pytest.raises(ValueError, match="outside the representation"):
+            rep.values_in(order[:1])
+
+    def test_equality_ignores_column_order(self):
+        rep = UnitIntervalRep({(SIDE_B, 1): 5, (SIDE_A, 1): 1}, 4)
+        assert rep == UnitIntervalRep({(SIDE_A, 1): 1, (SIDE_B, 1): 5}, 4)
+        assert rep != UnitIntervalRep({(SIDE_A, 1): 1, (SIDE_B, 1): 5}, 3)
+        assert rep != UnitIntervalRep({(SIDE_A, 1): 1}, 4)
 
     def test_adjacency_is_closed(self):
         rep = UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 4, (SIDE_B, 2): 5}, 4)
@@ -190,6 +221,15 @@ class TestSwapSides:
         rep = two_dim_rep()
         assert swap_sides(swap_sides(rep)) == rep
 
+    def test_non_canonical_columns_are_relabelled(self):
+        reordered = UnitIntervalRep({(SIDE_B, 1): 5, (SIDE_A, 1): 1}, 4)
+        partial = UnitIntervalRep({(SIDE_A, 1): 3}, 1)
+        rep = CubeRepresentation(1, 1, (reordered, partial), ("random-1", "random-2"))
+        swapped = swap_sides(rep)
+        assert swapped.dims[0].placement == {(SIDE_A, 1): 5, (SIDE_B, 1): 1}
+        assert swapped.dims[1].placement == {(SIDE_B, 1): 3}
+        assert swap_sides(swapped) == rep
+
 
 class TestDumpPayload:
     def test_vertex_key_round_trip(self):
@@ -215,6 +255,8 @@ class TestDumpPayload:
         lambda p: p["dims"][0]["placement"].update(A1=1.5),
         lambda p: p["dims"][0]["placement"].update(A01=7),
         lambda p: p.update(a_count=True),
+        lambda p: p.update(a_count=0),
+        lambda p: p.update(b_count=2 ** 15),
     ])
     def test_malformed_payload_rejected(self, mangle):
         payload = rep_to_jsonable(two_dim_rep())

@@ -153,7 +153,8 @@ class TestSupergraphFromPermutation:
             ranks = [pi.rank(i) for i in range(1, g.side_count(side) + 1)
                      if (g.has_edge(i, j) if side == SIDE_A else g.has_edge(j, i))]
             expected[(other, j)] = n + min(ranks) if ranks else 2 * n + 2
-        assert list(dim.placement.items()) == list(expected.items())
+        # the view iterates in canonical order: A1..An1, B1..Bn2
+        assert list(dim.placement.items()) == sorted(expected.items())
         assert dim == UnitIntervalRep(expected, n)
 
     def test_every_edge_kept_exhaustive_small(self):
