@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import random
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -32,10 +33,10 @@ from .randomized import (
     MASK64,
     choose_permuted_side,
     derive_seed,
-    make_rng,
     neighbour_masks,
     random_permutation,
     reached_below,
+    shuffled_ranks,
     supergraph_from_permutation,
 )
 
@@ -183,13 +184,24 @@ def make_plan(g: BipartiteGraph, t_override: int | None = None) -> BuildPlan:
                      fam_a, fam_b, provenance)
 
 
+def dimension_rngs(master_seed: int, index: int, t: int) -> Iterator[random.Random]:
+    """The generators of random dimensions 0..t-1 of attempt `index`: one
+    random.Random, reseeded in turn to derive_seed(master_seed, index, j).
+    Reseeding leaves it in the state make_rng of that seed would build, at
+    less cost than building a new one; each generator is in that state only
+    until the next is drawn."""
+    rng = random.Random(0)
+    for j in range(t):
+        rng.seed(derive_seed(master_seed, index, j))
+        yield rng
+
+
 def attempt(plan: BuildPlan, master_seed: int, index: int) -> CubeRepresentation:
     """Attempt `index`: t random dimensions, dimension j drawn from
     derive_seed(master_seed, index, j), then both bit families."""
     g = plan.graph
-    dims = tuple(supergraph_from_permutation(random_permutation(
-        plan.side_size, make_rng(derive_seed(master_seed, index, j)), plan.side), g)
-        for j in range(plan.t))
+    dims = tuple(supergraph_from_permutation(random_permutation(plan.side_size, rng, plan.side), g)
+                 for rng in dimension_rngs(master_seed, index, plan.t))
     return CubeRepresentation(g.a_count, g.b_count,
                               dims + plan.fam_a.reps + plan.fam_b.reps, plan.provenance)
 
@@ -238,40 +250,50 @@ def build_representation(
         f"verification still failing after {params.max_retries} attempts", violations)
 
 
+def survivor_masks(plan: BuildPlan, master_seed: int, trials: int) -> Iterator[list[int]]:
+    """For attempts 0..trials-1 in turn, the cross non-edges adjacent in all t
+    random dimensions of attempt(plan, master_seed, index): entry p is the
+    bitset of the live non-edges of permuted vertex p + 1, bit f for
+    other-side vertex f + 1.  Each such bitset starts as p's non-edges and is
+    cut per dimension by reached_below; the draws stop once all are empty,
+    since every dimension has its own seed.
+    """
+    g, size = plan.graph, plan.side_size
+    count = g.vertex_count - size
+    neighbours = neighbour_masks(g, plan.side)
+    start = [((1 << count) - 1) ^ mask for mask in neighbours]
+    for index in range(trials):
+        alive = start
+        for rng in dimension_rngs(master_seed, index, plan.t):
+            if not any(alive):
+                break
+            alive = list(map(and_, alive, reached_below(shuffled_ranks(size, rng), neighbours)))
+        yield alive
+
+
 def attempt_survivors(plan: BuildPlan, master_seed: int,
                       trials: int) -> Iterator[list[tuple[int, int]]]:
     """For attempts 0..trials-1 in turn, the cross non-edges (a, b) adjacent
     in all t random dimensions of attempt(plan, master_seed, index), sorted:
     exactly the violations verify reports on that attempt, since random
     dimensions keep every edge and the bit families remove every same-side
-    pair and no cross pair.  Each permuted-side vertex keeps the bitset of its
-    live non-edges, cut per dimension by reached_below until all are empty.
+    pair and no cross pair.  Read off survivor_masks.
     """
-    g, side, size = plan.graph, plan.side, plan.side_size
-    count = g.vertex_count - size
-    neighbours = neighbour_masks(g, side)
-    start = [((1 << count) - 1) ^ mask for mask in neighbours]
-    for index in range(trials):
-        alive = start
-        for j in range(plan.t):
-            if not any(alive):
-                break
-            ranks = random_permutation(
-                size, make_rng(derive_seed(master_seed, index, j)), side).ranks
-            alive = list(map(and_, alive, reached_below(ranks, neighbours)))
+    count = plan.graph.vertex_count - plan.side_size
+    for alive in survivor_masks(plan, master_seed, trials):
         pairs = [(p + 1, f + 1) for p, mask in enumerate(alive)
                  for f in range(count) if mask >> f & 1]
-        yield sorted(pairs if side == SIDE_A else [(a, b) for b, a in pairs])
+        yield sorted(pairs if plan.side == SIDE_A else [(a, b) for b, a in pairs])
 
 
 def estimate_failure_rate(g: BipartiteGraph, params: BuildParams, trials: int) -> float:
     """Fraction of `trials` independent single attempts (no retry), seeded as
     build_representation seeds them, whose verification fails: those that
-    leave some cross non-edge alive (see attempt_survivors)."""
+    leave some cross non-edge alive (see survivor_masks)."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     plan = make_plan(g, params.t_override)
-    return sum(map(bool, attempt_survivors(plan, params.master_seed, trials))) / trials
+    return sum(map(any, survivor_masks(plan, params.master_seed, trials))) / trials
 
 
 def report_to_jsonable(report: BuildReport, swapped: bool = False,

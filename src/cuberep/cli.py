@@ -31,6 +31,7 @@ from .builder import (
     verify,
 )
 from .graphs import (
+    MAX_VERTICES,
     SIDE_A,
     GraphFormatError,
     degree_profile,
@@ -45,8 +46,7 @@ from .randomized import (
     choose_permuted_side,
     make_rng,
     neighbour_masks,
-    random_permutation,
-    reached_below,
+    survival_counts,
 )
 
 
@@ -96,6 +96,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.n1 + args.n2 > MAX_VERTICES:
+        # every other command refuses such a graph file, so none is written
+        raise ValueError(f"{args.n1}+{args.n2} vertices exceed the limit of {MAX_VERTICES}")
     seed = _resolve_seed(args.seed)
     g = gen_random_bipartite(args.n1, args.n2, args.p, seed)
     _write_text(args.out, serialize_graph(g))
@@ -171,13 +174,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
     non_edges = sorted(g.cross_non_edges())
     # each non-edge as 0-based (permuted endpoint, other endpoint)
     ends = [(a - 1, b - 1) if side == SIDE_A else (b - 1, a - 1) for a, b in non_edges]
-    neighbours = neighbour_masks(g, side)
-    counts = [0] * len(non_edges)
-    rng = make_rng(seed)
-    for _ in range(trials):
-        pi = random_permutation(g.side_count(side), rng, side)
-        reached = reached_below(pi.ranks, neighbours)
-        counts = [c + (reached[p] >> f & 1) for c, (p, f) in zip(counts, ends)]
+    counts = survival_counts(neighbour_masks(g, side), g.side_count(other_side(side)),
+                             ends, trials, make_rng(seed))
     rows = []
     for (a, b), (_, f), count in zip(non_edges, ends, counts):
         d = profile.degree((other_side(side), f + 1))  # survival is exactly d/(d + 1)

@@ -70,14 +70,33 @@ class Permutation:
         return self.ranks[index - 1]
 
 
+def shuffled_ranks(size: int, rng: random.Random) -> list[int]:
+    """The ranks 1..size in the order random.Random.shuffle leaves them.
+
+    An inline Fisher-Yates shuffle making the getrandbits calls CPython's
+    shuffle makes (3.10 to 3.13): for i from size - 1 down to 1, with
+    n = i + 1 and k = n.bit_length(), getrandbits(k) is redrawn until it is
+    below n.  Both the ranks and the generator's state afterwards equal
+    shuffle's; only the per-step method call of shuffle is saved.
+    """
+    ranks = list(range(1, size + 1))
+    getrandbits = rng.getrandbits
+    for i in range(size - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        ranks[i], ranks[j] = ranks[j], ranks[i]
+    return ranks
+
+
 def random_permutation(size: int, rng: random.Random, side: str = SIDE_A) -> Permutation:
-    """Uniformly random permutation; exact uniform shuffle, deterministic for
-    a given rng state."""
+    """Uniformly random permutation; exact uniform shuffle (shuffled_ranks),
+    deterministic for a given rng state."""
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    ranks = list(range(1, size + 1))
-    rng.shuffle(ranks)
-    return Permutation(side, tuple(ranks))
+    return Permutation(side, tuple(shuffled_ranks(size, rng)))
 
 
 def supergraph_from_permutation(pi: Permutation, g: BipartiteGraph) -> UnitIntervalRep:
@@ -146,6 +165,38 @@ def reached_below(ranks: Sequence[int], neighbours: list[int]) -> list[int]:
         reached[p] = seen
         seen |= neighbours[p]
     return reached
+
+
+TABLE_BLOCK = 64  # trials per block of survival_counts
+
+
+def survival_counts(neighbours: list[int], count: int, ends: Sequence[tuple[int, int]],
+                    trials: int, rng: random.Random) -> list[int]:
+    """For each cross non-edge (p, f) of `ends` (0-based permuted endpoint,
+    other endpoint), in how many of `trials` permutations, drawn in turn from
+    rng by shuffled_ranks, it is adjacent: f in reached_below(ranks)[p], with
+    `neighbours` as from neighbour_masks and `count` other-side vertices.
+
+    Trials go in blocks of TABLE_BLOCK.  Within one, each permuted vertex's
+    reached_below bitsets of every trial are packed into one int, trial b at
+    byte b * width, so one popcount of that int masked at bit f of every
+    trial counts (p, f) over the whole block.  Extra memory grows with side
+    size times block, not with trials.
+    """
+    size = len(neighbours)
+    width = max(1, (count + 7) // 8)  # bytes per trial
+    counts = [0] * len(ends)
+    done = 0
+    while done < trials:
+        drawn = min(TABLE_BLOCK, trials - done)
+        done += drawn
+        rows = [reached_below(shuffled_ranks(size, rng), neighbours) for _ in range(drawn)]
+        packed = [int.from_bytes(b"".join(x.to_bytes(width, "little") for x in column),
+                                 "little") for column in zip(*rows)]
+        every = int.from_bytes((b"\x01" + bytes(width - 1)) * drawn, "little")
+        at = [every << f for f in range(count)]
+        counts = [c + (packed[p] & at[f]).bit_count() for c, (p, f) in zip(counts, ends)]
+    return counts
 
 
 def nonedge_survival_exact(g: BipartiteGraph, permuted: Vertex, other: Vertex) -> Fraction:

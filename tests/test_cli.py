@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +105,19 @@ class TestGen:
     def test_bad_probability_is_usage_error(self, capsys):
         assert main(["gen", "2", "2", "1.5", "--seed", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_refuses_more_than_the_vertex_limit(self, tmp_path, capsys):
+        # every other command would refuse the file, so none is written
+        out = tmp_path / "g.txt"
+        assert main(["gen", "40000", "1", "0.0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: 40000+1 vertices exceed the limit of 32768\n"
+        assert not out.exists()
+
+    def test_limit_itself_is_allowed(self, tmp_path, capsys):
+        out = tmp_path / "g.txt"
+        assert main(["gen", "32767", "1", "0.0", "--seed", "1", "--out", str(out)]) == 0
+        assert parse_graph(out.read_text()).vertex_count == 32768
 
     def test_negative_seed_rejected_by_parser(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -311,6 +325,19 @@ class TestProbe:
                      "--format", "machine"]) == 0
         assert capsys.readouterr().out == expected
 
+    # probe --trials 200 --t 3 --seed 1 on the graph, recorded from the
+    # implementation that drew every permutation with random.Random.shuffle
+    # and counted the table one trial at a time; the two files are the same
+    # graph in both orientations
+    @pytest.mark.parametrize("graph, expected", [
+        ("graph_11x3.txt", "probe_11x3_seed1_t3.json"),
+        ("graph_3x11.txt", "probe_3x11_seed1_t3.json"),
+    ])
+    def test_machine_output_golden_files(self, capsys, graph, expected):
+        assert main(["probe", str(DATA / graph), "--trials", "200", "--t", "3",
+                     "--seed", "1", "--format", "machine"]) == 0
+        assert capsys.readouterr().out == (DATA / expected).read_text()
+
     def test_side_follows_normalized_graph_on_swapped_tie(self, tmp_path, capsys):
         # the first side is the larger and both side maxima are 1: the build
         # and the failure estimate permute the normalized side A, which is the
@@ -376,6 +403,21 @@ class TestBench:
         out = capsys.readouterr().out
         assert "t: 3  rounds: 2" in out
         assert "per random dimension" in out
+
+
+def test_no_command_calls_shuffle(tmp_path, capsys, monkeypatch):
+    # every draw goes through shuffled_ranks, which consumes the stream
+    # exactly as shuffle would, so shuffle itself is never called
+    def refuse(self, x):
+        raise AssertionError("random.Random.shuffle was called")
+
+    monkeypatch.setattr(random.Random, "shuffle", refuse)
+    graph = write_graph(tmp_path, "g.txt", GEN_54)
+    dump = str(tmp_path / "rep.json")
+    assert main(["build", graph, "--seed", "3", "--out", dump]) == 0
+    assert main(["verify", graph, dump]) == 0
+    assert main(["probe", graph, "--trials", "20", "--seed", "3", "--t", "4"]) == 0
+    assert main(["bench", graph, "--trials", "2", "--seed", "3"]) == 0
 
 
 class TestParser:

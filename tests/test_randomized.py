@@ -25,7 +25,7 @@ from cuberep import (
     random_permutation,
     supergraph_from_permutation,
 )
-from cuberep.randomized import neighbour_masks, reached_below
+from cuberep.randomized import neighbour_masks, reached_below, survival_counts
 
 
 def enumerate_survival(g: BipartiteGraph, side: str, pair: tuple[int, int]) -> Fraction:
@@ -200,6 +200,63 @@ class TestReachedBelow:
                             p, f = (a, b) if side == SIDE_A else (b, a)
                             assert dim.adjacent((SIDE_A, a), (SIDE_B, b)) == \
                                 bool(reached[p - 1] >> (f - 1) & 1)
+
+
+def counted_per_trial(g: BipartiteGraph, side: str, trials: int, seed: int) -> list[int]:
+    """Oracle for survival_counts: one dimension built per trial from a plain
+    rng.shuffle of the ranks, and each cross non-edge checked in it."""
+    rng = make_rng(seed)
+    pairs = sorted(g.cross_non_edges())
+    counts = [0] * len(pairs)
+    for _ in range(trials):
+        ranks = list(range(1, g.side_count(side) + 1))
+        rng.shuffle(ranks)
+        dim = supergraph_from_permutation(Permutation(side, ranks), g)
+        for i, (a, b) in enumerate(pairs):
+            counts[i] += dim.adjacent((SIDE_A, a), (SIDE_B, b))
+    return counts
+
+
+def table_counts(g: BipartiteGraph, side: str, trials: int, seed: int) -> list[int]:
+    other = SIDE_B if side == SIDE_A else SIDE_A
+    ends = [(a - 1, b - 1) if side == SIDE_A else (b - 1, a - 1)
+            for a, b in sorted(g.cross_non_edges())]
+    return survival_counts(neighbour_masks(g, side), g.side_count(other), ends,
+                           trials, make_rng(seed))
+
+
+class TestSurvivalCounts:
+    @pytest.mark.parametrize("side", [SIDE_A, SIDE_B])
+    @pytest.mark.parametrize("g", [
+        BipartiteGraph(1, 1, set()),
+        BipartiteGraph(1, 1, {(1, 1)}),
+        BipartiteGraph(2, 3, {(a, b) for a in (1, 2) for b in (1, 2, 3)}),  # complete
+        BipartiteGraph(4, 5, {(1, 1), (2, 1), (2, 3), (4, 3)}),  # isolated A3, B2, B4, B5
+        BipartiteGraph(3, 11, {(1, 9), (2, 10), (3, 11), (1, 1)}),  # 11 bits: two bytes
+    ])
+    # TABLE_BLOCK = 64 trials per block: one partial block, one full, and
+    # two full blocks and a partial one
+    @pytest.mark.parametrize("trials", [1, 64, 130])
+    def test_matches_per_trial_count(self, g, side, trials):
+        assert table_counts(g, side, trials, 5) == counted_per_trial(g, side, trials, 5)
+
+    def test_complete_graph_counts_nothing(self):
+        g = BipartiteGraph(2, 2, {(1, 1), (1, 2), (2, 1), (2, 2)})
+        assert table_counts(g, SIDE_A, 10, 1) == []
+
+    def test_leaves_the_stream_where_shuffle_would(self):
+        g = gen_random_bipartite(6, 9, 0.3, 4)
+        drawn, shuffled = make_rng(8), make_rng(8)
+        survival_counts(neighbour_masks(g, SIDE_A), 9, [(0, 0)], 70, drawn)
+        for _ in range(70):
+            shuffled.shuffle(list(range(6)))
+        assert drawn.getstate() == shuffled.getstate()
+
+    @settings(max_examples=40, deadline=None)
+    @given(bipartite_graphs(max_a=6, max_b=10), st.sampled_from([SIDE_A, SIDE_B]),
+           st.integers(1, 140), st.integers(0, 10 ** 6))
+    def test_matches_per_trial_count_random(self, g, side, trials, seed):
+        assert table_counts(g, side, trials, seed) == counted_per_trial(g, side, trials, seed)
 
 
 class TestBranchChoice:
