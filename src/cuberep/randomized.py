@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add
 from typing import Sequence
 
 from .graphs import (
@@ -167,7 +169,11 @@ def reached_below(ranks: Sequence[int], neighbours: list[int]) -> list[int]:
     return reached
 
 
-TABLE_BLOCK = 64  # trials per block of survival_counts
+TABLE_BLOCK = 255  # trials per tally block: a byte lane counts at most 255
+
+# _BIT_LANES[k] maps a byte to its bit k, so bytes.translate moves bit
+# 8i + k of a little-endian bitset to byte i
+_BIT_LANES = tuple(bytes(v >> k & 1 for v in range(256)) for k in range(8))
 
 
 def survival_counts(neighbours: list[int], count: int, ends: Sequence[tuple[int, int]],
@@ -177,25 +183,32 @@ def survival_counts(neighbours: list[int], count: int, ends: Sequence[tuple[int,
     rng by shuffled_ranks, it is adjacent: f in reached_below(ranks)[p], with
     `neighbours` as from neighbour_masks and `count` other-side vertices.
 
-    Trials go in blocks of TABLE_BLOCK.  Within one, each permuted vertex's
-    reached_below bitsets of every trial are packed into one int, trial b at
-    byte b * width, so one popcount of that int masked at bit f of every
-    trial counts (p, f) over the whole block.  Extra memory grows with side
-    size times block, not with trials.
+    Each trial's reached_below row is written as bytes, `width` per permuted
+    vertex, and split into eight lane planes, plane k holding bit 8i + k of
+    each vertex's bitset in byte i.  Adding the planes as ints over a block
+    of at most 255 trials never carries out of a byte, so byte p * width + i
+    of plane k of the sum counts (p, 8i + k) over the block: the per-trial
+    work is a few C-level passes over the row, whatever the number of
+    non-edges, and each non-edge is read once per block.  The tally takes
+    about side size times `count` bytes.
     """
     size = len(neighbours)
-    width = max(1, (count + 7) // 8)  # bytes per trial
+    width = (count + 7) // 8  # bytes per bitset; count >= 1
+    plane = size * width
+    where = [(f & 7) * plane + p * width + (f >> 3) for p, f in ends]
     counts = [0] * len(ends)
     done = 0
     while done < trials:
         drawn = min(TABLE_BLOCK, trials - done)
         done += drawn
-        rows = [reached_below(shuffled_ranks(size, rng), neighbours) for _ in range(drawn)]
-        packed = [int.from_bytes(b"".join(x.to_bytes(width, "little") for x in column),
-                                 "little") for column in zip(*rows)]
-        every = int.from_bytes((b"\x01" + bytes(width - 1)) * drawn, "little")
-        at = [every << f for f in range(count)]
-        counts = [c + (packed[p] & at[f]).bit_count() for c, (p, f) in zip(counts, ends)]
+        sums = [0] * 8
+        for _ in range(drawn):
+            reached = reached_below(shuffled_ranks(size, rng), neighbours)
+            row = b"".join(map(int.to_bytes, reached, repeat(width), repeat("little")))
+            sums = [s + int.from_bytes(row.translate(lane), "little")
+                    for s, lane in zip(sums, _BIT_LANES)]
+        tally = b"".join(s.to_bytes(plane, "little") for s in sums)
+        counts = list(map(add, counts, map(tally.__getitem__, where)))
     return counts
 
 

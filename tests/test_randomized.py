@@ -233,12 +233,30 @@ class TestSurvivalCounts:
         BipartiteGraph(2, 3, {(a, b) for a in (1, 2) for b in (1, 2, 3)}),  # complete
         BipartiteGraph(4, 5, {(1, 1), (2, 1), (2, 3), (4, 3)}),  # isolated A3, B2, B4, B5
         BipartiteGraph(3, 11, {(1, 9), (2, 10), (3, 11), (1, 1)}),  # 11 bits: two bytes
+        BipartiteGraph(3, 16, {(1, 8), (2, 9), (3, 16), (2, 1)}),  # 16 bits: bytes full
     ])
-    # TABLE_BLOCK = 64 trials per block: one partial block, one full, and
+    # TABLE_BLOCK = 255 trials per block: one partial block, one full, and
     # two full blocks and a partial one
-    @pytest.mark.parametrize("trials", [1, 64, 130])
+    @pytest.mark.parametrize("trials", [1, 255, 600])
     def test_matches_per_trial_count(self, g, side, trials):
         assert table_counts(g, side, trials, 5) == counted_per_trial(g, side, trials, 5)
+
+    def test_a_byte_lane_holds_a_full_block(self):
+        # b1 sees every A vertex but a1, so (a1, b1) survives a trial unless
+        # a1 ranks first: a block of 255 trials most likely counts 255 for
+        # it, which must not carry into the lane of (a1, b2)
+        size = 1500
+        neighbours = [0b10] + [0b01] * (size - 1)
+        ends = [(0, 0), (0, 1)]
+        rng = make_rng(6)
+        expected = [0, 0]
+        for _ in range(510):
+            ranks = list(range(1, size + 1))
+            rng.shuffle(ranks)
+            reached = reached_below(ranks, neighbours)
+            expected = [c + (reached[p] >> f & 1) for c, (p, f) in zip(expected, ends)]
+        assert expected[0] > 500
+        assert survival_counts(neighbours, 2, ends, 510, make_rng(6)) == expected
 
     def test_complete_graph_counts_nothing(self):
         g = BipartiteGraph(2, 2, {(1, 1), (1, 2), (2, 1), (2, 2)})
@@ -254,7 +272,7 @@ class TestSurvivalCounts:
 
     @settings(max_examples=40, deadline=None)
     @given(bipartite_graphs(max_a=6, max_b=10), st.sampled_from([SIDE_A, SIDE_B]),
-           st.integers(1, 140), st.integers(0, 10 ** 6))
+           st.integers(1, 300), st.integers(0, 10 ** 6))
     def test_matches_per_trial_count_random(self, g, side, trials, seed):
         assert table_counts(g, side, trials, seed) == counted_per_trial(g, side, trials, seed)
 
