@@ -22,7 +22,6 @@ from cuberep import (
     degree_profile,
     estimate_failure_rate,
     gen_random_bipartite,
-    normalize_sides,
 )
 
 
@@ -48,17 +47,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     g = gen_random_bipartite(args.n1, args.n2, args.p, seed=args.graph_seed)
-    g, swapped = normalize_sides(g)
+    n2 = max(g.a_count, g.b_count)
     profile = degree_profile(g)
     dprime = profile.delta_prime
     survival = Fraction(dprime, dprime + 1)
     non_edge_count = sum(1 for _ in g.cross_non_edges())
-    t_default = default_t(dprime, g.b_count)
+    t_default = default_t(dprime, n2)
 
-    print(f"graph: {args.n1}x{args.n2} p={args.p} seed={args.graph_seed}"
-          f"{' (sides swapped for the build)' if swapped else ''}")
+    print(f"graph: {args.n1}x{args.n2} p={args.p} seed={args.graph_seed}")
     print(f"d-prime {dprime}, {non_edge_count} cross non-edges, "
-          f"default t {t_default}, target 1/n2 = {1 / g.b_count:.4f}")
+          f"default t {t_default}, target 1/n2 = {1 / n2:.4f}")
     print(f"{'t':>4} {'observed':>9} {'union-bound':>12}")
     for t in sweep_points(t_default, args.t_max):
         rate = estimate_failure_rate(

@@ -19,9 +19,19 @@ from operator import and_, or_
 from typing import Iterator, NamedTuple
 
 from .bitfamily import BitEncodingFamily, build_bit_family
-from .graphs import SIDE_A, SIDE_B, BipartiteGraph, Vertex, degree_profile, vertex_order
+from .graphs import (
+    SIDE_A,
+    SIDE_B,
+    BipartiteGraph,
+    Vertex,
+    degree_profile,
+    normalize_sides,
+    other_side,
+    vertex_order,
+)
 from .intervals import (
     CubeRepresentation,
+    UnitIntervalRep,
     bit_dim_tag,
     cube_cell,
     random_dim_tag,
@@ -73,6 +83,9 @@ class BuildParams:
 
 @dataclass(frozen=True)
 class BuildReport:
+    """What a build reports, in the labels of the graph it was given;
+    `swapped` is set when that graph's first side is the larger."""
+
     dimension: int  # k, the total number of dimensions
     t: int
     bits_a: int
@@ -82,6 +95,7 @@ class BuildReport:
     nominal_bound: int
     construct_seconds: float
     verify_seconds: float
+    swapped: bool = False
 
 
 def default_t(delta_prime: int, n2: int) -> int:
@@ -153,8 +167,10 @@ def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
 
 @dataclass(frozen=True)
 class BuildPlan:
-    """What all attempts on one normalized graph share; d' is kept for the
-    nominal bound."""
+    """What all attempts on one graph share, in that graph's labels; d' is
+    kept for the nominal bound.  `bit_dims` holds both bit families in
+    attempt order, `provenance` tags every dimension of an attempt, and
+    `swapped` says the graph's first side is the larger."""
 
     graph: BipartiteGraph
     t: int
@@ -163,25 +179,39 @@ class BuildPlan:
     side_size: int
     fam_a: BitEncodingFamily
     fam_b: BitEncodingFamily
+    bit_dims: tuple[UnitIntervalRep, ...]
     provenance: tuple[str, ...]
+    swapped: bool
 
 
 def make_plan(g: BipartiteGraph, t_override: int | None = None) -> BuildPlan:
-    """The plan of a normalized graph (a_count <= b_count); t is t_override,
-    or default_t when that is None."""
-    if g.a_count > g.b_count:
-        raise ValueError("graph is not normalized (a_count > b_count); "
-                         "apply normalize_sides first")
-    profile = degree_profile(g)
-    t = t_override if t_override is not None else default_t(profile.delta_prime, g.b_count)
+    """The plan of g, whichever side comes first; t is t_override, or
+    default_t when that is None.
+
+    The paper names the smaller side first (n1 <= n2) only as a labelling
+    convention, and this is the one place that applies it: on g with its
+    smaller side first (normalize_sides) it picks t, from d' and the larger
+    side; the permuted side, ties going to the smaller side; and the order
+    of the bit families, the smaller side's first.  All three are kept in
+    g's own labels, so each attempt on g is the attempt on the normalized
+    graph with its sides swapped back (swap_sides), built directly.
+    """
+    normalized, swapped = normalize_sides(g)
+    profile = degree_profile(normalized)
+    t = t_override if t_override is not None else \
+        default_t(profile.delta_prime, normalized.b_count)
+    side = choose_permuted_side(profile)
     fam_a = build_bit_family(g, SIDE_A)
     fam_b = build_bit_family(g, SIDE_B)
-    side = choose_permuted_side(profile)
+    families = (fam_a, fam_b)
+    if swapped:
+        side = other_side(side)
+        families = (fam_b, fam_a)
     provenance = (tuple(random_dim_tag(j + 1) for j in range(t))
-                  + tuple(bit_dim_tag(SIDE_A, i + 1) for i in range(fam_a.bit_count))
-                  + tuple(bit_dim_tag(SIDE_B, i + 1) for i in range(fam_b.bit_count)))
-    return BuildPlan(g, t, profile.delta_prime, side, g.side_count(side),
-                     fam_a, fam_b, provenance)
+                  + tuple(bit_dim_tag(fam.side, i + 1)
+                          for fam in families for i in range(fam.bit_count)))
+    return BuildPlan(g, t, profile.delta_prime, side, g.side_count(side), fam_a, fam_b,
+                     tuple(rep for fam in families for rep in fam.reps), provenance, swapped)
 
 
 def dimension_rngs(master_seed: int, index: int, t: int) -> Iterator[random.Random]:
@@ -202,18 +232,17 @@ def attempt(plan: BuildPlan, master_seed: int, index: int) -> CubeRepresentation
     g = plan.graph
     dims = tuple(supergraph_from_permutation(random_permutation(plan.side_size, rng, plan.side), g)
                  for rng in dimension_rngs(master_seed, index, plan.t))
-    return CubeRepresentation(g.a_count, g.b_count,
-                              dims + plan.fam_a.reps + plan.fam_b.reps, plan.provenance)
+    return CubeRepresentation(g.a_count, g.b_count, dims + plan.bit_dims, plan.provenance)
 
 
 def build_representation(
     g: BipartiteGraph, params: BuildParams
 ) -> tuple[CubeRepresentation, BuildReport]:
-    """Build a verified representation of a normalized graph (a_count <= b_count).
+    """Build a verified representation of g, whichever side comes first.
 
     Attempts (see `attempt`) repeat with fresh derived seeds until
-    verification passes or max_retries attempts are exhausted, which raises
-    BuildFailure listing the surviving pairs.
+    verification against g passes or max_retries attempts are exhausted,
+    which raises BuildFailure listing the surviving pairs in g's labels.
     """
     plan = make_plan(g, params.t_override)
     if plan.t == 0 and g.edge_count < g.a_count * g.b_count:
@@ -242,9 +271,11 @@ def build_representation(
                 bits_b=plan.fam_b.bit_count,
                 retries=index,
                 seed=params.master_seed & MASK64,
-                nominal_bound=nominal_dimension_bound(plan.delta_prime, g.b_count),
+                nominal_bound=nominal_dimension_bound(
+                    plan.delta_prime, max(g.a_count, g.b_count)),
                 construct_seconds=construct_seconds,
-                verify_seconds=verify_seconds)
+                verify_seconds=verify_seconds,
+                swapped=plan.swapped)
             return rep, report
     raise BuildFailure(
         f"verification still failing after {params.max_retries} attempts", violations)
@@ -286,23 +317,35 @@ def attempt_survivors(plan: BuildPlan, master_seed: int,
         yield sorted(pairs if plan.side == SIDE_A else [(a, b) for b, a in pairs])
 
 
-def estimate_failure_rate(g: BipartiteGraph, params: BuildParams, trials: int) -> float:
-    """Fraction of `trials` independent single attempts (no retry), seeded as
-    build_representation seeds them, whose verification fails: those that
-    leave some cross non-edge alive (see survivor_masks)."""
+def failure_rate(plan: BuildPlan, master_seed: int, trials: int) -> float:
+    """Fraction of the single attempts 0..trials-1 (no retry) whose
+    verification fails: those that leave some cross non-edge alive (see
+    survivor_masks)."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    plan = make_plan(g, params.t_override)
-    return sum(map(any, survivor_masks(plan, params.master_seed, trials))) / trials
+    return sum(map(any, survivor_masks(plan, master_seed, trials))) / trials
 
 
-def report_to_jsonable(report: BuildReport, swapped: bool = False,
+def estimate_failure_rate(g: BipartiteGraph, params: BuildParams, trials: int) -> float:
+    """failure_rate of `trials` attempts on g, seeded as build_representation
+    seeds them."""
+    return failure_rate(make_plan(g, params.t_override), params.master_seed, trials)
+
+
+def report_to_jsonable(report: BuildReport, swapped: bool | None = None,
                        include_timings: bool = False) -> dict:
     """Report block for dumps and machine output.  Wall times are excluded
-    unless asked for, so dump bytes stay identical across reruns; bits_a and
-    bits_b follow the dump's labels when sides were swapped back."""
+    unless asked for, so dump bytes stay identical across reruns.
+
+    Left out, `swapped` is report.swapped and the block shows the report as
+    it is.  Given, it is for the report of a build on the normalized graph
+    whose representation was then swapped back (swap_sides): it sets the
+    block's flag, and when True exchanges bits_a and bits_b so that they
+    follow the dump's labels."""
     bits_a, bits_b = report.bits_a, report.bits_b
-    if swapped:
+    if swapped is None:
+        swapped = report.swapped
+    elif swapped:
         bits_a, bits_b = bits_b, bits_a
     out = {
         "k": report.dimension,
@@ -323,9 +366,9 @@ def report_to_jsonable(report: BuildReport, swapped: bool = False,
 
 
 def render_dump(rep: CubeRepresentation, report: BuildReport,
-                swapped: bool = False) -> str:
+                swapped: bool | None = None) -> str:
     """Canonical dump text: representation plus report, stable bytes for
-    identical (graph, seed, params).
+    identical (graph, seed, params); `swapped` as in report_to_jsonable.
 
     The text is exactly json.dumps(payload, sort_keys=True, indent=2) + "\n"
     for payload = rep_to_jsonable(rep) plus the "report" block, written in

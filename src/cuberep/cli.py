@@ -21,8 +21,7 @@ from .builder import (
     BuildParams,
     attempt,
     build_representation,
-    default_t,
-    estimate_failure_rate,
+    failure_rate,
     format_violation,
     make_plan,
     parse_dump,
@@ -36,18 +35,12 @@ from .graphs import (
     GraphFormatError,
     degree_profile,
     gen_random_bipartite,
-    normalize_sides,
     other_side,
     parse_graph,
     serialize_graph,
 )
-from .intervals import swap_sides, vertex_key
-from .randomized import (
-    choose_permuted_side,
-    make_rng,
-    neighbour_masks,
-    survival_counts,
-)
+from .intervals import vertex_key
+from .randomized import make_rng, neighbour_masks, survival_counts
 
 
 def _seed_type(text: str) -> int:
@@ -107,27 +100,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.graph))
-    normalized, swapped = normalize_sides(g)
     seed = _resolve_seed(args.seed)
     params = BuildParams(master_seed=seed, t_override=args.t,
                          max_retries=args.max_retries)
-    rep, report = build_representation(normalized, params)
-    if swapped:
-        rep = swap_sides(rep)
-        leftover = verify(rep, g)
-        if leftover:
-            raise BuildFailure("representation failed re-verification after "
-                               "undoing side normalization", leftover)
+    rep, report = build_representation(g, params)
     if args.out is not None:
-        Path(args.out).write_text(render_dump(rep, report, swapped=swapped))
+        Path(args.out).write_text(render_dump(rep, report))
     if args.format == "machine":
-        payload = report_to_jsonable(report, swapped=swapped, include_timings=True)
+        payload = report_to_jsonable(report, include_timings=True)
         payload["verified"] = True
         if args.out is not None:
             payload["dump"] = args.out
         print(json.dumps(payload, sort_keys=True))
     else:
-        shown = report_to_jsonable(report, swapped=swapped)
+        shown = report_to_jsonable(report)
         for key in ("k", "t", "bits_a", "bits_b", "retries", "seed",
                     "nominal_bound", "swapped"):
             print(f"{key}: {shown[key]}")
@@ -165,11 +151,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     trials = args.trials
     profile = degree_profile(g)
-    normalized, swapped = normalize_sides(g)
-    # the side the failure estimate and build permute, in the file's labels
-    side = choose_permuted_side(degree_profile(normalized))
-    if swapped:
-        side = other_side(side)
+    plan = make_plan(g, args.t)
+    side = plan.side  # the side the failure estimate and build permute
     bound = Fraction(profile.delta_prime, profile.delta_prime + 1)
     non_edges = sorted(g.cross_non_edges())
     # each non-edge as 0-based (permuted endpoint, other endpoint)
@@ -181,10 +164,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         d = profile.degree((other_side(side), f + 1))  # survival is exactly d/(d + 1)
         rows.append({"pair": f"A{a}-B{b}", "observed": count / trials,
                      "exact": str(Fraction(d, d + 1))})
-    t_used = args.t if args.t is not None else \
-        default_t(profile.delta_prime, normalized.b_count)
-    rate = estimate_failure_rate(
-        normalized, BuildParams(master_seed=seed, t_override=args.t), trials)
+    rate = failure_rate(plan, seed, trials)
     if args.format == "machine":
         payload = {
             "seed": seed,
@@ -193,7 +173,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
             "delta_prime": profile.delta_prime,
             "bound": str(bound),
             "nonedges": rows,
-            "failure": {"t": t_used, "rate": rate},
+            "failure": {"t": plan.t, "rate": rate},
         }
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -207,15 +187,14 @@ def cmd_probe(args: argparse.Namespace) -> int:
                 print(f"  {r['pair']:<{width}}  {r['observed']:<8.4f}  {r['exact']}")
         else:
             print("  no cross non-edges")
-        print(f"single-attempt failure rate (t={t_used}): {rate:.4f}")
+        print(f"single-attempt failure rate (t={plan.t}): {rate:.4f}")
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.graph))
-    normalized, _ = normalize_sides(g)
     seed = _resolve_seed(args.seed)
-    plan = make_plan(normalized, args.t)
+    plan = make_plan(g, args.t)
     construct_times = []
     verify_times = []
     passes = 0
@@ -223,7 +202,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         rep = attempt(plan, seed, round_index)
         checked = time.perf_counter()
-        violations = verify(rep, normalized)
+        violations = verify(rep, g)
         done = time.perf_counter()
         construct_times.append(checked - started)
         verify_times.append(done - checked)
@@ -231,9 +210,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             passes += 1
     per_invocation = min(construct_times) / plan.t if plan.t else 0.0
     summary = {
-        "n1": normalized.a_count,
-        "n2": normalized.b_count,
-        "m": normalized.edge_count,
+        "n1": min(g.a_count, g.b_count),
+        "n2": max(g.a_count, g.b_count),
+        "m": g.edge_count,
         "t": plan.t,
         "rounds": args.trials,
         "passes": passes,

@@ -84,11 +84,6 @@ class BipartiteGraph:
         for j in range(1, self.b_count + 1):
             yield (SIDE_B, j)
 
-    def side_vertices(self, side: str) -> tuple[Vertex, ...]:
-        """The vertices of `side` in index order."""
-        order = vertex_order(self.a_count, self.b_count)
-        return order[:self.a_count] if other_side(side) == SIDE_B else order[self.a_count:]
-
     def neighbours(self, side: str) -> tuple[tuple[int, ...], ...]:
         """For each vertex of `side` (entry i for vertex i + 1), the 0-based
         indices of its neighbours on the other side, ascending; built once per

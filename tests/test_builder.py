@@ -29,10 +29,13 @@ from cuberep import (
     induced_graph,
     intersect_graphs,
     nominal_dimension_bound,
+    normalize_sides,
+    other_side,
     parse_dump,
     render_dump,
     rep_to_jsonable,
     report_to_jsonable,
+    swap_sides,
     verify,
 )
 from cuberep.builder import attempt, attempt_survivors, make_plan
@@ -235,11 +238,6 @@ class TestBuildRepresentation:
         assert report.dimension == 1 + 2 + 3
         assert verify(rep, g) == []
 
-    def test_unnormalized_rejected(self):
-        g = BipartiteGraph(3, 2, frozenset())
-        with pytest.raises(ValueError, match="not normalized"):
-            build_representation(g, BuildParams(master_seed=1))
-
     def test_t_zero_with_cross_non_edges_fails_naming_pairs(self):
         g = BipartiteGraph(2, 2, {(1, 1), (2, 2)})
         with pytest.raises(BuildFailure) as excinfo:
@@ -349,11 +347,6 @@ class TestEstimateFailureRate:
         with pytest.raises(ValueError):
             estimate_failure_rate(g, BuildParams(master_seed=1), 0)
 
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            estimate_failure_rate(BipartiteGraph(2, 1, frozenset()),
-                                  BuildParams(master_seed=1), 5)
-
     def test_zero_dimensions_fail_iff_a_cross_non_edge_exists(self):
         # isolated vertices included: with no random dimension nothing removes
         # their cross pairs
@@ -368,6 +361,12 @@ def normalized_graphs(max_a: int = 4, max_b: int = 5):
     return bipartite_graphs(max_a=max_a, max_b=max_b).map(
         lambda g: g if g.a_count <= g.b_count else
         BipartiteGraph(g.b_count, g.a_count, frozenset((b, a) for a, b in g.edges)))
+
+
+def swapped_graphs():
+    """Graphs whose first side is the larger."""
+    return normalized_graphs().filter(lambda g: g.a_count < g.b_count).map(
+        lambda g: BipartiteGraph(g.b_count, g.a_count, frozenset((b, a) for a, b in g.edges)))
 
 
 # b1 sees all three A vertices, no A vertex sees more than two, so
@@ -385,10 +384,6 @@ class TestAttemptPlan:
         assert len(plan.provenance) == plan.t + 3 + 4
         assert make_plan(g, 2).t == 2
         assert make_plan(SIDE_B_PERMUTED).side == SIDE_B
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            make_plan(BipartiteGraph(3, 2, frozenset()))
 
     def test_build_returns_the_passing_attempt(self):
         rep, report = build_representation(
@@ -424,6 +419,39 @@ class TestAttemptPlan:
         plan = make_plan(SIDE_B_PERMUTED, 4)
         verdicts = {bool(pairs) for pairs in attempt_survivors(plan, 3, 20)}
         assert verdicts == {False, True}
+
+    @settings(max_examples=150, deadline=None)
+    @given(swapped_graphs(), st.sampled_from([0, 1, 2, None]), st.integers(0, 2 ** 64 - 1))
+    # side maxima tie, so the smaller side B is permuted; a side of size 1
+    @example(BipartiteGraph(3, 2, {(1, 1), (2, 2)}), None, 5)
+    @example(BipartiteGraph(3, 2, {(1, 1), (2, 2), (3, 1)}), 1, 5)
+    @example(BipartiteGraph(4, 1, {(2, 1)}), 1, 5)
+    def test_swapped_graph_is_the_normalized_one_swapped_back(self, g, t, seed):
+        # a graph whose first side is the larger is planned in its own labels:
+        # each attempt, the failure estimate, a build and a failure's pairs
+        # are those of the graph with its smaller side first, swapped back
+        normalized, swapped = normalize_sides(g)
+        assert swapped
+        plan, twin = make_plan(g, t), make_plan(normalized, t)
+        assert (plan.t, plan.delta_prime) == (twin.t, twin.delta_prime)
+        assert (plan.swapped, twin.swapped) == (True, False)
+        assert plan.side == other_side(twin.side)
+        for index in range(3):
+            assert attempt(plan, seed, index) == swap_sides(attempt(twin, seed, index))
+        params = BuildParams(master_seed=seed, t_override=t, max_retries=2)
+        assert estimate_failure_rate(g, params, 6) == estimate_failure_rate(normalized, params, 6)
+        try:
+            rep, report = build_representation(g, params)
+        except BuildFailure as failure:
+            with pytest.raises(BuildFailure) as twin_failure:
+                build_representation(normalized, params)
+            assert failure.violations == sorted(
+                Violation(v.kind, (SIDE_A, v.v[1]), (SIDE_B, v.u[1]))
+                for v in twin_failure.value.violations)
+        else:
+            twin_rep, twin_report = build_representation(normalized, params)
+            assert rep == swap_sides(twin_rep)
+            assert render_dump(rep, report) == render_dump(rep, twin_report, swapped=True)
 
 
 class TestDumpRoundTrip:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import cuberep
-from cuberep import parse_dump, parse_graph
+from cuberep import parse_dump, parse_graph, verify
 from cuberep.builder import make_plan
 from cuberep.cli import main
 
@@ -194,6 +194,42 @@ class TestBuild:
         rep = parse_dump((tmp_path / "rep.json").read_text())
         assert (rep.a_count, rep.b_count) == (3, 2)
         assert main(["verify", graph, dump]) == 0
+
+    def test_swapped_zero_t_failure_names_the_file_s_pairs(self, tmp_path, capsys):
+        # the first side is the larger: the pairs are those of the file,
+        # which has no vertex B3
+        graph = write_graph(tmp_path, "g.txt", "p bipartite 3 2 2\ne 1 1\ne 2 2\n")
+        assert main(["build", graph, "--seed", "1", "--t", "0"]) == 1
+        listed = [line.strip() for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("  ")]
+        assert listed == ["extra-edge A1-B2", "extra-edge A2-B1",
+                          "extra-edge A3-B1", "extra-edge A3-B2"]
+
+    def test_swapped_retry_failure_names_the_file_s_pairs(self, tmp_path, capsys):
+        # side B is permuted and one random dimension never removes every
+        # cross non-edge; seed 1's last attempt ranks B1 below B2, so A1-B2
+        # and A3-B2 survive it (A2-B1 and A2-B3 in the flipped graph's labels)
+        graph = write_graph(tmp_path, "g.txt", "p bipartite 3 2 3\ne 1 1\ne 2 2\ne 3 1\n")
+        assert main(["build", graph, "--seed", "1", "--t", "1", "--max-retries", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "verification still failing after 2 attempts" in err
+        listed = [line.strip() for line in err.splitlines() if line.startswith("  ")]
+        assert listed == ["extra-edge A1-B2", "extra-edge A3-B2"]
+
+    def test_swapped_build_verifies_each_attempt_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(rep, g):
+            calls.append((rep.a_count, rep.b_count))
+            return verify(rep, g)
+
+        monkeypatch.setattr(cuberep.builder, "verify", counting)
+        monkeypatch.setattr(cuberep.cli, "verify", counting)
+        graph = write_graph(tmp_path, "g.txt", GEN_54)
+        assert main(["build", graph, "--seed", "0", "--t", "2", "--format", "machine"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["swapped"] is True and payload["retries"] >= 1
+        assert calls == [(5, 4)] * (payload["retries"] + 1)
 
 
 HUGE_HEADER = "p bipartite 100000000 100000000 0\n"

@@ -55,8 +55,6 @@ class TestBipartiteGraph:
                 expected = [j - 1 for j in range(1, other_count + 1)
                             if (g.has_edge(i, j) if side == SIDE_A else g.has_edge(j, i))]
                 assert list(ns) == expected
-            assert g.side_vertices(side) == tuple(
-                v for v in g.vertices() if v[0] == side)
         # the cached lists are no part of the value
         twin = BipartiteGraph(g.a_count, g.b_count, g.edges)
         assert twin == g and hash(twin) == hash(g)

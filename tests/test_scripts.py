@@ -27,10 +27,3 @@ def test_failure_curve(capsys):
     assert rates[0] == 1.0  # t = 0 leaves every cross non-edge in place
     assert lines[-1] == "20 attempts per row, attempt seed 606"
 
-
-def test_scaling_experiment(capsys):
-    script = load("scaling_experiment")
-    assert script.main(["--sizes", "40,80", "--rounds", "2", "--batch", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("expected degree 4.0, rounds 2, batch 1")
-    assert [line.split()[0] for line in lines[2:4]] == ["40", "80"]
