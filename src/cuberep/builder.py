@@ -113,7 +113,8 @@ def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
     """Exact check that the dims' intersection graph equals g.
 
     Vertices are indexed in canonical order (A1..An1, B1..Bn2), the order of
-    each dimension's value column, and each vertex i keeps an integer
+    each dimension's value column (CubeRepresentation checks that every
+    dimension is one), and each vertex i keeps an integer
     bitset alive[i] whose bit j (j > i) is set while the pair (i, j) is
     adjacent in every dimension seen so far.  Per dimension, the vertices
     sorted by placement give prefix OR-masks, and the vertices within the
@@ -135,11 +136,8 @@ def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
     bit = [1 << i for i in range(count)]
     full = (1 << count) - 1
     alive = [full ^ ((b << 1) - 1) for b in bit]
-    for pos, dim in sorted(enumerate(rep.dims), key=lambda item: item[1].threshold):
-        try:
-            values = dim.values_in(verts)
-        except ValueError:
-            raise ValueError(f"dimension {pos} placement does not cover the vertex set") from None
+    for dim in sorted(rep.dims, key=lambda dim: dim.threshold):
+        values = dim.values
         c = dim.threshold
         order = sorted(range(count), key=values.__getitem__)
         ranked = list(map(values.__getitem__, order))
@@ -302,21 +300,6 @@ def survivor_masks(plan: BuildPlan, master_seed: int, trials: int) -> Iterator[l
         yield alive
 
 
-def attempt_survivors(plan: BuildPlan, master_seed: int,
-                      trials: int) -> Iterator[list[tuple[int, int]]]:
-    """For attempts 0..trials-1 in turn, the cross non-edges (a, b) adjacent
-    in all t random dimensions of attempt(plan, master_seed, index), sorted:
-    exactly the violations verify reports on that attempt, since random
-    dimensions keep every edge and the bit families remove every same-side
-    pair and no cross pair.  Read off survivor_masks.
-    """
-    count = plan.graph.vertex_count - plan.side_size
-    for alive in survivor_masks(plan, master_seed, trials):
-        pairs = [(p + 1, f + 1) for p, mask in enumerate(alive)
-                 for f in range(count) if mask >> f & 1]
-        yield sorted(pairs if plan.side == SIDE_A else [(a, b) for b, a in pairs])
-
-
 def failure_rate(plan: BuildPlan, master_seed: int, trials: int) -> float:
     """Fraction of the single attempts 0..trials-1 (no retry) whose
     verification fails: those that leave some cross non-edge alive (see
@@ -388,8 +371,7 @@ def render_dump(rep: CubeRepresentation, report: BuildReport,
     dim_texts = []
     for dim, tag in zip(rep.dims, rep.provenance):
         c = dim.threshold
-        column = dim.values_in(verts)
-        values = list(map(column.__getitem__, order))
+        values = list(map(dim.values.__getitem__, order))
         cells = cell_text.setdefault(c, {})
         for x in set(values).difference(cells):
             lo, hi = cube_cell(x, c)

@@ -68,6 +68,7 @@ def _count_type(name: str, minimum: int):
 
 _trials_type = _count_type("trials", 1)
 _t_type = _count_type("t", 0)
+_max_retries_type = _count_type("max-retries", 1)
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -255,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--seed", type=_seed_type, default=None)
     p_build.add_argument("--t", type=_t_type, default=None,
                          help="random dimension count (default from the graph)")
-    p_build.add_argument("--max-retries", type=int, default=16)
+    p_build.add_argument("--max-retries", type=_max_retries_type, default=16)
     p_build.add_argument("--out", default=None, help="write the dump here")
     p_build.add_argument("--format", choices=("human", "machine"), default="human")
     p_build.set_defaults(func=cmd_build)

@@ -20,10 +20,12 @@ class UnitIntervalRep:
     integral so induced adjacency is exact.
 
     Stored as a column: the vertex tuple `verts` and the parallel list of
-    int `values`, which nothing may mutate.  Dimensions built by the library
-    use the canonical order vertex_order(a_count, b_count), one tuple shared
-    by all of them.  `placement` is a read-only mapping view of the column,
-    built on first use.
+    int `values`, which nothing may mutate.  The constructor stores the
+    vertices of `placement` in sorted order, so a placement over the
+    vertices of a CubeRepresentation is in its canonical order
+    vertex_order(a_count, b_count) whatever its key order; dimensions built
+    by the library share that one tuple.  `placement` is a read-only mapping
+    view of the column, built on first use.
     """
 
     __slots__ = ("verts", "values", "threshold", "_view")
@@ -34,14 +36,16 @@ class UnitIntervalRep:
         for v, x in placement.items():
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"placement of {v!r} must be an integer, got {x!r}")
-        self._set(tuple(placement), list(placement.values()), threshold)
+        verts = tuple(sorted(placement))
+        self._set(verts, list(map(placement.__getitem__, verts)), threshold)
 
     @classmethod
     def column(cls, verts: tuple[Vertex, ...], values: list[int],
                threshold: int) -> UnitIntervalRep:
         """Wrap distinct vertices, a fresh list of their int values and a
-        positive int threshold as they are, skipping the checks of the
-        constructor."""
+        positive int threshold as they are, skipping the checks and the
+        sorting of the constructor; a CubeRepresentation takes the column
+        only if `verts` is its canonical vertex order."""
         rep = object.__new__(cls)
         rep._set(verts, values, threshold)
         return rep
@@ -65,34 +69,15 @@ class UnitIntervalRep:
             object.__setattr__(self, "_view", view)
         return view
 
-    def values_in(self, order: tuple[Vertex, ...]) -> list[int]:
-        """The values of the vertices of `order`, in that order; ValueError
-        unless the placement covers exactly those vertices."""
-        if self.verts is order or self.verts == order:
-            return self.values
-        f = self.placement
-        missing = next((v for v in order if v not in f), None)
-        if missing is not None:
-            raise ValueError(f"no placement for {missing!r}")
-        if len(f) != len(order):
-            raise ValueError("placement holds a vertex outside the representation")
-        return list(map(f.__getitem__, order))
-
     def adjacent(self, u: Vertex, v: Vertex) -> bool:
         f = self.placement
         return abs(f[u] - f[v]) <= self.threshold
 
-    def vertices(self) -> set[Vertex]:
-        return set(self.verts)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnitIntervalRep):
             return NotImplemented
-        if self.threshold != other.threshold:
-            return False
-        if self.verts is other.verts or self.verts == other.verts:
-            return self.values == other.values
-        return self.placement == other.placement
+        return (self.threshold == other.threshold and self.verts == other.verts
+                and self.values == other.values)
 
     def __repr__(self) -> str:
         return f"UnitIntervalRep({dict(self.placement)!r}, {self.threshold!r})"
@@ -166,6 +151,9 @@ class CubeRepresentation:
     interval; the per-vertex interval lists are axis-parallel unit cubes
     whose intersection graph equals the intersection of the induced graphs.
     Provenance tags are for reporting only and carry no semantic weight.
+    Every dimension is a column in the canonical order
+    vertex_order(a_count, b_count), which the constructor checks, so a
+    consumer reads `dim.values` as it is.
     """
 
     a_count: int
@@ -180,6 +168,10 @@ class CubeRepresentation:
             raise ValueError("side counts must be >= 1")
         if len(self.dims) != len(self.provenance):
             raise ValueError("need exactly one provenance tag per dimension")
+        order = vertex_order(self.a_count, self.b_count)
+        for pos, dim in enumerate(self.dims):
+            if dim.verts is not order and dim.verts != order:
+                raise ValueError(f"dimension {pos} placement does not cover the vertex set")
 
     @property
     def dimension(self) -> int:
@@ -197,10 +189,8 @@ def to_unit_cubes(rep: CubeRepresentation) -> dict[Vertex, list[tuple[Fraction, 
     cubes: dict[Vertex, list[tuple[Fraction, Fraction]]] = {v: [] for v in rep.vertices()}
     for dim in rep.dims:
         c = dim.threshold
-        for v, intervals in cubes.items():
-            if v not in dim.placement:
-                raise ValueError(f"no placement for {v!r}")
-            lo = Fraction(dim.placement[v], c)
+        for x, intervals in zip(dim.values, cubes.values()):
+            lo = Fraction(x, c)
             intervals.append((lo, lo + 1))
     return cubes
 
@@ -208,14 +198,9 @@ def to_unit_cubes(rep: CubeRepresentation) -> dict[Vertex, list[tuple[Fraction, 
 def swap_sides(rep: CubeRepresentation) -> CubeRepresentation:
     """Relabel side A as side B and vice versa (undoes side normalization).
 
-    A dimension in canonical order keeps its values: the B block moves in
-    front of the A block, which is the canonical order of the swapped sizes.
-    Any other column keeps its order and relabels its vertices.
+    Each dimension keeps its values: the B block moves in front of the A
+    block, which is the canonical order of the swapped sizes.
     """
-
-    def swap_vertex(v: Vertex) -> Vertex:
-        side, index = v
-        return (SIDE_B if side == SIDE_A else SIDE_A, index)
 
     def swap_tag(tag: str) -> str:
         if tag.startswith("side-a-"):
@@ -224,18 +209,10 @@ def swap_sides(rep: CubeRepresentation) -> CubeRepresentation:
             return "side-a-" + tag[len("side-b-"):]
         return tag
 
-    order = vertex_order(rep.a_count, rep.b_count)
     swapped = vertex_order(rep.b_count, rep.a_count)
     split = rep.a_count
-
-    def swap_dim(dim: UnitIntervalRep) -> UnitIntervalRep:
-        if dim.verts is order or dim.verts == order:
-            values = dim.values[split:] + dim.values[:split]
-            return UnitIntervalRep.column(swapped, values, dim.threshold)
-        return UnitIntervalRep.column(tuple(map(swap_vertex, dim.verts)), dim.values,
-                                      dim.threshold)
-
-    dims = tuple(swap_dim(dim) for dim in rep.dims)
+    dims = tuple(UnitIntervalRep.column(swapped, dim.values[split:] + dim.values[:split],
+                                        dim.threshold) for dim in rep.dims)
     tags = tuple(swap_tag(t) for t in rep.provenance)
     return CubeRepresentation(rep.b_count, rep.a_count, dims, tags)
 
@@ -277,13 +254,12 @@ def rep_to_jsonable(rep: CubeRepresentation) -> dict:
     dims = []
     for dim, tag in zip(rep.dims, rep.provenance):
         c = dim.threshold
-        values = dim.values_in(verts)
-        for x, intervals in zip(values, cells):
+        for x, intervals in zip(dim.values, cells):
             intervals.append(list(cube_cell(x, c)))
         dims.append({
             "provenance": tag,
             "threshold": c,
-            "placement": dict(zip(keys, values)),
+            "placement": dict(zip(keys, dim.values)),
         })
     return {"a_count": rep.a_count, "b_count": rep.b_count, "dims": dims,
             "cubes": dict(zip(keys, cells))}
@@ -294,8 +270,8 @@ def rep_from_jsonable(obj: object) -> CubeRepresentation:
     malformed.  A placement holding exactly the declared vertices with int
     values becomes a column in canonical order through one lookup per
     vertex; any other placement goes through the per-key checks, which name
-    the first bad key or value, or builds a dimension over its own vertex
-    set, which verify then refuses."""
+    the first bad key or value.  A placement that passes them over another
+    vertex set is refused by CubeRepresentation, which names its dimension."""
     if not isinstance(obj, dict):
         raise ValueError("dump must be a JSON object")
     a_count = obj.get("a_count")

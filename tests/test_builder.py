@@ -38,7 +38,7 @@ from cuberep import (
     swap_sides,
     verify,
 )
-from cuberep.builder import attempt, attempt_survivors, make_plan
+from cuberep.builder import attempt, make_plan, survivor_masks
 from cuberep.intervals import random_dim_tag
 
 K44_MINUS_CORNER = BipartiteGraph(
@@ -154,18 +154,15 @@ class TestVerify:
             verify(rep, g)
 
     def test_partial_placement_rejected(self):
-        g = BipartiteGraph(2, 1, frozenset())
+        # no representation verify could be given holds a partial placement
         dim = UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 0}, 1)
-        rep = CubeRepresentation(2, 1, (dim,), (random_dim_tag(1),))
-        with pytest.raises(ValueError, match="cover the vertex set"):
-            verify(rep, g)
+        with pytest.raises(ValueError, match="dimension 0 placement does not cover"):
+            CubeRepresentation(2, 1, (dim,), (random_dim_tag(1),))
 
     def test_extra_placement_rejected(self):
-        g = BipartiteGraph(1, 1, frozenset())
         dim = UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 0, (SIDE_B, 2): 0}, 1)
-        rep = CubeRepresentation(1, 1, (dim,), (random_dim_tag(1),))
-        with pytest.raises(ValueError, match="cover the vertex set"):
-            verify(rep, g)
+        with pytest.raises(ValueError, match="dimension 0 placement does not cover"):
+            CubeRepresentation(1, 1, (dim,), (random_dim_tag(1),))
 
     @settings(max_examples=300, deadline=None)
     @given(hostile_cases())
@@ -406,18 +403,24 @@ class TestAttemptPlan:
         # attempt build_representation would check, and verify finds nothing else
         plan = make_plan(g, t)
         trials = 6
-        survivors = list(attempt_survivors(plan, seed, trials))
+        count = g.vertex_count - plan.side_size
+        survivors = list(survivor_masks(plan, seed, trials))
         assert len(survivors) == trials
-        for index, pairs in enumerate(survivors):
+        for index, alive in enumerate(survivors):
+            # bit f of entry p: permuted vertex p + 1 with other-side vertex f + 1
+            pairs = [(p + 1, f + 1) for p, mask in enumerate(alive)
+                     for f in range(count) if mask >> f & 1]
+            if plan.side == SIDE_B:
+                pairs = [(a, b) for b, a in pairs]
             violations = verify(attempt(plan, seed, index), g)
-            assert violations == [Violation("extra-edge", (SIDE_A, a), (SIDE_B, b))
-                                  for a, b in pairs]
+            assert violations == sorted(Violation("extra-edge", (SIDE_A, a), (SIDE_B, b))
+                                        for a, b in pairs)
         rate = estimate_failure_rate(g, BuildParams(master_seed=seed, t_override=t), trials)
-        assert rate == sum(map(bool, survivors)) / trials
+        assert rate == sum(map(any, survivors)) / trials
 
     def test_both_verdicts_on_side_b(self):
         plan = make_plan(SIDE_B_PERMUTED, 4)
-        verdicts = {bool(pairs) for pairs in attempt_survivors(plan, 3, 20)}
+        verdicts = {any(alive) for alive in survivor_masks(plan, 3, 20)}
         assert verdicts == {False, True}
 
     @settings(max_examples=150, deadline=None)

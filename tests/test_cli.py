@@ -322,6 +322,27 @@ class TestVerify:
         assert main(["verify", graph, dump]) == 2
         assert capsys.readouterr().err == "error: dump repeats the key 'B2' in one object\n"
 
+    def test_uncovered_dimension_named_by_position(self, tmp_path, capsys):
+        # dims 1 (a random dimension, threshold 15) and 33 (a bit dimension,
+        # threshold 1) lose A1: the dump is refused as it is read, naming the
+        # first by position, before the graph's counts are compared
+        graph = str(tmp_path / "g.txt")
+        assert main(["gen", "6", "9", "0.3", "--seed", "1", "--out", graph]) == 0
+        dump = tmp_path / "rep.json"
+        assert main(["build", graph, "--seed", "3", "--out", str(dump)]) == 0
+        payload = json.loads(dump.read_text())
+        assert len(payload["dims"]) == 34
+        for pos in (1, 33):
+            del payload["dims"][pos]["placement"]["A1"]
+        dump.write_text(json.dumps(payload))
+        small = write_graph(tmp_path, "h.txt", "p bipartite 2 2 0\n")
+        for target in (graph, small):
+            capsys.readouterr()
+            assert main(["verify", target, str(dump)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: dimension 1 placement does not cover the vertex set\n"
+
     def test_malformed_graph_exit_two(self, tmp_path, capsys):
         graph = write_graph(tmp_path, "bad.txt", "p bipartite 2 2 1\ne 9 1\n")
         _, dump = self._dump_for(tmp_path, COMPLETE_22)
@@ -491,6 +512,18 @@ class TestParser:
         assert "Traceback" not in captured.err
         errors = [line for line in captured.err.splitlines() if "error" in line]
         assert len(errors) == 1 and "argument --t: t must be" in errors[0]
+
+    @pytest.mark.parametrize("retries", ["0", "-3", "many"])
+    def test_bad_max_retries_is_usage_error(self, tmp_path, capsys, retries):
+        graph = write_graph(tmp_path, "g.txt", SPARSE_23)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["build", graph, "--max-retries", retries, "--seed", "0"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any work is done
+        assert "Traceback" not in captured.err and "seed:" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert len(errors) == 1 and "argument --max-retries: max-retries must be" in errors[0]
 
     def test_import_loads_no_numpy(self):
         # the command line must stay free of heavy imports: numpy alone adds

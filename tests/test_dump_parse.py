@@ -163,14 +163,6 @@ class TestHostileDumps:
         rc, err = run_verify(payload)
         if verdict == "rejected":
             assert (rc, err) == (2, f"error: {result}\n")
-            return
-        # verify visits the dimensions tightest threshold first
-        visited = sorted(range(result.dimension), key=lambda i: result.dims[i].threshold)
-        uncovered = [i for i in visited
-                     if result.dims[i].vertices() != set(result.vertices())]
-        if uncovered:
-            assert (rc, err) == (
-                2, f"error: dimension {uncovered[0]} placement does not cover the vertex set\n")
         else:
             assert rc in (0, 1) and err == ""
 

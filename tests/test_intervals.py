@@ -14,13 +14,11 @@ from conftest import all_pairs
 from cuberep import (
     SIDE_A,
     SIDE_B,
-    BuildReport,
     CubeRepresentation,
     UnitIntervalRep,
     VertexGraph,
     induced_graph,
     intersect_graphs,
-    render_dump,
     rep_from_jsonable,
     rep_to_jsonable,
     swap_sides,
@@ -79,15 +77,6 @@ class TestUnitIntervalRep:
     def test_copies_and_pickles(self, duplicate):
         rep = UnitIntervalRep({(SIDE_B, 1): 5, (SIDE_A, 1): 1}, 4)
         assert duplicate(rep) == rep
-
-    def test_values_in_refuses_another_vertex_set(self):
-        rep = UnitIntervalRep({(SIDE_B, 1): 5, (SIDE_A, 1): 1}, 4)
-        order = ((SIDE_A, 1), (SIDE_B, 1))
-        assert rep.values_in(order) == [1, 5]
-        with pytest.raises(ValueError, match=r"no placement for \('A', 2\)"):
-            rep.values_in(order + ((SIDE_A, 2),))
-        with pytest.raises(ValueError, match="outside the representation"):
-            rep.values_in(order[:1])
 
     def test_equality_ignores_column_order(self):
         rep = UnitIntervalRep({(SIDE_B, 1): 5, (SIDE_A, 1): 1}, 4)
@@ -172,6 +161,21 @@ class TestCubeRepresentation:
         with pytest.raises(ValueError):
             CubeRepresentation(1, 1, (dim,), ())
 
+    def test_every_dimension_covers_the_vertex_set(self):
+        canonical = UnitIntervalRep.column(tuple(VERTS), [3, -1, 0, 7], 2)
+        # a complete placement in any key order is the canonical column
+        for keys in (VERTS, VERTS[::-1], VERTS[2:] + VERTS[:2]):
+            assert UnitIntervalRep({v: canonical.placement[v] for v in keys}, 2) == canonical
+        missing = UnitIntervalRep(dict.fromkeys(VERTS[:3], 0), 1)
+        stray = UnitIntervalRep({**dict.fromkeys(VERTS, 0), (SIDE_B, 3): 0}, 5)
+        # by position, not by the tightest-threshold-first order of verify
+        tags = tuple(random_dim_tag(j + 1) for j in range(4))
+        for dims, pos in (((missing,), 0), ((canonical, stray), 1),
+                          ((canonical, stray, canonical, missing), 1)):
+            with pytest.raises(ValueError,
+                               match=f"^dimension {pos} placement does not cover the vertex set$"):
+                CubeRepresentation(2, 2, dims, tags[:len(dims)])
+
     def test_vertices_ordered(self):
         rep = two_dim_rep()
         assert rep.dimension == 2
@@ -221,15 +225,6 @@ class TestSwapSides:
         rep = two_dim_rep()
         assert swap_sides(swap_sides(rep)) == rep
 
-    def test_non_canonical_columns_are_relabelled(self):
-        reordered = UnitIntervalRep({(SIDE_B, 1): 5, (SIDE_A, 1): 1}, 4)
-        partial = UnitIntervalRep({(SIDE_A, 1): 3}, 1)
-        rep = CubeRepresentation(1, 1, (reordered, partial), ("random-1", "random-2"))
-        swapped = swap_sides(rep)
-        assert swapped.dims[0].placement == {(SIDE_A, 1): 5, (SIDE_B, 1): 1}
-        assert swapped.dims[1].placement == {(SIDE_B, 1): 3}
-        assert swap_sides(swapped) == rep
-
 
 class TestDumpPayload:
     def test_vertex_key_round_trip(self):
@@ -272,15 +267,3 @@ class TestDumpPayload:
         expected = {vertex_key(v): [[str(lo), str(hi)] for lo, hi in cells]
                     for v, cells in to_unit_cubes(rep).items()}
         assert rep_to_jsonable(rep)["cubes"] == expected
-
-    def test_placement_outside_vertex_set_rejected(self):
-        stray = UnitIntervalRep({**dict.fromkeys(VERTS, 0), (SIDE_B, 3): 0}, 1)
-        missing = UnitIntervalRep(dict.fromkeys(VERTS[:3], 0), 1)
-        report = BuildReport(0, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
-        for dim, message in ((stray, "outside the representation"),
-                             (missing, r"no placement for \('B', 2\)")):
-            rep = CubeRepresentation(2, 2, (dim,), (random_dim_tag(1),))
-            with pytest.raises(ValueError, match=message):
-                rep_to_jsonable(rep)
-            with pytest.raises(ValueError, match=message):
-                render_dump(rep, report)
