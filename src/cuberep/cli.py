@@ -66,6 +66,17 @@ def _count_type(name: str, minimum: int):
     return parse
 
 
+def _probability_type(text: str) -> float:
+    """argparse type for an edge probability within [0, 1]; NaN is refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"p must be a number, got {text!r}")
+    if not 0.0 <= value <= 1.0:  # also true for NaN
+        raise argparse.ArgumentTypeError(f"p must be within [0, 1], got {text}")
+    return value
+
+
 _trials_type = _count_type("trials", 1)
 _t_type = _count_type("t", 0)
 _max_retries_type = _count_type("max-retries", 1)
@@ -244,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a random bipartite graph file")
-    p_gen.add_argument("n1", type=int)
-    p_gen.add_argument("n2", type=int)
-    p_gen.add_argument("p", type=float)
+    p_gen.add_argument("n1", type=_count_type("n1", 1))
+    p_gen.add_argument("n2", type=_count_type("n2", 1))
+    p_gen.add_argument("p", type=_probability_type)
     p_gen.add_argument("--seed", type=_seed_type, default=None)
     p_gen.add_argument("--out", default=None, help="output path (default stdout)")
     p_gen.set_defaults(func=cmd_gen)

@@ -189,13 +189,15 @@ def parse_graph(text: str) -> BipartiteGraph:
         p bipartite <n1> <n2> <m>
         e <a-index> <b-index>     (1-based, one line per edge)
 
-    Raises GraphFormatError with the offending line number on malformed
+    Lines end at LF, CRLF or CR only, so a form feed in a comment stays in
+    it.  Raises GraphFormatError with the offending line number on malformed
     headers, more than MAX_VERTICES vertices, out-of-range indices, and
     duplicate edges.
     """
     n1 = n2 = m = None
     edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

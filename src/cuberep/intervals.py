@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 from .graphs import MAX_VERTICES, SIDE_A, SIDE_B, Vertex, vertex_order
 
@@ -269,9 +269,8 @@ def rep_from_jsonable(obj: object) -> CubeRepresentation:
     """The representation a dump payload describes; ValueError if it is
     malformed.  A placement holding exactly the declared vertices with int
     values becomes a column in canonical order through one lookup per
-    vertex; any other placement goes through the per-key checks, which name
-    the first bad key or value.  A placement that passes them over another
-    vertex set is refused by CubeRepresentation, which names its dimension."""
+    vertex; any other placement is refused at its own dimension, before
+    later dimensions are read, by _placement_fault."""
     if not isinstance(obj, dict):
         raise ValueError("dump must be a JSON object")
     a_count = obj.get("a_count")
@@ -287,7 +286,8 @@ def rep_from_jsonable(obj: object) -> CubeRepresentation:
     raw_dims = obj.get("dims")
     if not isinstance(raw_dims, list):
         raise ValueError("dump needs a list of dims")
-    order = lookup = None  # built for the first placement of the declared size
+    order = vertex_order(a_count, b_count)
+    lookup = itemgetter(*map(vertex_key, order))
     dims: list[UnitIntervalRep] = []
     tags: list[str] = []
     for pos, raw in enumerate(raw_dims):
@@ -297,18 +297,16 @@ def rep_from_jsonable(obj: object) -> CubeRepresentation:
         raw_placement = raw.get("placement")
         if not isinstance(raw_placement, dict):
             raise ValueError(f"dim {pos} needs a placement object")
-        values = None
-        if len(raw_placement) == count:
-            if lookup is None:
-                order = vertex_order(a_count, b_count)
-                lookup = itemgetter(*map(vertex_key, order))
-            values = _int_column(lookup, raw_placement)
-        if values is None:
-            placement = _checked_placement(raw_placement, pos, a_count, b_count)
+        try:
+            values = list(lookup(raw_placement))
+        except KeyError:
+            values = None
+        # a JSON true is a bool, so the type test refuses it
+        if values is None or len(raw_placement) != count or set(map(type, values)) != {int}:
+            _placement_fault(raw_placement, pos, a_count, b_count)
         if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold <= 0:
             raise ValueError(f"dim {pos}: threshold must be a positive integer")
-        dims.append(UnitIntervalRep(placement, threshold) if values is None
-                    else UnitIntervalRep.column(order, values, threshold))
+        dims.append(UnitIntervalRep.column(order, values, threshold))
         tag = raw.get("provenance", f"dim-{pos + 1}")
         if not isinstance(tag, str):
             raise ValueError(f"dim {pos}: provenance must be a string")
@@ -316,27 +314,15 @@ def rep_from_jsonable(obj: object) -> CubeRepresentation:
     return CubeRepresentation(a_count, b_count, tuple(dims), tuple(tags))
 
 
-def _int_column(lookup: itemgetter, raw_placement: dict) -> list[int] | None:
-    """The values `lookup` picks from a dump placement, or None unless each
-    of its keys is there with an int value (a JSON true is a bool)."""
-    try:
-        values = list(lookup(raw_placement))
-    except KeyError:
-        return None
-    return values if set(map(type, values)) == {int} else None
-
-
-def _checked_placement(raw_placement: dict, pos: int, a_count: int,
-                       b_count: int) -> dict[Vertex, int]:
-    """A dump placement key by key: each key canonical and within the
-    declared counts, each value an int."""
-    placement: dict[Vertex, int] = {}
+def _placement_fault(raw_placement: dict, pos: int, a_count: int,
+                     b_count: int) -> NoReturn:
+    """Raise the first fault of a placement that is not a column, in item
+    order: a bad key, an undeclared vertex or a non-int value; else, keys
+    being distinct, it misses a declared vertex."""
     for key, value in raw_placement.items():
-        v = parse_vertex_key(key)
-        side, index = v
+        side, index = parse_vertex_key(key)
         if index > (a_count if side == SIDE_A else b_count):
             raise ValueError(f"dim {pos}: vertex {key} outside declared counts")
-        if not isinstance(value, int) or isinstance(value, bool):
+        if type(value) is not int:
             raise ValueError(f"dim {pos}: placement of {key} must be an integer")
-        placement[v] = value
-    return placement
+    raise ValueError(f"dimension {pos} placement does not cover the vertex set")

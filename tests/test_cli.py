@@ -6,17 +6,23 @@ to pytest without subprocess overhead.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from conftest import bipartite_graphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cuberep
-from cuberep import parse_dump, parse_graph, verify
+from cuberep import parse_dump, parse_graph, serialize_graph, verify
 from cuberep.builder import make_plan
 from cuberep.cli import main
 
@@ -103,7 +109,9 @@ class TestGen:
         assert capsys.readouterr().out == "p bipartite 1 1 1\ne 1 1\n"
 
     def test_bad_probability_is_usage_error(self, capsys):
-        assert main(["gen", "2", "2", "1.5", "--seed", "0"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gen", "2", "2", "1.5", "--seed", "0"])
+        assert excinfo.value.code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_refuses_more_than_the_vertex_limit(self, tmp_path, capsys):
@@ -232,6 +240,91 @@ class TestBuild:
         assert calls == [(5, 4)] * (payload["retries"] + 1)
 
 
+# One mutation of a serialized graph file each: the first five break it at
+# one line, the last two keep the graph it holds.
+FILE_MUTATIONS = ("drop-header", "duplicate-edge", "out-of-range", "non-integer",
+                  "extra-edge", "crlf", "comment")
+NEEDS_AN_EDGE = ("drop-header", "duplicate-edge", "out-of-range", "extra-edge")
+# characters that str.splitlines would split a comment at
+COMMENT_MARKS = ("\x0c", "\x85", "\u2028")
+
+
+@st.composite
+def mutated_graph_files(draw):
+    """A serialized random graph of at most 6x6 and one mutation of it:
+    (mutated text, original text, the LF-counted line of the fault, or
+    None where the mutated text holds the same graph)."""
+    mutation = draw(st.sampled_from(FILE_MUTATIONS))
+    graphs = bipartite_graphs(max_a=6, max_b=6)
+    if mutation in NEEDS_AN_EDGE:
+        graphs = graphs.filter(lambda g: g.edges)
+    g = draw(graphs)
+    original = serialize_graph(g)
+    lines = original.split("\n")[:-1]  # the header, then one line per edge
+    fault = None
+    if mutation == "drop-header":
+        del lines[0]
+        fault = 1  # the first edge line comes before any header
+    elif mutation == "duplicate-edge":
+        i = draw(st.integers(1, len(lines) - 1))
+        fault = draw(st.integers(i + 1, len(lines)))
+        lines.insert(fault, lines[i])
+        fault += 1
+    elif mutation == "out-of-range":
+        i = draw(st.integers(1, len(lines) - 1))
+        field = draw(st.integers(1, 2))
+        limit = g.a_count if field == 1 else g.b_count
+        fields = lines[i].split()
+        fields[field] = str(draw(st.one_of(st.integers(-2, 0),
+                                           st.integers(limit + 1, limit + 3))))
+        lines[i] = " ".join(fields)
+        fault = i + 1
+    elif mutation == "non-integer":
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split()
+        field = draw(st.integers(2 if i == 0 else 1, len(fields) - 1))
+        fields[field] = draw(st.sampled_from(["x", "1.5", "1e3", "0x1", "--"]))
+        lines[i] = " ".join(fields)
+        fault = i + 1
+    elif mutation == "extra-edge":
+        lines[0] = f"p bipartite {g.a_count} {g.b_count} {g.edge_count - 1}"
+        fault = len(lines)  # the last edge line is one too many
+    elif mutation == "comment":
+        mark = draw(st.sampled_from(COMMENT_MARKS))
+        lines.insert(draw(st.integers(0, len(lines))), f"c note{mark}still the comment")
+    text = "\n".join(lines) + "\n"
+    if mutation == "crlf":
+        text = text.replace("\n", "\r\n")
+    return text, original, fault
+
+
+def run_build(text: str) -> tuple[int, str, bytes | None]:
+    """(exit code, stderr, dump bytes or None) of cuberep build --seed 0 on
+    the text, written as UTF-8 bytes with its line ends as they are."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, dump = Path(tmp, "g.txt"), Path(tmp, "rep.json")
+        graph.write_bytes(text.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["build", str(graph), "--seed", "0", "--out", str(dump)])
+        return rc, err.getvalue(), dump.read_bytes() if dump.exists() else None
+
+
+class TestGraphFileFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_graph_files())
+    def test_build_reads_the_graph_or_names_the_faulty_line(self, case):
+        text, original, fault = case
+        rc, err, dump = run_build(text)
+        if fault is None:
+            assert (rc, err) == (0, "seed: 0\n")
+            assert dump == run_build(original)[2]
+        else:
+            assert rc == 2 and dump is None
+            assert err.startswith(f"error: line {fault}: ")
+            assert err.count("\n") == 1 and err.endswith("\n")
+
+
 HUGE_HEADER = "p bipartite 100000000 100000000 0\n"
 HUGE_HEADER_ERROR = "error: line 1: 100000000+100000000 vertices exceed the limit of 32768\n"
 
@@ -342,6 +435,27 @@ class TestVerify:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: dimension 1 placement does not cover the vertex set\n"
+
+    def test_uncovered_dimension_refused_before_later_faults(self, tmp_path, capsys):
+        # dim 0 loses A1 and dim 1 gets threshold 0: the placement is
+        # refused at its own dimension, before dim 1 is read
+        graph = str(tmp_path / "g.txt")
+        assert main(["gen", "6", "9", "0.3", "--seed", "1", "--out", graph]) == 0
+        dump = tmp_path / "rep.json"
+        assert main(["build", graph, "--seed", "3", "--out", str(dump)]) == 0
+        payload = json.loads(dump.read_text())
+        assert len(payload["dims"]) == 34
+        del payload["dims"][0]["placement"]["A1"]
+        payload["dims"][1]["threshold"] = 0
+        message = "dimension 0 placement does not cover the vertex set"
+        with pytest.raises(ValueError) as excinfo:
+            cuberep.rep_from_jsonable(payload)
+        assert str(excinfo.value) == message
+        dump.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", graph, str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_malformed_graph_exit_two(self, tmp_path, capsys):
         graph = write_graph(tmp_path, "bad.txt", "p bipartite 2 2 1\ne 9 1\n")
@@ -524,6 +638,20 @@ class TestParser:
         assert "Traceback" not in captured.err and "seed:" not in captured.err
         errors = [line for line in captured.err.splitlines() if "error" in line]
         assert len(errors) == 1 and "argument --max-retries: max-retries must be" in errors[0]
+
+    @pytest.mark.parametrize("n1, n2, p", [
+        ("2", "2", "1.5"), ("2", "2", "-0.1"), ("2", "2", "nan"), ("2", "2", "x"),
+        ("0", "5", "0.5"), ("5", "-2", "0.5"), ("two", "2", "0.5"),
+    ])
+    def test_bad_gen_arguments_are_usage_errors(self, capsys, n1, n2, p):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gen", n1, n2, p, "--seed", "0"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any work is done
+        assert "Traceback" not in captured.err and "seed:" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert len(errors) == 1 and "cuberep gen: error: argument" in errors[0]
 
     def test_import_loads_no_numpy(self):
         # the command line must stay free of heavy imports: numpy alone adds

@@ -40,7 +40,11 @@ EMPTY_REPORT = BuildReport(0, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
 
 def reference_rep_from_jsonable(obj: object) -> CubeRepresentation:
     """One dict per dimension, key by key through parse_vertex_key in item
-    order: the decoder whose results and error texts rep_from_jsonable keeps."""
+    order: the oracle for payloads with at most one fault, whose results and
+    error texts rep_from_jsonable keeps.  With several faults the two may
+    name different ones: this decoder leaves a placement that misses a
+    vertex to CubeRepresentation, after every dimension is read, while
+    rep_from_jsonable refuses it at its own dimension."""
     if not isinstance(obj, dict):
         raise ValueError("dump must be a JSON object")
     a_count, b_count = obj.get("a_count"), obj.get("b_count")

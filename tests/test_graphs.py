@@ -178,6 +178,23 @@ class TestGraphFile:
         text = "c a comment\n\np bipartite 2 2 1\nc another\ne 2 1\n"
         assert parse_graph(text) == BipartiteGraph(2, 2, {(2, 1)})
 
+    @pytest.mark.parametrize("mark", ["\x0c", "\x85", "\u2028", "\x1c", "\v"])
+    def test_comment_keeps_characters_splitlines_would_split_at(self, mark):
+        text = f"c note{mark}still the comment\np bipartite 2 2 1\ne 1 1\n"
+        assert parse_graph(text) == BipartiteGraph(2, 2, {(1, 1)})
+        # a later fault is named at its LF-counted line
+        with pytest.raises(GraphFormatError) as excinfo:
+            parse_graph(text + "e 3 1\n")
+        assert excinfo.value.line == 4
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_universal_line_ends(self, end):
+        text = end.join(["c x", "p bipartite 2 2 1", "e 2 1", "e 9 1", ""])
+        with pytest.raises(GraphFormatError) as excinfo:
+            parse_graph(text)
+        assert excinfo.value.line == 4
+        assert parse_graph(text.replace("e 9 1", "c y")) == BipartiteGraph(2, 2, {(2, 1)})
+
     def test_serialize_canonical_order(self):
         g = BipartiteGraph(2, 2, {(2, 1), (1, 2), (1, 1)})
         assert serialize_graph(g) == (
