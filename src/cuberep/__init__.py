@@ -27,6 +27,7 @@ from .builder import (
     render_dump,
     report_to_jsonable,
     verify,
+    write_dump,
 )
 from .graphs import (
     SIDE_A,
@@ -112,4 +113,5 @@ __all__ = [
     "to_unit_cubes",
     "verify",
     "vertex_key",
+    "write_dump",
 ]

@@ -14,8 +14,9 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from operator import and_, or_
+from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .bitfamily import BitEncodingFamily, build_bit_family
@@ -348,55 +349,75 @@ def report_to_jsonable(report: BuildReport, swapped: bool | None = None,
     return out
 
 
-def render_dump(rep: CubeRepresentation, report: BuildReport,
-                swapped: bool | None = None) -> str:
-    """Canonical dump text: representation plus report, stable bytes for
-    identical (graph, seed, params); `swapped` as in report_to_jsonable.
+def _dump_pieces(rep: CubeRepresentation, report: BuildReport,
+                 swapped: bool | None = None) -> Iterator[str]:
+    """The canonical dump text of render_dump, in order and in pieces: the
+    header, one piece per cubes row (its key, and after the first row the
+    comma before it), one piece per dimension, likewise, then the report
+    block.  A piece is formatted
+    only when it is asked for, so a consumer holds one piece at a time, plus
+    the placement columns that all rows and dimensions are read from.
 
-    The text is exactly json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    for payload = rep_to_jsonable(rep) plus the "report" block, written in
-    one pass: vertex keys are sorted once (as strings, so A10 precedes A2),
-    each dimension's value column is reordered to that key order once, and
-    the cube cell of a placement value is formatted once per distinct value
-    and threshold.  Provenance tags and the report block go through
+    Vertex keys are sorted once (as strings, so A10 precedes A2), each
+    dimension's value column is reordered to that key order once, the cube
+    cell of a placement value is formatted once per distinct value and
+    threshold, and every placement block is one %-format of a template that
+    holds all keys.  Provenance tags and the report block go through
     json.dumps, which keeps its escaping.
     """
     verts = vertex_order(rep.a_count, rep.b_count)
     keys = [vertex_key(v) for v in verts]
     order = sorted(range(len(verts)), key=keys.__getitem__)
     keys = [keys[i] for i in order]
-    placement_lines = [f'\n        "{key}": ' for key in keys]
+    placement = ",".join(f'\n        "{key}": %d' for key in keys)
     cell_text: dict[int, dict[int, str]] = {}  # threshold -> value -> cell
+    placements = []
     columns = []
-    dim_texts = []
-    for dim, tag in zip(rep.dims, rep.provenance):
+    for dim in rep.dims:
         c = dim.threshold
-        values = list(map(dim.values.__getitem__, order))
+        values = tuple(map(dim.values.__getitem__, order))
         cells = cell_text.setdefault(c, {})
         for x in set(values).difference(cells):
             lo, hi = cube_cell(x, c)
             cells[x] = f'[\n        "{lo}",\n        "{hi}"\n      ]'
+        placements.append(values)
         columns.append(map(cells.__getitem__, values))
-        dim_texts.append('{\n      "placement": {'
-                         + ",".join(map(str.__add__, placement_lines, map(str, values)))
-                         + '\n      },\n      "provenance": ' + json.dumps(tag)
-                         + ',\n      "threshold": ' + str(c) + "\n    }")
-    if dim_texts:
-        rows = ["[\n      " + ",\n      ".join(row) + "\n    ]" for row in zip(*columns)]
-        dims_text = "[\n    " + ",\n    ".join(dim_texts) + "\n  ]"
-    else:
-        rows = ["[]"] * len(keys)
-        dims_text = "[]"
+    yield ('{\n  "a_count": ' + str(rep.a_count)
+           + ',\n  "b_count": ' + str(rep.b_count) + ',\n  "cubes": {')
+    rows = zip(*columns) if columns else repeat(())
+    for i, (key, row) in enumerate(zip(keys, rows)):
+        cube = "[\n      " + ",\n      ".join(row) + "\n    ]" if row else "[]"
+        yield f'{"," if i else ""}\n    "{key}": {cube}'
+    yield '\n  },\n  "dims": ' + ("[" if rep.dims else "[]")
+    for i, (dim, tag, values) in enumerate(zip(rep.dims, rep.provenance, placements)):
+        yield (("," if i else "") + '\n    {\n      "placement": {'
+               + placement % values
+               + '\n      },\n      "provenance": ' + json.dumps(tag)
+               + ',\n      "threshold": ' + str(dim.threshold) + "\n    }")
     report_text = json.dumps(report_to_jsonable(report, swapped=swapped),
                              sort_keys=True, indent=2).replace("\n", "\n  ")
-    return "".join((
-        '{\n  "a_count": ', str(rep.a_count),
-        ',\n  "b_count": ', str(rep.b_count),
-        ',\n  "cubes": {',
-        ",".join(f'\n    "{key}": {row}' for key, row in zip(keys, rows)),
-        '\n  },\n  "dims": ', dims_text,
-        ',\n  "report": ', report_text,
-        "\n}\n"))
+    yield ("\n  ]" if rep.dims else "") + ',\n  "report": ' + report_text + "\n}\n"
+
+
+def render_dump(rep: CubeRepresentation, report: BuildReport,
+                swapped: bool | None = None) -> str:
+    """Canonical dump text: representation plus report, stable bytes for
+    identical (graph, seed, params); `swapped` as in report_to_jsonable.
+
+    The text is exactly json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    for payload = rep_to_jsonable(rep) plus the "report" block: the pieces
+    of _dump_pieces, joined.
+    """
+    return "".join(_dump_pieces(rep, report, swapped))
+
+
+def write_dump(path: str | Path, rep: CubeRepresentation, report: BuildReport) -> None:
+    """Write render_dump(rep, report) to `path`, with the encoding and
+    newline handling of Path.write_text, one piece of _dump_pieces at a
+    time: the whole text is never held, so the write's peak memory is a
+    small fraction of the dump's size."""
+    with open(path, "w") as out:
+        out.writelines(_dump_pieces(rep, report))
 
 
 def _dump_object(pairs: list[tuple[str, object]]) -> dict:

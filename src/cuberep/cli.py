@@ -25,9 +25,9 @@ from .builder import (
     format_violation,
     make_plan,
     parse_dump,
-    render_dump,
     report_to_jsonable,
     verify,
+    write_dump,
 )
 from .graphs import (
     MAX_VERTICES,
@@ -93,6 +93,19 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an --out path that is a directory or whose parent is not one,
+    so a command that could not write its output fails before it does any
+    work or logs a seed."""
+    if path is None:
+        return
+    out = Path(path)
+    if out.is_dir():
+        raise ValueError(f"cannot write {path}: it is a directory")
+    if not out.parent.is_dir():
+        raise ValueError(f"cannot write {path}: {out.parent} is not a directory")
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -104,6 +117,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.n1 + args.n2 > MAX_VERTICES:
         # every other command refuses such a graph file, so none is written
         raise ValueError(f"{args.n1}+{args.n2} vertices exceed the limit of {MAX_VERTICES}")
+    _check_out(args.out)
     seed = _resolve_seed(args.seed)
     g = gen_random_bipartite(args.n1, args.n2, args.p, seed)
     _write_text(args.out, serialize_graph(g))
@@ -112,12 +126,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.graph))
+    _check_out(args.out)
     seed = _resolve_seed(args.seed)
     params = BuildParams(master_seed=seed, t_override=args.t,
                          max_retries=args.max_retries)
     rep, report = build_representation(g, params)
     if args.out is not None:
-        Path(args.out).write_text(render_dump(rep, report))
+        write_dump(args.out, rep, report)
     if args.format == "machine":
         payload = report_to_jsonable(report, include_timings=True)
         payload["verified"] = True

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -37,6 +38,7 @@ from cuberep import (
     report_to_jsonable,
     swap_sides,
     verify,
+    write_dump,
 )
 from cuberep.builder import attempt, make_plan, survivor_masks
 from cuberep.intervals import random_dim_tag
@@ -103,6 +105,13 @@ def json_dump(rep: CubeRepresentation, report: BuildReport, swapped: bool) -> st
     """The canonical dump text through the json encoder."""
     payload = {**rep_to_jsonable(rep), "report": report_to_jsonable(report, swapped=swapped)}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def own_report(report: BuildReport, swapped: bool) -> BuildReport:
+    """The report whose own block is report_to_jsonable(report, swapped=swapped)."""
+    if swapped:
+        report = dataclasses.replace(report, bits_a=report.bits_b, bits_b=report.bits_a)
+    return dataclasses.replace(report, swapped=swapped)
 
 
 EMPTY_REPORT = BuildReport(0, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
@@ -473,6 +482,34 @@ class TestDumpRoundTrip:
         ('q"b\\s\nn', "\u00e9\u2603\U0001f600")), EMPTY_REPORT, True))
     def test_render_equals_json_encoding(self, case):
         assert render_dump(*case) == json_dump(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dump_cases())
+    @example((CubeRepresentation(1, 1, (), ()), EMPTY_REPORT, False))
+    @example((CubeRepresentation(
+        1, 12, (UnitIntervalRep(dict.fromkeys(CubeRepresentation(1, 12, (), ()).vertices(), -3), 1),
+                UnitIntervalRep({v: v[1] % 4 - 2 for v in CubeRepresentation(
+                    1, 12, (), ()).vertices()}, 3)),
+        ('q"b\\s\nn', "\u00e9\u2603\U0001f600")), EMPTY_REPORT, True))
+    def test_written_bytes_equal_json_encoding(self, tmp_path_factory, case):
+        rep, report, swapped = case
+        path = tmp_path_factory.getbasetemp() / "written.json"
+        write_dump(path, rep, own_report(report, swapped))
+        assert path.read_bytes() == json_dump(*case).encode("ascii")
+
+    def test_write_holds_a_small_part_of_the_dump(self, tmp_path):
+        # render_dump's peak is about twice the text it returns; the write
+        # holds one piece at a time
+        g = gen_random_bipartite(100, 200, 4 / 100, seed=1)
+        rep, report = build_representation(g, BuildParams(master_seed=5))
+        path = tmp_path / "dump.json"
+        tracemalloc.start()
+        try:
+            write_dump(path, rep, report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
 
     def test_truncated_dump_rejected(self):
         g = gen_random_bipartite(3, 5, 0.5, seed=8)

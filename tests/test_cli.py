@@ -33,6 +33,16 @@ def write_graph(tmp_path, name, text):
     return str(path)
 
 
+def unwritable_outs(tmp_path):
+    """--out paths no command can write, each with its one error line: in a
+    missing directory, under a file, and a directory itself."""
+    (tmp_path / "file.txt").write_text("")
+    outs = (tmp_path / "missing" / "out.txt", tmp_path / "file.txt" / "out.txt")
+    return [*((out, f"error: cannot write {out}: {out.parent} is not a directory\n")
+              for out in outs),
+            (tmp_path, f"error: cannot write {tmp_path}: it is a directory\n")]
+
+
 DATA = Path(__file__).parent / "data"
 
 SINGLE_EDGE = "p bipartite 2 1 1\ne 1 1\n"
@@ -132,6 +142,13 @@ class TestGen:
             main(["gen", "2", "2", "0.5", "--seed", "-1"])
         assert excinfo.value.code == 2
 
+    def test_unwritable_out_refused_before_seed(self, tmp_path, capsys):
+        for out, error in unwritable_outs(tmp_path):
+            files = sorted(tmp_path.rglob("*"))
+            assert main(["gen", "2", "2", "0.5", "--seed", "1", "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", error)
+            assert sorted(tmp_path.rglob("*")) == files
+
 
 class TestBuild:
     def test_build_then_verify_round_trip(self, tmp_path, capsys):
@@ -151,6 +168,17 @@ class TestBuild:
         main(["build", graph, "--seed", "17", "--out", str(first)])
         main(["build", graph, "--seed", "17", "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
+
+    def test_unwritable_out_refused_before_build(self, tmp_path, capsys, monkeypatch):
+        # refused after the graph is read, before a seed is logged or an
+        # attempt is made
+        graph = write_graph(tmp_path, "g.txt", SPARSE_23)
+        monkeypatch.setattr("cuberep.cli.build_representation", None)
+        for out, error in unwritable_outs(tmp_path):
+            files = sorted(tmp_path.rglob("*"))
+            assert main(["build", graph, "--seed", "1", "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", error)
+            assert sorted(tmp_path.rglob("*")) == files
 
     def test_machine_payload(self, tmp_path, capsys):
         graph = write_graph(tmp_path, "g.txt", COMPLETE_22)
