@@ -24,10 +24,9 @@ from .graphs import (
     SIDE_A,
     SIDE_B,
     BipartiteGraph,
+    DegreeProfile,
     Vertex,
     degree_profile,
-    normalize_sides,
-    other_side,
     vertex_order,
 )
 from .intervals import (
@@ -166,14 +165,14 @@ def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
 
 @dataclass(frozen=True)
 class BuildPlan:
-    """What all attempts on one graph share, in that graph's labels; d' is
-    kept for the nominal bound.  `bit_dims` holds both bit families in
-    attempt order, `provenance` tags every dimension of an attempt, and
-    `swapped` says the graph's first side is the larger."""
+    """What all attempts on one graph share, in that graph's labels; the
+    degree profile is kept for d' and the probe.  `bit_dims` holds both bit
+    families in attempt order, `provenance` tags every dimension of an
+    attempt, and `swapped` says the graph's first side is the larger."""
 
     graph: BipartiteGraph
     t: int
-    delta_prime: int
+    profile: DegreeProfile
     side: str
     side_size: int
     fam_a: BitEncodingFamily
@@ -184,32 +183,27 @@ class BuildPlan:
 
 
 def make_plan(g: BipartiteGraph, t_override: int | None = None) -> BuildPlan:
-    """The plan of g, whichever side comes first; t is t_override, or
-    default_t when that is None.
+    """The plan of g, in g's own labels; t is t_override, or default_t of d'
+    and the larger side when that is None.
 
     The paper names the smaller side first (n1 <= n2) only as a labelling
-    convention, and this is the one place that applies it: on g with its
-    smaller side first (normalize_sides) it picks t, from d' and the larger
-    side; the permuted side, ties going to the smaller side; and the order
-    of the bit families, the smaller side's first.  All three are kept in
-    g's own labels, so each attempt on g is the attempt on the normalized
-    graph with its sides swapped back (swap_sides), built directly.
+    convention.  The permuted side is choose_permuted_side's and the smaller
+    side's bit family comes first (side A's when the sides are equal), so
+    when g's first side is the larger, an attempt on g is the attempt on g
+    with its sides swapped, swapped back.
     """
-    normalized, swapped = normalize_sides(g)
-    profile = degree_profile(normalized)
+    profile = degree_profile(g)
+    swapped = g.a_count > g.b_count
     t = t_override if t_override is not None else \
-        default_t(profile.delta_prime, normalized.b_count)
+        default_t(profile.delta_prime, max(g.a_count, g.b_count))
     side = choose_permuted_side(profile)
     fam_a = build_bit_family(g, SIDE_A)
     fam_b = build_bit_family(g, SIDE_B)
-    families = (fam_a, fam_b)
-    if swapped:
-        side = other_side(side)
-        families = (fam_b, fam_a)
+    families = (fam_b, fam_a) if swapped else (fam_a, fam_b)
     provenance = (tuple(random_dim_tag(j + 1) for j in range(t))
                   + tuple(bit_dim_tag(fam.side, i + 1)
                           for fam in families for i in range(fam.bit_count)))
-    return BuildPlan(g, t, profile.delta_prime, side, g.side_count(side), fam_a, fam_b,
+    return BuildPlan(g, t, profile, side, g.side_count(side), fam_a, fam_b,
                      tuple(rep for fam in families for rep in fam.reps), provenance, swapped)
 
 
@@ -271,7 +265,7 @@ def build_representation(
                 retries=index,
                 seed=params.master_seed & MASK64,
                 nominal_bound=nominal_dimension_bound(
-                    plan.delta_prime, max(g.a_count, g.b_count)),
+                    plan.profile.delta_prime, max(g.a_count, g.b_count)),
                 construct_seconds=construct_seconds,
                 verify_seconds=verify_seconds,
                 swapped=plan.swapped)

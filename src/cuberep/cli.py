@@ -33,7 +33,6 @@ from .graphs import (
     MAX_VERTICES,
     SIDE_A,
     GraphFormatError,
-    degree_profile,
     gen_random_bipartite,
     other_side,
     parse_graph,
@@ -177,9 +176,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.graph))
     seed = _resolve_seed(args.seed)
     trials = args.trials
-    profile = degree_profile(g)
     plan = make_plan(g, args.t)
-    side = plan.side  # the side the failure estimate and build permute
+    profile, side = plan.profile, plan.side  # the side the estimate and build permute
     bound = Fraction(profile.delta_prime, profile.delta_prime + 1)
     non_edges = sorted(g.cross_non_edges())
     # each non-edge as 0-based (permuted endpoint, other endpoint)

@@ -115,7 +115,7 @@ class BipartiteGraph:
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """Per-vertex degrees plus the two side maxima.
+    """Per-vertex degrees, the two side maxima and the two side sizes.
 
     delta_prime is min(delta_a, delta_b); it is 0 exactly when the graph has
     no edges, since every edge raises both side maxima to at least 1.
@@ -125,19 +125,21 @@ class DegreeProfile:
     delta_b: int
     delta_prime: int
     degrees: dict[Vertex, int]
+    a_count: int
+    b_count: int
 
     def degree(self, v: Vertex) -> int:
         return self.degrees[v]
 
 
 def degree_profile(g: BipartiteGraph) -> DegreeProfile:
-    degrees = dict.fromkeys(g.vertices(), 0)
-    for a, b in g.edges:
-        degrees[(SIDE_A, a)] += 1
-        degrees[(SIDE_B, b)] += 1
-    delta_a = max(degrees[(SIDE_A, i)] for i in range(1, g.a_count + 1))
-    delta_b = max(degrees[(SIDE_B, j)] for j in range(1, g.b_count + 1))
-    return DegreeProfile(delta_a, delta_b, min(delta_a, delta_b), degrees)
+    """The profile of g, its degrees read off g.neighbours."""
+    of_a = list(map(len, g.neighbours(SIDE_A)))
+    of_b = list(map(len, g.neighbours(SIDE_B)))
+    degrees = dict(zip(g.vertices(), of_a + of_b))
+    delta_a, delta_b = max(of_a), max(of_b)
+    return DegreeProfile(delta_a, delta_b, min(delta_a, delta_b), degrees,
+                         g.a_count, g.b_count)
 
 
 def normalize_sides(g: BipartiteGraph) -> tuple[BipartiteGraph, bool]:
@@ -173,7 +175,10 @@ def gen_random_bipartite(n1: int, n2: int, p: float, seed: int) -> BipartiteGrap
         chosen = []
         cell = -1
         while True:
-            gap = int(math.log1p(-rng.random()) / log_q)
+            try:
+                gap = int(math.log1p(-rng.random()) / log_q)
+            except OverflowError:  # an infinite skip, at a subnormal p: past every cell
+                break
             cell += gap + 1
             if cell >= total:
                 break
@@ -245,10 +250,6 @@ def parse_graph(text: str) -> BipartiteGraph:
         raise GraphFormatError("missing 'p bipartite' header")
     if len(edges) != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
-    # The cached canonical order lives on.  Made here, before a dump of this
-    # size is decoded, it does not land amid the decoded dump's objects,
-    # where it would keep their memory from going back to the system.
-    vertex_order(n1, n2)
     return BipartiteGraph(n1, n2, frozenset(edges))
 
 

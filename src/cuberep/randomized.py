@@ -135,19 +135,18 @@ def _placed(n: int, size: int) -> tuple[int, ...]:
 
 
 def choose_permuted_side(profile: DegreeProfile) -> str:
-    """Permute the side whose opposite has the smaller maximum degree; ties
-    permute side A."""
-    return SIDE_A if profile.delta_b <= profile.delta_a else SIDE_B
+    """Permute the side whose opposite has the smaller maximum degree; a tie
+    permutes the smaller side, or side A when the sides are equal."""
+    if profile.delta_a != profile.delta_b:
+        return SIDE_A if profile.delta_b < profile.delta_a else SIDE_B
+    return SIDE_B if profile.b_count < profile.a_count else SIDE_A
 
 
 def neighbour_masks(g: BipartiteGraph, side: str) -> list[int]:
     """For each vertex of `side` (entry i for vertex i + 1), the bitset of its
     neighbours on the other side, bit j for vertex j + 1."""
-    masks = [0] * g.side_count(side)
-    for a, b in g.edges:
-        p, f = (b, a) if side == SIDE_B else (a, b)
-        masks[p - 1] |= 1 << (f - 1)
-    return masks
+    # distinct powers of two: their sum is their OR
+    return [sum(map((1).__lshift__, ns)) for ns in g.neighbours(side)]
 
 
 def reached_below(ranks: Sequence[int], neighbours: list[int]) -> list[int]:

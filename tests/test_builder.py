@@ -24,7 +24,9 @@ from cuberep import (
     UnitIntervalRep,
     Violation,
     build_representation,
+    choose_permuted_side,
     default_t,
+    degree_profile,
     estimate_failure_rate,
     gen_random_bipartite,
     induced_graph,
@@ -384,12 +386,24 @@ class TestAttemptPlan:
     def test_plan_fields(self):
         g = gen_random_bipartite(5, 9, 0.35, seed=4)
         plan = make_plan(g)
-        assert plan.t == default_t(plan.delta_prime, 9)
+        assert plan.t == default_t(plan.profile.delta_prime, 9)
         assert (plan.side, plan.side_size) == (SIDE_A, 5)
         assert (plan.fam_a.bit_count, plan.fam_b.bit_count) == (3, 4)
         assert len(plan.provenance) == plan.t + 3 + 4
         assert make_plan(g, 2).t == 2
         assert make_plan(SIDE_B_PERMUTED).side == SIDE_B
+
+    @settings(max_examples=100, deadline=None)
+    @given(bipartite_graphs(max_a=6, max_b=6))
+    # side maxima tie: 3x2 permutes B, 2x3 and 2x2 permute A; a side of size 1
+    @example(BipartiteGraph(3, 2, {(1, 1), (2, 2)}))
+    @example(BipartiteGraph(2, 3, {(1, 1), (2, 2)}))
+    @example(BipartiteGraph(2, 2, {(1, 1), (2, 2)}))
+    @example(BipartiteGraph(4, 1, {(2, 1)}))
+    def test_plan_side_is_the_rule(self, g):
+        flipped = BipartiteGraph(g.b_count, g.a_count, frozenset((b, a) for a, b in g.edges))
+        for h in (g, flipped):
+            assert make_plan(h, 0).side == choose_permuted_side(degree_profile(h))
 
     def test_build_returns_the_passing_attempt(self):
         rep, report = build_representation(
@@ -445,7 +459,7 @@ class TestAttemptPlan:
         normalized, swapped = normalize_sides(g)
         assert swapped
         plan, twin = make_plan(g, t), make_plan(normalized, t)
-        assert (plan.t, plan.delta_prime) == (twin.t, twin.delta_prime)
+        assert (plan.t, plan.profile.delta_prime) == (twin.t, twin.profile.delta_prime)
         assert (plan.swapped, twin.swapped) == (True, False)
         assert plan.side == other_side(twin.side)
         for index in range(3):

@@ -137,6 +137,11 @@ class TestGen:
         assert main(["gen", "32767", "1", "0.0", "--seed", "1", "--out", str(out)]) == 0
         assert parse_graph(out.read_text()).vertex_count == 32768
 
+    @pytest.mark.parametrize("p", ["1e-310", "5e-324"])
+    def test_subnormal_probability_writes_empty_graph(self, capsys, p):
+        assert main(["gen", "4", "4", p, "--seed", "1"]) == 0
+        assert capsys.readouterr().out == "p bipartite 4 4 0\n"
+
     def test_negative_seed_rejected_by_parser(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["gen", "2", "2", "0.5", "--seed", "-1"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +97,7 @@ class TestDegreeProfile:
         assert profile.delta_b == max(
             brute_force_degree(g, (SIDE_B, j)) for j in range(1, g.b_count + 1))
         assert profile.delta_prime == min(profile.delta_a, profile.delta_b)
+        assert (profile.a_count, profile.b_count) == (g.a_count, g.b_count)
 
 
 class TestNormalizeSides:
@@ -158,6 +161,23 @@ class TestGenRandomBipartite:
             gen_random_bipartite(2, 2, float("nan"), 1)
         with pytest.raises(ValueError):
             gen_random_bipartite(0, 2, 0.5, 1)
+
+    @pytest.mark.parametrize("p", [1e-310, 5e-324])
+    def test_subnormal_probability_draws_no_edges(self, p):
+        # the first geometric skip is infinite, past every cell
+        assert gen_random_bipartite(4, 4, p, 1) == BipartiteGraph(4, 4, frozenset())
+
+    @pytest.mark.parametrize("n1, n2, p, seed, digest", [
+        (300, 600, 4 / 300, 5,
+         "980b939f2220d742df1e253b3cd0c67d9981113c8f8a013502f49fc47ed2dd95"),
+        (30, 60, 0.15, 3,
+         "73356a7bc1a0d5d109948ef8e67ad14bedd3c84e40a861335672f7fc20645628"),
+        (20, 40, 0.1, 1,
+         "f0aee83bb0f529907e7ed1cea60bf78d3e246c042ef4ff6584e483a1d183cd13"),
+    ])
+    def test_draws_pinned(self, n1, n2, p, seed, digest):
+        text = serialize_graph(gen_random_bipartite(n1, n2, p, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 8),

@@ -186,6 +186,18 @@ class TestReachedBelow:
         # ranks a1 = 1, a3 = 2, a2 = 3: b1 is reached from rank 2 on
         assert reached_below((1, 3, 2), neighbours) == [0b00, 0b01, 0b00]
 
+    @settings(max_examples=100, deadline=None)
+    @given(bipartite_graphs(max_a=6, max_b=6), st.sampled_from([SIDE_A, SIDE_B]))
+    def test_neighbour_masks_match_has_edge(self, g, side):
+        masks = neighbour_masks(g, side)
+        assert len(masks) == g.side_count(side)
+        count = g.vertex_count - len(masks)
+        for p, mask in enumerate(masks, start=1):
+            assert mask >> count == 0
+            for f in range(1, count + 1):
+                a, b = (p, f) if side == SIDE_A else (f, p)
+                assert bool(mask >> (f - 1) & 1) == g.has_edge(a, b)
+
     def test_rank_rule_matches_dimension_exhaustive_small(self):
         # a cross non-edge (p, f) is adjacent in the constructed dimension
         # exactly when f is reached below p, over every permutation of either side
@@ -287,6 +299,12 @@ class TestBranchChoice:
     def test_tie_permutes_side_a(self):
         square = BipartiteGraph(2, 2, {(1, 1), (2, 2)})
         assert choose_permuted_side(degree_profile(square)) == SIDE_A
+
+    def test_tie_permutes_smaller_side(self):
+        tall = BipartiteGraph(3, 2, {(1, 1), (2, 2)})
+        assert choose_permuted_side(degree_profile(tall)) == SIDE_B
+        wide = BipartiteGraph(2, 3, {(1, 1), (2, 2)})
+        assert choose_permuted_side(degree_profile(wide)) == SIDE_A
 
 
 class TestNonedgeSurvival:
