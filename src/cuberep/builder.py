@@ -14,7 +14,8 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from functools import cached_property
+from itertools import accumulate, compress, count, islice, repeat
 from operator import and_, or_
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -181,6 +182,11 @@ class BuildPlan:
     provenance: tuple[str, ...]
     swapped: bool
 
+    @cached_property
+    def neighbours(self) -> list[int]:
+        """neighbour_masks of the permuted side, made on first use."""
+        return neighbour_masks(self.graph, self.side)
+
 
 def make_plan(g: BipartiteGraph, t_override: int | None = None) -> BuildPlan:
     """The plan of g, in g's own labels; t is t_override, or default_t of d'
@@ -228,36 +234,38 @@ def attempt(plan: BuildPlan, master_seed: int, index: int) -> CubeRepresentation
     return CubeRepresentation(g.a_count, g.b_count, dims + plan.bit_dims, plan.provenance)
 
 
-def build_representation(
-    g: BipartiteGraph, params: BuildParams
-) -> tuple[CubeRepresentation, BuildReport]:
-    """Build a verified representation of g, whichever side comes first.
-
-    Attempts (see `attempt`) repeat with fresh derived seeds until
-    verification against g passes or max_retries attempts are exhausted,
-    which raises BuildFailure listing the surviving pairs in g's labels.
-    """
-    plan = make_plan(g, params.t_override)
-    if plan.t == 0 and g.edge_count < g.a_count * g.b_count:
-        violations = sorted(Violation("extra-edge", (SIDE_A, a), (SIDE_B, b))
-                            for a, b in g.cross_non_edges())
-        raise BuildFailure(
-            "zero random dimensions cannot remove cross non-edges", violations)
-    construct_seconds = 0.0
-    verify_seconds = 0.0
-    violations = []
-    for index in range(params.max_retries):
+def checked_attempts(plan: BuildPlan, master_seed: int) -> Iterator[
+        tuple[CubeRepresentation, list[Violation], float, float]]:
+    """Attempts 0, 1, ... of plan (see `attempt`), in turn and without end,
+    each with the violations verify finds in it against plan.graph and the
+    seconds spent constructing it and verifying it."""
+    for index in count():
         started = time.perf_counter()
-        rep = attempt(plan, params.master_seed, index)
+        rep = attempt(plan, master_seed, index)
         checked = time.perf_counter()
-        construct_seconds += checked - started
-        violations = verify(rep, g)
-        verify_seconds += time.perf_counter() - checked
+        violations = verify(rep, plan.graph)
+        done = time.perf_counter()
         if any(v.kind == "missing-edge" for v in violations):
             # Retrying cannot help: every dimension is meant to be a supergraph.
             raise RuntimeError(f"internal error: an edge went missing: {violations}")
+        yield rep, violations, checked - started, done - checked
+
+
+def build_representation(
+    g: BipartiteGraph, params: BuildParams
+) -> tuple[CubeRepresentation, BuildReport]:
+    """Build a verified representation of g, whichever side comes first: the
+    first of g's checked_attempts that passes, among at most max_retries (one
+    when t = 0, since every attempt is then the same); else BuildFailure lists
+    the last one's surviving pairs in g's labels."""
+    plan = make_plan(g, params.t_override)
+    construct_seconds = verify_seconds = 0.0
+    for index, (rep, violations, built, checked) in enumerate(islice(
+            checked_attempts(plan, params.master_seed), params.max_retries if plan.t else 1)):
+        construct_seconds += built
+        verify_seconds += checked
         if not violations:
-            report = BuildReport(
+            return rep, BuildReport(
                 dimension=rep.dimension,
                 t=plan.t,
                 bits_a=plan.fam_a.bit_count,
@@ -269,9 +277,9 @@ def build_representation(
                 construct_seconds=construct_seconds,
                 verify_seconds=verify_seconds,
                 swapped=plan.swapped)
-            return rep, report
     raise BuildFailure(
-        f"verification still failing after {params.max_retries} attempts", violations)
+        f"verification still failing after {params.max_retries} attempts" if plan.t else
+        "zero random dimensions cannot remove cross non-edges", violations)
 
 
 def survivor_masks(plan: BuildPlan, master_seed: int, trials: int) -> Iterator[list[int]]:
@@ -282,10 +290,9 @@ def survivor_masks(plan: BuildPlan, master_seed: int, trials: int) -> Iterator[l
     cut per dimension by reached_below; the draws stop once all are empty,
     since every dimension has its own seed.
     """
-    g, size = plan.graph, plan.side_size
-    count = g.vertex_count - size
-    neighbours = neighbour_masks(g, plan.side)
-    start = [((1 << count) - 1) ^ mask for mask in neighbours]
+    size, neighbours = plan.side_size, plan.neighbours
+    full = (1 << (plan.graph.vertex_count - size)) - 1
+    start = [full ^ mask for mask in neighbours]
     for index in range(trials):
         alive = start
         for rng in dimension_rngs(master_seed, index, plan.t):

@@ -11,16 +11,16 @@ import json
 import random
 import statistics
 import sys
-import time
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
 from .builder import (
     BuildFailure,
     BuildParams,
-    attempt,
     build_representation,
+    checked_attempts,
     failure_rate,
     format_violation,
     make_plan,
@@ -39,7 +39,7 @@ from .graphs import (
     serialize_graph,
 )
 from .intervals import vertex_key
-from .randomized import make_rng, neighbour_masks, survival_counts
+from .randomized import make_rng, survival_counts
 
 
 def _seed_type(text: str) -> int:
@@ -182,7 +182,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     non_edges = sorted(g.cross_non_edges())
     # each non-edge as 0-based (permuted endpoint, other endpoint)
     ends = [(a - 1, b - 1) if side == SIDE_A else (b - 1, a - 1) for a, b in non_edges]
-    counts = survival_counts(neighbour_masks(g, side), g.side_count(other_side(side)),
+    counts = survival_counts(plan.neighbours, g.vertex_count - plan.side_size,
                              ends, trials, make_rng(seed))
     rows = []
     for (a, b), (_, f), count in zip(non_edges, ends, counts):
@@ -220,19 +220,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.graph))
     seed = _resolve_seed(args.seed)
     plan = make_plan(g, args.t)
-    construct_times = []
-    verify_times = []
-    passes = 0
-    for round_index in range(args.trials):
-        started = time.perf_counter()
-        rep = attempt(plan, seed, round_index)
-        checked = time.perf_counter()
-        violations = verify(rep, g)
-        done = time.perf_counter()
-        construct_times.append(checked - started)
-        verify_times.append(done - checked)
-        if not violations:
-            passes += 1
+    # round i is attempt i, checked as build checks it
+    rounds = [(not violations, built, checked) for _, violations, built, checked
+              in islice(checked_attempts(plan, seed), args.trials)]
+    passed, construct_times, verify_times = zip(*rounds)
+    passes = sum(passed)
     per_invocation = min(construct_times) / plan.t if plan.t else 0.0
     summary = {
         "n1": min(g.a_count, g.b_count),

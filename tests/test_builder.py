@@ -7,6 +7,7 @@ import json
 import math
 import random
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,8 +43,10 @@ from cuberep import (
     verify,
     write_dump,
 )
-from cuberep.builder import attempt, make_plan, survivor_masks
+from cuberep import builder
+from cuberep.builder import attempt, checked_attempts, make_plan, survivor_masks
 from cuberep.intervals import random_dim_tag
+from cuberep.randomized import neighbour_masks
 
 K44_MINUS_CORNER = BipartiteGraph(
     4, 4, {(a, b) for a in range(1, 5) for b in range(1, 5)} - {(4, 4)})
@@ -117,6 +120,18 @@ def own_report(report: BuildReport, swapped: bool) -> BuildReport:
 
 
 EMPTY_REPORT = BuildReport(0, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
+
+
+def recorded_verifies(monkeypatch) -> list[CubeRepresentation]:
+    """The representations that builder.verify checks from now on."""
+    calls = []
+
+    def recording_verify(rep, g):
+        calls.append(rep)
+        return verify(rep, g)
+
+    monkeypatch.setattr(builder, "verify", recording_verify)
+    return calls
 
 
 class TestDefaults:
@@ -255,6 +270,16 @@ class TestBuildRepresentation:
             Violation("extra-edge", (SIDE_A, 2), (SIDE_B, 1)),
         ]
 
+    def test_t_zero_verifies_one_attempt(self, monkeypatch):
+        # with no random dimension every attempt is the same, so however many
+        # retries are allowed, one is checked
+        calls = recorded_verifies(monkeypatch)
+        g = BipartiteGraph(2, 2, {(1, 1), (2, 2)})
+        with pytest.raises(BuildFailure,
+                           match="^zero random dimensions cannot remove cross non-edges$"):
+            build_representation(g, BuildParams(master_seed=1, t_override=0, max_retries=16))
+        assert len(calls) == 1
+
     def test_t_zero_on_complete_bipartite_allowed(self):
         g = BipartiteGraph(2, 3, {(a, b) for a in (1, 2) for b in (1, 2, 3)})
         rep, report = build_representation(
@@ -282,6 +307,15 @@ class TestBuildRepresentation:
                 BuildParams(master_seed=0, t_override=1, max_retries=2))
         assert excinfo.value.violations == [
             Violation("extra-edge", (SIDE_A, 4), (SIDE_B, 4))]
+
+    def test_exhaustion_verifies_exactly_max_retries_attempts(self, monkeypatch):
+        calls = recorded_verifies(monkeypatch)
+        with pytest.raises(BuildFailure,
+                           match="^verification still failing after 2 attempts$"):
+            build_representation(
+                K44_MINUS_CORNER, BuildParams(master_seed=0, t_override=1, max_retries=2))
+        plan = make_plan(K44_MINUS_CORNER, 1)
+        assert calls == [attempt(plan, 0, 0), attempt(plan, 0, 1)]
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
@@ -392,6 +426,28 @@ class TestAttemptPlan:
         assert len(plan.provenance) == plan.t + 3 + 4
         assert make_plan(g, 2).t == 2
         assert make_plan(SIDE_B_PERMUTED).side == SIDE_B
+        assert plan.neighbours == neighbour_masks(g, plan.side)
+
+    def test_build_never_makes_the_neighbour_masks(self, monkeypatch):
+        # only the probe and the failure estimate read plan.neighbours
+        def refuse(g, side):
+            raise AssertionError("neighbour_masks was called")
+
+        monkeypatch.setattr(builder, "neighbour_masks", refuse)
+        rep, _ = build_representation(K44_MINUS_CORNER, BuildParams(master_seed=0))
+        assert verify(rep, K44_MINUS_CORNER) == []
+
+    # both verdicts, side B permuted, and a first side that is the larger
+    @pytest.mark.parametrize("g", [K44_MINUS_CORNER, SIDE_B_PERMUTED,
+                                   gen_random_bipartite(9, 5, 0.35, seed=4)])
+    def test_checked_attempts_are_the_verified_attempts(self, g):
+        plan = make_plan(g, 1)
+        checked = list(islice(checked_attempts(plan, 3), 3))
+        assert len(checked) == 3
+        for index, (rep, violations, construct_seconds, verify_seconds) in enumerate(checked):
+            assert rep == attempt(plan, 3, index)
+            assert violations == verify(rep, g)
+            assert construct_seconds >= 0.0 and verify_seconds >= 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(bipartite_graphs(max_a=6, max_b=6))

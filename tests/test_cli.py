@@ -205,6 +205,11 @@ class TestBuild:
         assert main(["build", graph, "--seed", "1", "--t", "0"]) == 1
         err = capsys.readouterr().err
         assert "extra-edge A1-B2" in err
+        # one line per cross non-edge, after the reason
+        assert err == ("seed: 1\n"
+                       "error: zero random dimensions cannot remove cross non-edges\n"
+                       "  extra-edge A1-B2\n  extra-edge A1-B3\n"
+                       "  extra-edge A2-B1\n  extra-edge A2-B2\n")
 
     # build --seed 1 --t 3 --out on the graph, recorded from the implementation
     # that rendered dumps through json.dumps(indent=2); one graph is built as
@@ -599,6 +604,22 @@ class TestBench:
                      "--format", "machine"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["n1"], payload["n2"], payload["t"], payload["passes"]) == (4, 5, 4, 1)
+
+    # round i is attempt i, checked as build checks it, so the passes are the
+    # attempts that probe's survivor filter finds clean; the second graph's
+    # first side is the larger
+    @pytest.mark.parametrize("n1, n2, passes, rate", [(20, 40, 35, 0.125),
+                                                      (40, 20, 33, 0.175)])
+    def test_passes_match_probe_failure_rate(self, tmp_path, capsys, n1, n2, passes, rate):
+        graph = str(tmp_path / "g.txt")
+        assert main(["gen", str(n1), str(n2), "0.1", "--seed", "1", "--out", graph]) == 0
+        shared = ["--t", "30", "--trials", "40", "--seed", "5", "--format", "machine"]
+        assert main(["bench", graph, *shared]) == 0
+        bench = json.loads(capsys.readouterr().out)
+        assert main(["probe", graph, *shared]) == 0
+        probe = json.loads(capsys.readouterr().out)
+        assert (bench["passes"], probe["failure"]["rate"]) == (passes, rate)
+        assert bench["passes"] == pytest.approx(40 * (1 - probe["failure"]["rate"]))
 
     def test_human_summary(self, tmp_path, capsys):
         graph = write_graph(tmp_path, "g.txt", SPARSE_23)
