@@ -8,14 +8,17 @@ affects how many attempts that takes.
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import math
 import random
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, count, islice, repeat
+from json.decoder import WHITESPACE, scanstring
 from operator import and_, or_
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -43,7 +46,6 @@ from .intervals import (
 from .randomized import (
     MASK64,
     choose_permuted_side,
-    derive_seed,
     neighbour_masks,
     random_permutation,
     reached_below,
@@ -218,10 +220,16 @@ def dimension_rngs(master_seed: int, index: int, t: int) -> Iterator[random.Rand
     random.Random, reseeded in turn to derive_seed(master_seed, index, j).
     Reseeding leaves it in the state make_rng of that seed would build, at
     less cost than building a new one; each generator is in that state only
-    until the next is drawn."""
+    until the next is drawn.  The hash of the master seed and the index,
+    derive_seed's prefix, is made once per attempt and copied per j."""
+    prefix = hashlib.blake2b(digest_size=8)
+    prefix.update((master_seed & MASK64).to_bytes(8, "little"))
+    prefix.update((index & MASK64).to_bytes(8, "little"))
     rng = random.Random(0)
     for j in range(t):
-        rng.seed(derive_seed(master_seed, index, j))
+        h = prefix.copy()
+        h.update(j.to_bytes(8, "little"))
+        rng.seed(int.from_bytes(h.digest(), "little"))
         yield rng
 
 
@@ -427,8 +435,9 @@ def _dump_object(pairs: list[tuple[str, object]]) -> dict:
     values are all lists, such as the cubes block, keeps its keys but drops
     its lists as soon as it is decoded: rep_from_jsonable reads no list but
     the dims of the top-level object, which also holds the counts, so the
-    result is the same, and the decode's peak memory no longer holds the
-    cubes block and the dims at once."""
+    result is the same.  The drop matters only to parse_dump's full decode,
+    which holds the cubes block until it is complete; the canonical path
+    never builds that block (see _parse_without_cubes)."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
         counts = Counter(key for key, _ in pairs)
@@ -439,9 +448,80 @@ def _dump_object(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+# The text render_dump writes before the first cubes row.
+_DUMP_HEAD = re.compile(r'\{\n  "a_count": [0-9]+,\n  "b_count": [0-9]+,\n  "cubes": \{')
+
+
+def _skip_cubes(text: str, pos: int, scan_once) -> int | None:
+    """The index just past the cubes object whose members start at pos, just
+    past its "{", or None unless its members are well formed, have distinct
+    keys and nest as render_dump's rows do: each a list of lists, with no
+    "[" in the block but theirs and no "{".  Each row is decoded by
+    scan_once and dropped at once, so no more than one row is held;
+    scan_once raises what the decoder raises."""
+    space = WHITESPACE.match
+    keys = set()
+    brackets = 0  # rows and cells
+    pos = space(text, pos).end()
+    start = pos
+    if text.startswith("}", pos):
+        return pos + 1
+    while text.startswith('"', pos):
+        key, pos = scanstring(text, pos + 1)
+        if key in keys:
+            return None
+        keys.add(key)
+        pos = space(text, pos).end()
+        if not text.startswith(":", pos):
+            return None
+        row, pos = scan_once(text, space(text, pos + 1).end())
+        if type(row) is not list or not set(map(type, row)) <= {list}:
+            return None
+        brackets += 1 + len(row)
+        pos = space(text, pos).end()
+        if text.startswith("}", pos):
+            if text.count("[", start, pos) != brackets or text.find("{", start, pos) >= 0:
+                return None
+            return pos + 1
+        if not text.startswith(",", pos):
+            return None
+        pos = space(text, pos + 1).end()
+    return None
+
+
+def _parse_without_cubes(text: str) -> CubeRepresentation | None:
+    """parse_dump's result for a dump that opens as render_dump's text does,
+    read without building its cubes block; None for any other text and for
+    any text the full decode would refuse.
+
+    The cubes object is walked row by row (_skip_cubes).  When it is well
+    formed, the full decode gives the text with that object replaced by {}
+    the same result, since rep_from_jsonable reads no cubes: that shorter
+    text is what is decoded here, with the same hook.  The rows must nest
+    two deep, as render_dump's do, so a text whose cubes block nests deep
+    enough to stop the full decode at the recursion limit is turned down."""
+    head = _DUMP_HEAD.match(text)
+    if head is None:
+        return None
+    start = head.end()
+    try:
+        end = _skip_cubes(text, start,
+                          json.JSONDecoder(object_pairs_hook=_dump_object).scan_once)
+        if end is None:
+            return None
+        return rep_from_jsonable(json.loads(text[:start] + "}" + text[end:],
+                                            object_pairs_hook=_dump_object))
+    except (ValueError, StopIteration, RecursionError):
+        return None
+
+
 def parse_dump(text: str) -> CubeRepresentation:
     """Read a dump back into a representation; raises ValueError on malformed
     or truncated input, including repeated keys and non-canonical vertex keys.
+
+    A dump that opens as render_dump's text does is read without decoding
+    its cubes block (_parse_without_cubes).  Any other text, and any text
+    that path turns down, takes the full decode, which gives every error.
 
     The cyclic garbage collector is paused while the dump is decoded and
     converted: the decode makes hundreds of thousands of lists, dicts and
@@ -451,6 +531,9 @@ def parse_dump(text: str) -> CubeRepresentation:
     enabled = gc.isenabled()
     gc.disable()
     try:
+        rep = _parse_without_cubes(text)
+        if rep is not None:
+            return rep
         try:
             payload = json.loads(text, object_pairs_hook=_dump_object)
         except json.JSONDecodeError as exc:

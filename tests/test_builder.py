@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import tracemalloc
 from itertools import islice
 
@@ -28,15 +29,18 @@ from cuberep import (
     choose_permuted_side,
     default_t,
     degree_profile,
+    derive_seed,
     estimate_failure_rate,
     gen_random_bipartite,
     induced_graph,
     intersect_graphs,
+    make_rng,
     nominal_dimension_bound,
     normalize_sides,
     other_side,
     parse_dump,
     render_dump,
+    rep_from_jsonable,
     rep_to_jsonable,
     report_to_jsonable,
     swap_sides,
@@ -44,7 +48,13 @@ from cuberep import (
     write_dump,
 )
 from cuberep import builder
-from cuberep.builder import attempt, checked_attempts, make_plan, survivor_masks
+from cuberep.builder import (
+    attempt,
+    checked_attempts,
+    dimension_rngs,
+    make_plan,
+    survivor_masks,
+)
 from cuberep.intervals import random_dim_tag
 from cuberep.randomized import neighbour_masks
 
@@ -366,6 +376,13 @@ class TestDeterminism:
         second, _ = build_representation(g, BuildParams(master_seed=124))
         assert first != second
 
+    def test_dimension_generators_are_derive_seed_streams(self):
+        for master in (0, 2 ** 64 + 5, -1):
+            for index in (0, 3):
+                states = [rng.getstate() for rng in dimension_rngs(master, index, 5)]
+                assert states == [make_rng(derive_seed(master, index, j)).getstate()
+                                  for j in range(5)]
+
 
 class TestEstimateFailureRate:
     def test_complete_bipartite_never_fails(self):
@@ -613,6 +630,119 @@ class TestDumpRoundTrip:
         g = BipartiteGraph(3, 3, {(a, b) for a in (1, 2, 3) for b in (1, 2, 3)})
         _, report = build_representation(g, BuildParams(master_seed=3))
         assert report.nominal_bound == nominal_dimension_bound(3, 3) == 30
+
+
+def full_parse(text: str) -> CubeRepresentation:
+    """parse_dump's full decode alone: the whole text through json.loads
+    with the dump hook, then rep_from_jsonable."""
+    try:
+        payload = json.loads(text, object_pairs_hook=builder._dump_object)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"dump is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("dump nests too deeply to be a representation") from None
+    return rep_from_jsonable(payload)
+
+
+def outcome(parse, text: str):
+    try:
+        return "accepted", parse(text)
+    except ValueError as exc:
+        return "rejected", str(exc)
+
+
+CUBES_END = "\n  },\n  \"dims\": "
+TEXT_MUTATIONS = ("cell", "swap", "delete", "repeat", "cut", "head-space", "second-cubes")
+
+
+def mutate_dump(draw, text: str, mutation: str) -> str:
+    """One edit of a canonical dump text, at a drawn place."""
+    start = text.index('"cubes": {') + len('"cubes": {')
+    end = text.index(CUBES_END)
+    rows = re.split(r',(?=\n    ")', text[start:end])
+    if mutation == "cell":
+        cells = [m.end() for m in re.finditer(r'\n        "', text[start:end])]
+        if not cells:
+            return text
+        at = start + draw(st.sampled_from(cells))
+        return text[:at] + "9" + text[at:]
+    if mutation == "swap":
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows[i], rows[j] = rows[j], rows[i]
+    elif mutation == "delete":
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    elif mutation == "repeat":
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.insert(i, rows[i])
+    elif mutation == "cut":
+        return text[:draw(st.integers(start, end))]
+    elif mutation == "head-space":
+        at = draw(st.sampled_from([m.end() for m in re.finditer(": ", text[:start])]))
+        return text[:at] + " " + text[at:]
+    elif mutation == "second-cubes":
+        return text.replace('\n  "report": ', '\n  "cubes": {},\n  "report": ', 1)
+    return text[:start] + ",".join(rows) + text[end:]
+
+
+@st.composite
+def mutated_dumps(draw):
+    """The canonical text of a dump_cases representation and one edit of it:
+    (text, mutated text)."""
+    rep, report, swapped = draw(dump_cases())
+    text = render_dump(rep, report, swapped)
+    return text, mutate_dump(draw, text, draw(st.sampled_from(TEXT_MUTATIONS)))
+
+
+class TestCanonicalParse:
+    @settings(max_examples=100, deadline=None)
+    @given(dump_cases())
+    @example((CubeRepresentation(1, 1, (), ()), EMPTY_REPORT, False))
+    def test_canonical_text_skips_the_cubes(self, case):
+        rep = case[0]
+        assert builder._parse_without_cubes(render_dump(*case)) == rep
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_dumps())
+    def test_edited_text_is_read_as_the_full_decode_reads_it(self, case):
+        text, mutated = case
+        fast = builder._parse_without_cubes(mutated)
+        if fast is not None:
+            assert fast == rep_from_jsonable(json.loads(mutated))
+        assert outcome(parse_dump, mutated) == outcome(full_parse, mutated)
+
+    def test_parse_holds_less_than_the_text(self):
+        # the full decode's peak was 2.79 times the text, with its cubes
+        # block held whole until the block was complete
+        g = gen_random_bipartite(100, 200, 4 / 100, seed=1)
+        rep, report = build_representation(g, BuildParams(master_seed=5))
+        text = render_dump(rep, report)
+        tracemalloc.start()
+        try:
+            parsed = parse_dump(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == rep and peak < len(text)
+        compact = json.dumps(json.loads(text))
+        assert builder._parse_without_cubes(compact) is None
+        assert parse_dump(compact) == rep
+
+    @pytest.mark.parametrize("row, error", [
+        ('[[["0"]]]', None),
+        ('[[[]], 0]', None),
+        ('[["[0", "1"]]', None),
+        ('[[{"0": 1}]]', None),
+        ("[" * 100_000 + "]" * 100_000, "nests too deeply"),
+    ])
+    def test_cube_row_nested_deeper_takes_the_full_decode(self, row, error):
+        text = render_dump(CubeRepresentation(1, 1, (), ()), EMPTY_REPORT)
+        nested = text.replace('"A1": []', '"A1": ' + row)
+        assert builder._parse_without_cubes(nested) is None
+        if error is None:
+            assert parse_dump(nested) == CubeRepresentation(1, 1, (), ())
+        else:
+            with pytest.raises(ValueError, match=error):
+                parse_dump(nested)
 
 
 def test_default_t_is_at_most_integer_ceiling_product():
