@@ -11,8 +11,11 @@ import gc
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import signal
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -170,8 +173,8 @@ def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
 class BuildPlan:
     """What all attempts on one graph share, in that graph's labels; the
     degree profile is kept for d' and the probe.  `bit_dims` holds both bit
-    families in attempt order, `provenance` tags every dimension of an
-    attempt, and `swapped` says the graph's first side is the larger."""
+    families in attempt order, and `swapped` says the graph's first side is
+    the larger."""
 
     graph: BipartiteGraph
     t: int
@@ -181,8 +184,17 @@ class BuildPlan:
     fam_a: BitEncodingFamily
     fam_b: BitEncodingFamily
     bit_dims: tuple[UnitIntervalRep, ...]
-    provenance: tuple[str, ...]
     swapped: bool
+
+    @cached_property
+    def provenance(self) -> tuple[str, ...]:
+        """The tag of every dimension of an attempt, in attempt order, made
+        on first use: a plan that no attempt is built from (the probe's)
+        holds nothing that grows with t."""
+        families = (self.fam_b, self.fam_a) if self.swapped else (self.fam_a, self.fam_b)
+        return (tuple(random_dim_tag(j + 1) for j in range(self.t))
+                + tuple(bit_dim_tag(fam.side, i + 1)
+                        for fam in families for i in range(fam.bit_count)))
 
     @cached_property
     def neighbours(self) -> list[int]:
@@ -208,11 +220,8 @@ def make_plan(g: BipartiteGraph, t_override: int | None = None) -> BuildPlan:
     fam_a = build_bit_family(g, SIDE_A)
     fam_b = build_bit_family(g, SIDE_B)
     families = (fam_b, fam_a) if swapped else (fam_a, fam_b)
-    provenance = (tuple(random_dim_tag(j + 1) for j in range(t))
-                  + tuple(bit_dim_tag(fam.side, i + 1)
-                          for fam in families for i in range(fam.bit_count)))
     return BuildPlan(g, t, profile, side, g.side_count(side), fam_a, fam_b,
-                     tuple(rep for fam in families for rep in fam.reps), provenance, swapped)
+                     tuple(rep for fam in families for rep in fam.reps), swapped)
 
 
 def dimension_rngs(master_seed: int, index: int, t: int) -> Iterator[random.Random]:
@@ -290,18 +299,19 @@ def build_representation(
         "zero random dimensions cannot remove cross non-edges", violations)
 
 
-def survivor_masks(plan: BuildPlan, master_seed: int, trials: int) -> Iterator[list[int]]:
-    """For attempts 0..trials-1 in turn, the cross non-edges adjacent in all t
-    random dimensions of attempt(plan, master_seed, index): entry p is the
-    bitset of the live non-edges of permuted vertex p + 1, bit f for
-    other-side vertex f + 1.  Each such bitset starts as p's non-edges and is
-    cut per dimension by reached_below; the draws stop once all are empty,
-    since every dimension has its own seed.
+def survivor_masks(plan: BuildPlan, master_seed: int,
+                   attempts: range) -> Iterator[list[int]]:
+    """For each attempt index in `attempts`, in turn, the cross non-edges
+    adjacent in all t random dimensions of attempt(plan, master_seed, index):
+    entry p is the bitset of the live non-edges of permuted vertex p + 1, bit
+    f for other-side vertex f + 1.  Each such bitset starts as p's non-edges
+    and is cut per dimension by reached_below; the draws stop once all are
+    empty, since every dimension has its own seed.
     """
     size, neighbours = plan.side_size, plan.neighbours
     full = (1 << (plan.graph.vertex_count - size)) - 1
     start = [full ^ mask for mask in neighbours]
-    for index in range(trials):
+    for index in attempts:
         alive = start
         for rng in dimension_rngs(master_seed, index, plan.t):
             if not any(alive):
@@ -310,18 +320,116 @@ def survivor_masks(plan: BuildPlan, master_seed: int, trials: int) -> Iterator[l
         yield alive
 
 
+# Fewest dimension draws (trials x t, shared out over the processes) that
+# make a forked child worth its cost.  On a 2-CPU x86-64 host under
+# Python 3.11, forking a child, reading its pipe and reaping it took
+# 1.5-4 ms, and one draw 12 us at side size 2 and 21 us at side size 30; a
+# block of 1000 draws is 12 ms or more when no attempt stops early.
+MIN_CHILD_DRAWS = 1000
+
+
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _failures(plan: BuildPlan, master_seed: int, attempts: range) -> int:
+    """How many of `attempts` leave some cross non-edge alive."""
+    return sum(map(any, survivor_masks(plan, master_seed, attempts)))
+
+
+def _fork_failures(plan: BuildPlan, master_seed: int, attempts: range) -> tuple[int, int]:
+    """Fork a child that writes _failures(plan, master_seed, attempts) to a
+    pipe, as 8 little-endian bytes, and leaves by os._exit: it writes nothing
+    else anywhere, flushes no inherited buffer and runs no exit handler.
+    Returns the child's pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            os.write(write, _failures(plan, master_seed, attempts).to_bytes(8, "little"))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _read_reply(read: int) -> bytes:
+    """Everything written to the pipe whose read end is `read`, up to its end."""
+    chunks = []
+    while chunk := os.read(read, 8):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
 def failure_rate(plan: BuildPlan, master_seed: int, trials: int) -> float:
     """Fraction of the single attempts 0..trials-1 (no retry) whose
     verification fails: those that leave some cross non-edge alive (see
-    survivor_masks)."""
+    survivor_masks).
+
+    The attempts are independent, so they are counted in contiguous blocks
+    by up to one process per available CPU: this one counts the last block,
+    and a forked child counts each other block and sends back only its
+    count.  There is one process per trial at most, and one per
+    MIN_CHILD_DRAWS of trials x t; there is no child where os.fork is
+    missing or another thread runs, since forking a threaded process can
+    deadlock.  The rate is the same float either way.  A child that exits
+    non-zero or replies short has its block counted here instead, and a
+    block whose child cannot be forked is counted here too.  Every child is
+    reaped before the call returns; on an exception (such as
+    KeyboardInterrupt) the children are killed first.  A child's memory is
+    not part of this process's peak RSS."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    return sum(map(any, survivor_masks(plan, master_seed, trials))) / trials
+    plan.neighbours  # made once, before any fork
+    workers = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        workers = max(1, min(available_cpus(), trials, trials * plan.t // MIN_CHILD_DRAWS))
+    bounds = [trials * i // workers for i in range(workers + 1)]
+    *blocks, own = map(range, bounds, bounds[1:])
+    children = []  # (pid, pipe read end, attempts) of each forked child
+    try:
+        for attempts in blocks:
+            try:
+                pid, read = _fork_failures(plan, master_seed, attempts)
+            except OSError:  # no process to spare: count the rest here
+                own = range(attempts.start, trials)
+                break
+            children.append((pid, read, attempts))
+        failures = _failures(plan, master_seed, own)
+        replies = [_read_reply(read) for _, read, _ in children]
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, read, _ in children:
+            os.close(read)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (_, _, attempts), reply, status in zip(children, replies, statuses):
+        if status == 0 and len(reply) == 8:
+            failures += int.from_bytes(reply, "little")
+        else:
+            failures += _failures(plan, master_seed, attempts)
+    return failures / trials
 
 
 def estimate_failure_rate(g: BipartiteGraph, params: BuildParams, trials: int) -> float:
     """failure_rate of `trials` attempts on g, seeded as build_representation
-    seeds them."""
+    seeds them: counted by up to one process per available CPU, to the same
+    value as in one process (see failure_rate)."""
     return failure_rate(make_plan(g, params.t_override), params.master_seed, trials)
 
 

@@ -5,8 +5,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import random
 import re
+import threading
+import time
 import tracemalloc
 from itertools import islice
 
@@ -416,6 +419,148 @@ class TestEstimateFailureRate:
             BipartiteGraph(2, 2, {(a, b) for a in (1, 2) for b in (1, 2)}), params, 7) == 0.0
 
 
+def sequential_rate(plan, seed: int, trials: int) -> float:
+    """failure_rate's value, counted in this process in one pass."""
+    return sum(map(any, survivor_masks(plan, seed, range(trials)))) / trials
+
+
+def flipped(g: BipartiteGraph) -> BipartiteGraph:
+    return BipartiteGraph(g.b_count, g.a_count, frozenset((b, a) for a, b in g.edges))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """failure_rate forks for any work on two CPUs; yields the list of the
+    pids of the children it forks."""
+    monkeypatch.setattr(builder, "available_cpus", lambda: 2)
+    monkeypatch.setattr(builder, "MIN_CHILD_DRAWS", 1)
+    fork, forked = os.fork, []
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+PARALLEL_GRAPHS = [K44_MINUS_CORNER, gen_random_bipartite(9, 5, 0.35, seed=4),
+                   gen_random_bipartite(6, 12, 0.3, seed=2),
+                   BipartiteGraph(3, 4, {(1, 1), (2, 1), (3, 1), (1, 2), (2, 3)})]
+
+
+class TestParallelFailureRate:
+    @pytest.mark.parametrize("g", PARALLEL_GRAPHS + [flipped(g) for g in PARALLEL_GRAPHS])
+    @pytest.mark.parametrize("cpus", [2, 4])
+    @pytest.mark.parametrize("trials, t", [(1, 3), (2, 3), (7, 2), (3, None), (5, 0)])
+    def test_rate_is_the_sequential_count(self, forks, monkeypatch, g, cpus, trials, t):
+        # trials 3 on 4 CPUs is fewer trials than workers; t = 0 has no work
+        monkeypatch.setattr(builder, "available_cpus", lambda: cpus)
+        plan = make_plan(g, t)
+        assert builder.failure_rate(plan, 11, trials) == sequential_rate(plan, 11, trials)
+        assert len(forks) == (min(cpus, trials) - 1 if plan.t else 0)
+        assert_no_child_left()
+
+    def test_estimate_forks_on_two_cpus(self, forks):
+        g = gen_random_bipartite(10, 20, 0.3, seed=5)
+        params = BuildParams(master_seed=8, t_override=6)
+        rate = estimate_failure_rate(g, params, 40)
+        assert len(forks) == 1
+        assert rate == sequential_rate(make_plan(g, 6), 8, 40)
+        assert_no_child_left()
+
+    def test_default_minimum_work_per_child(self, monkeypatch):
+        # the default MIN_CHILD_DRAWS: 40 trials x t = 20 is below two blocks
+        # of it, 100 x 20 is above
+        monkeypatch.setattr(builder, "available_cpus", lambda: 2)
+        fork, forked = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+        plan = make_plan(gen_random_bipartite(10, 20, 0.3, seed=5), 20)
+        assert builder.failure_rate(plan, 2, 40) == sequential_rate(plan, 2, 40)
+        assert forked == []
+        assert builder.failure_rate(plan, 2, 100) == sequential_rate(plan, 2, 100)
+        assert forked == [1]
+        assert_no_child_left()
+
+    def test_a_failing_child_is_recounted(self, forks, monkeypatch):
+        parent, masks = os.getpid(), builder.survivor_masks
+
+        def fail_in_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("the child fails")
+            return masks(*args)
+
+        plan = make_plan(K44_MINUS_CORNER, 1)
+        expected = sequential_rate(plan, 5, 200)
+        monkeypatch.setattr(builder, "survivor_masks", fail_in_child)
+        assert builder.failure_rate(plan, 5, 200) == expected
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_a_short_reply_is_recounted(self, forks, monkeypatch):
+        parent, write = os.getpid(), os.write
+
+        def short_in_child(fd, data):
+            return write(fd, data[:3] if os.getpid() != parent else data)
+
+        plan = make_plan(K44_MINUS_CORNER, 1)
+        expected = sequential_rate(plan, 5, 200)
+        monkeypatch.setattr(os, "write", short_in_child)
+        assert builder.failure_rate(plan, 5, 200) == expected
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_parent_interrupt_kills_and_reaps_the_children(self, forks, monkeypatch):
+        # the child would count for a minute: only a kill ends it in time
+        parent, failures = os.getpid(), builder._failures
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return failures(*args)
+
+        monkeypatch.setattr(builder, "_failures", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            builder.failure_rate(make_plan(K44_MINUS_CORNER, 1), 5, 200)
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_no_fork_while_another_thread_runs(self, forks):
+        plan = make_plan(K44_MINUS_CORNER, 1)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert builder.failure_rate(plan, 5, 200) == sequential_rate(plan, 5, 200)
+        finally:
+            stop.set()
+            thread.join()
+        assert forks == []
+
+    def test_no_fork_where_fork_is_missing_or_fails(self, forks, monkeypatch):
+        plan = make_plan(K44_MINUS_CORNER, 1)
+        expected = sequential_rate(plan, 5, 200)
+
+        def refuse():
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert builder.failure_rate(plan, 5, 200) == expected
+        monkeypatch.delattr(os, "fork")
+        assert builder.failure_rate(plan, 5, 200) == expected
+        assert forks == []
+
+
 def normalized_graphs(max_a: int = 4, max_b: int = 5):
     return bipartite_graphs(max_a=max_a, max_b=max_b).map(
         lambda g: g if g.a_count <= g.b_count else
@@ -444,6 +589,25 @@ class TestAttemptPlan:
         assert make_plan(g, 2).t == 2
         assert make_plan(SIDE_B_PERMUTED).side == SIDE_B
         assert plan.neighbours == neighbour_masks(g, plan.side)
+
+    def test_plan_memory_does_not_grow_with_t(self):
+        # the provenance tags are made on first use; a million of them took
+        # about 70 MB when every plan made them
+        g = gen_random_bipartite(5, 9, 0.35, seed=4)
+        tracemalloc.start()
+        try:
+            plan = make_plan(g, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+        assert plan.t == 10 ** 6
+        assert make_plan(g, 2).provenance == (
+            "random-1", "random-2", "side-a-bit-1", "side-a-bit-2", "side-a-bit-3",
+            "side-b-bit-1", "side-b-bit-2", "side-b-bit-3", "side-b-bit-4")
+        assert make_plan(flipped(g), 1).provenance == (
+            "random-1", "side-b-bit-1", "side-b-bit-2", "side-b-bit-3",
+            "side-a-bit-1", "side-a-bit-2", "side-a-bit-3", "side-a-bit-4")
 
     def test_build_never_makes_the_neighbour_masks(self, monkeypatch):
         # only the probe and the failure estimate read plan.neighbours
@@ -500,7 +664,7 @@ class TestAttemptPlan:
         plan = make_plan(g, t)
         trials = 6
         count = g.vertex_count - plan.side_size
-        survivors = list(survivor_masks(plan, seed, trials))
+        survivors = list(survivor_masks(plan, seed, range(trials)))
         assert len(survivors) == trials
         for index, alive in enumerate(survivors):
             # bit f of entry p: permuted vertex p + 1 with other-side vertex f + 1
@@ -516,7 +680,7 @@ class TestAttemptPlan:
 
     def test_both_verdicts_on_side_b(self):
         plan = make_plan(SIDE_B_PERMUTED, 4)
-        verdicts = {any(alive) for alive in survivor_masks(plan, 3, 20)}
+        verdicts = {any(alive) for alive in survivor_masks(plan, 3, range(20))}
         assert verdicts == {False, True}
 
     @settings(max_examples=150, deadline=None)

@@ -547,6 +547,25 @@ class TestProbe:
                      "--seed", "1", "--format", "machine"]) == 0
         assert capsys.readouterr().out == (DATA / expected).read_text()
 
+    def test_forked_estimate_writes_one_output(self, tmp_path):
+        # 200 trials x t = 30 is enough work for a child on every CPU but
+        # one; a child writes nothing, so each stream holds what one
+        # process writes, and the exit code is the parent's
+        graph = write_graph(tmp_path, "g.txt", serialize_graph(
+            cuberep.gen_random_bipartite(20, 40, 0.1, seed=1)))
+        src = str(Path(cuberep.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "cuberep.cli", "probe", graph, "--trials", "200",
+             "--seed", "3", "--t", "30"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0
+        assert result.stderr == "seed: 3\n"
+        lines = result.stdout.splitlines()
+        assert lines[0] == f"permuted side: {make_plan(parse_graph(Path(graph).read_text())).side}"
+        assert [line.split(":")[0] for line in lines].count("permuted side") == 1
+        assert [line for line in lines if "failure rate" in line] == [lines[-1]]
+        assert lines[-1].startswith("single-attempt failure rate (t=30): ")
+
     def test_side_follows_normalized_graph_on_swapped_tie(self, tmp_path, capsys):
         # the first side is the larger and both side maxima are 1: the build
         # and the failure estimate permute the normalized side A, which is the
