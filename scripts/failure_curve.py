@@ -23,6 +23,7 @@ from cuberep import (
     estimate_failure_rate,
     gen_random_bipartite,
 )
+from cuberep.cli import _count_type, _probability_type
 
 
 def sweep_points(t_default: int, t_max: int | None) -> list[int]:
@@ -36,14 +37,14 @@ def sweep_points(t_default: int, t_max: int | None) -> list[int]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n1", type=int, default=10)
-    parser.add_argument("--n2", type=int, default=20)
-    parser.add_argument("--p", type=float, default=0.3)
+    parser.add_argument("--n1", type=_count_type("n1", 1), default=10)
+    parser.add_argument("--n2", type=_count_type("n2", 1), default=20)
+    parser.add_argument("--p", type=_probability_type, default=0.3)
     parser.add_argument("--graph-seed", type=int, default=2026)
     parser.add_argument("--seed", type=int, default=606)
-    parser.add_argument("--trials", type=int, default=200,
+    parser.add_argument("--trials", type=_count_type("trials", 1), default=200,
                         help="single attempts per t value")
-    parser.add_argument("--t-max", type=int, default=None)
+    parser.add_argument("--t-max", type=_count_type("t-max", 0), default=None)
     args = parser.parse_args(argv)
 
     g = gen_random_bipartite(args.n1, args.n2, args.p, seed=args.graph_seed)

@@ -24,6 +24,7 @@ from .builder import (
     estimate_failure_rate,
     nominal_dimension_bound,
     parse_dump,
+    read_dump,
     render_dump,
     report_to_jsonable,
     verify,
@@ -103,6 +104,7 @@ __all__ = [
     "parse_dump",
     "parse_graph",
     "random_permutation",
+    "read_dump",
     "render_dump",
     "rep_from_jsonable",
     "rep_to_jsonable",

@@ -18,13 +18,14 @@ import signal
 import threading
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, compress, count, islice, repeat
 from json.decoder import WHITESPACE, scanstring
 from operator import and_, or_
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .bitfamily import BitEncodingFamily, build_bit_family
 from .graphs import (
@@ -41,6 +42,7 @@ from .intervals import (
     UnitIntervalRep,
     bit_dim_tag,
     cube_cell,
+    dim_decoder,
     random_dim_tag,
     rep_from_jsonable,
     rep_to_jsonable,  # noqa: F401  unused here; the benchmark's traced replica patches it
@@ -543,9 +545,10 @@ def _dump_object(pairs: list[tuple[str, object]]) -> dict:
     values are all lists, such as the cubes block, keeps its keys but drops
     its lists as soon as it is decoded: rep_from_jsonable reads no list but
     the dims of the top-level object, which also holds the counts, so the
-    result is the same.  The drop matters only to parse_dump's full decode,
-    which holds the cubes block until it is complete; the canonical path
-    never builds that block (see _parse_without_cubes)."""
+    result is the same.  The drop matters only to the full decode, which
+    holds the cubes block until it is complete; the walker of canonical
+    text (_walk_dump) decodes each dims item with this hook too, but never
+    builds the cubes block."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
         counts = Counter(key for key, _ in pairs)
@@ -556,102 +559,234 @@ def _dump_object(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-# The text render_dump writes before the first cubes row.
-_DUMP_HEAD = re.compile(r'\{\n  "a_count": [0-9]+,\n  "b_count": [0-9]+,\n  "cubes": \{')
+# Characters read from a dump file at a time.
+_READ_PIECE = 1 << 20
+
+# The text render_dump writes before the first cubes row.  A count of six
+# digits or more exceeds MAX_VERTICES, which the full decode refuses, so a
+# text whose first _HEAD_LIMIT characters do not match is not canonical.
+_DUMP_HEAD = re.compile(
+    r'\{\n  "a_count": ([1-9][0-9]{0,4}),\n  "b_count": ([1-9][0-9]{0,4}),\n  "cubes": \{')
+_HEAD_LIMIT = len('{\n  "a_count": 99999,\n  "b_count": 99999,\n  "cubes": {')
+# The keys of every dims item render_dump writes.
+_DIM_KEYS = {"placement", "provenance", "threshold"}
 
 
-def _skip_cubes(text: str, pos: int, scan_once) -> int | None:
-    """The index just past the cubes object whose members start at pos, just
-    past its "{", or None unless its members are well formed, have distinct
-    keys and nest as render_dump's rows do: each a list of lists, with no
-    "[" in the block but theirs and no "{".  Each row is decoded by
-    scan_once and dropped at once, so no more than one row is held;
-    scan_once raises what the decoder raises."""
-    space = WHITESPACE.match
-    keys = set()
-    brackets = 0  # rows and cells
-    pos = space(text, pos).end()
-    start = pos
-    if text.startswith("}", pos):
-        return pos + 1
-    while text.startswith('"', pos):
-        key, pos = scanstring(text, pos + 1)
-        if key in keys:
-            return None
-        keys.add(key)
-        pos = space(text, pos).end()
-        if not text.startswith(":", pos):
-            return None
-        row, pos = scan_once(text, space(text, pos + 1).end())
-        if type(row) is not list or not set(map(type, row)) <= {list}:
-            return None
-        brackets += 1 + len(row)
-        pos = space(text, pos).end()
-        if text.startswith("}", pos):
-            if text.count("[", start, pos) != brackets or text.find("{", start, pos) >= 0:
-                return None
-            return pos + 1
-        if not text.startswith(",", pos):
-            return None
-        pos = space(text, pos + 1).end()
-    return None
+def _skip(text: str, pos: int, chars: str) -> tuple[str, int]:
+    """The character that follows pos after JSON whitespace, which must be
+    one of `chars`, and the position after it; ValueError if it is another,
+    IndexError if the text ends first."""
+    pos = WHITESPACE.match(text, pos).end()
+    char = text[pos]
+    if char not in chars:
+        raise ValueError(f"expected one of {chars!r} at {pos}")
+    return char, pos + 1
 
 
-def _parse_without_cubes(text: str) -> CubeRepresentation | None:
-    """parse_dump's result for a dump that opens as render_dump's text does,
-    read without building its cubes block; None for any other text and for
-    any text the full decode would refuse.
+def _peek(text: str, pos: int) -> tuple[str, int]:
+    """The character that follows pos after JSON whitespace, and its
+    position; IndexError if the text ends first."""
+    pos = WHITESPACE.match(text, pos).end()
+    return text[pos], pos
 
-    The cubes object is walked row by row (_skip_cubes).  When it is well
-    formed, the full decode gives the text with that object replaced by {}
-    the same result, since rep_from_jsonable reads no cubes: that shorter
-    text is what is decoded here, with the same hook.  The rows must nest
-    two deep, as render_dump's do, so a text whose cubes block nests deep
-    enough to stop the full decode at the recursion limit is turned down."""
-    head = _DUMP_HEAD.match(text)
-    if head is None:
-        return None
-    start = head.end()
+
+def _key(text: str, pos: int) -> tuple[str, int]:
+    """The object key that follows pos after JSON whitespace, and the
+    position after the colon that must follow it."""
+    _, pos = _skip(text, pos, '"')
+    key, pos = scanstring(text, pos)
+    _, pos = _skip(text, pos, ":")
+    return key, pos
+
+
+def _value(text: str, pos: int, scan_once, separators: str) -> tuple[
+        tuple[object, str, str], int]:
+    """The JSON value that follows pos after JSON whitespace, decoded by
+    scan_once, its text, and the separator after it, which must be one of
+    `separators`; then the position after that separator."""
+    start = WHITESPACE.match(text, pos).end()
+    value, end = scan_once(text, start)
+    separator, after = _skip(text, end, separators)
+    return (value, text[start:end], separator), after
+
+
+class _TextWindow:
+    """A text that arrives in pieces, and a position in it.  Only the text
+    from the start of the step under way on is kept."""
+
+    def __init__(self, pieces: Iterator[str]) -> None:
+        self.pieces = pieces
+        self.text = next(pieces, "")
+        self.pos = 0
+
+    def more(self) -> bool:
+        """Keep the text from pos on and read at least as much again, one
+        piece or more, so a step longer than a piece is retried a
+        logarithmic number of times; False, with nothing changed, when no
+        text is left."""
+        piece = next(self.pieces, "")
+        if not piece:
+            return False
+        parts = [self.text[self.pos:], piece]
+        size = len(piece)
+        while size < len(parts[0]) and (piece := next(self.pieces, "")):
+            parts.append(piece)
+            size += len(piece)
+        self.text, self.pos = "".join(parts), 0
+        return True
+
+    def take(self, parse: Callable[[str, int], tuple[object, int]]):
+        """The value of parse(text, pos), which returns (value, end) and
+        raises while the text read so far falls short; moves to end.  After
+        each failure the step is retried with more text, and when none is
+        left ValueError is raised."""
+        while True:
+            try:
+                value, self.pos = parse(self.text, self.pos)
+                return value
+            except (ValueError, StopIteration, IndexError, RecursionError):
+                pass
+            if not self.more():
+                raise ValueError("the text ends inside a step")
+
+    def at_end(self) -> bool:
+        """Whether only JSON whitespace follows pos, to the end of the text."""
+        while True:
+            self.pos = WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text):
+                return False
+            if not self.more():
+                return True
+
+
+def _walk_dump(pieces: Iterator[str]) -> CubeRepresentation | None:
+    """The representation of the dump text that `pieces` spell out, read one
+    step at a time; None unless the text is laid out as render_dump's is
+    and the full decode would return the same representation.
+
+    The walker only accepts: a text it turns down, for whatever reason,
+    goes to the full decode, which gives every verdict and error text.  A
+    step is one cubes row, one dims item or the report value, and it counts
+    only when the separator that must follow its value is in the text read
+    so far, so no step is taken on a value that the next piece could
+    extend.  A step that fails is retried with more text, and turned down
+    when none is left.  The text before the step under way is dropped, so
+    about two pieces of it are held at a time.
+
+    The top-level keys must be a_count, b_count, cubes, dims and report, in
+    that order, with only whitespace after the closing brace.  Each cubes
+    row is decoded and dropped at once; the rows must have distinct keys
+    and nest as render_dump's do, a list of lists with no "[" or "{" in the
+    row but theirs.  Each dims item is decoded with the dump hook and made a
+    column at once (dim_decoder); it must hold a placement, a provenance and
+    a threshold and nothing else.  The report may hold one "[" or "{" at
+    most.  So nothing the walker decodes is deeper than render_dump's
+    values, and none can reach the recursion limit where the full decode,
+    which decodes it one or two levels deeper, would not.
+    """
+    window = _TextWindow(pieces)
+    value = partial(_value, scan_once=json.JSONDecoder(object_pairs_hook=_dump_object).scan_once)
+    cube_row, dims_item = partial(value, separators=",}"), partial(value, separators=",]")
     try:
-        end = _skip_cubes(text, start,
-                          json.JSONDecoder(object_pairs_hook=_dump_object).scan_once)
-        if end is None:
+        while (head := _DUMP_HEAD.match(window.text)) is None:
+            if len(window.text) >= _HEAD_LIMIT or not window.more():
+                return None
+        window.pos = head.end()
+        a_count, b_count = map(int, head.groups())
+        decode = dim_decoder(a_count, b_count)
+        keys = set()
+        separator = "{"
+        while separator != "}":
+            key = window.take(_key)
+            row, source, separator = window.take(cube_row)
+            if key in keys or type(row) is not list or not set(map(type, row)) <= {list} \
+                    or source.count("[") != 1 + len(row) or "{" in source:
+                return None
+            keys.add(key)
+        window.take(partial(_skip, chars=","))
+        if window.take(_key) != "dims":
             return None
-        return rep_from_jsonable(json.loads(text[:start] + "}" + text[end:],
-                                            object_pairs_hook=_dump_object))
-    except (ValueError, StopIteration, RecursionError):
+        separator = window.take(partial(_skip, chars="["))
+        if window.take(_peek) == "]":
+            separator = window.take(partial(_skip, chars="]"))
+        dims, tags = [], []
+        while separator != "]":
+            raw, _, separator = window.take(dims_item)
+            dim, tag = decode(raw, len(dims))
+            if raw.keys() != _DIM_KEYS:
+                return None
+            dims.append(dim)
+            tags.append(tag)
+        window.take(partial(_skip, chars=","))
+        if window.take(_key) != "report":
+            return None
+        _, source, _ = window.take(partial(value, separators="}"))
+        if source.count("[") + source.count("{") > 1 or not window.at_end():
+            return None
+        return CubeRepresentation(a_count, b_count, tuple(dims), tuple(tags))
+    except ValueError:
+        # a step still short at the end, a refused count or dimension, or a
+        # piece that could not be decoded: the full decode says which
         return None
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, and restore its state on exit.  A
+    dump decode makes hundreds of thousands of lists, dicts and tuples,
+    none of which can form a cycle, and each collection would scan them all
+    again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _decode_dump(text: str) -> CubeRepresentation:
+    """The full decode: the whole text through json.loads with the dump
+    hook, then rep_from_jsonable.  It gives every verdict and error text."""
+    try:
+        payload = json.loads(text, object_pairs_hook=_dump_object)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"dump is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("dump nests too deeply to be a representation") from None
+    return rep_from_jsonable(payload)
 
 
 def parse_dump(text: str) -> CubeRepresentation:
     """Read a dump back into a representation; raises ValueError on malformed
     or truncated input, including repeated keys and non-canonical vertex keys.
 
-    A dump that opens as render_dump's text does is read without decoding
-    its cubes block (_parse_without_cubes).  Any other text, and any text
-    that path turns down, takes the full decode, which gives every error.
-
-    The cyclic garbage collector is paused while the dump is decoded and
-    converted: the decode makes hundreds of thousands of lists, dicts and
-    tuples, none of which can form a cycle, and each collection would scan
-    them all again.  The collector's state is restored on every exit.
+    A text laid out as render_dump's is read by the walker (_walk_dump),
+    which never builds its cubes block; any other text, and any text the
+    walker turns down, takes the full decode, which gives every error.  The
+    garbage collector is paused throughout (_collector_paused).
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        rep = _parse_without_cubes(text)
-        if rep is not None:
-            return rep
-        try:
-            payload = json.loads(text, object_pairs_hook=_dump_object)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"dump is not valid JSON: {exc}") from None
-        except RecursionError:
-            raise ValueError("dump nests too deeply to be a representation") from None
-        return rep_from_jsonable(payload)
-    finally:
-        if enabled:
-            gc.enable()
+    with _collector_paused():
+        rep = _walk_dump(iter((text,)))
+        return rep if rep is not None else _decode_dump(text)
+
+
+def read_dump(path: str | Path) -> CubeRepresentation:
+    """parse_dump of the text of the file at `path`, read as Path.read_text
+    reads it, with the same result or the same exception.
+
+    The file is read in pieces of _READ_PIECE characters by the walker
+    (_walk_dump), which holds about two pieces of text at a time, so a
+    canonical dump is read without ever holding its text, its bytes or a
+    payload dict.  When the walker turns the text down, or a piece cannot
+    be decoded, the file is read again whole and takes the full decode,
+    which gives every verdict and error text, the position of a byte that
+    cannot be decoded included.
+    """
+    with _collector_paused():
+        with Path(path).open() as dump:
+            rep = _walk_dump(iter(partial(dump.read, _READ_PIECE), ""))
+        return rep if rep is not None else _decode_dump(Path(path).read_text())
 
 
 def format_violation(violation: Violation) -> str:

@@ -24,7 +24,7 @@ from .builder import (
     failure_rate,
     format_violation,
     make_plan,
-    parse_dump,
+    read_dump,
     report_to_jsonable,
     verify,
     write_dump,
@@ -153,7 +153,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = parse_graph(_read_text(args.graph))
-    rep = parse_dump(_read_text(args.rep))
+    rep = read_dump(args.rep)
     violations = verify(rep, g)
     if args.format == "machine":
         payload = {

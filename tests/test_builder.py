@@ -12,6 +12,7 @@ import threading
 import time
 import tracemalloc
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +43,7 @@ from cuberep import (
     normalize_sides,
     other_side,
     parse_dump,
+    read_dump,
     render_dump,
     rep_from_jsonable,
     rep_to_jsonable,
@@ -857,22 +859,38 @@ def mutated_dumps(draw):
     return text, mutate_dump(draw, text, draw(st.sampled_from(TEXT_MUTATIONS)))
 
 
+def walk(text: str) -> CubeRepresentation | None:
+    """The walker's result on a text given in one piece."""
+    return builder._walk_dump(iter((text,)))
+
+
 class TestCanonicalParse:
     @settings(max_examples=100, deadline=None)
     @given(dump_cases())
     @example((CubeRepresentation(1, 1, (), ()), EMPTY_REPORT, False))
     def test_canonical_text_skips_the_cubes(self, case):
         rep = case[0]
-        assert builder._parse_without_cubes(render_dump(*case)) == rep
+        assert walk(render_dump(*case)) == rep
 
     @settings(max_examples=300, deadline=None)
     @given(mutated_dumps())
-    def test_edited_text_is_read_as_the_full_decode_reads_it(self, case):
+    def test_edited_text_is_read_as_the_full_decode_reads_it(self, tmp_path_factory, case):
         text, mutated = case
-        fast = builder._parse_without_cubes(mutated)
-        if fast is not None:
-            assert fast == rep_from_jsonable(json.loads(mutated))
-        assert outcome(parse_dump, mutated) == outcome(full_parse, mutated)
+        walked = walk(mutated)
+        if walked is not None:
+            assert walked == rep_from_jsonable(json.loads(mutated))
+        expected = outcome(full_parse, mutated)
+        assert outcome(parse_dump, mutated) == expected
+        # read from a file, with its pieces cut at every few characters, and
+        # from a CRLF copy, which reads back as the same text
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        crlf = tmp_path_factory.getbasetemp() / "mutated-crlf.json"
+        path.write_bytes(mutated.encode("ascii"))
+        crlf.write_bytes(mutated.replace("\n", "\r\n").encode("ascii"))
+        for size in (1, 7, 4096):
+            with mock.patch.object(builder, "_READ_PIECE", size):
+                assert outcome(read_dump, path) == expected
+                assert outcome(read_dump, crlf) == expected
 
     def test_parse_holds_less_than_the_text(self):
         # the full decode's peak was 2.79 times the text, with its cubes
@@ -888,8 +906,24 @@ class TestCanonicalParse:
             tracemalloc.stop()
         assert parsed == rep and peak < len(text)
         compact = json.dumps(json.loads(text))
-        assert builder._parse_without_cubes(compact) is None
+        assert walk(compact) is None
         assert parse_dump(compact) == rep
+
+    def test_read_holds_a_small_part_of_the_dump(self, tmp_path):
+        # the parse of the text, read whole, peaked at 1.5 times the file
+        # beside the text itself; the walker holds about two pieces
+        g = gen_random_bipartite(100, 200, 4 / 100, seed=1)
+        rep, report = build_representation(g, BuildParams(master_seed=5))
+        path = tmp_path / "dump.json"
+        write_dump(path, rep, report)
+        with mock.patch.object(builder, "_READ_PIECE", 64 * 1024):
+            tracemalloc.start()
+            try:
+                parsed = read_dump(path)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert parsed == rep and peak - retained < path.stat().st_size / 4
 
     @pytest.mark.parametrize("row, error", [
         ('[[["0"]]]', None),
@@ -901,12 +935,51 @@ class TestCanonicalParse:
     def test_cube_row_nested_deeper_takes_the_full_decode(self, row, error):
         text = render_dump(CubeRepresentation(1, 1, (), ()), EMPTY_REPORT)
         nested = text.replace('"A1": []', '"A1": ' + row)
-        assert builder._parse_without_cubes(nested) is None
+        assert walk(nested) is None
         if error is None:
             assert parse_dump(nested) == CubeRepresentation(1, 1, (), ())
         else:
             with pytest.raises(ValueError, match=error):
                 parse_dump(nested)
+
+    @pytest.mark.parametrize("pattern, replacement", [
+        ('"threshold": ', '"extra": 0,\n      "threshold": '),
+        ('\n      "provenance": "random-1",', ""),
+        ('"report": {[^}]*}', '"report": [[1]]'),
+        ('"report": {[^}]*}', '"report": {"k": {"t": 1}}'),
+    ])
+    def test_other_dims_items_and_reports_take_the_full_decode(self, pattern, replacement):
+        rep = CubeRepresentation(1, 1, (UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 1}, 1),),
+                                 ("random-1",))
+        edited = re.sub(pattern, replacement, render_dump(rep, EMPTY_REPORT))
+        assert walk(edited) is None
+        assert outcome(parse_dump, edited) == outcome(full_parse, edited)
+
+    @pytest.mark.parametrize("pattern, replacement", [
+        ('"threshold": ', '"extra": NEST,\n      "threshold": '),
+        ('"report": {[^}]*}', '"report": NEST'),
+    ])
+    def test_walker_turns_down_what_the_full_decode_cannot_read(self, pattern, replacement):
+        # the walker decodes a dims item two levels less deep than the full
+        # decode, and the report one level less, so the full decode reaches
+        # the recursion limit first
+        rep = CubeRepresentation(1, 1, (UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 1}, 1),),
+                                 ("random-1",))
+        template = re.sub(pattern, replacement, render_dump(rep, EMPTY_REPORT))
+
+        def nested(depth: int) -> str:
+            return template.replace("NEST", "[" * depth + "]" * depth)
+
+        def decoded(depth: int) -> bool:
+            return outcome(builder._decode_dump, nested(depth))[0] == "accepted"
+
+        low, high = 1, 100_000  # the least depth the full decode refuses is in (low, high]
+        assert decoded(low) and not decoded(high)
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (middle, high) if decoded(middle) else (low, middle)
+        assert walk(nested(high)) is None
+        assert outcome(parse_dump, nested(high))[0] == "rejected"
 
 
 def test_default_t_is_at_most_integer_ceiling_product():

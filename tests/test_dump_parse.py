@@ -11,6 +11,7 @@ import json
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,11 +28,13 @@ from cuberep import (
     gen_random_bipartite,
     parse_dump,
     parse_graph,
+    read_dump,
     render_dump,
     rep_from_jsonable,
     serialize_graph,
     verify,
 )
+from cuberep import builder
 from cuberep.cli import main
 from cuberep.intervals import parse_vertex_key, random_dim_tag
 
@@ -191,18 +194,62 @@ class TestGarbageCollectorState:
         (VALID_DUMP.replace('"A1"', '"A01"'), "bad vertex key 'A01'"),
         ("[" * 100_000, "nests too deeply"),
     ])
-    def test_parse_dump_restores_the_state_it_found(self, enabled, text, error):
+    def test_parse_dump_restores_the_state_it_found(self, tmp_path, enabled, text, error):
+        path = tmp_path / "rep.json"
+        path.write_text(text)
         was = gc.isenabled()
         gc.enable() if enabled else gc.disable()
         try:
-            if error is None:
-                assert parse_dump(text).dimension == 1
-            else:
-                with pytest.raises(ValueError, match=error):
-                    parse_dump(text)
-            assert gc.isenabled() is enabled
+            for read, source in ((parse_dump, text), (read_dump, path)):
+                if error is None:
+                    assert read(source).dimension == 1
+                else:
+                    with pytest.raises(ValueError, match=error):
+                        read(source)
+                assert gc.isenabled() is enabled
         finally:
             gc.enable() if was else gc.disable()
+
+
+def raised(call) -> BaseException:
+    """The exception call() raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return info.value
+
+
+class TestReadErrors:
+    """read_dump raises what parse_dump of Path.read_text raises, and verify
+    prints it as its one error line, whatever the file."""
+
+    @pytest.fixture
+    def graph(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("p bipartite 1 1 0\n")
+        return path
+
+    def bad_byte(self, tmp_path, at: int):
+        """VALID_DUMP with a byte that is not UTF-8 at position `at`."""
+        path = tmp_path / f"bad-{at}.json"
+        data = VALID_DUMP.encode()
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        return path
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "bad byte in the first piece",
+                                      "bad byte past the first piece"])
+    def test_same_error_as_the_whole_read(self, tmp_path, graph, case):
+        path = {"missing": lambda: tmp_path / "missing.json",
+                "directory": lambda: tmp_path,
+                "bad byte in the first piece": lambda: self.bad_byte(tmp_path, 3),
+                "bad byte past the first piece": lambda: self.bad_byte(tmp_path, 60)}[case]()
+        expected = raised(lambda: parse_dump(Path(path).read_text()))
+        with mock.patch.object(builder, "_READ_PIECE", 16):
+            error = raised(lambda: read_dump(path))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["verify", str(graph), str(path)])
+        assert (type(error), str(error)) == (type(expected), str(expected))
+        assert (rc, out.getvalue(), err.getvalue()) == (2, "", f"error: {expected}\n")
 
 
 def retained_bytes(make):
