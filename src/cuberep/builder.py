@@ -15,10 +15,11 @@ import os
 import random
 import re
 import signal
+import tempfile
 import threading
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, compress, count, islice, repeat
@@ -104,6 +105,7 @@ class BuildReport:
     construct_seconds: float
     verify_seconds: float
     swapped: bool = False
+    write_seconds: float = 0.0  # from a passing verification to the dump in place
 
 
 def default_t(delta_prime: int, n2: int) -> int:
@@ -253,14 +255,19 @@ def attempt(plan: BuildPlan, master_seed: int, index: int) -> CubeRepresentation
     return CubeRepresentation(g.a_count, g.b_count, dims + plan.bit_dims, plan.provenance)
 
 
-def checked_attempts(plan: BuildPlan, master_seed: int) -> Iterator[
-        tuple[CubeRepresentation, list[Violation], float, float]]:
+def checked_attempts(plan: BuildPlan, master_seed: int,
+                     beside: Callable[[int, CubeRepresentation], object] | None = None
+                     ) -> Iterator[tuple[CubeRepresentation, list[Violation], float, float]]:
     """Attempts 0, 1, ... of plan (see `attempt`), in turn and without end,
     each with the violations verify finds in it against plan.graph and the
-    seconds spent constructing it and verifying it."""
+    seconds spent constructing it and verifying it.  `beside`, if given, is
+    called with each attempt's index and representation before it is
+    verified, and its time counts as construction."""
     for index in count():
         started = time.perf_counter()
         rep = attempt(plan, master_seed, index)
+        if beside is not None:
+            beside(index, rep)
         checked = time.perf_counter()
         violations = verify(rep, plan.graph)
         done = time.perf_counter()
@@ -271,31 +278,73 @@ def checked_attempts(plan: BuildPlan, master_seed: int) -> Iterator[
 
 
 def build_representation(
-    g: BipartiteGraph, params: BuildParams
+    g: BipartiteGraph, params: BuildParams, out: str | Path | None = None
 ) -> tuple[CubeRepresentation, BuildReport]:
     """Build a verified representation of g, whichever side comes first: the
     first of g's checked_attempts that passes, among at most max_retries (one
     when t = 0, since every attempt is then the same); else BuildFailure lists
-    the last one's surviving pairs in g's labels."""
+    the last one's surviving pairs in g's labels.
+
+    With `out`, the result's dump is written there, as write_dump writes it,
+    once it has passed; nothing is written on BuildFailure.  Each attempt
+    forks a child that renders its dump into an unnamed temporary file
+    while this process verifies it, unless _Children forbids a fork or the
+    dump has fewer than MIN_CHILD_CELLS cells (vertices x k).  On a pass the
+    child is reaped and its bytes are copied to `out` in the kernel
+    (_send_file); a failed attempt's child is killed and reaped, and its file
+    dropped.  When the child exits non-zero or replies short, or the copy
+    fails, write_dump writes the dump here instead, to the same bytes.
+    No child and no temporary file outlives the call.  report.write_seconds
+    is the time from the passing verification to the dump in place."""
     plan = make_plan(g, params.t_override)
+    k = plan.t + len(plan.bit_dims)
+
+    def report(index: int, construct: float = 0.0, check: float = 0.0,
+               write: float = 0.0) -> BuildReport:
+        return BuildReport(
+            dimension=k,
+            t=plan.t,
+            bits_a=plan.fam_a.bit_count,
+            bits_b=plan.fam_b.bit_count,
+            retries=index,
+            seed=params.master_seed & MASK64,
+            nominal_bound=nominal_dimension_bound(
+                plan.profile.delta_prime, max(g.a_count, g.b_count)),
+            construct_seconds=construct,
+            verify_seconds=check,
+            swapped=plan.swapped,
+            write_seconds=write)
+
     construct_seconds = verify_seconds = 0.0
-    for index, (rep, violations, built, checked) in enumerate(islice(
-            checked_attempts(plan, params.master_seed), params.max_retries if plan.t else 1)):
-        construct_seconds += built
-        verify_seconds += checked
-        if not violations:
-            return rep, BuildReport(
-                dimension=rep.dimension,
-                t=plan.t,
-                bits_a=plan.fam_a.bit_count,
-                bits_b=plan.fam_b.bit_count,
-                retries=index,
-                seed=params.master_seed & MASK64,
-                nominal_bound=nominal_dimension_bound(
-                    plan.profile.delta_prime, max(g.a_count, g.b_count)),
-                construct_seconds=construct_seconds,
-                verify_seconds=verify_seconds,
-                swapped=plan.swapped)
+    rendering = None  # (pid, temporary file) of the child rendering this attempt's dump
+    with ExitStack() as files, _Children() as children:
+        def render_beside(index: int, rep: CubeRepresentation) -> None:
+            nonlocal rendering
+            file = files.enter_context(tempfile.TemporaryFile())
+            pid = children.fork(partial(_render_into, file.fileno(), rep, report(index)))
+            rendering = (pid, file) if pid is not None else None
+
+        forking = (out is not None and children.allowed
+                   and g.vertex_count * k >= MIN_CHILD_CELLS)
+        for index, (rep, violations, built, checked) in enumerate(islice(
+                checked_attempts(plan, params.master_seed, render_beside if forking else None),
+                params.max_retries if plan.t else 1)):
+            construct_seconds += built
+            verify_seconds += checked
+            if violations:
+                if rendering is not None:
+                    children.kill(rendering[0])
+                    rendering[1].close()
+                    rendering = None
+                continue
+            write_seconds = 0.0
+            if out is not None:
+                passed = time.perf_counter()
+                size = children.reply(rendering[0]) if rendering is not None else None
+                if size is None or not _send_file(rendering[1], out, size):
+                    write_dump(out, rep, report(index))
+                write_seconds = time.perf_counter() - passed
+            return rep, report(index, construct_seconds, verify_seconds, write_seconds)
     raise BuildFailure(
         f"verification still failing after {params.max_retries} attempts" if plan.t else
         "zero random dimensions cannot remove cross non-edges", violations)
@@ -329,6 +378,14 @@ def survivor_masks(plan: BuildPlan, master_seed: int,
 # block of 1000 draws is 12 ms or more when no attempt stops early.
 MIN_CHILD_DRAWS = 1000
 
+# Fewest cells (vertices x k) of a dump that make rendering it in a forked
+# child, beside verification, worth its cost.  On the same host, the child
+# with its pipe and temporary file cost 3-4 ms from fork to reaping;
+# builds with --out of 2,160 to 9,675 cells took 1-4 ms longer with the
+# child, builds of 14,000 to 22,000 about as long, and builds of 22,800 to
+# 36,000 cells 6-16% less.
+MIN_CHILD_CELLS = 20_000
+
 
 def available_cpus() -> int:
     """The number of CPUs this process may run on."""
@@ -338,41 +395,100 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _failures(plan: BuildPlan, master_seed: int, attempts: range) -> int:
-    """How many of `attempts` leave some cross non-edge alive."""
-    return sum(map(any, survivor_masks(plan, master_seed, attempts)))
-
-
-def _fork_failures(plan: BuildPlan, master_seed: int, attempts: range) -> tuple[int, int]:
-    """Fork a child that writes _failures(plan, master_seed, attempts) to a
-    pipe, as 8 little-endian bytes, and leaves by os._exit: it writes nothing
-    else anywhere, flushes no inherited buffer and runs no exit handler.
-    Returns the child's pid and the pipe's read end."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            os.write(write, _failures(plan, master_seed, attempts).to_bytes(8, "little"))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, read
-
-
 def _read_reply(read: int) -> bytes:
     """Everything written to the pipe whose read end is `read`, up to its end."""
     chunks = []
     while chunk := os.read(read, 8):
         chunks.append(chunk)
     return b"".join(chunks)
+
+
+def _leave_cpu_of(pid: int) -> None:
+    """Move this process off the CPU that process `pid` last ran on, where
+    the platform tells which one that is (Linux's /proc/PID/stat) and lets a
+    process choose its CPUs.  A forked child starts on its parent's CPU,
+    and the kernel may leave it there while the parent runs on, so that the
+    two take turns on one CPU while another idles."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            cpu = int(stat.read().rsplit(")", 1)[1].split()[36])
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except (OSError, AttributeError, ValueError, IndexError):
+        pass
+
+
+class _Children:
+    """The children that one call forks, each to compute one int beside it.
+
+    `allowed` says whether this process may fork at all: os.fork exists, no
+    other thread runs (forking a threaded process can deadlock), and a
+    second CPU is there to run a child.  Used as a context manager, it
+    reaps on leaving every child not yet reaped, and kills it first when
+    the block raises (a KeyboardInterrupt, say), so no child outlives it.
+    A child's memory is not part of this process's peak RSS."""
+
+    def __init__(self) -> None:
+        self.allowed = (hasattr(os, "fork") and threading.active_count() == 1
+                        and available_cpus() >= 2)
+        self.running: dict[int, int] = {}  # pid -> read end of its reply pipe
+
+    def __enter__(self) -> "_Children":
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
+        for pid in list(self.running):
+            if kind is not None:
+                os.kill(pid, signal.SIGKILL)
+            self._reap(pid)
+
+    def fork(self, compute: Callable[[], int]) -> int | None:
+        """Fork a child that writes compute() to a pipe, as 8 little-endian
+        bytes, and leaves by os._exit: it writes nothing else to the pipe,
+        flushes no inherited buffer and runs no exit handler.  Returns its
+        pid, or None when no process can be forked."""
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            return None
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                _leave_cpu_of(os.getppid())
+                os.write(write, compute().to_bytes(8, "little"))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self.running[pid] = read
+        return pid
+
+    def reply(self, pid: int) -> int | None:
+        """Wait for child `pid` and reap it: the int it wrote, or None when
+        it exited non-zero or replied short."""
+        reply = _read_reply(self.running[pid])
+        status = self._reap(pid)
+        return int.from_bytes(reply, "little") if status == 0 and len(reply) == 8 else None
+
+    def kill(self, pid: int) -> None:
+        """Kill child `pid` and reap it."""
+        os.kill(pid, signal.SIGKILL)
+        self._reap(pid)
+
+    def _reap(self, pid: int) -> int:
+        status = os.waitpid(pid, 0)[1]
+        os.close(self.running.pop(pid))
+        return status
+
+
+def _failures(plan: BuildPlan, master_seed: int, attempts: range) -> int:
+    """How many of `attempts` leave some cross non-edge alive."""
+    return sum(map(any, survivor_masks(plan, master_seed, attempts)))
 
 
 def failure_rate(plan: BuildPlan, master_seed: int, trials: int) -> float:
@@ -384,9 +500,8 @@ def failure_rate(plan: BuildPlan, master_seed: int, trials: int) -> float:
     by up to one process per available CPU: this one counts the last block,
     and a forked child counts each other block and sends back only its
     count.  There is one process per trial at most, and one per
-    MIN_CHILD_DRAWS of trials x t; there is no child where os.fork is
-    missing or another thread runs, since forking a threaded process can
-    deadlock.  The rate is the same float either way.  A child that exits
+    MIN_CHILD_DRAWS of trials x t; there is no child where _Children allows
+    no fork.  The rate is the same float either way.  A child that exits
     non-zero or replies short has its block counted here instead, and a
     block whose child cannot be forked is counted here too.  Every child is
     reaped before the call returns; on an exception (such as
@@ -395,36 +510,23 @@ def failure_rate(plan: BuildPlan, master_seed: int, trials: int) -> float:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     plan.neighbours  # made once, before any fork
-    workers = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        workers = max(1, min(available_cpus(), trials, trials * plan.t // MIN_CHILD_DRAWS))
-    bounds = [trials * i // workers for i in range(workers + 1)]
-    *blocks, own = map(range, bounds, bounds[1:])
-    children = []  # (pid, pipe read end, attempts) of each forked child
-    try:
+    with _Children() as children:
+        workers = 1
+        if children.allowed:
+            workers = max(1, min(available_cpus(), trials, trials * plan.t // MIN_CHILD_DRAWS))
+        bounds = [trials * i // workers for i in range(workers + 1)]
+        *blocks, own = map(range, bounds, bounds[1:])
+        forked = []  # (pid, attempts) of each child
         for attempts in blocks:
-            try:
-                pid, read = _fork_failures(plan, master_seed, attempts)
-            except OSError:  # no process to spare: count the rest here
+            pid = children.fork(partial(_failures, plan, master_seed, attempts))
+            if pid is None:  # no process to spare: count the rest here
                 own = range(attempts.start, trials)
                 break
-            children.append((pid, read, attempts))
+            forked.append((pid, attempts))
         failures = _failures(plan, master_seed, own)
-        replies = [_read_reply(read) for _, read, _ in children]
-    except BaseException:
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        statuses = []
-        for pid, read, _ in children:
-            os.close(read)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for (_, _, attempts), reply, status in zip(children, replies, statuses):
-        if status == 0 and len(reply) == 8:
-            failures += int.from_bytes(reply, "little")
-        else:
-            failures += _failures(plan, master_seed, attempts)
+        for pid, attempts in forked:
+            count = children.reply(pid)
+            failures += _failures(plan, master_seed, attempts) if count is None else count
     return failures / trials
 
 
@@ -464,6 +566,7 @@ def report_to_jsonable(report: BuildReport, swapped: bool | None = None,
         out["timings"] = {
             "construct_seconds": report.construct_seconds,
             "verify_seconds": report.verify_seconds,
+            "write_seconds": report.write_seconds,
         }
     return out
 
@@ -537,6 +640,36 @@ def write_dump(path: str | Path, rep: CubeRepresentation, report: BuildReport) -
     small fraction of the dump's size."""
     with open(path, "w") as out:
         out.writelines(_dump_pieces(rep, report))
+
+
+def _render_into(fd: int, rep: CubeRepresentation, report: BuildReport) -> int:
+    """Write render_dump(rep, report) to the empty file open at descriptor
+    `fd`, as write_dump writes it, and return the bytes written.  Run in the
+    forked child of build_representation, which it leaves with the garbage
+    collector off: the render makes no cycle, and a collection in a forked
+    child would copy every page it scans."""
+    gc.disable()
+    with open(fd, "w", closefd=False) as out:
+        out.writelines(_dump_pieces(rep, report))
+    return os.lseek(fd, 0, os.SEEK_CUR)
+
+
+def _send_file(source, path: str | Path, size: int) -> bool:
+    """Copy the first `size` bytes of the file object `source` to `path`,
+    opened as write_dump opens it, by os.sendfile, without passing them
+    through this process; False, with `path` perhaps part written, when
+    sendfile fails or the source ends first."""
+    with open(path, "w") as out:
+        offset = 0
+        try:
+            while offset < size:
+                sent = os.sendfile(out.fileno(), source.fileno(), offset, size - offset)
+                if not sent:
+                    return False
+                offset += sent
+        except OSError:
+            return False
+    return True
 
 
 def _dump_object(pairs: list[tuple[str, object]]) -> dict:

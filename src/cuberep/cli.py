@@ -27,7 +27,6 @@ from .builder import (
     read_dump,
     report_to_jsonable,
     verify,
-    write_dump,
 )
 from .graphs import (
     MAX_VERTICES,
@@ -129,9 +128,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     params = BuildParams(master_seed=seed, t_override=args.t,
                          max_retries=args.max_retries)
-    rep, report = build_representation(g, params)
-    if args.out is not None:
-        write_dump(args.out, rep, report)
+    rep, report = build_representation(g, params, out=args.out)
     if args.format == "machine":
         payload = report_to_jsonable(report, include_timings=True)
         payload["verified"] = True

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import os
+import tempfile
 
+import pytest
 from hypothesis import strategies as st
 
-from cuberep import BipartiteGraph, SIDE_A, SIDE_B
+from cuberep import BipartiteGraph, SIDE_A, SIDE_B, builder
 
 
 @st.composite
@@ -35,3 +38,41 @@ def all_graphs(n1: int, n2: int):
 
 def all_pairs(vertices):
     return itertools.combinations(vertices, 2)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The builder forks for any work on two CPUs: the failure estimate for
+    any number of draws, the build for a dump of any size.  Yields the list
+    of the pids of the children it forks."""
+    monkeypatch.setattr(builder, "available_cpus", lambda: 2)
+    monkeypatch.setattr(builder, "MIN_CHILD_DRAWS", 1)
+    monkeypatch.setattr(builder, "MIN_CHILD_CELLS", 1)
+    fork, forked = os.fork, []
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+@pytest.fixture
+def temporary_files(monkeypatch):
+    """Yields the list of the unnamed temporary files made from now on."""
+    make, made = tempfile.TemporaryFile, []
+
+    def recording(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    return made
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -8,6 +8,7 @@ import math
 import os
 import random
 import re
+import signal
 import threading
 import time
 import tracemalloc
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_pairs, bipartite_graphs
+from conftest import all_pairs, assert_no_child_left, bipartite_graphs
 from cuberep import (
     SIDE_A,
     SIDE_B,
@@ -430,29 +431,6 @@ def flipped(g: BipartiteGraph) -> BipartiteGraph:
     return BipartiteGraph(g.b_count, g.a_count, frozenset((b, a) for a, b in g.edges))
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """failure_rate forks for any work on two CPUs; yields the list of the
-    pids of the children it forks."""
-    monkeypatch.setattr(builder, "available_cpus", lambda: 2)
-    monkeypatch.setattr(builder, "MIN_CHILD_DRAWS", 1)
-    fork, forked = os.fork, []
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return forked
-
-
 PARALLEL_GRAPHS = [K44_MINUS_CORNER, gen_random_bipartite(9, 5, 0.35, seed=4),
                    gen_random_bipartite(6, 12, 0.3, seed=2),
                    BipartiteGraph(3, 4, {(1, 1), (2, 1), (3, 1), (1, 2), (2, 3)})]
@@ -561,6 +539,159 @@ class TestParallelFailureRate:
         monkeypatch.delattr(os, "fork")
         assert builder.failure_rate(plan, 5, 200) == expected
         assert forks == []
+
+
+RENDERED = gen_random_bipartite(10, 20, 0.3, seed=5)
+# (graph, params, attempts): passing at once, with the larger side first,
+# and failing once at t = 15 before passing
+RENDER_CASES = [(RENDERED, BuildParams(master_seed=1), 1),
+                (flipped(RENDERED), BuildParams(master_seed=1), 1),
+                (RENDERED, BuildParams(master_seed=0, t_override=15), 2)]
+
+
+def written_by_write_dump(tmp_path, rep, report) -> bytes:
+    path = tmp_path / "expected.json"
+    write_dump(path, rep, report)
+    return path.read_bytes()
+
+
+def in_process_writes(monkeypatch) -> list:
+    """The dumps builder.write_dump writes from now on, by path."""
+    writes = []
+
+    def recording(path, rep, report):
+        writes.append(path)
+        write_dump(path, rep, report)
+
+    monkeypatch.setattr(builder, "write_dump", recording)
+    return writes
+
+
+def assert_nothing_left(temporary_files):
+    assert_no_child_left()
+    assert all(file.closed for file in temporary_files)
+
+
+class TestRenderBeside:
+    @pytest.mark.parametrize("g, params, attempts", RENDER_CASES)
+    def test_dump_is_write_dump_s_bytes(self, forks, temporary_files, monkeypatch,
+                                        tmp_path, g, params, attempts):
+        out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
+        rep, report = build_representation(g, params, out)
+        assert writes == []
+        assert report.retries == attempts - 1
+        assert report.swapped is (g.a_count > g.b_count)
+        assert len(forks) == len(temporary_files) == attempts
+        assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
+        assert report.write_seconds > 0.0
+        assert build_representation(g, params)[0] == rep
+        assert_nothing_left(temporary_files)
+
+    @pytest.mark.parametrize("failure", ["raises", "killed", "short reply", "copy refused"])
+    def test_a_failed_render_is_written_here(self, forks, temporary_files, monkeypatch,
+                                             tmp_path, failure):
+        parent, pieces, write = os.getpid(), builder._dump_pieces, os.write
+
+        def failing_in_child(*args):
+            if os.getpid() != parent:
+                if failure == "raises":
+                    raise RuntimeError("the child fails")
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return pieces(*args)
+
+        def short_in_child(fd, data):
+            return write(fd, data[:3] if os.getpid() != parent else data)
+
+        def refuse(*args):
+            raise OSError("sendfile refused")
+
+        monkeypatch.setattr(builder, "_dump_pieces", failing_in_child)
+        monkeypatch.setattr(os, "write", short_in_child if failure == "short reply" else write)
+        if failure == "copy refused":
+            monkeypatch.setattr(os, "sendfile", refuse)
+        out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
+        rep, report = build_representation(RENDERED, BuildParams(master_seed=1), out)
+        assert len(forks) == 1
+        assert writes == [out]
+        assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
+        assert_nothing_left(temporary_files)
+
+    def test_interrupt_during_verify_kills_and_reaps_the_child(
+            self, forks, temporary_files, monkeypatch, tmp_path):
+        # the child would render for a minute: only a kill ends it in time
+        parent, pieces = os.getpid(), builder._dump_pieces
+
+        def slow_in_child(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return pieces(*args)
+
+        def interrupted(rep, g):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(builder, "_dump_pieces", slow_in_child)
+        monkeypatch.setattr(builder, "verify", interrupted)
+        out = tmp_path / "dump.json"
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            build_representation(RENDERED, BuildParams(master_seed=1), out)
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
+        assert not out.exists()
+        assert_nothing_left(temporary_files)
+
+    def test_failed_build_writes_nothing(self, forks, temporary_files, tmp_path):
+        out = tmp_path / "dump.json"
+        with pytest.raises(BuildFailure):
+            build_representation(RENDERED, BuildParams(master_seed=1, t_override=1,
+                                                       max_retries=3), out)
+        assert len(forks) == 3
+        assert not out.exists()
+        assert_nothing_left(temporary_files)
+
+    @pytest.mark.parametrize("why", ["another thread", "one CPU", "small dump", "no out"])
+    def test_no_fork(self, forks, temporary_files, monkeypatch, tmp_path, why):
+        plan = make_plan(RENDERED)
+        cells = RENDERED.vertex_count * (plan.t + len(plan.bit_dims))
+        monkeypatch.setattr(builder, "MIN_CHILD_CELLS", cells + (why == "small dump"))
+        if why == "one CPU":
+            monkeypatch.setattr(builder, "available_cpus", lambda: 1)
+        out = None if why == "no out" else tmp_path / "dump.json"
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if why == "another thread":
+            thread.start()
+        try:
+            rep, report = build_representation(RENDERED, BuildParams(master_seed=1), out)
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join()
+        assert forks == [] and temporary_files == []
+        if out is None:
+            assert report.write_seconds == 0.0
+        else:
+            assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
+            assert report.write_seconds > 0.0
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="needs a choice of CPUs")
+    def test_a_child_leaves_its_parent_s_cpu(self):
+        cpus = os.sched_getaffinity(0)
+        with builder._Children() as children:
+            pid = children.fork(lambda: len(os.sched_getaffinity(0)))
+            assert children.reply(pid) == len(cpus) - 1
+        builder._leave_cpu_of(-1)  # no such process: nothing changes
+        assert os.sched_getaffinity(0) == cpus
+
+    def test_a_dump_of_min_child_cells_is_rendered_beside(self, forks, monkeypatch, tmp_path):
+        plan = make_plan(RENDERED)
+        monkeypatch.setattr(builder, "MIN_CHILD_CELLS",
+                            RENDERED.vertex_count * (plan.t + len(plan.bit_dims)))
+        build_representation(RENDERED, BuildParams(master_seed=1), tmp_path / "dump.json")
+        assert len(forks) == 1
+        assert_no_child_left()
 
 
 def normalized_graphs(max_a: int = 4, max_b: int = 5):

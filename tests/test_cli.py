@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from conftest import bipartite_graphs
+from conftest import assert_no_child_left, bipartite_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -199,6 +199,19 @@ class TestBuild:
         assert payload["dump"] == dump
         assert payload["timings"]["construct_seconds"] >= 0.0
         assert payload["timings"]["verify_seconds"] >= 0.0
+        assert payload["timings"]["write_seconds"] > 0.0
+
+    def test_machine_payload_without_out_writes_nothing(self, tmp_path, capsys):
+        graph = write_graph(tmp_path, "g.txt", COMPLETE_22)
+        assert main(["build", graph, "--seed", "4", "--format", "machine"]) == 0
+        assert json.loads(capsys.readouterr().out)["timings"]["write_seconds"] == 0.0
+
+    def test_human_output_shows_no_write_time(self, tmp_path, capsys):
+        graph = write_graph(tmp_path, "g.txt", SPARSE_23)
+        assert main(["build", graph, "--seed", "17", "--out", str(tmp_path / "rep.json")]) == 0
+        keys = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert keys == ["k", "t", "bits_a", "bits_b", "retries", "seed", "nominal_bound",
+                        "swapped", "construct", "verify", "verification", "dump"]
 
     def test_t_zero_failure_exit_one(self, tmp_path, capsys):
         graph = write_graph(tmp_path, "g.txt", SPARSE_23)
@@ -225,6 +238,36 @@ class TestBuild:
                      "--format", "machine", "--out", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["swapped"] is swapped
         assert out.read_bytes() == (DATA / dump).read_bytes()
+
+    @pytest.mark.parametrize("graph, dump, swapped", [
+        ("graph_3x11.txt", "dump_3x11_seed1_t3.json", False),
+        ("graph_11x3.txt", "dump_11x3_seed1_t3.json", True),
+    ])
+    def test_dump_rendered_beside_verification_is_golden(
+            self, forks, temporary_files, tmp_path, capsys, graph, dump, swapped):
+        out = tmp_path / "rep.json"
+        assert main(["build", str(DATA / graph), "--seed", "1", "--t", "3",
+                     "--format", "machine", "--out", str(out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["swapped"] is swapped
+        assert len(forks) == payload["retries"] + 1
+        assert out.read_bytes() == (DATA / dump).read_bytes()
+        assert_no_child_left()
+        assert all(file.closed for file in temporary_files)
+
+    def test_t_zero_failure_leaves_an_existing_out_untouched(
+            self, forks, temporary_files, tmp_path, capsys):
+        graph = write_graph(tmp_path, "g.txt", SPARSE_23)
+        out = tmp_path / "rep.json"
+        out.write_text("an older dump\n")
+        before = out.stat()
+        assert main(["build", graph, "--seed", "1", "--t", "0", "--out", str(out)]) == 1
+        assert "zero random dimensions" in capsys.readouterr().err
+        assert len(forks) == 1
+        assert out.read_text() == "an older dump\n"
+        assert (out.stat().st_mtime_ns, out.stat().st_ino) == (before.st_mtime_ns, before.st_ino)
+        assert_no_child_left()
+        assert all(file.closed for file in temporary_files)
 
     def test_unnormalized_input_keeps_original_labels(self, tmp_path, capsys):
         # more rows than columns: the builder works on the flipped graph but
