@@ -23,7 +23,6 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, compress, count, islice, repeat
-from json.decoder import WHITESPACE, scanstring
 from operator import and_, or_
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -395,14 +394,6 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _read_reply(read: int) -> bytes:
-    """Everything written to the pipe whose read end is `read`, up to its end."""
-    chunks = []
-    while chunk := os.read(read, 8):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
 def _leave_cpu_of(pid: int) -> None:
     """Move this process off the CPU that process `pid` last ran on, where
     the platform tells which one that is (Linux's /proc/PID/stat) and lets a
@@ -470,8 +461,9 @@ class _Children:
 
     def reply(self, pid: int) -> int | None:
         """Wait for child `pid` and reap it: the int it wrote, or None when
-        it exited non-zero or replied short."""
-        reply = _read_reply(self.running[pid])
+        it exited non-zero or replied short.  A pipe write of at most
+        PIPE_BUF bytes is atomic, so one read gets the whole reply or none."""
+        reply = os.read(self.running[pid], 8)
         status = self._reap(pid)
         return int.from_bytes(reply, "little") if status == 0 and len(reply) == 8 else None
 
@@ -571,21 +563,20 @@ def report_to_jsonable(report: BuildReport, swapped: bool | None = None,
     return out
 
 
-def _dump_pieces(rep: CubeRepresentation, report: BuildReport,
-                 swapped: bool | None = None) -> Iterator[str]:
-    """The canonical dump text of render_dump, in order and in pieces: the
-    header, one piece per cubes row (its key, and after the first row the
-    comma before it), one piece per dimension, likewise, then the report
-    block.  A piece is formatted
-    only when it is asked for, so a consumer holds one piece at a time, plus
-    the placement columns that all rows and dimensions are read from.
+def _layout_pieces(rep: CubeRepresentation) -> Iterator[str]:
+    """The canonical dump text of rep before its report, in order and in
+    pieces: the header, one piece per cubes row (its key, and after the
+    first row the comma before it), one piece per dimension, likewise, then
+    the end of the dims list when there is one.  A piece is formatted only
+    when it is asked for, and each cubes row is drawn from the columns in
+    key order as it is formatted, so a consumer holds one piece at a time
+    and no reordered copy of the columns is made.
 
-    Vertex keys are sorted once (as strings, so A10 precedes A2), each
-    dimension's value column is reordered to that key order once, the cube
+    Vertex keys are sorted once (as strings, so A10 precedes A2), the cube
     cell of a placement value is formatted once per distinct value and
     threshold, and every placement block is one %-format of a template that
-    holds all keys.  Provenance tags and the report block go through
-    json.dumps, which keeps its escaping.
+    holds all keys.  Provenance tags go through json.dumps, which keeps its
+    escaping.
     """
     verts = vertex_order(rep.a_count, rep.b_count)
     keys = [vertex_key(v) for v in verts]
@@ -593,17 +584,14 @@ def _dump_pieces(rep: CubeRepresentation, report: BuildReport,
     keys = [keys[i] for i in order]
     placement = ",".join(f'\n        "{key}": %d' for key in keys)
     cell_text: dict[int, dict[int, str]] = {}  # threshold -> value -> cell
-    placements = []
     columns = []
     for dim in rep.dims:
         c = dim.threshold
-        values = tuple(map(dim.values.__getitem__, order))
         cells = cell_text.setdefault(c, {})
-        for x in set(values).difference(cells):
+        for x in set(dim.values).difference(cells):
             lo, hi = cube_cell(x, c)
             cells[x] = f'[\n        "{lo}",\n        "{hi}"\n      ]'
-        placements.append(values)
-        columns.append(map(cells.__getitem__, values))
+        columns.append(map(cells.__getitem__, map(dim.values.__getitem__, order)))
     yield ('{\n  "a_count": ' + str(rep.a_count)
            + ',\n  "b_count": ' + str(rep.b_count) + ',\n  "cubes": {')
     rows = zip(*columns) if columns else repeat(())
@@ -611,14 +599,23 @@ def _dump_pieces(rep: CubeRepresentation, report: BuildReport,
         cube = "[\n      " + ",\n      ".join(row) + "\n    ]" if row else "[]"
         yield f'{"," if i else ""}\n    "{key}": {cube}'
     yield '\n  },\n  "dims": ' + ("[" if rep.dims else "[]")
-    for i, (dim, tag, values) in enumerate(zip(rep.dims, rep.provenance, placements)):
+    for i, (dim, tag) in enumerate(zip(rep.dims, rep.provenance)):
         yield (("," if i else "") + '\n    {\n      "placement": {'
-               + placement % values
+               + placement % tuple(map(dim.values.__getitem__, order))
                + '\n      },\n      "provenance": ' + json.dumps(tag)
                + ',\n      "threshold": ' + str(dim.threshold) + "\n    }")
-    report_text = json.dumps(report_to_jsonable(report, swapped=swapped),
-                             sort_keys=True, indent=2).replace("\n", "\n  ")
-    yield ("\n  ]" if rep.dims else "") + ',\n  "report": ' + report_text + "\n}\n"
+    if rep.dims:
+        yield "\n  ]"
+
+
+def _dump_pieces(rep: CubeRepresentation, report: BuildReport,
+                 swapped: bool | None = None) -> Iterator[str]:
+    """The canonical dump text of render_dump, in order and in pieces: those
+    of _layout_pieces, then the report block, which goes through json.dumps."""
+    yield from _layout_pieces(rep)
+    yield (',\n  "report": ' + json.dumps(report_to_jsonable(report, swapped=swapped),
+                                          sort_keys=True, indent=2).replace("\n", "\n  ")
+           + "\n}\n")
 
 
 def render_dump(rep: CubeRepresentation, report: BuildReport,
@@ -679,9 +676,9 @@ def _dump_object(pairs: list[tuple[str, object]]) -> dict:
     its lists as soon as it is decoded: rep_from_jsonable reads no list but
     the dims of the top-level object, which also holds the counts, so the
     result is the same.  The drop matters only to the full decode, which
-    holds the cubes block until it is complete; the walker of canonical
-    text (_walk_dump) decodes each dims item with this hook too, but never
-    builds the cubes block."""
+    holds the cubes block until it is complete; the stream reader of
+    canonical text (_stream_dump) decodes the report with this hook too,
+    but never decodes the cubes block."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
         counts = Counter(key for key, _ in pairs)
@@ -695,172 +692,102 @@ def _dump_object(pairs: list[tuple[str, object]]) -> dict:
 # Characters read from a dump file at a time.
 _READ_PIECE = 1 << 20
 
-# The text render_dump writes before the first cubes row.  A count of six
-# digits or more exceeds MAX_VERTICES, which the full decode refuses, so a
-# text whose first _HEAD_LIMIT characters do not match is not canonical.
-_DUMP_HEAD = re.compile(
-    r'\{\n  "a_count": ([1-9][0-9]{0,4}),\n  "b_count": ([1-9][0-9]{0,4}),\n  "cubes": \{')
-_HEAD_LIMIT = len('{\n  "a_count": 99999,\n  "b_count": 99999,\n  "cubes": {')
-# The keys of every dims item render_dump writes.
-_DIM_KEYS = {"placement", "provenance", "threshold"}
+# The text render_dump writes before the first cubes row.
+_DUMP_HEAD = re.compile(r'\{\n  "a_count": ([0-9]+),\n  "b_count": ([0-9]+),\n  "cubes": \{')
 
 
-def _skip(text: str, pos: int, chars: str) -> tuple[str, int]:
-    """The character that follows pos after JSON whitespace, which must be
-    one of `chars`, and the position after it; ValueError if it is another,
-    IndexError if the text ends first."""
-    pos = WHITESPACE.match(text, pos).end()
-    char = text[pos]
-    if char not in chars:
-        raise ValueError(f"expected one of {chars!r} at {pos}")
-    return char, pos + 1
+def _dims_pass(chunks: Iterator[str]) -> CubeRepresentation:
+    """Pass 1 of the stream reader: the representation of the dims of the
+    text that `chunks` spell out, found where render_dump writes them;
+    ValueError or RecursionError where they are not found or cannot be read.
 
-
-def _peek(text: str, pos: int) -> tuple[str, int]:
-    """The character that follows pos after JSON whitespace, and its
-    position; IndexError if the text ends first."""
-    pos = WHITESPACE.match(text, pos).end()
-    return text[pos], pos
-
-
-def _key(text: str, pos: int) -> tuple[str, int]:
-    """The object key that follows pos after JSON whitespace, and the
-    position after the colon that must follow it."""
-    _, pos = _skip(text, pos, '"')
-    key, pos = scanstring(text, pos)
-    _, pos = _skip(text, pos, ":")
-    return key, pos
-
-
-def _value(text: str, pos: int, scan_once, separators: str) -> tuple[
-        tuple[object, str, str], int]:
-    """The JSON value that follows pos after JSON whitespace, decoded by
-    scan_once, its text, and the separator after it, which must be one of
-    `separators`; then the position after that separator."""
-    start = WHITESPACE.match(text, pos).end()
-    value, end = scan_once(text, start)
-    separator, after = _skip(text, end, separators)
-    return (value, text[start:end], separator), after
-
-
-class _TextWindow:
-    """A text that arrives in pieces, and a position in it.  Only the text
-    from the start of the step under way on is kept."""
-
-    def __init__(self, pieces: Iterator[str]) -> None:
-        self.pieces = pieces
-        self.text = next(pieces, "")
-        self.pos = 0
-
-    def more(self) -> bool:
-        """Keep the text from pos on and read at least as much again, one
-        piece or more, so a step longer than a piece is retried a
-        logarithmic number of times; False, with nothing changed, when no
-        text is left."""
-        piece = next(self.pieces, "")
-        if not piece:
-            return False
-        parts = [self.text[self.pos:], piece]
-        size = len(piece)
-        while size < len(parts[0]) and (piece := next(self.pieces, "")):
-            parts.append(piece)
-            size += len(piece)
-        self.text, self.pos = "".join(parts), 0
-        return True
-
-    def take(self, parse: Callable[[str, int], tuple[object, int]]):
-        """The value of parse(text, pos), which returns (value, end) and
-        raises while the text read so far falls short; moves to end.  After
-        each failure the step is retried with more text, and when none is
-        left ValueError is raised."""
-        while True:
-            try:
-                value, self.pos = parse(self.text, self.pos)
-                return value
-            except (ValueError, StopIteration, IndexError, RecursionError):
-                pass
-            if not self.more():
-                raise ValueError("the text ends inside a step")
-
-    def at_end(self) -> bool:
-        """Whether only JSON whitespace follows pos, to the end of the text."""
-        while True:
-            self.pos = WHITESPACE.match(self.text, self.pos).end()
-            if self.pos < len(self.text):
-                return False
-            if not self.more():
-                return True
-
-
-def _walk_dump(pieces: Iterator[str]) -> CubeRepresentation | None:
-    """The representation of the dump text that `pieces` spell out, read one
-    step at a time; None unless the text is laid out as render_dump's is
-    and the full decode would return the same representation.
-
-    The walker only accepts: a text it turns down, for whatever reason,
-    goes to the full decode, which gives every verdict and error text.  A
-    step is one cubes row, one dims item or the report value, and it counts
-    only when the separator that must follow its value is in the text read
-    so far, so no step is taken on a value that the next piece could
-    extend.  A step that fails is retried with more text, and turned down
-    when none is left.  The text before the step under way is dropped, so
-    about two pieces of it are held at a time.
-
-    The top-level keys must be a_count, b_count, cubes, dims and report, in
-    that order, with only whitespace after the closing brace.  Each cubes
-    row is decoded and dropped at once; the rows must have distinct keys
-    and nest as render_dump's do, a list of lists with no "[" or "{" in the
-    row but theirs.  Each dims item is decoded with the dump hook and made a
-    column at once (dim_decoder); it must hold a placement, a provenance and
-    a threshold and nothing else.  The report may hold one "[" or "{" at
-    most.  So nothing the walker decodes is deeper than render_dump's
-    values, and none can reach the recursion limit where the full decode,
-    which decodes it one or two levels deeper, would not.
+    The counts are taken from the header, the cubes block is skipped
+    unread, and each dims item is decoded by json.loads and made a column
+    at once by dim_decoder, the full decode's own reader of a dimension, so
+    no dimension is returned that it refuses.  Nothing else is checked
+    here: pass 2 (_after_layout) compares the whole text with the rendering
+    of the result.  So an item needs no dump hook: the rendering writes
+    each key once, and a text that repeats one differs from it.  About two
+    chunks and one dims item are held at a time.
     """
-    window = _TextWindow(pieces)
-    value = partial(_value, scan_once=json.JSONDecoder(object_pairs_hook=_dump_object).scan_once)
-    cube_row, dims_item = partial(value, separators=",}"), partial(value, separators=",]")
+    text, pos = "", 0
+
+    def through(marker: str, keep: bool = True) -> str:
+        """The text from pos through the next `marker`, read on as far as
+        needed, or "" when not `keep`, which holds none of it; pos moves
+        past the marker."""
+        nonlocal text, pos
+        parts = []
+        while (at := text.find(marker, pos)) < 0:
+            chunk = next(chunks, "")
+            if not chunk:
+                raise ValueError(f"the text ends before {marker!r}")
+            cut = max(pos, len(text) - len(marker) + 1)
+            if keep:
+                parts.append(text[pos:cut])
+            text, pos = text[cut:] + chunk, 0
+        start, pos = pos, at + len(marker)
+        return "".join(parts) + text[start:pos] if keep else ""
+
+    head = _DUMP_HEAD.fullmatch(through('"cubes": {'))
+    if head is None:
+        raise ValueError("the text does not start as render_dump's")
+    a_count, b_count = map(int, head.groups())
+    decode = dim_decoder(a_count, b_count)
+    through("dims", keep=False)  # cubes rows hold no letters but A and B
+    dims, tags = [], []
+    more = through("\n") == '": [\n'  # '": [],\n' when the list is empty
+    while more:
+        dim, tag = decode(json.loads(through("\n    }")), len(dims))
+        dims.append(dim)
+        tags.append(tag)
+        more = through("\n") == ",\n"
+    return CubeRepresentation(a_count, b_count, tuple(dims), tuple(tags))
+
+
+def _after_layout(chunks: Iterator[str], rep: CubeRepresentation) -> str:
+    """Pass 2 of the stream reader: the rest of the text that `chunks` spell
+    out after _layout_pieces(rep); ValueError unless the text starts with
+    those pieces.  One chunk and one piece are held at a time."""
+    text, pos = "", 0
+    for piece in _layout_pieces(rep):
+        while len(text) - pos < len(piece):
+            chunk = next(chunks, "")
+            if not chunk:
+                raise ValueError("the text ends inside the rendering")
+            text, pos = text[pos:] + chunk, 0
+        if not text.startswith(piece, pos):
+            raise ValueError("the text differs from the rendering")
+        pos += len(piece)
+    return text[pos:] + "".join(chunks)
+
+
+def _stream_dump(chunks: Callable[[], Iterator[str]]) -> CubeRepresentation | None:
+    """The representation of the dump text that each call of `chunks`
+    spells out anew, in two passes, when that text is exactly what
+    render_dump writes for it, with any report; else None.
+
+    Pass 1 (_dims_pass) reads the dimensions and pass 2 (_after_layout)
+    checks that the text is their rendering up to the report.  The rest
+    must be read by the full decode as the report and the end of the
+    object: a comma, then what json.loads with the dump hook decodes, after
+    an opening brace, to an object with the one key "report", whose value
+    holds at most one "[" or "{".  So the accepted text is the rendering of
+    the returned representation, which the full decode reads back to that
+    representation.  Any other text, and any that cannot be decoded from
+    its chunks, is turned down: the full decode gives its verdict and error
+    text.
+    """
     try:
-        while (head := _DUMP_HEAD.match(window.text)) is None:
-            if len(window.text) >= _HEAD_LIMIT or not window.more():
-                return None
-        window.pos = head.end()
-        a_count, b_count = map(int, head.groups())
-        decode = dim_decoder(a_count, b_count)
-        keys = set()
-        separator = "{"
-        while separator != "}":
-            key = window.take(_key)
-            row, source, separator = window.take(cube_row)
-            if key in keys or type(row) is not list or not set(map(type, row)) <= {list} \
-                    or source.count("[") != 1 + len(row) or "{" in source:
-                return None
-            keys.add(key)
-        window.take(partial(_skip, chars=","))
-        if window.take(_key) != "dims":
-            return None
-        separator = window.take(partial(_skip, chars="["))
-        if window.take(_peek) == "]":
-            separator = window.take(partial(_skip, chars="]"))
-        dims, tags = [], []
-        while separator != "]":
-            raw, _, separator = window.take(dims_item)
-            dim, tag = decode(raw, len(dims))
-            if raw.keys() != _DIM_KEYS:
-                return None
-            dims.append(dim)
-            tags.append(tag)
-        window.take(partial(_skip, chars=","))
-        if window.take(_key) != "report":
-            return None
-        _, source, _ = window.take(partial(value, separators="}"))
-        if source.count("[") + source.count("{") > 1 or not window.at_end():
-            return None
-        return CubeRepresentation(a_count, b_count, tuple(dims), tuple(tags))
-    except ValueError:
-        # a step still short at the end, a refused count or dimension, or a
-        # piece that could not be decoded: the full decode says which
-        return None
+        rep = _dims_pass(chunks())
+        rest = _after_layout(chunks(), rep)
+        if (rest[:1] == "," and rest.count("[") + rest.count("{") <= 1
+                and json.loads("{" + rest[1:], object_pairs_hook=_dump_object).keys()
+                == {"report"}):
+            return rep
+    except (ValueError, RecursionError):
+        pass
+    return None
 
 
 @contextmanager
@@ -894,13 +821,14 @@ def parse_dump(text: str) -> CubeRepresentation:
     """Read a dump back into a representation; raises ValueError on malformed
     or truncated input, including repeated keys and non-canonical vertex keys.
 
-    A text laid out as render_dump's is read by the walker (_walk_dump),
-    which never builds its cubes block; any other text, and any text the
-    walker turns down, takes the full decode, which gives every error.  The
-    garbage collector is paused throughout (_collector_paused).
+    A text that is exactly render_dump's text of the dimensions it holds,
+    with any report the full decode reads, is read by the stream reader
+    (_stream_dump), which never decodes its cubes block; any other text
+    takes the full decode, which gives every error.  The garbage collector
+    is paused throughout (_collector_paused).
     """
     with _collector_paused():
-        rep = _walk_dump(iter((text,)))
+        rep = _stream_dump(lambda: iter((text,)))
         return rep if rep is not None else _decode_dump(text)
 
 
@@ -908,18 +836,29 @@ def read_dump(path: str | Path) -> CubeRepresentation:
     """parse_dump of the text of the file at `path`, read as Path.read_text
     reads it, with the same result or the same exception.
 
-    The file is read in pieces of _READ_PIECE characters by the walker
-    (_walk_dump), which holds about two pieces of text at a time, so a
-    canonical dump is read without ever holding its text, its bytes or a
-    payload dict.  When the walker turns the text down, or a piece cannot
-    be decoded, the file is read again whole and takes the full decode,
-    which gives every verdict and error text, the position of a byte that
-    cannot be decoded included.
+    The file is opened once.  A file that can seek is read by the stream
+    reader (_stream_dump) in pieces of _READ_PIECE characters, from its
+    start for each pass, so a canonical dump is read without ever holding
+    its text, its bytes or a payload dict.  When the stream reader turns
+    the text down, or a piece cannot be decoded, the file is read again
+    whole from its start and takes the full decode, which gives every
+    verdict and error text, the position of a byte that cannot be decoded
+    included.  A file that cannot seek, such as a pipe, is read whole once
+    and goes to parse_dump.
     """
-    with _collector_paused():
-        with Path(path).open() as dump:
-            rep = _walk_dump(iter(partial(dump.read, _READ_PIECE), ""))
-        return rep if rep is not None else _decode_dump(Path(path).read_text())
+    with _collector_paused(), open(path) as dump:
+        if not dump.seekable():
+            return parse_dump(dump.read())
+
+        def chunks() -> Iterator[str]:
+            dump.seek(0)
+            return iter(partial(dump.read, _READ_PIECE), "")
+
+        rep = _stream_dump(chunks)
+        if rep is None:
+            dump.seek(0)
+            rep = _decode_dump(dump.read())
+        return rep
 
 
 def format_violation(violation: Violation) -> str:

@@ -991,8 +991,8 @@ def mutated_dumps(draw):
 
 
 def walk(text: str) -> CubeRepresentation | None:
-    """The walker's result on a text given in one piece."""
-    return builder._walk_dump(iter((text,)))
+    """The stream reader's result on a text given in one piece."""
+    return builder._stream_dump(lambda: iter((text,)))
 
 
 class TestCanonicalParse:
@@ -1042,7 +1042,7 @@ class TestCanonicalParse:
 
     def test_read_holds_a_small_part_of_the_dump(self, tmp_path):
         # the parse of the text, read whole, peaked at 1.5 times the file
-        # beside the text itself; the walker holds about two pieces
+        # beside the text itself; the stream reader holds about two pieces
         g = gen_random_bipartite(100, 200, 4 / 100, seed=1)
         rep, report = build_representation(g, BuildParams(master_seed=5))
         path = tmp_path / "dump.json"
@@ -1055,6 +1055,22 @@ class TestCanonicalParse:
             finally:
                 tracemalloc.stop()
         assert parsed == rep and peak - retained < path.stat().st_size / 4
+
+    def test_an_edited_cube_cell_takes_the_full_decode(self, tmp_path):
+        # the cell stays well formed, so only its value differs from the
+        # rendering of the placements
+        rep = CubeRepresentation(1, 1, (UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 1}, 1),),
+                                 ("random-1",))
+        text = render_dump(rep, EMPTY_REPORT)
+        cell = '"A1": [\n      [\n        "0",\n        "1"\n      ]'
+        assert cell in text
+        edited = text.replace(cell, cell.replace('"0"', '"5"').replace('"1"', '"6"'))
+        assert walk(text) == rep and walk(edited) is None
+        path = tmp_path / "edited.json"
+        path.write_text(edited)
+        expected = outcome(full_parse, edited)
+        assert outcome(parse_dump, edited) == expected
+        assert outcome(read_dump, path) == expected
 
     @pytest.mark.parametrize("row, error", [
         ('[[["0"]]]', None),
@@ -1078,6 +1094,8 @@ class TestCanonicalParse:
         ('\n      "provenance": "random-1",', ""),
         ('"report": {[^}]*}', '"report": [[1]]'),
         ('"report": {[^}]*}', '"report": {"k": {"t": 1}}'),
+        ('"report": {[^}]*}', '"report": 0, "a_count": 1'),
+        (',\n  "report"', '\n  "report"'),
     ])
     def test_other_dims_items_and_reports_take_the_full_decode(self, pattern, replacement):
         rep = CubeRepresentation(1, 1, (UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 1}, 1),),
@@ -1091,9 +1109,10 @@ class TestCanonicalParse:
         ('"report": {[^}]*}', '"report": NEST'),
     ])
     def test_walker_turns_down_what_the_full_decode_cannot_read(self, pattern, replacement):
-        # the walker decodes a dims item two levels less deep than the full
-        # decode, and the report one level less, so the full decode reaches
-        # the recursion limit first
+        # the stream reader decodes a dims item two levels less deep than
+        # the full decode, but accepts only a dims item that is rendered and
+        # a report with one bracket at most, so it turns down every text
+        # that reaches the full decode's recursion limit
         rep = CubeRepresentation(1, 1, (UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 1}, 1),),
                                  ("random-1",))
         template = re.sub(pattern, replacement, render_dump(rep, EMPTY_REPORT))

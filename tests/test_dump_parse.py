@@ -8,7 +8,9 @@ import contextlib
 import gc
 import io
 import json
+import os
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -250,6 +252,41 @@ class TestReadErrors:
                 rc = main(["verify", str(graph), str(path)])
         assert (type(error), str(error)) == (type(expected), str(expected))
         assert (rc, out.getvalue(), err.getvalue()) == (2, "", f"error: {expected}\n")
+
+
+def read_through_fifo(fifo: Path, text: str) -> tuple[str, object]:
+    """read_dump, run in a thread, of the FIFO at `fifo` while `text` is
+    written into it once: ("accepted", representation) or ("rejected",
+    error text)."""
+    result = []
+    reader = threading.Thread(target=lambda: result.append(outcome(read_dump, fifo)))
+    reader.start()
+    with open(fifo, "w") as pipe:
+        pipe.write(text)
+    reader.join(timeout=10)
+    if reader.is_alive():
+        # a reader that opens the FIFO again waits for a second writer: one
+        # that writes nothing lets it go on to an empty text
+        open(fifo, "w").close()
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    return result[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("layout", ["canonical", "re-indented", "compact"])
+def test_a_dump_through_a_pipe_reads_as_its_text(tmp_path, layout):
+    # a pipe cannot be read twice: the text is read whole, once
+    g = gen_random_bipartite(20, 40, 0.1, seed=1)
+    text = render_dump(*build_representation(g, BuildParams(master_seed=7)))
+    text = {"canonical": text,
+            "re-indented": json.dumps(json.loads(text), indent=4),
+            "compact": json.dumps(json.loads(text))}[layout]
+    fifo = tmp_path / "dump.fifo"
+    os.mkfifo(fifo)
+    expected = outcome(parse_dump, text)
+    assert expected[0] == "accepted"
+    assert read_through_fifo(fifo, text) == expected
 
 
 def retained_bytes(make):
