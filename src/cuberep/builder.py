@@ -671,21 +671,12 @@ def _send_file(source, path: str | Path, size: int) -> bool:
 
 def _dump_object(pairs: list[tuple[str, object]]) -> dict:
     """json object hook for dumps.  It refuses repeated keys, which json.loads
-    would otherwise merge silently, last value winning.  An object whose
-    values are all lists, such as the cubes block, keeps its keys but drops
-    its lists as soon as it is decoded: rep_from_jsonable reads no list but
-    the dims of the top-level object, which also holds the counts, so the
-    result is the same.  The drop matters only to the full decode, which
-    holds the cubes block until it is complete; the stream reader of
-    canonical text (_stream_dump) decodes the report with this hook too,
-    but never decodes the cubes block."""
+    would otherwise merge silently, last value winning."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
         counts = Counter(key for key, _ in pairs)
         repeated = next(key for key, n in counts.items() if n > 1)
         raise ValueError(f"dump repeats the key {repeated!r} in one object")
-    if all(type(value) is list for value in obj.values()):
-        return dict.fromkeys(obj)
     return obj
 
 
@@ -817,19 +808,25 @@ def _decode_dump(text: str) -> CubeRepresentation:
     return rep_from_jsonable(payload)
 
 
+def _stream_or_decode(chunks: Callable[[], Iterator[str]],
+                      whole: Callable[[], str]) -> CubeRepresentation:
+    """The representation of the dump text that each call of `chunks`
+    spells out anew and `whole` returns at once.  A text that is exactly
+    render_dump's text of the dimensions it holds, with any report the full
+    decode reads, is read by the stream reader (_stream_dump), which never
+    decodes its cubes block; any other text takes the full decode of
+    whole(), which gives every verdict and error text.  The garbage
+    collector is paused throughout (_collector_paused)."""
+    with _collector_paused():
+        rep = _stream_dump(chunks)
+        return rep if rep is not None else _decode_dump(whole())
+
+
 def parse_dump(text: str) -> CubeRepresentation:
     """Read a dump back into a representation; raises ValueError on malformed
-    or truncated input, including repeated keys and non-canonical vertex keys.
-
-    A text that is exactly render_dump's text of the dimensions it holds,
-    with any report the full decode reads, is read by the stream reader
-    (_stream_dump), which never decodes its cubes block; any other text
-    takes the full decode, which gives every error.  The garbage collector
-    is paused throughout (_collector_paused).
-    """
-    with _collector_paused():
-        rep = _stream_dump(lambda: iter((text,)))
-        return rep if rep is not None else _decode_dump(text)
+    or truncated input, including repeated keys, non-canonical vertex keys
+    and cubes that differ from the placements (see _stream_or_decode)."""
+    return _stream_or_decode(lambda: iter((text,)), lambda: text)
 
 
 def read_dump(path: str | Path) -> CubeRepresentation:
@@ -846,7 +843,7 @@ def read_dump(path: str | Path) -> CubeRepresentation:
     included.  A file that cannot seek, such as a pipe, is read whole once
     and goes to parse_dump.
     """
-    with _collector_paused(), open(path) as dump:
+    with open(path) as dump:
         if not dump.seekable():
             return parse_dump(dump.read())
 
@@ -854,11 +851,11 @@ def read_dump(path: str | Path) -> CubeRepresentation:
             dump.seek(0)
             return iter(partial(dump.read, _READ_PIECE), "")
 
-        rep = _stream_dump(chunks)
-        if rep is None:
+        def whole() -> str:
             dump.seek(0)
-            rep = _decode_dump(dump.read())
-        return rep
+            return dump.read()
+
+        return _stream_or_decode(chunks, whole)
 
 
 def format_violation(violation: Violation) -> str:

@@ -87,10 +87,6 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text()
-
-
 def _check_out(path: str | None) -> None:
     """Refuse an --out path that is a directory or whose parent is not one,
     so a command that could not write its output fails before it does any
@@ -123,7 +119,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    g = parse_graph(_read_text(args.graph))
+    g = parse_graph(Path(args.graph).read_text())
     _check_out(args.out)
     seed = _resolve_seed(args.seed)
     params = BuildParams(master_seed=seed, t_override=args.t,
@@ -149,7 +145,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = parse_graph(_read_text(args.graph))
+    g = parse_graph(Path(args.graph).read_text())
     rep = read_dump(args.rep)
     violations = verify(rep, g)
     if args.format == "machine":
@@ -170,13 +166,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    g = parse_graph(_read_text(args.graph))
+    g = parse_graph(Path(args.graph).read_text())
     seed = _resolve_seed(args.seed)
     trials = args.trials
     plan = make_plan(g, args.t)
     profile, side = plan.profile, plan.side  # the side the estimate and build permute
     bound = Fraction(profile.delta_prime, profile.delta_prime + 1)
-    non_edges = sorted(g.cross_non_edges())
+    non_edges = list(g.cross_non_edges())
     # each non-edge as 0-based (permuted endpoint, other endpoint)
     ends = [(a - 1, b - 1) if side == SIDE_A else (b - 1, a - 1) for a, b in non_edges]
     counts = survival_counts(plan.neighbours, g.vertex_count - plan.side_size,
@@ -214,7 +210,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    g = parse_graph(_read_text(args.graph))
+    g = parse_graph(Path(args.graph).read_text())
     seed = _resolve_seed(args.seed)
     plan = make_plan(g, args.t)
     # round i is attempt i, checked as build checks it

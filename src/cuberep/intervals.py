@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NoReturn, Sequence
@@ -268,7 +269,8 @@ def rep_to_jsonable(rep: CubeRepresentation) -> dict:
 def rep_from_jsonable(obj: object) -> CubeRepresentation:
     """The representation a dump payload describes; ValueError if it is
     malformed.  Each dimension is read in turn by dim_decoder's reader, so
-    a bad one is refused before later dimensions are read."""
+    a bad one is refused before later dimensions are read.  Then the cubes
+    block must restate the dimensions read (_check_cubes)."""
     if not isinstance(obj, dict):
         raise ValueError("dump must be a JSON object")
     a_count = obj.get("a_count")
@@ -285,7 +287,47 @@ def rep_from_jsonable(obj: object) -> CubeRepresentation:
         dim, tag = decode(raw, pos)
         dims.append(dim)
         tags.append(tag)
-    return CubeRepresentation(a_count, b_count, tuple(dims), tuple(tags))
+    rep = CubeRepresentation(a_count, b_count, tuple(dims), tuple(tags))
+    _check_cubes(obj.get("cubes"), rep)
+    return rep
+
+
+def _check_cubes(cubes: object, rep: CubeRepresentation) -> None:
+    """ValueError unless `cubes` is an object keyed by exactly rep's
+    vertices whose row for each vertex holds, per dimension, the cell
+    list(cube_cell(value, threshold)) of its placement.  The message names
+    the first vertex, in canonical order, whose row is wrong, and the first
+    dimension at which it is.  A cell list is made once per distinct value
+    and threshold, and one expected row at a time."""
+    if not isinstance(cubes, dict):
+        raise ValueError("dump needs a cubes object")
+    cells: dict[int, dict[int, list[str]]] = {}  # threshold -> value -> cell
+    columns = []
+    for dim in rep.dims:
+        c = dim.threshold
+        known = cells.setdefault(c, {})
+        for x in set(dim.values).difference(known):
+            known[x] = list(cube_cell(x, c))
+        columns.append(map(known.__getitem__, dim.values))
+    rows = map(list, zip(*columns)) if columns else repeat([])
+    for v, expected in zip(rep.vertices(), rows):
+        key = vertex_key(v)
+        row = cubes.get(key)
+        if row == expected:
+            continue
+        if key not in cubes:
+            raise ValueError(f"cubes miss vertex {key}")
+        if not isinstance(row, list):
+            raise ValueError(f"cubes of {key} must be a list")
+        pos = next((pos for pos, (got, want) in enumerate(zip(row, expected))
+                    if got != want), min(len(row), len(expected)))
+        if pos < len(expected):
+            raise ValueError(f"dim {pos}: cube of {key} differs from its placement")
+        raise ValueError(f"cubes of {key} hold {len(row)} cells for {len(expected)} dims")
+    if len(cubes) != rep.a_count + rep.b_count:
+        keys = set(map(vertex_key, rep.vertices()))
+        extra = next(key for key in cubes if key not in keys)
+        raise ValueError(f"cubes hold {extra!r}, which is not a declared vertex")
 
 
 def dim_decoder(a_count: int, b_count: int) -> Callable[[object, int],

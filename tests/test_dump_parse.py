@@ -34,11 +34,12 @@ from cuberep import (
     render_dump,
     rep_from_jsonable,
     serialize_graph,
+    to_unit_cubes,
     verify,
 )
 from cuberep import builder
 from cuberep.cli import main
-from cuberep.intervals import parse_vertex_key, random_dim_tag
+from cuberep.intervals import parse_vertex_key, random_dim_tag, vertex_key
 
 EMPTY_REPORT = BuildReport(0, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
 
@@ -49,7 +50,8 @@ def reference_rep_from_jsonable(obj: object) -> CubeRepresentation:
     error texts rep_from_jsonable keeps.  With several faults the two may
     name different ones: this decoder leaves a placement that misses a
     vertex to CubeRepresentation, after every dimension is read, while
-    rep_from_jsonable refuses it at its own dimension."""
+    rep_from_jsonable refuses it at its own dimension.  The cubes block is
+    then compared, vertex by vertex, with to_unit_cubes' exact rationals."""
     if not isinstance(obj, dict):
         raise ValueError("dump must be a JSON object")
     a_count, b_count = obj.get("a_count"), obj.get("b_count")
@@ -81,11 +83,31 @@ def reference_rep_from_jsonable(obj: object) -> CubeRepresentation:
         if not isinstance(tag, str):
             raise ValueError(f"dim {pos}: provenance must be a string")
         tags.append(tag)
-    return CubeRepresentation(a_count, b_count, tuple(dims), tuple(tags))
+    rep = CubeRepresentation(a_count, b_count, tuple(dims), tuple(tags))
+    cubes = obj.get("cubes")
+    if not isinstance(cubes, dict):
+        raise ValueError("dump needs a cubes object")
+    for v, cells in to_unit_cubes(rep).items():
+        key = vertex_key(v)
+        if key not in cubes:
+            raise ValueError(f"cubes miss vertex {key}")
+        row = cubes[key]
+        if not isinstance(row, list):
+            raise ValueError(f"cubes of {key} must be a list")
+        for pos, (lo, hi) in enumerate(cells):
+            if pos >= len(row) or row[pos] != [str(lo), str(hi)]:
+                raise ValueError(f"dim {pos}: cube of {key} differs from its placement")
+        if len(row) != len(cells):
+            raise ValueError(f"cubes of {key} hold {len(row)} cells for {len(cells)} dims")
+    keys = {vertex_key(v) for v in rep.vertices()}
+    for key in cubes:
+        if key not in keys:
+            raise ValueError(f"cubes hold {key!r}, which is not a declared vertex")
+    return rep
 
 
 MUTATIONS = ("none", "remove", "out-of-range", "alias", "reorder", "value",
-             "all-lists", "other-vertex-set")
+             "all-lists", "other-vertex-set", "cube", "cubes-keys")
 BAD_VALUES = (True, 1.0, "1", None, 10 ** 30)
 
 
@@ -108,6 +130,35 @@ def hostile_payloads(draw):
     if mutation == "other-vertex-set":
         # well formed, but every placement now misses a declared vertex
         payload[draw(st.sampled_from(["a_count", "b_count"]))] += 1
+    elif mutation == "cubes-keys":
+        cubes = payload["cubes"]
+        key = draw(st.sampled_from(sorted(cubes)))
+        change = draw(st.sampled_from(["remove", "alias", "out-of-range", "not-a-row",
+                                       "not-an-object"]))
+        if change == "remove":
+            del cubes[key]
+        elif change == "alias":
+            cubes[f"{key[0]}0{key[1:]}"] = cubes[key]
+        elif change == "out-of-range":
+            cubes[f"B{b_count + 1}"] = cubes[key]
+        elif change == "not-a-row":
+            cubes[key] = {}
+        else:
+            payload["cubes"] = list(cubes.values())
+    elif mutation == "cube" and dims:
+        row = payload["cubes"][draw(st.sampled_from(sorted(payload["cubes"])))]
+        pos = draw(st.integers(0, len(dims) - 1))
+        change = draw(st.sampled_from(["swap", "zero", "number", "extra", "drop"]))
+        if change == "swap":
+            row[pos] = row[pos][::-1]
+        elif change == "zero":  # the right cell when the placement is 0
+            row[pos] = ["0", "1"]
+        elif change == "number":
+            row[pos] = [0, 1]
+        elif change == "extra":
+            row.append(row[pos])
+        else:
+            del row[pos]
     elif mutation != "none" and dims:
         placement = payload["dims"][draw(st.integers(0, len(dims) - 1))]["placement"]
         keys = list(placement)
@@ -159,7 +210,8 @@ class TestHostileDumps:
         mutation, payload = case
         expected = outcome(reference_rep_from_jsonable, payload)
         assert outcome(rep_from_jsonable, payload) == expected
-        # through the text, where the object hook drops all-list objects' lists
+        # through the text, whose object hook refuses only repeated keys: an
+        # all-lists placement is refused by its values, as in the payload
         assert outcome(parse_dump, json.dumps(payload)) == expected
         if mutation in ("none", "reorder"):
             assert expected[0] == "accepted"
@@ -186,6 +238,14 @@ class TestHostileDumps:
 
 VALID_DUMP = render_dump(CubeRepresentation(1, 1, (UnitIntervalRep(
     {(SIDE_A, 1): 0, (SIDE_B, 1): 1}, 1),), ("random-1",)), EMPTY_REPORT)
+
+
+def stale_cube(text: str) -> str:
+    """The dump text with the first cube of A1 replaced by another cell."""
+    payload = json.loads(text)
+    lo, hi = payload["cubes"]["A1"][0]
+    payload["cubes"]["A1"][0] = [hi, lo]
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 class TestGarbageCollectorState:
@@ -237,13 +297,20 @@ class TestReadErrors:
         path.write_bytes(data[:at] + b"\xff" + data[at:])
         return path
 
+    def stale(self, tmp_path):
+        """VALID_DUMP with the cube of A1 that its placement does not give."""
+        path = tmp_path / "stale.json"
+        path.write_text(stale_cube(VALID_DUMP))
+        return path
+
     @pytest.mark.parametrize("case", ["missing", "directory", "bad byte in the first piece",
-                                      "bad byte past the first piece"])
+                                      "bad byte past the first piece", "stale cube"])
     def test_same_error_as_the_whole_read(self, tmp_path, graph, case):
         path = {"missing": lambda: tmp_path / "missing.json",
                 "directory": lambda: tmp_path,
                 "bad byte in the first piece": lambda: self.bad_byte(tmp_path, 3),
-                "bad byte past the first piece": lambda: self.bad_byte(tmp_path, 60)}[case]()
+                "bad byte past the first piece": lambda: self.bad_byte(tmp_path, 60),
+                "stale cube": lambda: self.stale(tmp_path)}[case]()
         expected = raised(lambda: parse_dump(Path(path).read_text()))
         with mock.patch.object(builder, "_READ_PIECE", 16):
             error = raised(lambda: read_dump(path))
@@ -274,18 +341,20 @@ def read_through_fifo(fifo: Path, text: str) -> tuple[str, object]:
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
-@pytest.mark.parametrize("layout", ["canonical", "re-indented", "compact"])
+@pytest.mark.parametrize("layout", ["canonical", "re-indented", "compact", "stale-cube"])
 def test_a_dump_through_a_pipe_reads_as_its_text(tmp_path, layout):
     # a pipe cannot be read twice: the text is read whole, once
     g = gen_random_bipartite(20, 40, 0.1, seed=1)
     text = render_dump(*build_representation(g, BuildParams(master_seed=7)))
     text = {"canonical": text,
             "re-indented": json.dumps(json.loads(text), indent=4),
-            "compact": json.dumps(json.loads(text))}[layout]
+            "compact": json.dumps(json.loads(text)),
+            "stale-cube": stale_cube(text)}[layout]
     fifo = tmp_path / "dump.fifo"
     os.mkfifo(fifo)
     expected = outcome(parse_dump, text)
-    assert expected[0] == "accepted"
+    assert expected == (("rejected", "dim 0: cube of A1 differs from its placement")
+                        if layout == "stale-cube" else ("accepted", expected[1]))
     assert read_through_fifo(fifo, text) == expected
 
 

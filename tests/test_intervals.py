@@ -259,6 +259,25 @@ class TestDumpPayload:
         with pytest.raises(ValueError):
             rep_from_jsonable(payload)
 
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda p: p.pop("cubes"), "dump needs a cubes object"),
+        (lambda p: p["cubes"]["B1"][1].reverse(),
+         "dim 1: cube of B1 differs from its placement"),
+        (lambda p: p["cubes"]["A1"].__setitem__(0, ["2/8", "10/8"]),
+         "dim 0: cube of A1 differs from its placement"),
+        (lambda p: p["cubes"]["B1"].pop(), "dim 1: cube of B1 differs from its placement"),
+        (lambda p: p["cubes"]["A1"].append(["0", "1"]), "cubes of A1 hold 3 cells for 2 dims"),
+        (lambda p: p["cubes"].update(A1="[]"), "cubes of A1 must be a list"),
+        (lambda p: p["cubes"].pop("B1"), "cubes miss vertex B1"),
+        (lambda p: p["cubes"].update(B2=[]), "cubes hold 'B2', which is not a declared vertex"),
+    ])
+    def test_cubes_that_are_not_the_placements_cells_are_refused(self, mangle, message):
+        payload = rep_to_jsonable(two_dim_rep())
+        mangle(payload)
+        with pytest.raises(ValueError) as excinfo:
+            rep_from_jsonable(payload)
+        assert str(excinfo.value) == message
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(unit_interval_reps(), max_size=4))
     def test_cubes_text_matches_to_unit_cubes(self, dims):
