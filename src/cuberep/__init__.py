@@ -28,6 +28,7 @@ from .builder import (
     render_dump,
     report_to_jsonable,
     verify,
+    verify_dump,
     write_dump,
 )
 from .graphs import (
@@ -114,6 +115,7 @@ __all__ = [
     "swap_sides",
     "to_unit_cubes",
     "verify",
+    "verify_dump",
     "vertex_key",
     "write_dump",
 ]

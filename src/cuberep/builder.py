@@ -377,12 +377,17 @@ def survivor_masks(plan: BuildPlan, master_seed: int,
 # block of 1000 draws is 12 ms or more when no attempt stops early.
 MIN_CHILD_DRAWS = 1000
 
-# Fewest cells (vertices x k) of a dump that make rendering it in a forked
-# child, beside verification, worth its cost.  On the same host, the child
-# with its pipe and temporary file cost 3-4 ms from fork to reaping;
-# builds with --out of 2,160 to 9,675 cells took 1-4 ms longer with the
-# child, builds of 14,000 to 22,000 about as long, and builds of 22,800 to
-# 36,000 cells 6-16% less.
+# Fewest cells (vertices x k) of a dump that make work on it in a forked
+# child, beside verification, worth its cost: build_representation's render
+# and verify_dump's layout check.  On the same host, the render child with
+# its pipe and temporary file cost 3-4 ms from fork to reaping; builds with
+# --out of 2,160 to 9,675 cells took 1-4 ms longer with the child, builds
+# of 14,000 to 22,000 about as long, and builds of 22,800 to 36,000 cells
+# 6-16% less.  verify_dump with the layout child, against without it
+# (medians of 40 alternating calls each): 7,320 cells +3.3 ms (+24%),
+# 12,060 +1.5 to +2.5 ms, 16,170 +0.2 ms (+1%), 18,960 -1.5 to -3.1 ms,
+# 23,625 -1.5 ms (-4%), 24,750 -5.6 to -6.5 ms (-12 to -15%), 43,680
+# -11.6 ms (-15%) and 57,000 -24.9 ms (-24%).
 MIN_CHILD_CELLS = 20_000
 
 
@@ -753,32 +758,29 @@ def _after_layout(chunks: Iterator[str], rep: CubeRepresentation) -> str:
     return text[pos:] + "".join(chunks)
 
 
-def _stream_dump(chunks: Callable[[], Iterator[str]]) -> CubeRepresentation | None:
-    """The representation of the dump text that each call of `chunks`
-    spells out anew, in two passes, when that text is exactly what
-    render_dump writes for it, with any report; else None.
-
-    Pass 1 (_dims_pass) reads the dimensions and pass 2 (_after_layout)
-    checks that the text is their rendering up to the report.  The rest
-    must be read by the full decode as the report and the end of the
-    object: a comma, then what json.loads with the dump hook decodes, after
-    an opening brace, to an object with the one key "report", whose value
-    holds at most one "[" or "{".  So the accepted text is the rendering of
-    the returned representation, which the full decode reads back to that
-    representation.  Any other text, and any that cannot be decoded from
-    its chunks, is turned down: the full decode gives its verdict and error
-    text.
-    """
+def _layout_accepted(chunks: Callable[[], Iterator[str]], rep: CubeRepresentation) -> bool:
+    """Pass 2 of the stream reader and its report rule: whether the text
+    that a new call of `chunks` spells out is _layout_pieces(rep) and then
+    a report that the full decode reads.  The rest after the layout must be
+    read by the full decode as the report and the end of the object: a
+    comma, then what json.loads with the dump hook decodes, after an
+    opening brace, to an object with the one key "report", whose value
+    holds at most one "[" or "{"."""
     try:
-        rep = _dims_pass(chunks())
         rest = _after_layout(chunks(), rep)
-        if (rest[:1] == "," and rest.count("[") + rest.count("{") <= 1
+        return (rest[:1] == "," and rest.count("[") + rest.count("{") <= 1
                 and json.loads("{" + rest[1:], object_pairs_hook=_dump_object).keys()
-                == {"report"}):
-            return rep
+                == {"report"})
     except (ValueError, RecursionError):
-        pass
-    return None
+        return False
+
+
+def _dims_or_none(chunks: Callable[[], Iterator[str]]) -> CubeRepresentation | None:
+    """_dims_pass of a new call of `chunks`, or None where it fails."""
+    try:
+        return _dims_pass(chunks())
+    except (ValueError, RecursionError):
+        return None
 
 
 @contextmanager
@@ -808,18 +810,60 @@ def _decode_dump(text: str) -> CubeRepresentation:
     return rep_from_jsonable(payload)
 
 
-def _stream_or_decode(chunks: Callable[[], Iterator[str]],
-                      whole: Callable[[], str]) -> CubeRepresentation:
+def _stream_or_decode(chunks: Callable[[], Iterator[str]], whole: Callable[[], str],
+                      beside: Callable[[CubeRepresentation], object] | None = None) -> object:
     """The representation of the dump text that each call of `chunks`
-    spells out anew and `whole` returns at once.  A text that is exactly
-    render_dump's text of the dimensions it holds, with any report the full
-    decode reads, is read by the stream reader (_stream_dump), which never
-    decodes its cubes block; any other text takes the full decode of
-    whole(), which gives every verdict and error text.  The garbage
-    collector is paused throughout (_collector_paused)."""
-    with _collector_paused():
-        rep = _stream_dump(chunks)
-        return rep if rep is not None else _decode_dump(whole())
+    spells out anew and `whole` returns at once, or, with `beside`, what
+    beside returns for it.  The stream reader reads it in two passes, and
+    never decodes its cubes block: pass 1 (_dims_pass) reads the
+    dimensions, and pass 2 (_layout_accepted) accepts the text only when it
+    is their rendering and then a report.  So an accepted text is the
+    rendering of the returned representation, which the full decode reads
+    back to that representation.  Any other text, and any that cannot be
+    decoded from its chunks, takes the full decode of whole(), which gives
+    every verdict and error text.  The garbage collector is paused
+    throughout (_collector_paused).
+
+    With `beside`, once pass 1 has read the dimensions, a forked child runs
+    pass 2 (_layout_accepted) and replies 1 or 0 while this process calls
+    beside on them; the source is not touched here until the child is
+    reaped.  There is no child where _Children forbids a fork or the
+    dimensions hold fewer than MIN_CHILD_CELLS cells (vertices x k), or
+    when the fork fails: pass 2 then runs here, before beside.  A child
+    that exits non-zero or replies short has pass 2 run here instead.  An
+    Exception from beside is held until pass 2 has given its verdict, and
+    raised only when the text is accepted; a turned-down text takes the
+    full decode, and beside is called on its result.  So the result, or the
+    exception, is beside's of the representation read without it.  The
+    child is reaped before the call returns, and killed first on an
+    exception (a KeyboardInterrupt in beside, say)."""
+    with _collector_paused(), _Children() as children:
+        rep = _dims_or_none(chunks)
+        pid = None
+        if (rep is not None and beside is not None and children.allowed
+                and (rep.a_count + rep.b_count) * rep.dimension >= MIN_CHILD_CELLS):
+            pid = children.fork(partial(_layout_accepted, chunks, rep))
+        beside = beside or _same
+        if pid is not None:
+            try:
+                result, held = beside(rep), None
+            except Exception as exc:
+                result, held = None, exc
+            accepted = children.reply(pid)
+            if accepted is None:
+                accepted = _layout_accepted(chunks, rep)
+            if accepted:
+                if held is not None:
+                    raise held
+                return result
+        elif rep is not None and _layout_accepted(chunks, rep):
+            return beside(rep)
+        return beside(_decode_dump(whole()))
+
+
+def _same(rep: CubeRepresentation) -> CubeRepresentation:
+    """The `beside` of a plain read: the representation itself."""
+    return rep
 
 
 def parse_dump(text: str) -> CubeRepresentation:
@@ -834,18 +878,35 @@ def read_dump(path: str | Path) -> CubeRepresentation:
     reads it, with the same result or the same exception.
 
     The file is opened once.  A file that can seek is read by the stream
-    reader (_stream_dump) in pieces of _READ_PIECE characters, from its
-    start for each pass, so a canonical dump is read without ever holding
-    its text, its bytes or a payload dict.  When the stream reader turns
-    the text down, or a piece cannot be decoded, the file is read again
-    whole from its start and takes the full decode, which gives every
+    reader (see _stream_or_decode) in pieces of _READ_PIECE characters,
+    from its start for each pass, so a canonical dump is read without ever
+    holding its text, its bytes or a payload dict.  When the stream reader
+    turns the text down, or a piece cannot be decoded, the file is read
+    again whole from its start and takes the full decode, which gives every
     verdict and error text, the position of a byte that cannot be decoded
     included.  A file that cannot seek, such as a pipe, is read whole once
-    and goes to parse_dump.
+    and read as parse_dump reads its text.  No process is forked.
     """
+    return _read_dump(path, None)
+
+
+def verify_dump(path: str | Path, g: BipartiteGraph) -> list[Violation]:
+    """verify(read_dump(path), g), with the same result or the same
+    exception: the file is read as read_dump reads it, and where that
+    forks (see _stream_or_decode), a child checks the text's layout while
+    this process verifies the dimensions.  No child outlives the call, and
+    a child's memory is not part of this process's peak RSS."""
+    return _read_dump(path, lambda rep: verify(rep, g))
+
+
+def _read_dump(path: str | Path,
+               beside: Callable[[CubeRepresentation], object] | None) -> object:
+    """_stream_or_decode of the file at `path`, read as read_dump reads it,
+    with `beside`."""
     with open(path) as dump:
         if not dump.seekable():
-            return parse_dump(dump.read())
+            text = dump.read()
+            return _stream_or_decode(lambda: iter((text,)), lambda: text, beside)
 
         def chunks() -> Iterator[str]:
             dump.seek(0)
@@ -855,7 +916,7 @@ def read_dump(path: str | Path) -> CubeRepresentation:
             dump.seek(0)
             return dump.read()
 
-        return _stream_or_decode(chunks, whole)
+        return _stream_or_decode(chunks, whole, beside)
 
 
 def format_violation(violation: Violation) -> str:

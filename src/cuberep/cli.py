@@ -24,9 +24,8 @@ from .builder import (
     failure_rate,
     format_violation,
     make_plan,
-    read_dump,
     report_to_jsonable,
-    verify,
+    verify_dump,
 )
 from .graphs import (
     MAX_VERTICES,
@@ -146,8 +145,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = parse_graph(Path(args.graph).read_text())
-    rep = read_dump(args.rep)
-    violations = verify(rep, g)
+    violations = verify_dump(args.rep, g)
     if args.format == "machine":
         payload = {
             "equal": not violations,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import tempfile
 
@@ -43,8 +44,8 @@ def all_pairs(vertices):
 @pytest.fixture
 def forks(monkeypatch):
     """The builder forks for any work on two CPUs: the failure estimate for
-    any number of draws, the build for a dump of any size.  Yields the list
-    of the pids of the children it forks."""
+    any number of draws, the build and verify_dump for a dump of any size.
+    Yields the list of the pids of the children it forks."""
     monkeypatch.setattr(builder, "available_cpus", lambda: 2)
     monkeypatch.setattr(builder, "MIN_CHILD_DRAWS", 1)
     monkeypatch.setattr(builder, "MIN_CHILD_CELLS", 1)
@@ -71,6 +72,14 @@ def temporary_files(monkeypatch):
 
     monkeypatch.setattr(tempfile, "TemporaryFile", recording)
     return made
+
+
+def stale_cube(text: str) -> str:
+    """The dump text with the first cube of A1 replaced by another cell."""
+    payload = json.loads(text)
+    lo, hi = payload["cubes"]["A1"][0]
+    payload["cubes"]["A1"][0] = [hi, lo]
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def assert_no_child_left():

@@ -9,17 +9,19 @@ import os
 import random
 import re
 import signal
+import subprocess
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import islice
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_pairs, assert_no_child_left, bipartite_graphs
+from conftest import all_pairs, assert_no_child_left, bipartite_graphs, stale_cube
 from cuberep import (
     SIDE_A,
     SIDE_B,
@@ -51,6 +53,7 @@ from cuberep import (
     report_to_jsonable,
     swap_sides,
     verify,
+    verify_dump,
     write_dump,
 )
 from cuberep import builder
@@ -991,8 +994,13 @@ def mutated_dumps(draw):
 
 
 def walk(text: str) -> CubeRepresentation | None:
-    """The stream reader's result on a text given in one piece."""
-    return builder._stream_dump(lambda: iter((text,)))
+    """The stream reader's result on a text given in one piece: the
+    dimensions that pass 1 reads when pass 2 accepts the text, else None."""
+    def chunks():
+        return iter((text,))
+
+    rep = builder._dims_or_none(chunks)
+    return rep if rep is not None and builder._layout_accepted(chunks, rep) else None
 
 
 class TestCanonicalParse:
@@ -1130,6 +1138,253 @@ class TestCanonicalParse:
             low, high = (middle, high) if decoded(middle) else (low, middle)
         assert walk(nested(high)) is None
         assert outcome(parse_dump, nested(high))[0] == "rejected"
+
+
+VERIFIED = gen_random_bipartite(20, 40, 0.1, seed=1)
+VERIFIED_DUMP = render_dump(*build_representation(VERIFIED, BuildParams(master_seed=7)))
+
+
+def moved_placement(text: str) -> str:
+    """The canonical dump text with one placement of the first random
+    dimension moved beyond every other and its cube rewritten to match, so
+    the dump is consistent and one of its edges is lost."""
+    payload = json.loads(text)
+    a = min(a for a, _ in VERIFIED.edges)
+    pos, dim = next((i, d) for i, d in enumerate(payload["dims"])
+                    if d["provenance"] == "random-1")
+    moved = max(dim["placement"].values()) + dim["threshold"] + 1
+    dim["placement"][f"A{a}"] = moved
+    low = Fraction(moved, dim["threshold"])
+    payload["cubes"][f"A{a}"][pos] = [str(low), str(low + 1)]
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def without_a_placement(text: str) -> str:
+    payload = json.loads(text)
+    del payload["dims"][0]["placement"]["A1"]
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+OTHER_COUNTS = BipartiteGraph(VERIFIED.a_count, VERIFIED.b_count + 1, VERIFIED.edges)
+# name: (dump text, graph, whether pass 1 reads its dimensions, so that
+# verify_dump forks on two CPUs)
+VERIFY_CASES = {
+    "canonical": (VERIFIED_DUMP, VERIFIED, True),
+    "crlf": (VERIFIED_DUMP.replace("\n", "\r\n"), VERIFIED, True),
+    "indent-4": (json.dumps(json.loads(VERIFIED_DUMP), indent=4) + "\n", VERIFIED, False),
+    "compact": (json.dumps(json.loads(VERIFIED_DUMP)), VERIFIED, False),
+    "cut-in-cubes": (VERIFIED_DUMP[:VERIFIED_DUMP.index('"dims"') // 2], VERIFIED, False),
+    "cut-in-dims": (VERIFIED_DUMP[:VERIFIED_DUMP.index('"report"') - 300], VERIFIED, False),
+    "trailing-data": (VERIFIED_DUMP + "{}\n", VERIFIED, True),
+    "repeated-key": (VERIFIED_DUMP.replace('"report": {', '"report": {\n    "k": 0,', 1),
+                     VERIFIED, True),
+    "moved-placement": (moved_placement(VERIFIED_DUMP), VERIFIED, True),
+    "stale-cube": (stale_cube(VERIFIED_DUMP), VERIFIED, True),
+    "missing-placement": (without_a_placement(VERIFIED_DUMP), VERIFIED, False),
+    "other-counts": (VERIFIED_DUMP, OTHER_COUNTS, True),
+    "other-counts-stale-cube": (stale_cube(VERIFIED_DUMP), OTHER_COUNTS, True),
+}
+
+
+def verdict(call):
+    """("returned", what call() returns) or (the type, the text) of the
+    exception it raises."""
+    try:
+        return "returned", call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def read_then_verify(path, g):
+    return verdict(lambda: verify(read_dump(path), g))
+
+
+def open_descriptors() -> list[str]:
+    """This process's open file descriptors, where the platform lists them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+@st.composite
+def verified_dumps(draw):
+    """A dump_cases text, perhaps edited once (see mutate_dump), and a graph
+    of its counts, or of one vertex more: (text, graph)."""
+    rep, report, swapped = draw(dump_cases())
+    text = render_dump(rep, report, swapped)
+    mutation = draw(st.sampled_from(("none", *TEXT_MUTATIONS)))
+    if mutation != "none":
+        text = mutate_dump(draw, text, mutation)
+    cells = [(a, b) for a in range(1, rep.a_count + 1) for b in range(1, rep.b_count + 1)]
+    edges = frozenset(draw(st.sets(st.sampled_from(cells))))
+    return text, BipartiteGraph(rep.a_count, rep.b_count + draw(st.integers(0, 1)), edges)
+
+
+class TestLayoutBeside:
+    """verify_dump(path, g) is verify(read_dump(path), g), with the layout
+    check in a forked child or in this process, and leaves nothing behind."""
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("case", VERIFY_CASES)
+    def test_verify_dump_is_verify_of_read_dump(self, forks, monkeypatch, tmp_path,
+                                                case, cpus):
+        text, g, forking = VERIFY_CASES[case]
+        path = tmp_path / "dump.json"
+        path.write_bytes(text.encode("ascii"))
+        expected = read_then_verify(path, g)
+        monkeypatch.setattr(builder, "available_cpus", lambda: cpus)
+        descriptors = open_descriptors()
+        for piece in (7, builder._READ_PIECE):
+            with mock.patch.object(builder, "_READ_PIECE", piece):
+                assert verdict(lambda: verify_dump(path, g)) == expected
+        assert len(forks) == (2 if forking and cpus == 2 else 0)
+        assert open_descriptors() == descriptors
+        assert_no_child_left()
+
+    def test_the_cases_give_every_verdict(self, tmp_path):
+        # the full decode's error text wins over verify's, as with
+        # verify(read_dump(path), g), and moving a placement loses an edge
+        verdicts = {}
+        for case, (text, g, _) in VERIFY_CASES.items():
+            path = tmp_path / f"{case}.json"
+            path.write_bytes(text.encode("ascii"))
+            verdicts[case] = read_then_verify(path, g)
+        assert verdicts["canonical"] == verdicts["crlf"] == verdicts["indent-4"] == \
+            verdicts["compact"] == ("returned", [])
+        assert verdicts["moved-placement"][0] == "returned"
+        assert any(v.kind == "missing-edge" for v in verdicts["moved-placement"][1])
+        assert verdicts["stale-cube"] == verdicts["other-counts-stale-cube"] == \
+            (ValueError, "dim 0: cube of A1 differs from its placement")
+        assert verdicts["other-counts"][0] is ValueError
+        assert verdicts["other-counts"][1].startswith("vertex mismatch")
+        for case in ("cut-in-cubes", "cut-in-dims", "trailing-data", "repeated-key",
+                     "missing-placement"):
+            assert verdicts[case][0] is ValueError
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("case", ["canonical", "moved-placement", "stale-cube",
+                                      "other-counts"])
+    def test_a_dump_through_a_fifo(self, forks, monkeypatch, tmp_path, case, cpus):
+        # the text comes from another process, so that no thread runs here
+        text, g, _ = VERIFY_CASES[case]
+        source, fifo = tmp_path / "dump.json", tmp_path / "dump.fifo"
+        source.write_text(text)
+        expected = read_then_verify(source, g)
+        monkeypatch.setattr(builder, "available_cpus", lambda: cpus)
+        os.mkfifo(fifo)
+        writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(source), str(fifo)])
+        try:
+            assert verdict(lambda: verify_dump(fifo, g)) == expected
+        finally:
+            writer.wait(timeout=30)
+        assert len(forks) == (1 if cpus == 2 else 0)
+        assert_no_child_left()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(verified_dumps(), st.sampled_from([1, 2]), st.sampled_from([7, 1 << 20]))
+    def test_edited_dumps_verify_as_read_then_verify(self, forks, tmp_path_factory,
+                                                     case, cpus, piece):
+        text, g = case
+        path = tmp_path_factory.getbasetemp() / "verified.json"
+        path.write_bytes(text.encode("utf-8"))
+        expected = read_then_verify(path, g)
+        with mock.patch.object(builder, "available_cpus", lambda: cpus), \
+                mock.patch.object(builder, "_READ_PIECE", piece):
+            assert verdict(lambda: verify_dump(path, g)) == expected
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raises", "killed", "short reply"])
+    @pytest.mark.parametrize("case", ["canonical", "stale-cube", "other-counts"])
+    def test_a_failed_child_is_checked_here(self, forks, monkeypatch, tmp_path,
+                                            failure, case):
+        text, g, _ = VERIFY_CASES[case]
+        path = tmp_path / "dump.json"
+        path.write_text(text)
+        expected = read_then_verify(path, g)
+        parent, layout, write = os.getpid(), builder._layout_accepted, os.write
+        checked_here = []
+
+        def failing_in_child(*args):
+            if os.getpid() != parent:
+                if failure == "raises":
+                    raise RuntimeError("the child fails")
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+            else:
+                checked_here.append(True)
+            return layout(*args)
+
+        def short_in_child(fd, data):
+            return write(fd, data[:3] if os.getpid() != parent else data)
+
+        monkeypatch.setattr(builder, "_layout_accepted", failing_in_child)
+        if failure == "short reply":
+            monkeypatch.setattr(os, "write", short_in_child)
+        assert verdict(lambda: verify_dump(path, g)) == expected
+        assert len(forks) == 1 and checked_here == [True]
+        assert_no_child_left()
+
+    def test_interrupt_during_verify_kills_and_reaps_the_child(self, forks, monkeypatch,
+                                                               tmp_path):
+        # the child would check for a minute: only a kill ends it in time
+        parent, layout = os.getpid(), builder._layout_accepted
+
+        def slow_in_child(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return layout(*args)
+
+        def interrupted(rep, g):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(builder, "_layout_accepted", slow_in_child)
+        monkeypatch.setattr(builder, "verify", interrupted)
+        path = tmp_path / "dump.json"
+        path.write_text(VERIFIED_DUMP)
+        descriptors = open_descriptors()
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            verify_dump(path, VERIFIED)
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
+        assert open_descriptors() == descriptors
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("why", ["another thread", "one CPU", "small dump"])
+    def test_no_fork(self, forks, monkeypatch, tmp_path, why):
+        rep = parse_dump(VERIFIED_DUMP)
+        cells = VERIFIED.vertex_count * rep.dimension
+        monkeypatch.setattr(builder, "MIN_CHILD_CELLS", cells + (why == "small dump"))
+        if why == "one CPU":
+            monkeypatch.setattr(builder, "available_cpus", lambda: 1)
+        path = tmp_path / "dump.json"
+        path.write_text(VERIFIED_DUMP)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if why == "another thread":
+            thread.start()
+        try:
+            assert verify_dump(path, VERIFIED) == []
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join()
+        assert forks == []
+
+    def test_a_dump_of_min_child_cells_is_checked_beside(self, forks, monkeypatch, tmp_path):
+        rep = parse_dump(VERIFIED_DUMP)
+        monkeypatch.setattr(builder, "MIN_CHILD_CELLS", VERIFIED.vertex_count * rep.dimension)
+        path = tmp_path / "dump.json"
+        path.write_text(VERIFIED_DUMP)
+        assert verify_dump(path, VERIFIED) == []
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_plain_reads_never_fork(self, forks, tmp_path):
+        path = tmp_path / "dump.json"
+        path.write_text(VERIFIED_DUMP)
+        assert read_dump(path) == parse_dump(VERIFIED_DUMP)
+        assert forks == []
 
 
 def test_default_t_is_at_most_integer_ceiling_product():

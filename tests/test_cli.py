@@ -313,7 +313,6 @@ class TestBuild:
             return verify(rep, g)
 
         monkeypatch.setattr(cuberep.builder, "verify", counting)
-        monkeypatch.setattr(cuberep.cli, "verify", counting)
         graph = write_graph(tmp_path, "g.txt", GEN_54)
         assert main(["build", graph, "--seed", "0", "--t", "2", "--format", "machine"]) == 0
         payload = json.loads(capsys.readouterr().out)

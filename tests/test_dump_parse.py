@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stale_cube
 from cuberep import (
     SIDE_A,
     SIDE_B,
@@ -238,14 +239,6 @@ class TestHostileDumps:
 
 VALID_DUMP = render_dump(CubeRepresentation(1, 1, (UnitIntervalRep(
     {(SIDE_A, 1): 0, (SIDE_B, 1): 1}, 1),), ("random-1",)), EMPTY_REPORT)
-
-
-def stale_cube(text: str) -> str:
-    """The dump text with the first cube of A1 replaced by another cell."""
-    payload = json.loads(text)
-    lo, hi = payload["cubes"]["A1"][0]
-    payload["cubes"]["A1"][0] = [hi, lo]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 class TestGarbageCollectorState:
