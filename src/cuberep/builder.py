@@ -21,14 +21,15 @@ import time
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, compress, count, islice, repeat
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from .bitfamily import BitEncodingFamily, build_bit_family
 from .graphs import (
+    MAX_VERTICES,
     SIDE_A,
     SIDE_B,
     BipartiteGraph,
@@ -42,7 +43,6 @@ from .intervals import (
     UnitIntervalRep,
     bit_dim_tag,
     cube_cell,
-    dim_decoder,
     random_dim_tag,
     rep_from_jsonable,
     rep_to_jsonable,  # noqa: F401  unused here; the benchmark's traced replica patches it
@@ -568,6 +568,23 @@ def report_to_jsonable(report: BuildReport, swapped: bool | None = None,
     return out
 
 
+@lru_cache(maxsize=16)
+def _key_order(a_count: int, b_count: int) -> tuple[tuple[str, ...], tuple[int, ...],
+                                                      itemgetter]:
+    """The order in which a dump writes the vertices of a_count + b_count
+    vertices, made once per size, so that the rendering and pass 1 of the
+    stream reader follow one order: the vertex keys sorted as strings (A10
+    before A2), the canonical position of the vertex of each, and an
+    itemgetter that takes a sequence of values in key order to the tuple of
+    them in canonical order."""
+    keys = [vertex_key(v) for v in vertex_order(a_count, b_count)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    where = [0] * len(order)
+    for at, i in enumerate(order):
+        where[i] = at
+    return tuple(keys[i] for i in order), tuple(order), itemgetter(*where)
+
+
 def _layout_pieces(rep: CubeRepresentation) -> Iterator[str]:
     """The canonical dump text of rep before its report, in order and in
     pieces: the header, one piece per cubes row (its key, and after the
@@ -577,16 +594,13 @@ def _layout_pieces(rep: CubeRepresentation) -> Iterator[str]:
     key order as it is formatted, so a consumer holds one piece at a time
     and no reordered copy of the columns is made.
 
-    Vertex keys are sorted once (as strings, so A10 precedes A2), the cube
-    cell of a placement value is formatted once per distinct value and
-    threshold, and every placement block is one %-format of a template that
-    holds all keys.  Provenance tags go through json.dumps, which keeps its
-    escaping.
+    Vertex keys follow _key_order (sorted as strings, so A10 precedes A2),
+    the cube cell of a placement value is formatted once per distinct value
+    and threshold, and every placement block is one %-format of a template
+    that holds all keys.  Provenance tags go through json.dumps, which keeps
+    its escaping.
     """
-    verts = vertex_order(rep.a_count, rep.b_count)
-    keys = [vertex_key(v) for v in verts]
-    order = sorted(range(len(verts)), key=keys.__getitem__)
-    keys = [keys[i] for i in order]
+    keys, order, _ = _key_order(rep.a_count, rep.b_count)
     placement = ",".join(f'\n        "{key}": %d' for key in keys)
     cell_text: dict[int, dict[int, str]] = {}  # threshold -> value -> cell
     columns = []
@@ -691,20 +705,62 @@ _READ_PIECE = 1 << 20
 # The text render_dump writes before the first cubes row.
 _DUMP_HEAD = re.compile(r'\{\n  "a_count": ([0-9]+),\n  "b_count": ([0-9]+),\n  "cubes": \{')
 
+# How _layout_pieces writes a dims item, from its indent to its closing
+# brace: the start, up to the first placement line; the end of the
+# placement block, up to the provenance tag; the text between the tag and
+# the threshold; and the end.
+_ITEM_HEAD = '    {\n      "placement": {'
+_ITEM_TAG = '\n      },\n      "provenance": '
+_ITEM_THRESHOLD = ',\n      "threshold": '
+_ITEM_END = "\n    }"
+
+
+def _item_fields(item: str, count: int) -> tuple[list[int], int, str]:
+    """The placement values, in the order of their keys, the threshold and
+    the provenance tag of a dims item laid out as _layout_pieces writes it,
+    `item` running from its indent through _ITEM_END; ValueError or
+    RecursionError where they are not `count` ints, a positive int and a
+    str.
+
+    The fields are read by where they stand, not by their keys: each
+    placement line splits at its whitespace into its key and its value
+    with the comma after it, so the values are every second word of the
+    block, and the block goes to json.loads as one list of ints.  Nothing
+    else is checked: a text that spells a field in any other way, or whose
+    keys are not those of the rendering, differs from the rendering of what
+    is read here, and pass 2 turns it down."""
+    if not item.startswith(_ITEM_HEAD):
+        raise ValueError("the dims item does not start as rendered")
+    block_end = item.find(_ITEM_TAG)
+    tag_text, cut, threshold_text = item[block_end + len(_ITEM_TAG):].rpartition(_ITEM_THRESHOLD)
+    if block_end < 0 or not cut:
+        raise ValueError("the dims item holds no provenance and threshold after its placement")
+    values = json.loads("[" + "".join(item[len(_ITEM_HEAD):block_end].split()[1::2]) + "]")
+    if len(values) != count or set(map(type, values)) != {int}:  # a JSON true is a bool
+        raise ValueError(f"the placement does not hold {count} integers")
+    threshold = int(threshold_text[:-len(_ITEM_END)])
+    tag = json.loads(tag_text)
+    if threshold <= 0 or not isinstance(tag, str):
+        raise ValueError("the threshold is not positive or the provenance not a string")
+    return values, threshold, tag
+
 
 def _dims_pass(chunks: Iterator[str]) -> CubeRepresentation:
-    """Pass 1 of the stream reader: the representation of the dims of the
-    text that `chunks` spell out, found where render_dump writes them;
-    ValueError or RecursionError where they are not found or cannot be read.
+    """Pass 1 of the stream reader: the representation whose dims the text
+    that `chunks` spell out proposes, read where render_dump writes them;
+    ValueError or RecursionError where they are not found or not well
+    formed.
 
-    The counts are taken from the header, the cubes block is skipped
-    unread, and each dims item is decoded by json.loads and made a column
-    at once by dim_decoder, the full decode's own reader of a dimension, so
-    no dimension is returned that it refuses.  Nothing else is checked
-    here: pass 2 (_after_layout) compares the whole text with the rendering
-    of the result.  So an item needs no dump hook: the rendering writes
-    each key once, and a text that repeats one differs from it.  About two
-    chunks and one dims item are held at a time.
+    Pass 1 proposes and pass 2 proves.  The counts are taken from the
+    header and refused where the full decode refuses them, before any
+    table of their size is made; the cubes block is skipped unread; and
+    each dims item is read by its layout (_item_fields), its values put
+    into canonical order by the one itemgetter of _key_order.  No key is
+    looked up and nothing else is checked here: pass 2 (_after_layout)
+    compares the whole text with the rendering of the result, which the
+    full decode reads back to the result, so a text whose keys, values or
+    spelling differ from it is turned down there.  About two chunks and
+    one dims item are held at a time.
     """
     text, pos = "", 0
 
@@ -729,13 +785,16 @@ def _dims_pass(chunks: Iterator[str]) -> CubeRepresentation:
     if head is None:
         raise ValueError("the text does not start as render_dump's")
     a_count, b_count = map(int, head.groups())
-    decode = dim_decoder(a_count, b_count)
+    if a_count < 1 or b_count < 1 or a_count + b_count > MAX_VERTICES:
+        raise ValueError("the header declares counts that the full decode refuses")
+    verts = vertex_order(a_count, b_count)
+    canonical = _key_order(a_count, b_count)[2]
     through("dims", keep=False)  # cubes rows hold no letters but A and B
     dims, tags = [], []
     more = through("\n") == '": [\n'  # '": [],\n' when the list is empty
     while more:
-        dim, tag = decode(json.loads(through("\n    }")), len(dims))
-        dims.append(dim)
+        values, threshold, tag = _item_fields(through(_ITEM_END), len(verts))
+        dims.append(UnitIntervalRep.column(verts, list(canonical(values)), threshold))
         tags.append(tag)
         more = through("\n") == ",\n"
     return CubeRepresentation(a_count, b_count, tuple(dims), tuple(tags))
@@ -815,9 +874,10 @@ def _stream_or_decode(chunks: Callable[[], Iterator[str]], whole: Callable[[], s
     """The representation of the dump text that each call of `chunks`
     spells out anew and `whole` returns at once, or, with `beside`, what
     beside returns for it.  The stream reader reads it in two passes, and
-    never decodes its cubes block: pass 1 (_dims_pass) reads the
-    dimensions, and pass 2 (_layout_accepted) accepts the text only when it
-    is their rendering and then a report.  So an accepted text is the
+    never decodes its cubes block: pass 1 (_dims_pass) proposes the
+    dimensions, read by the layout of the dims items alone, and pass 2
+    (_layout_accepted) proves them, accepting the text only when it is
+    their rendering and then a report.  So an accepted text is the
     rendering of the returned representation, which the full decode reads
     back to that representation.  Any other text, and any that cannot be
     decoded from its chunks, takes the full decode of whole(), which gives

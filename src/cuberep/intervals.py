@@ -332,8 +332,10 @@ def _check_cubes(cubes: object, rep: CubeRepresentation) -> None:
 
 def dim_decoder(a_count: int, b_count: int) -> Callable[[object, int],
                                                         tuple[UnitIntervalRep, str]]:
-    """The reader of the dimensions of a dump that declares a_count +
-    b_count vertices; ValueError if those counts are out of range.
+    """The full decode's reader of the dimensions of a dump that declares
+    a_count + b_count vertices; ValueError if those counts are out of
+    range.  The stream reader does not use it: it reads a dims item by its
+    layout, and proves what it reads by rendering it again.
 
     The reader takes one decoded item of the dump's dims and its position,
     and returns the dimension's column and provenance tag, or raises

@@ -64,6 +64,7 @@ from cuberep.builder import (
     make_plan,
     survivor_masks,
 )
+from cuberep.graphs import MAX_VERTICES
 from cuberep.intervals import random_dim_tag
 from cuberep.randomized import neighbour_masks
 
@@ -952,11 +953,63 @@ def outcome(parse, text: str):
 
 
 CUBES_END = "\n  },\n  \"dims\": "
-TEXT_MUTATIONS = ("cell", "swap", "delete", "repeat", "cut", "head-space", "second-cubes")
+DIMS_ITEM_MUTATIONS = ("value", "threshold", "swap-keys", "drop-line", "double-line",
+                       "tag-escape")
+TEXT_MUTATIONS = ("cell", "swap", "delete", "repeat", "cut", "head-space", "second-cubes",
+                  *DIMS_ITEM_MUTATIONS)
+# A placement line of a dims item, with its key and its value.
+PLACEMENT_LINE = re.compile(r'\n        "([AB][0-9]+)": (-?[0-9]+)')
+# Spellings of a placement value x that json.loads reads, or that it refuses.
+VALUE_SPELLINGS = (lambda x: f"{x}.0", lambda x: "true", lambda x: "-0",
+                   lambda x: f"-0{-x}" if x < 0 else f"0{x}", lambda x: f"{x}e0")
+
+
+def mutate_dims_item(draw, text: str, mutation: str) -> str:
+    """One edit of a dims item of a canonical dump text, at a drawn place:
+    a placement value or a threshold spelled otherwise, two placement keys
+    swapped, a placement line dropped or doubled, or a provenance tag
+    spelled with a \\u escape for every character.  A text with no dims is
+    returned as it is."""
+    blocks = list(re.finditer(r'"placement": \{(.*?)\n      \}', text, re.S))
+    if not blocks:
+        return text
+    block = draw(st.sampled_from(blocks))
+    start, end = block.span(1)
+    lines = list(PLACEMENT_LINE.finditer(text, start, end))
+    if mutation == "value":
+        line = draw(st.sampled_from(lines))
+        spelled = draw(st.sampled_from(VALUE_SPELLINGS))(int(line[2]))
+        return text[:line.start(2)] + spelled + text[line.end(2):]
+    if mutation == "threshold":
+        at = text.index('"threshold": ', end) + len('"threshold": ')
+        cut = text.index("\n", at)
+        return text[:at] + draw(st.sampled_from(["0", "-1", "true"])) + text[cut:]
+    if mutation == "swap-keys":
+        first, second = draw(st.lists(st.sampled_from(lines), min_size=2, max_size=2,
+                                      unique_by=lambda line: line.start()))
+        first, second = sorted((first, second), key=lambda line: line.start())
+        return (text[:first.start(1)] + second[1] + text[first.end(1):second.start(1)]
+                + first[1] + text[second.end(1):])
+    if mutation == "tag-escape":
+        at = text.index('"provenance": ', end) + len('"provenance": ')
+        cut = text.index("\n", at) - 1  # the comma after the tag
+        units = json.loads(text[at:cut]).encode("utf-16-be", "surrogatepass")
+        escaped = "".join(f"\\u{units[i]:02X}{units[i + 1]:02X}" for i in range(0, len(units), 2))
+        return text[:at] + f'"{escaped}"' + text[cut:]
+    entries = text[start:end].split(",")
+    i = draw(st.integers(0, len(entries) - 1))
+    if mutation == "drop-line":
+        del entries[i]
+    else:
+        entries.insert(i, entries[i])
+    return text[:start] + ",".join(entries) + text[end:]
 
 
 def mutate_dump(draw, text: str, mutation: str) -> str:
-    """One edit of a canonical dump text, at a drawn place."""
+    """One edit of a canonical dump text, at a drawn place: in its header or
+    cubes block, or in a dims item (mutate_dims_item)."""
+    if mutation in DIMS_ITEM_MUTATIONS:
+        return mutate_dims_item(draw, text, mutation)
     start = text.index('"cubes": {') + len('"cubes": {')
     end = text.index(CUBES_END)
     rows = re.split(r',(?=\n    ")', text[start:end])
@@ -1014,8 +1067,11 @@ class TestCanonicalParse:
     @settings(max_examples=300, deadline=None)
     @given(mutated_dumps())
     def test_edited_text_is_read_as_the_full_decode_reads_it(self, tmp_path_factory, case):
+        # the stream reader accepts exactly the unedited text, and reads it
+        # to what the full decode reads, field by field
         text, mutated = case
         walked = walk(mutated)
+        assert (walked is None) == (mutated != text)
         if walked is not None:
             assert walked == rep_from_jsonable(json.loads(mutated))
         expected = outcome(full_parse, mutated)
@@ -1080,6 +1136,71 @@ class TestCanonicalParse:
         assert outcome(parse_dump, edited) == expected
         assert outcome(read_dump, path) == expected
 
+    def test_sides_of_more_than_99_vertices_round_trip(self, tmp_path):
+        # A100 sorts before A11 and A2 as a string, and B100 before B11
+        a_count, b_count = 103, 101
+        verts = CubeRepresentation(a_count, b_count, (), ()).vertices()
+        rep = CubeRepresentation(a_count, b_count, (
+            UnitIntervalRep({v: i for i, v in enumerate(verts)}, 3),
+            UnitIntervalRep({v: -(i * 7 % 11) for i, v in enumerate(verts)}, 2)),
+            ("random-1", "side-a-bit-1"))
+        text = render_dump(rep, EMPTY_REPORT)
+        assert text == json_dump(rep, EMPTY_REPORT, False)
+        assert text.index('"A100"') < text.index('"A11"') < text.index('"A2"')
+        assert walk(text) == rep
+        path = tmp_path / "wide.json"
+        path.write_text(text)
+        assert parse_dump(text) == rep and read_dump(path) == rep
+
+    @pytest.mark.parametrize("edit, error", [
+        ("drop", "dimension 0 placement does not cover the vertex set"),
+        ("double", "dump repeats the key 'A2' in one object"),
+        ("undeclared", "dim 0: vertex A9 outside declared counts"),
+    ])
+    def test_a_placement_of_another_length_is_refused_in_pass_1(self, monkeypatch,
+                                                                  edit, error):
+        # a column one value short or long would fail in the rendering of
+        # pass 2 with an IndexError or a TypeError, not a verdict
+        rep = CubeRepresentation(2, 1, (UnitIntervalRep(
+            {(SIDE_A, 1): 0, (SIDE_A, 2): 5, (SIDE_B, 1): 1}, 2),), ("random-1",))
+        text = render_dump(rep, EMPTY_REPORT)
+        line = '\n        "A2": 5'
+        assert line + "," in text
+        edited = {"drop": text.replace(line + ",", "", 1),
+                  "double": text.replace(line, line + "," + line, 1),
+                  "undeclared": text.replace(line, line + ',\n        "A9": 0', 1)}[edit]
+        with pytest.raises(ValueError, match="does not hold 3 integers"):
+            builder._dims_pass(iter((edited,)))
+        layout, rendered = builder._layout_pieces, []
+
+        def recording_layout(rep):
+            rendered.append(rep)
+            return layout(rep)
+
+        monkeypatch.setattr(builder, "_layout_pieces", recording_layout)
+        assert outcome(parse_dump, edited) == outcome(full_parse, edited) == ("rejected", error)
+        assert rendered == []
+
+    @pytest.mark.parametrize("a_count, error", [
+        (MAX_VERTICES, f"dump declares {MAX_VERTICES}+1 vertices, more than the limit of "
+                       f"{MAX_VERTICES}"),
+        (0, "side counts must be >= 1"),
+    ])
+    def test_counts_out_of_range_are_refused_before_any_table(self, a_count, error):
+        # a table of MAX_VERTICES vertex keys alone is megabytes
+        rep = CubeRepresentation(1, 1, (UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 1}, 1),),
+                                 ("random-1",))
+        text = render_dump(rep, EMPTY_REPORT).replace('"a_count": 1,', f'"a_count": {a_count},')
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="counts that the full decode refuses"):
+                builder._dims_pass(iter((text,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+        assert outcome(parse_dump, text) == outcome(full_parse, text) == ("rejected", error)
+
     @pytest.mark.parametrize("row, decode_error", [
         ('[[["0"]]]', None),
         ('[[[]], 0]', None),
@@ -1100,6 +1221,10 @@ class TestCanonicalParse:
     @pytest.mark.parametrize("pattern, replacement", [
         ('"threshold": ', '"extra": 0,\n      "threshold": '),
         ('\n      "provenance": "random-1",', ""),
+        ('"provenance": "random-1"', '"provenance": 1'),
+        ('"provenance": "random-1"', '"provenance": null'),
+        ('"threshold": 1', '"threshold": 0'),
+        ('"A1": 0', '"A1": null'),
         ('"report": {[^}]*}', '"report": [[1]]'),
         ('"report": {[^}]*}', '"report": {"k": {"t": 1}}'),
         ('"report": {[^}]*}', '"report": 0, "a_count": 1'),
@@ -1117,10 +1242,10 @@ class TestCanonicalParse:
         ('"report": {[^}]*}', '"report": NEST'),
     ])
     def test_walker_turns_down_what_the_full_decode_cannot_read(self, pattern, replacement):
-        # the stream reader decodes a dims item two levels less deep than
-        # the full decode, but accepts only a dims item that is rendered and
-        # a report with one bracket at most, so it turns down every text
-        # that reaches the full decode's recursion limit
+        # pass 1 reads a dims item by its layout and decodes no nesting of
+        # it, and pass 2 accepts only a dims item that is rendered and a
+        # report with one bracket at most, so the stream reader turns down
+        # every text that reaches the full decode's recursion limit
         rep = CubeRepresentation(1, 1, (UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 1}, 1),),
                                  ("random-1",))
         template = re.sub(pattern, replacement, render_dump(rep, EMPTY_REPORT))
@@ -1144,18 +1269,22 @@ VERIFIED = gen_random_bipartite(20, 40, 0.1, seed=1)
 VERIFIED_DUMP = render_dump(*build_representation(VERIFIED, BuildParams(master_seed=7)))
 
 
-def moved_placement(text: str) -> str:
-    """The canonical dump text with one placement of the first random
-    dimension moved beyond every other and its cube rewritten to match, so
-    the dump is consistent and one of its edges is lost."""
+def moved_placements(text: str, count: int = 1) -> str:
+    """The canonical dump text with `count` placements moved beyond every
+    other of their dimension, each of another A vertex of VERIFIED with an
+    edge and in another random dimension, from random-1 on, and their cubes
+    rewritten to match, as the verify-dump benchmark corrupts its dump: the
+    dump is consistent, and every edge at a moved vertex is lost."""
     payload = json.loads(text)
-    a = min(a for a, _ in VERIFIED.edges)
-    pos, dim = next((i, d) for i, d in enumerate(payload["dims"])
-                    if d["provenance"] == "random-1")
-    moved = max(dim["placement"].values()) + dim["threshold"] + 1
-    dim["placement"][f"A{a}"] = moved
-    low = Fraction(moved, dim["threshold"])
-    payload["cubes"][f"A{a}"][pos] = [str(low), str(low + 1)]
+    vertices = sorted({a for a, _ in VERIFIED.edges})[:count]
+    positions = [i for i, d in enumerate(payload["dims"])
+                 if d["provenance"].startswith("random-")][:count]
+    for a, pos in zip(vertices, positions):
+        dim = payload["dims"][pos]
+        moved = max(dim["placement"].values()) + dim["threshold"] + 1
+        dim["placement"][f"A{a}"] = moved
+        low = Fraction(moved, dim["threshold"])
+        payload["cubes"][f"A{a}"][pos] = [str(low), str(low + 1)]
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -1178,7 +1307,7 @@ VERIFY_CASES = {
     "trailing-data": (VERIFIED_DUMP + "{}\n", VERIFIED, True),
     "repeated-key": (VERIFIED_DUMP.replace('"report": {', '"report": {\n    "k": 0,', 1),
                      VERIFIED, True),
-    "moved-placement": (moved_placement(VERIFIED_DUMP), VERIFIED, True),
+    "moved-placement": (moved_placements(VERIFIED_DUMP), VERIFIED, True),
     "stale-cube": (stale_cube(VERIFIED_DUMP), VERIFIED, True),
     "missing-placement": (without_a_placement(VERIFIED_DUMP), VERIFIED, False),
     "other-counts": (VERIFIED_DUMP, OTHER_COUNTS, True),
@@ -1258,6 +1387,27 @@ class TestLayoutBeside:
         for case in ("cut-in-cubes", "cut-in-dims", "trailing-data", "repeated-key",
                      "missing-placement"):
             assert verdicts[case][0] is ValueError
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_the_benchmark_inputs_take_no_full_decode(self, forks, monkeypatch, tmp_path,
+                                                      cpus):
+        # the verify-dump benchmark alternates an exact canonical dump and a
+        # canonical copy with three placements moved
+        def no_full_decode(text):
+            raise AssertionError("the full decode ran")
+
+        monkeypatch.setattr(builder, "_decode_dump", no_full_decode)
+        monkeypatch.setattr(builder, "available_cpus", lambda: cpus)
+        exact, corrupted = tmp_path / "exact.json", tmp_path / "corrupted.json"
+        exact.write_text(VERIFIED_DUMP)
+        corrupted.write_text(moved_placements(VERIFIED_DUMP, 3))
+        assert verify_dump(exact, VERIFIED) == []
+        violations = verify_dump(corrupted, VERIFIED)
+        assert {v.kind for v in violations} == {"missing-edge"}
+        assert {v.u for v in violations} == {(SIDE_A, a)
+                                             for a in sorted({a for a, _ in VERIFIED.edges})[:3]}
+        assert len(forks) == (2 if cpus == 2 else 0)
+        assert_no_child_left()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     @pytest.mark.parametrize("cpus", [2, 1])
