@@ -18,14 +18,15 @@ import signal
 import tempfile
 import threading
 import time
+from array import array
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import and_, itemgetter, or_
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bitfamily import BitEncodingFamily, build_bit_family
 from .graphs import (
@@ -46,16 +47,18 @@ from .intervals import (
     random_dim_tag,
     rep_from_jsonable,
     rep_to_jsonable,  # noqa: F401  unused here; the benchmark's traced replica patches it
+    tag_kind,
     vertex_key,
 )
 from .randomized import (
     MASK64,
     choose_permuted_side,
     neighbour_masks,
-    random_permutation,
+    random_permutation,  # noqa: F401  unused here; the benchmark's traced replica patches it
     reached_below,
     shuffled_ranks,
-    supergraph_from_permutation,
+    supergraph_from_permutation,  # noqa: F401  likewise
+    supergraph_from_ranks,
 )
 
 
@@ -121,8 +124,9 @@ def nominal_dimension_bound(delta_prime: int, n2: int) -> int:
 def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
     """Exact check that the dims' intersection graph equals g.
 
-    Vertices are indexed in canonical order (A1..An1, B1..Bn2), the order of
-    each dimension's value column (CubeRepresentation checks that every
+    The dimensions go to `sweep`, tightest threshold first.  Vertices are
+    indexed in canonical order (A1..An1, B1..Bn2), the order of each
+    dimension's value column (CubeRepresentation checks that every
     dimension is one), and each vertex i keeps an integer
     bitset alive[i] whose bit j (j > i) is set while the pair (i, j) is
     adjacent in every dimension seen so far.  Per dimension, the vertices
@@ -140,12 +144,21 @@ def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
         raise ValueError(
             f"vertex mismatch: representation is {rep.a_count}+{rep.b_count}, "
             f"graph is {g.a_count}+{g.b_count}")
-    verts = vertex_order(rep.a_count, rep.b_count)
+    return sweep(sorted(rep.dims, key=lambda dim: dim.threshold), g)
+
+
+def sweep(dims: Iterable[UnitIntervalRep], g: BipartiteGraph) -> list[Violation]:
+    """The violations of the intersection of `dims` against g, as verify
+    reports them: the sweep of verify over dimensions whose values are
+    columns in the canonical order of g's vertices, each taken from `dims`
+    when the one before it is done.  So a build can feed it the bit
+    dimensions and then each random dimension as it arrives."""
+    verts = vertex_order(g.a_count, g.b_count)
     count = len(verts)
     bit = [1 << i for i in range(count)]
     full = (1 << count) - 1
     alive = [full ^ ((b << 1) - 1) for b in bit]
-    for dim in sorted(rep.dims, key=lambda dim: dim.threshold):
+    for dim in dims:
         values = dim.values
         c = dim.threshold
         order = sorted(range(count), key=values.__getitem__)
@@ -245,35 +258,50 @@ def dimension_rngs(master_seed: int, index: int, t: int) -> Iterator[random.Rand
         yield rng
 
 
+def random_dims(plan: BuildPlan, master_seed: int, index: int,
+                start: int = 0) -> Iterator[UnitIntervalRep]:
+    """Random dimensions start..t-1 of attempt `index`, in turn: dimension j
+    is the supergraph of the permutation that shuffled_ranks draws from
+    derive_seed(master_seed, index, j).  The ranks are a bijection as drawn,
+    so no Permutation checks them again."""
+    g, side, size = plan.graph, plan.side, plan.side_size
+    for rng in islice(dimension_rngs(master_seed, index, plan.t), start, None):
+        yield supergraph_from_ranks(shuffled_ranks(size, rng), side, g)
+
+
 def attempt(plan: BuildPlan, master_seed: int, index: int) -> CubeRepresentation:
-    """Attempt `index`: t random dimensions, dimension j drawn from
-    derive_seed(master_seed, index, j), then both bit families."""
+    """Attempt `index`: its t random dimensions (random_dims), then both bit
+    families."""
+    return _assembled(plan, tuple(random_dims(plan, master_seed, index)))
+
+
+def _assembled(plan: BuildPlan, drawn: tuple[UnitIntervalRep, ...]) -> CubeRepresentation:
+    """The attempt of plan whose random dimensions are `drawn`."""
     g = plan.graph
-    dims = tuple(supergraph_from_permutation(random_permutation(plan.side_size, rng, plan.side), g)
-                 for rng in dimension_rngs(master_seed, index, plan.t))
-    return CubeRepresentation(g.a_count, g.b_count, dims + plan.bit_dims, plan.provenance)
+    return CubeRepresentation(g.a_count, g.b_count, drawn + plan.bit_dims, plan.provenance)
 
 
 def checked_attempts(plan: BuildPlan, master_seed: int,
-                     beside: Callable[[int, CubeRepresentation], object] | None = None
+                     check: Callable[[int], tuple[CubeRepresentation, list[Violation],
+                                                  float, float]] | None = None
                      ) -> Iterator[tuple[CubeRepresentation, list[Violation], float, float]]:
     """Attempts 0, 1, ... of plan (see `attempt`), in turn and without end,
     each with the violations verify finds in it against plan.graph and the
-    seconds spent constructing it and verifying it.  `beside`, if given, is
-    called with each attempt's index and representation before it is
-    verified, and its time counts as construction."""
+    seconds spent constructing it and verifying it.  `check`, if given, is
+    called with each attempt's index to give those four in its own way."""
     for index in count():
-        started = time.perf_counter()
-        rep = attempt(plan, master_seed, index)
-        if beside is not None:
-            beside(index, rep)
-        checked = time.perf_counter()
-        violations = verify(rep, plan.graph)
-        done = time.perf_counter()
+        if check is not None:
+            rep, violations, built, checked = check(index)
+        else:
+            started = time.perf_counter()
+            rep = attempt(plan, master_seed, index)
+            drawn = time.perf_counter()
+            violations = verify(rep, plan.graph)
+            built, checked = drawn - started, time.perf_counter() - drawn
         if any(v.kind == "missing-edge" for v in violations):
             # Retrying cannot help: every dimension is meant to be a supergraph.
             raise RuntimeError(f"internal error: an edge went missing: {violations}")
-        yield rep, violations, checked - started, done - checked
+        yield rep, violations, built, checked
 
 
 def build_representation(
@@ -286,15 +314,20 @@ def build_representation(
 
     With `out`, the result's dump is written there, as write_dump writes it,
     once it has passed; nothing is written on BuildFailure.  Each attempt
-    forks a child that renders its dump into an unnamed temporary file
-    while this process verifies it, unless _Children forbids a fork or the
-    dump has fewer than MIN_CHILD_CELLS cells (vertices x k).  On a pass the
-    child is reaped and its bytes are copied to `out` in the kernel
-    (_send_file); a failed attempt's child is killed and reaped, and its file
-    dropped.  When the child exits non-zero or replies short, or the copy
-    fails, write_dump writes the dump here instead, to the same bytes.
-    No child and no temporary file outlives the call.  report.write_seconds
-    is the time from the passing verification to the dump in place."""
+    then forks a child that draws its random dimensions and renders its dump
+    while this process verifies the dimensions as they arrive
+    (_DrawnBeside), unless _Children forbids a fork or the dump has fewer
+    than MIN_CHILD_CELLS cells (vertices x k).  On a pass the child is
+    reaped and its dump is copied to `out` in the kernel (_send_file); a
+    failed attempt's child is killed and reaped, and its files dropped.
+    When the child fails, or the copy does, write_dump writes the dump here
+    instead, to the same bytes.  No child and no temporary file outlives
+    the call.
+
+    report.construct_seconds is the time spent drawing random dimensions or
+    waiting for them, report.verify_seconds the time in the sweep of verify,
+    and report.write_seconds the time from the passing verification to the
+    dump in place."""
     plan = make_plan(g, params.t_override)
     k = plan.t + len(plan.bit_dims)
 
@@ -315,38 +348,165 @@ def build_representation(
             write_seconds=write)
 
     construct_seconds = verify_seconds = 0.0
-    rendering = None  # (pid, temporary file) of the child rendering this attempt's dump
+    drawing = None  # the _DrawnBeside of the attempt being checked
     with ExitStack() as files, _Children() as children:
-        def render_beside(index: int, rep: CubeRepresentation) -> None:
-            nonlocal rendering
-            file = files.enter_context(tempfile.TemporaryFile())
-            pid = children.fork(partial(_render_into, file.fileno(), rep, report(index)))
-            rendering = (pid, file) if pid is not None else None
+        def check_beside(index: int) -> tuple[CubeRepresentation, list[Violation], float, float]:
+            nonlocal drawing
+            drawing = _DrawnBeside(plan, params.master_seed, index, children, files,
+                                   report(index))
+            return drawing.check()
 
         forking = (out is not None and children.allowed
                    and g.vertex_count * k >= MIN_CHILD_CELLS)
         for index, (rep, violations, built, checked) in enumerate(islice(
-                checked_attempts(plan, params.master_seed, render_beside if forking else None),
+                checked_attempts(plan, params.master_seed, check_beside if forking else None),
                 params.max_retries if plan.t else 1)):
             construct_seconds += built
             verify_seconds += checked
             if violations:
-                if rendering is not None:
-                    children.kill(rendering[0])
-                    rendering[1].close()
-                    rendering = None
+                if drawing is not None:
+                    drawing.drop()
                 continue
             write_seconds = 0.0
             if out is not None:
                 passed = time.perf_counter()
-                size = children.reply(rendering[0]) if rendering is not None else None
-                if size is None or not _send_file(rendering[1], out, size):
+                if drawing is None or not drawing.send(out):
                     write_dump(out, rep, report(index))
                 write_seconds = time.perf_counter() - passed
             return rep, report(index, construct_seconds, verify_seconds, write_seconds)
     raise BuildFailure(
         f"verification still failing after {params.max_retries} attempts" if plan.t else
         "zero random dimensions cannot remove cross non-edges", violations)
+
+
+# How a column crosses from the drawing child to its parent: one C unsigned
+# int per value, 4 bytes wherever CPython runs; a placement is at most
+# 2 * MAX_VERTICES + 2, which needs more than 2.
+_COLUMN_TYPE = "I"
+
+
+@lru_cache(maxsize=16)
+def _ints(count: int) -> tuple[int, ...]:
+    """The ints 0..count-1, one tuple per size, so that the columns read
+    from a child share one int object per value instead of each making
+    its own."""
+    return tuple(range(count))
+
+
+class _DrawnBeside:
+    """One attempt of a build with a dump, whose random dimensions a forked
+    child draws while this process verifies them as they arrive.
+
+    The child (_draw_and_render) draws dimensions 0..t-1 as random_dims
+    does.  It appends each column to an unnamed temporary file, as
+    _COLUMN_TYPE ints, and then writes one byte to its reply pipe, so it
+    does not wait for this process (while t is below the pipe's capacity,
+    64 KiB on Linux); then it renders the attempt's dump into a second
+    unnamed temporary file and replies the dump's size.  `check` runs one
+    sweep over the bit dimensions and then over each column as its byte
+    comes, read from the file by os.pread.
+
+    From the first column that the child does not send in full (it exited,
+    was killed, or the file holds less than the column), or from the start
+    when no child could be forked, the child is killed and reaped and this
+    process draws the rest itself (random_dims, from the same seeds); the
+    dump is then not the child's, and `send` says so."""
+
+    def __init__(self, plan: BuildPlan, master_seed: int, index: int,
+                 children: "_Children", files: ExitStack, report: BuildReport) -> None:
+        started = time.perf_counter()
+        self.plan, self.master_seed, self.index = plan, master_seed, index
+        self.children = children
+        self.columns = files.enter_context(tempfile.TemporaryFile())
+        self.dump = files.enter_context(tempfile.TemporaryFile())
+        self.pid = children.fork(partial(
+            _draw_and_render, plan, master_seed, index, self.columns.fileno(),
+            self.dump.fileno(), report), stream=True)
+        self.drawn: list[UnitIntervalRep] = []
+        # seconds spent forking the child, and waiting for or drawing columns
+        self.waited = time.perf_counter() - started
+
+    def check(self) -> tuple[CubeRepresentation, list[Violation], float, float]:
+        """The attempt, its violations against plan.graph (as verify gives
+        them), and the seconds spent constructing it and verifying it."""
+        started, forked = time.perf_counter(), self.waited
+        violations = sweep(chain(self.plan.bit_dims, self._timed(self._arriving())),
+                           self.plan.graph)
+        swept = time.perf_counter() - started
+        self.columns.close()
+        return (_assembled(self.plan, tuple(self.drawn)), violations,
+                self.waited, swept - (self.waited - forked))
+
+    def _timed(self, dims: Iterator[UnitIntervalRep]) -> Iterator[UnitIntervalRep]:
+        """The dimensions of `dims`, kept in self.drawn, with the time taken
+        to get each added to self.waited."""
+        while True:
+            started = time.perf_counter()
+            dim = next(dims, None)
+            self.waited += time.perf_counter() - started
+            if dim is None:
+                return
+            self.drawn.append(dim)
+            yield dim
+
+    def _arriving(self) -> Iterator[UnitIntervalRep]:
+        """Random dimensions 0..t-1, from the child while it sends them in
+        full, then drawn here."""
+        plan = self.plan
+        g = plan.graph
+        n, verts = g.vertex_count, vertex_order(g.a_count, g.b_count)
+        ints, width = _ints(2 * n + 3), n * array(_COLUMN_TYPE).itemsize
+        sent = 0
+        for j in range(plan.t):
+            if j == sent and self.pid is not None:
+                sent += len(self.children.read(self.pid, plan.t - j))
+            column = os.pread(self.columns.fileno(), width, j * width) if j < sent else b""
+            if len(column) < width:
+                self.stop()
+                yield from random_dims(plan, self.master_seed, self.index, j)
+                return
+            yield UnitIntervalRep.column(verts, [ints[x] for x in array(_COLUMN_TYPE, column)], n)
+
+    def stop(self) -> None:
+        """Kill and reap the child, if it runs."""
+        if self.pid is not None:
+            self.children.kill(self.pid)
+            self.pid = None
+
+    def drop(self) -> None:
+        """Kill and reap the child of a failed attempt and close its dump."""
+        self.stop()
+        self.dump.close()
+
+    def send(self, out: str | Path) -> bool:
+        """Reap the child and copy its dump to `out` (_send_file); False,
+        with `out` perhaps part written, when there is no child, it exited
+        non-zero or replied short, or the copy failed."""
+        if self.pid is None:
+            return False
+        size = self.children.reply(self.pid)
+        self.pid = None
+        return size is not None and _send_file(self.dump, out, size)
+
+
+def _draw_and_render(plan: BuildPlan, master_seed: int, index: int, columns: int,
+                     dump: int, report: BuildReport, progress: int) -> int:
+    """The forked child of _DrawnBeside: draw random dimensions 0..t-1 of
+    attempt `index` (random_dims), appending each column's values to the
+    file open at descriptor `columns` as _COLUMN_TYPE ints and then writing
+    one byte to descriptor `progress`; then render the attempt's dump into
+    the empty file at descriptor `dump` (_render_into) and return its size.
+    The garbage collector stays off: the child makes no cycle, and a
+    collection in a forked child would copy every page it scans."""
+    gc.disable()
+    drawn = []
+    for dim in random_dims(plan, master_seed, index):
+        column = array(_COLUMN_TYPE, dim.values).tobytes()
+        if os.write(columns, column) != len(column):
+            raise OSError("a column was written short")
+        os.write(progress, b"\1")
+        drawn.append(dim)
+    return _render_into(dump, _assembled(plan, tuple(drawn)), report)
 
 
 def survivor_masks(plan: BuildPlan, master_seed: int,
@@ -378,13 +538,14 @@ def survivor_masks(plan: BuildPlan, master_seed: int,
 MIN_CHILD_DRAWS = 1000
 
 # Fewest cells (vertices x k) of a dump that make work on it in a forked
-# child, beside verification, worth its cost: build_representation's render
-# and verify_dump's layout check.  On the same host, the render child with
-# its pipe and temporary file cost 3-4 ms from fork to reaping; builds with
-# --out of 2,160 to 9,675 cells took 1-4 ms longer with the child, builds
-# of 14,000 to 22,000 about as long, and builds of 22,800 to 36,000 cells
-# 6-16% less.  verify_dump with the layout child, against without it
-# (medians of 40 alternating calls each): 7,320 cells +3.3 ms (+24%),
+# child, beside verification, worth its cost: build_representation's draw
+# and render, and verify_dump's layout check.  On the same host, builds
+# with --out of gen_random_bipartite(n, 2n, 4/n) graphs, with the child
+# that draws and renders against without it (medians of 40 to 100
+# alternating builds each): 2,160 to 17,400 cells -4% to +10%, each
+# difference under 1 ms, 21,870 to 22,800 cells -2% to -13%, 36,000 cells
+# -31% and 51,120 cells -32%.  verify_dump with the layout child, against
+# without it (medians of 40 alternating calls each): 7,320 cells +3.3 ms (+24%),
 # 12,060 +1.5 to +2.5 ms, 16,170 +0.2 ms (+1%), 18,960 -1.5 to -3.1 ms,
 # 23,625 -1.5 ms (-4%), 24,750 -5.6 to -6.5 ms (-12 to -15%), 43,680
 # -11.6 ms (-15%) and 57,000 -24.9 ms (-24%).
@@ -439,11 +600,13 @@ class _Children:
                 os.kill(pid, signal.SIGKILL)
             self._reap(pid)
 
-    def fork(self, compute: Callable[[], int]) -> int | None:
+    def fork(self, compute: Callable[..., int], stream: bool = False) -> int | None:
         """Fork a child that writes compute() to a pipe, as 8 little-endian
-        bytes, and leaves by os._exit: it writes nothing else to the pipe,
-        flushes no inherited buffer and runs no exit handler.  Returns its
-        pid, or None when no process can be forked."""
+        bytes, and leaves by os._exit: it flushes no inherited buffer and
+        runs no exit handler.  It writes nothing else to the pipe, unless
+        `stream` is set: compute is then called with the pipe's write end,
+        and may write bytes to it before its reply, which `read` reads.
+        Returns its pid, or None when no process can be forked."""
         read, write = os.pipe()
         try:
             pid = os.fork()
@@ -456,7 +619,8 @@ class _Children:
             try:
                 os.close(read)
                 _leave_cpu_of(os.getppid())
-                os.write(write, compute().to_bytes(8, "little"))
+                value = compute(write) if stream else compute()
+                os.write(write, value.to_bytes(8, "little"))
                 status = 0
             finally:
                 os._exit(status)
@@ -471,6 +635,13 @@ class _Children:
         reply = os.read(self.running[pid], 8)
         status = self._reap(pid)
         return int.from_bytes(reply, "little") if status == 0 and len(reply) == 8 else None
+
+    def read(self, pid: int, most: int) -> bytes:
+        """Up to `most` of the bytes that child `pid` streams before its
+        reply, waiting for one at least; b"" once the child has exited
+        without writing more.  The caller reads no more than the child
+        streams, so that the reply is left whole for `reply`."""
+        return os.read(self.running[pid], most)
 
     def kill(self, pid: int) -> None:
         """Kill child `pid` and reap it."""
@@ -660,11 +831,8 @@ def write_dump(path: str | Path, rep: CubeRepresentation, report: BuildReport) -
 
 def _render_into(fd: int, rep: CubeRepresentation, report: BuildReport) -> int:
     """Write render_dump(rep, report) to the empty file open at descriptor
-    `fd`, as write_dump writes it, and return the bytes written.  Run in the
-    forked child of build_representation, which it leaves with the garbage
-    collector off: the render makes no cycle, and a collection in a forked
-    child would copy every page it scans."""
-    gc.disable()
+    `fd`, as write_dump writes it, and return the bytes written; run in the
+    forked child of a build (_draw_and_render)."""
     with open(fd, "w", closefd=False) as out:
         out.writelines(_dump_pieces(rep, report))
     return os.lseek(fd, 0, os.SEEK_CUR)
@@ -745,11 +913,11 @@ def _item_fields(item: str, count: int) -> tuple[list[int], int, str]:
     return values, threshold, tag
 
 
-def _dims_pass(chunks: Iterator[str]) -> CubeRepresentation:
+def _dims_pass(chunks: Iterator[str]) -> tuple[CubeRepresentation, object]:
     """Pass 1 of the stream reader: the representation whose dims the text
-    that `chunks` spell out proposes, read where render_dump writes them;
-    ValueError or RecursionError where they are not found or not well
-    formed.
+    that `chunks` spell out proposes, read where render_dump writes them,
+    and the report that the text after them holds (_report_of); ValueError
+    or RecursionError where they are not found or not well formed.
 
     Pass 1 proposes and pass 2 proves.  The counts are taken from the
     header and refused where the full decode refuses them, before any
@@ -760,7 +928,7 @@ def _dims_pass(chunks: Iterator[str]) -> CubeRepresentation:
     compares the whole text with the rendering of the result, which the
     full decode reads back to the result, so a text whose keys, values or
     spelling differ from it is turned down there.  About two chunks and
-    one dims item are held at a time.
+    one dims item are held at a time, and then the rest of the text.
     """
     text, pos = "", 0
 
@@ -797,7 +965,11 @@ def _dims_pass(chunks: Iterator[str]) -> CubeRepresentation:
         dims.append(UnitIntervalRep.column(verts, list(canonical(values)), threshold))
         tags.append(tag)
         more = through("\n") == ",\n"
-    return CubeRepresentation(a_count, b_count, tuple(dims), tuple(tags))
+    # The text after the rendering's last piece, "\n  ]" or '"dims": []',
+    # if the text is a rendering; pass 2 accepts no other.
+    rest = text[pos:] + "".join(chunks)
+    rest = rest[len("  ]"):] if dims else ",\n" + rest
+    return CubeRepresentation(a_count, b_count, tuple(dims), tuple(tags)), _report_of(rest)
 
 
 def _after_layout(chunks: Iterator[str], rep: CubeRepresentation) -> str:
@@ -817,24 +989,34 @@ def _after_layout(chunks: Iterator[str], rep: CubeRepresentation) -> str:
     return text[pos:] + "".join(chunks)
 
 
+def _report_of(rest: str) -> object:
+    """The report rule of the stream reader: the report that the full
+    decode reads in `rest`, the text after a rendering's layout, where it
+    reads `rest` as the report and the end of the object: a comma, then
+    what json.loads with the dump hook decodes, after an opening brace, to
+    an object with the one key "report", whose value holds at most one "["
+    or "{".  ValueError where `rest` is not so."""
+    if rest[:1] != "," or rest.count("[") + rest.count("{") > 1:
+        raise ValueError("the text after the dims is not one report")
+    payload = json.loads("{" + rest[1:], object_pairs_hook=_dump_object)
+    if payload.keys() != {"report"}:
+        raise ValueError("the text after the dims holds more than the report")
+    return payload["report"]
+
+
 def _layout_accepted(chunks: Callable[[], Iterator[str]], rep: CubeRepresentation) -> bool:
-    """Pass 2 of the stream reader and its report rule: whether the text
-    that a new call of `chunks` spells out is _layout_pieces(rep) and then
-    a report that the full decode reads.  The rest after the layout must be
-    read by the full decode as the report and the end of the object: a
-    comma, then what json.loads with the dump hook decodes, after an
-    opening brace, to an object with the one key "report", whose value
-    holds at most one "[" or "{"."""
+    """Pass 2 of the stream reader: whether the text that a new call of
+    `chunks` spells out is _layout_pieces(rep) and then a report that
+    _report_of reads."""
     try:
-        rest = _after_layout(chunks(), rep)
-        return (rest[:1] == "," and rest.count("[") + rest.count("{") <= 1
-                and json.loads("{" + rest[1:], object_pairs_hook=_dump_object).keys()
-                == {"report"})
+        _report_of(_after_layout(chunks(), rep))
+        return True
     except (ValueError, RecursionError):
         return False
 
 
-def _dims_or_none(chunks: Callable[[], Iterator[str]]) -> CubeRepresentation | None:
+def _dims_or_none(chunks: Callable[[], Iterator[str]]
+                  ) -> tuple[CubeRepresentation, object] | None:
     """_dims_pass of a new call of `chunks`, or None where it fails."""
     try:
         return _dims_pass(chunks())
@@ -857,29 +1039,33 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _decode_dump(text: str) -> CubeRepresentation:
+def _decode_dump(text: str) -> tuple[CubeRepresentation, object]:
     """The full decode: the whole text through json.loads with the dump
-    hook, then rep_from_jsonable.  It gives every verdict and error text."""
+    hook, then rep_from_jsonable, and the payload's report (None where it
+    has none).  It gives every verdict and error text."""
     try:
         payload = json.loads(text, object_pairs_hook=_dump_object)
     except json.JSONDecodeError as exc:
         raise ValueError(f"dump is not valid JSON: {exc}") from None
     except RecursionError:
         raise ValueError("dump nests too deeply to be a representation") from None
-    return rep_from_jsonable(payload)
+    return rep_from_jsonable(payload), payload.get("report")
 
 
 def _stream_or_decode(chunks: Callable[[], Iterator[str]], whole: Callable[[], str],
-                      beside: Callable[[CubeRepresentation], object] | None = None) -> object:
+                      beside: Callable[[CubeRepresentation, object], object] | None = None
+                      ) -> object:
     """The representation of the dump text that each call of `chunks`
     spells out anew and `whole` returns at once, or, with `beside`, what
-    beside returns for it.  The stream reader reads it in two passes, and
-    never decodes its cubes block: pass 1 (_dims_pass) proposes the
-    dimensions, read by the layout of the dims items alone, and pass 2
-    (_layout_accepted) proves them, accepting the text only when it is
-    their rendering and then a report.  So an accepted text is the
-    rendering of the returned representation, which the full decode reads
-    back to that representation.  Any other text, and any that cannot be
+    beside returns for it and the dump's report.  The stream reader reads
+    it in two passes, and never decodes its cubes block: pass 1
+    (_dims_pass) proposes the dimensions, read by the layout of the dims
+    items alone, and the report after them, and pass 2 (_layout_accepted)
+    proves them, accepting the text only when it is their rendering and
+    then a report.  So an accepted text is the rendering of the returned
+    representation, which the full decode reads back to that
+    representation, and then the report that the full decode reads too.
+    Any other text, and any that cannot be
     decoded from its chunks, takes the full decode of whole(), which gives
     every verdict and error text.  The garbage collector is paused
     throughout (_collector_paused).
@@ -898,7 +1084,7 @@ def _stream_or_decode(chunks: Callable[[], Iterator[str]], whole: Callable[[], s
     child is reaped before the call returns, and killed first on an
     exception (a KeyboardInterrupt in beside, say)."""
     with _collector_paused(), _Children() as children:
-        rep = _dims_or_none(chunks)
+        rep, report = _dims_or_none(chunks) or (None, None)
         pid = None
         if (rep is not None and beside is not None and children.allowed
                 and (rep.a_count + rep.b_count) * rep.dimension >= MIN_CHILD_CELLS):
@@ -906,7 +1092,7 @@ def _stream_or_decode(chunks: Callable[[], Iterator[str]], whole: Callable[[], s
         beside = beside or _same
         if pid is not None:
             try:
-                result, held = beside(rep), None
+                result, held = beside(rep, report), None
             except Exception as exc:
                 result, held = None, exc
             accepted = children.reply(pid)
@@ -917,11 +1103,11 @@ def _stream_or_decode(chunks: Callable[[], Iterator[str]], whole: Callable[[], s
                     raise held
                 return result
         elif rep is not None and _layout_accepted(chunks, rep):
-            return beside(rep)
-        return beside(_decode_dump(whole()))
+            return beside(rep, report)
+        return beside(*_decode_dump(whole()))
 
 
-def _same(rep: CubeRepresentation) -> CubeRepresentation:
+def _same(rep: CubeRepresentation, report: object) -> CubeRepresentation:
     """The `beside` of a plain read: the representation itself."""
     return rep
 
@@ -951,16 +1137,45 @@ def read_dump(path: str | Path) -> CubeRepresentation:
 
 
 def verify_dump(path: str | Path, g: BipartiteGraph) -> list[Violation]:
-    """verify(read_dump(path), g), with the same result or the same
-    exception: the file is read as read_dump reads it, and where that
-    forks (see _stream_or_decode), a child checks the text's layout while
-    this process verifies the dimensions.  No child outlives the call, and
-    a child's memory is not part of this process's peak RSS."""
-    return _read_dump(path, lambda rep: verify(rep, g))
+    """verify(read_dump(path), g) once check_report has accepted the dump's
+    report and tags, with the same result or the same exception: the file
+    is read as read_dump reads it, and where that forks (see
+    _stream_or_decode), a child checks the text's layout while this process
+    checks the report and verifies the dimensions.  No child outlives the
+    call, and a child's memory is not part of this process's peak RSS."""
+    return _read_dump(path, partial(_verified, g))
+
+
+def _verified(g: BipartiteGraph, rep: CubeRepresentation, report: object) -> list[Violation]:
+    check_report(rep, report)
+    return verify(rep, g)
+
+
+def check_report(rep: CubeRepresentation, report: object) -> None:
+    """ValueError unless every provenance tag of rep is well formed
+    (tag_kind) and `report`, a dump's report block as decoded, is an
+    object whose k is rep's number of dimensions and whose t, bits_a and
+    bits_b are the numbers of its random-j, side-a-bit-i and side-b-bit-i
+    tags, as ints.  A dump that contradicts itself is a format error, like
+    cubes that differ from the placements, so the CLI exits 2 on it."""
+    kinds = list(map(tag_kind, rep.provenance))
+    if None in kinds:
+        pos = kinds.index(None)
+        raise ValueError(f"dim {pos}: provenance {json.dumps(rep.provenance[pos])} is not "
+                         f"random-j, side-a-bit-i or side-b-bit-i")
+    if not isinstance(report, dict):
+        raise ValueError("dump needs a report object")
+    counts = {"k": len(kinds), "t": kinds.count("random"),
+              "bits_a": kinds.count("side-a-bit"), "bits_b": kinds.count("side-b-bit")}
+    for key, count in counts.items():
+        value = report.get(key)
+        if type(value) is not int or value != count:
+            raise ValueError(f"report {key} is {json.dumps(value)}, "
+                             f"but the dump's dims give {count}")
 
 
 def _read_dump(path: str | Path,
-               beside: Callable[[CubeRepresentation], object] | None) -> object:
+               beside: Callable[[CubeRepresentation, object], object] | None) -> object:
     """_stream_or_decode of the file at `path`, read as read_dump reads it,
     with `beside`."""
     with open(path) as dump:

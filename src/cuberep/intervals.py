@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -136,12 +137,26 @@ def intersect_graphs(graphs: Sequence[VertexGraph]) -> VertexGraph:
     return VertexGraph(base.vertices, frozenset(edges))
 
 
+# The provenance tags of the dimensions a build makes, and their grammar:
+# random dimension j and bit i of side A's or side B's family, j and i
+# positive integers without a leading zero.
 def random_dim_tag(index: int) -> str:
     return f"random-{index}"
 
 
 def bit_dim_tag(side: str, index: int) -> str:
     return f"side-{side.lower()}-bit-{index}"
+
+
+TAG_KINDS = ("random", "side-a-bit", "side-b-bit")
+_TAG = re.compile("(" + "|".join(TAG_KINDS) + ")-[1-9][0-9]*")
+
+
+def tag_kind(tag: str) -> str | None:
+    """The kind in TAG_KINDS of a well-formed provenance tag, or None for
+    any other text."""
+    match = _TAG.fullmatch(tag)
+    return match[1] if match else None
 
 
 @dataclass(frozen=True)

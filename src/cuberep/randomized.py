@@ -112,16 +112,22 @@ def supergraph_from_permutation(pi: Permutation, g: BipartiteGraph) -> UnitInter
     s_size = g.side_count(pi.side)
     if pi.size != s_size:
         raise ValueError(f"permutation size {pi.size} != side {pi.side} size {s_size}")
-    t_side = other_side(pi.side)
+    return supergraph_from_ranks(pi.ranks, pi.side, g)
+
+
+def supergraph_from_ranks(ranks: Sequence[int], side: str, g: BipartiteGraph) -> UnitIntervalRep:
+    """supergraph_from_permutation of the permutation of `side` whose ranks
+    are `ranks`, which must be a bijection from that side onto 1..its size:
+    unlike a Permutation's, that is not checked."""
     n = g.vertex_count
-    best = [0] * g.side_count(t_side)  # 0: no neighbour seen; ranks are >= 1
-    for neighbours, r in zip(g.neighbours(pi.side), pi.ranks):
+    best = [0] * (n - len(ranks))  # 0: no neighbour seen; ranks are >= 1
+    for neighbours, r in zip(g.neighbours(side), ranks):
         for f in neighbours:
             b = best[f]
             if not b or r < b:
                 best[f] = r
-    reached = map(_placed(n, s_size).__getitem__, best)
-    values = [*pi.ranks, *reached] if pi.side == SIDE_A else [*reached, *pi.ranks]
+    reached = map(_placed(n, len(ranks)).__getitem__, best)
+    values = [*ranks, *reached] if side == SIDE_A else [*reached, *ranks]
     return UnitIntervalRep.column(vertex_order(g.a_count, g.b_count), values, n)
 
 

@@ -10,7 +10,8 @@ import tempfile
 import pytest
 from hypothesis import strategies as st
 
-from cuberep import BipartiteGraph, SIDE_A, SIDE_B, builder
+from cuberep import BipartiteGraph, BuildReport, SIDE_A, SIDE_B, builder
+from cuberep.intervals import tag_kind
 
 
 @st.composite
@@ -80,6 +81,17 @@ def stale_cube(text: str) -> str:
     lo, hi = payload["cubes"]["A1"][0]
     payload["cubes"]["A1"][0] = [hi, lo]
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def matching_report(rep, swapped: bool = False) -> BuildReport:
+    """A report that agrees with rep's dims, as render_dump(rep, report,
+    swapped) writes it: k is their number, and t, bits_a and bits_b are the
+    numbers of their random-j, side-a-bit-i and side-b-bit-i tags."""
+    kinds = [tag_kind(tag) for tag in rep.provenance]
+    bits = [kinds.count("side-a-bit"), kinds.count("side-b-bit")]
+    if swapped:  # the block exchanges bits_a and bits_b
+        bits.reverse()
+    return BuildReport(len(kinds), kinds.count("random"), *bits, 0, 0, 0, 0.0, 0.0)
 
 
 def assert_no_child_left():

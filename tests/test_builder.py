@@ -14,14 +14,21 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_pairs, assert_no_child_left, bipartite_graphs, stale_cube
+from conftest import (
+    all_pairs,
+    assert_no_child_left,
+    bipartite_graphs,
+    matching_report,
+    stale_cube,
+)
 from cuberep import (
     SIDE_A,
     SIDE_B,
@@ -65,7 +72,7 @@ from cuberep.builder import (
     survivor_masks,
 )
 from cuberep.graphs import MAX_VERTICES
-from cuberep.intervals import random_dim_tag
+from cuberep.intervals import TAG_KINDS, random_dim_tag
 from cuberep.randomized import neighbour_masks
 
 K44_MINUS_CORNER = BipartiteGraph(
@@ -576,7 +583,15 @@ def assert_nothing_left(temporary_files):
     assert all(file.closed for file in temporary_files)
 
 
+def in_child(parent: int) -> bool:
+    return os.getpid() != parent
+
+
 class TestRenderBeside:
+    """A build with a dump forks, per attempt, one child that draws the
+    attempt's random dimensions and renders its dump while this process
+    verifies the dimensions as they arrive."""
+
     @pytest.mark.parametrize("g, params, attempts", RENDER_CASES)
     def test_dump_is_write_dump_s_bytes(self, forks, temporary_files, monkeypatch,
                                         tmp_path, g, params, attempts):
@@ -585,19 +600,47 @@ class TestRenderBeside:
         assert writes == []
         assert report.retries == attempts - 1
         assert report.swapped is (g.a_count > g.b_count)
-        assert len(forks) == len(temporary_files) == attempts
+        # a file of columns and a file of the dump per attempt
+        assert len(forks) == attempts and len(temporary_files) == 2 * attempts
+        assert rep == attempt(make_plan(g, params.t_override), params.master_seed,
+                              attempts - 1)
         assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
+        assert report.construct_seconds > 0.0 and report.verify_seconds > 0.0
         assert report.write_seconds > 0.0
         assert build_representation(g, params)[0] == rep
         assert_nothing_left(temporary_files)
 
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bipartite_graphs(max_a=6, max_b=6), st.integers(0, 2 ** 64 - 1),
+           st.sampled_from([None, 0, 1, 3]))
+    def test_small_graphs_build_as_in_one_process(self, forks, tmp_path_factory, g, seed, t):
+        params = BuildParams(master_seed=seed, t_override=t, max_retries=3)
+        out = tmp_path_factory.getbasetemp() / "forked.json"
+        out.unlink(missing_ok=True)
+        forked = verdict(lambda: build_representation(g, params, out))
+        with mock.patch.object(builder, "available_cpus", lambda: 1):
+            here = tmp_path_factory.getbasetemp() / "here.json"
+            here.unlink(missing_ok=True)
+            alone = verdict(lambda: build_representation(g, params, here))
+        if forked[0] == "returned":
+            (rep, report), (rep_alone, report_alone) = forked[1], alone[1]
+            assert rep == rep_alone == attempt(make_plan(g, t), seed, report.retries)
+            assert report_to_jsonable(report) == report_to_jsonable(report_alone)
+            assert out.read_bytes() == here.read_bytes()
+            builder.check_report(rep, json.loads(out.read_text())["report"])
+        else:
+            assert forked == alone and not out.exists()
+        assert_no_child_left()
+
     @pytest.mark.parametrize("failure", ["raises", "killed", "short reply", "copy refused"])
     def test_a_failed_render_is_written_here(self, forks, temporary_files, monkeypatch,
                                              tmp_path, failure):
+        # the child sends every column, then fails to render or to reply
         parent, pieces, write = os.getpid(), builder._dump_pieces, os.write
 
         def failing_in_child(*args):
-            if os.getpid() != parent:
+            if in_child(parent):
                 if failure == "raises":
                     raise RuntimeError("the child fails")
                 if failure == "killed":
@@ -605,7 +648,7 @@ class TestRenderBeside:
             return pieces(*args)
 
         def short_in_child(fd, data):
-            return write(fd, data[:3] if os.getpid() != parent else data)
+            return write(fd, data[:3] if in_child(parent) and len(data) == 8 else data)
 
         def refuse(*args):
             raise OSError("sendfile refused")
@@ -615,27 +658,88 @@ class TestRenderBeside:
         if failure == "copy refused":
             monkeypatch.setattr(os, "sendfile", refuse)
         out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
+        drawn_here = recorded_draws(monkeypatch, parent)
         rep, report = build_representation(RENDERED, BuildParams(master_seed=1), out)
         assert len(forks) == 1
-        assert writes == [out]
+        assert writes == [out] and drawn_here == []
+        assert rep == attempt(make_plan(RENDERED), 1, 0)
+        assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
+        assert_nothing_left(temporary_files)
+
+    @pytest.mark.parametrize("failure, first", [("raises", 0), ("killed", 0), ("killed", 5),
+                                                ("short column", 0), ("short column", 7)])
+    def test_a_failed_draw_is_drawn_here(self, forks, temporary_files, monkeypatch,
+                                         tmp_path, failure, first):
+        # the child sends columns 0..first-1 in full, then raises, is
+        # killed, or sends a short column and waits: this process draws the
+        # rest from the same seeds and writes the dump itself
+        parent, dims, write = os.getpid(), builder.random_dims, os.write
+        sent = []
+
+        def failing_in_child(*args):
+            for j, dim in enumerate(dims(*args)):
+                if in_child(parent) and j == first and failure != "short column":
+                    if failure == "raises":
+                        raise RuntimeError("the child fails")
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield dim
+
+        def short_in_child(fd, data):
+            if in_child(parent) and len(data) > 8:  # a column
+                sent.append(data)
+                if len(sent) == first + 1:
+                    write(fd, data[:-1])
+                    return len(data)
+            elif in_child(parent) and len(sent) == first + 1:  # its byte
+                write(fd, data)
+                time.sleep(60)  # only a kill ends the child in time
+            return write(fd, data)
+
+        monkeypatch.setattr(builder, "random_dims", failing_in_child)
+        if failure == "short column":
+            monkeypatch.setattr(os, "write", short_in_child)
+        out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
+        drawn_here = recorded_draws(monkeypatch, parent)
+        started = time.monotonic()
+        rep, report = build_representation(RENDERED, BuildParams(master_seed=1), out)
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
+        assert writes == [out] and drawn_here == [first]
+        assert rep == attempt(make_plan(RENDERED), 1, 0)
+        assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
+        assert_nothing_left(temporary_files)
+
+    def test_a_failed_fork_is_drawn_here(self, forks, temporary_files, monkeypatch, tmp_path):
+        def refuse():
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        drawn_here = recorded_draws(monkeypatch, os.getpid())
+        out = tmp_path / "dump.json"
+        rep, report = build_representation(RENDERED, BuildParams(master_seed=1), out)
+        assert drawn_here == [0]
+        assert rep == attempt(make_plan(RENDERED), 1, 0)
         assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
         assert_nothing_left(temporary_files)
 
     def test_interrupt_during_verify_kills_and_reaps_the_child(
             self, forks, temporary_files, monkeypatch, tmp_path):
-        # the child would render for a minute: only a kill ends it in time
-        parent, pieces = os.getpid(), builder._dump_pieces
+        # the child would render for a minute: only a kill ends it in time;
+        # the sweep is interrupted once it has taken a few columns
+        parent, pieces, sweep = os.getpid(), builder._dump_pieces, builder.sweep
 
         def slow_in_child(*args):
-            if os.getpid() != parent:
+            if in_child(parent):
                 time.sleep(60)
             return pieces(*args)
 
-        def interrupted(rep, g):
+        def interrupted(dims, g):
+            taken = list(islice(dims, len(make_plan(RENDERED).bit_dims) + 3))
+            assert len(taken) == len(make_plan(RENDERED).bit_dims) + 3
             raise KeyboardInterrupt
 
         monkeypatch.setattr(builder, "_dump_pieces", slow_in_child)
-        monkeypatch.setattr(builder, "verify", interrupted)
+        monkeypatch.setattr(builder, "sweep", interrupted)
         out = tmp_path / "dump.json"
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
@@ -689,6 +793,21 @@ class TestRenderBeside:
         builder._leave_cpu_of(-1)  # no such process: nothing changes
         assert os.sched_getaffinity(0) == cpus
 
+    def test_a_streaming_child_s_bytes_come_before_its_reply(self):
+        def streaming(pipe):
+            os.write(pipe, b"ab")
+            os.write(pipe, b"c")
+            return 7
+
+        with builder._Children() as children:
+            pid = children.fork(streaming, stream=True)
+            got = b""
+            while len(got) < 3:
+                got += children.read(pid, 3 - len(got))
+            assert got == b"abc"
+            assert children.reply(pid) == 7
+        assert_no_child_left()
+
     def test_a_dump_of_min_child_cells_is_rendered_beside(self, forks, monkeypatch, tmp_path):
         plan = make_plan(RENDERED)
         monkeypatch.setattr(builder, "MIN_CHILD_CELLS",
@@ -696,6 +815,51 @@ class TestRenderBeside:
         build_representation(RENDERED, BuildParams(master_seed=1), tmp_path / "dump.json")
         assert len(forks) == 1
         assert_no_child_left()
+
+    def test_received_columns_share_their_ints(self, forks, tmp_path):
+        # one int object per value, as in a column drawn here, where the
+        # placements of the other side come from one table per size; past
+        # 128 vertices, placements exceed the ints that Python caches
+        g = gen_random_bipartite(50, 100, 0.06, seed=1)
+        rep, _ = build_representation(g, BuildParams(master_seed=1), tmp_path / "dump.json")
+        random_dims = rep.dims[:make_plan(g).t]
+        assert max(x for dim in random_dims for x in dim.values) > 256
+        assert len({id(x) for dim in random_dims for x in dim.values}) == \
+            len({x for dim in random_dims for x in dim.values})
+
+
+def recorded_draws(monkeypatch, parent: int) -> list[int]:
+    """The first dimension index of each random_dims call made in this
+    process, not in a child, from now on."""
+    starts, dims = [], builder.random_dims
+
+    def recording(plan, master_seed, index, start=0):
+        if not in_child(parent):
+            starts.append(start)
+        return dims(plan, master_seed, index, start)
+
+    monkeypatch.setattr(builder, "random_dims", recording)
+    return starts
+
+
+class TestSweep:
+    @settings(max_examples=100, deadline=None)
+    @given(bipartite_graphs(max_a=5, max_b=6), st.integers(0, 2 ** 64 - 1), st.data())
+    def test_bit_dims_then_columns_sweep_as_verify(self, g, seed, data):
+        # the order in which a build feeds the sweep, on attempts with some
+        # placements moved, so that both verdicts and both kinds occur
+        plan = make_plan(g, data.draw(st.integers(0, 4)))
+        rep = attempt(plan, seed, 0)
+        dims = list(rep.dims)
+        for _ in range(data.draw(st.integers(0, 3)) if dims else 0):
+            pos = data.draw(st.integers(0, len(dims) - 1))
+            values = list(dims[pos].values)
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(
+                st.integers(-2 * g.vertex_count, 3 * g.vertex_count))
+            dims[pos] = UnitIntervalRep.column(dims[pos].verts, values, dims[pos].threshold)
+        moved = CubeRepresentation(rep.a_count, rep.b_count, tuple(dims), rep.provenance)
+        fed = chain(moved.dims[plan.t:], moved.dims[:plan.t])
+        assert builder.sweep(fed, g) == verify(moved, g) == oracle_violations(moved, g)
 
 
 def normalized_graphs(max_a: int = 4, max_b: int = 5):
@@ -1046,14 +1210,21 @@ def mutated_dumps(draw):
     return text, mutate_dump(draw, text, draw(st.sampled_from(TEXT_MUTATIONS)))
 
 
-def walk(text: str) -> CubeRepresentation | None:
+def walked(text: str) -> tuple[CubeRepresentation, object] | None:
     """The stream reader's result on a text given in one piece: the
-    dimensions that pass 1 reads when pass 2 accepts the text, else None."""
+    dimensions and the report that pass 1 reads when pass 2 accepts the
+    text, else None."""
     def chunks():
         return iter((text,))
 
-    rep = builder._dims_or_none(chunks)
-    return rep if rep is not None and builder._layout_accepted(chunks, rep) else None
+    read = builder._dims_or_none(chunks)
+    return read if read is not None and builder._layout_accepted(chunks, read[0]) else None
+
+
+def walk(text: str) -> CubeRepresentation | None:
+    """The dimensions of walked(text), or None."""
+    read = walked(text)
+    return read and read[0]
 
 
 class TestCanonicalParse:
@@ -1070,10 +1241,11 @@ class TestCanonicalParse:
         # the stream reader accepts exactly the unedited text, and reads it
         # to what the full decode reads, field by field
         text, mutated = case
-        walked = walk(mutated)
-        assert (walked is None) == (mutated != text)
-        if walked is not None:
-            assert walked == rep_from_jsonable(json.loads(mutated))
+        read = walked(mutated)
+        assert (read is None) == (mutated != text)
+        if read is not None:
+            payload = json.loads(mutated)
+            assert read == (rep_from_jsonable(payload), payload["report"])
         expected = outcome(full_parse, mutated)
         assert outcome(parse_dump, mutated) == expected
         # read from a file, with its pieces cut at every few characters, and
@@ -1295,8 +1467,9 @@ def without_a_placement(text: str) -> str:
 
 
 OTHER_COUNTS = BipartiteGraph(VERIFIED.a_count, VERIFIED.b_count + 1, VERIFIED.edges)
-# name: (dump text, graph, whether pass 1 reads its dimensions, so that
-# verify_dump forks on two CPUs)
+# name: (dump text, graph, whether pass 1 reads its dimensions and report,
+# so that verify_dump forks on two CPUs; it reads no report from a text that
+# goes on past the report, or repeats a key in it)
 VERIFY_CASES = {
     "canonical": (VERIFIED_DUMP, VERIFIED, True),
     "crlf": (VERIFIED_DUMP.replace("\n", "\r\n"), VERIFIED, True),
@@ -1304,9 +1477,9 @@ VERIFY_CASES = {
     "compact": (json.dumps(json.loads(VERIFIED_DUMP)), VERIFIED, False),
     "cut-in-cubes": (VERIFIED_DUMP[:VERIFIED_DUMP.index('"dims"') // 2], VERIFIED, False),
     "cut-in-dims": (VERIFIED_DUMP[:VERIFIED_DUMP.index('"report"') - 300], VERIFIED, False),
-    "trailing-data": (VERIFIED_DUMP + "{}\n", VERIFIED, True),
+    "trailing-data": (VERIFIED_DUMP + "{}\n", VERIFIED, False),
     "repeated-key": (VERIFIED_DUMP.replace('"report": {', '"report": {\n    "k": 0,', 1),
-                     VERIFIED, True),
+                     VERIFIED, False),
     "moved-placement": (moved_placements(VERIFIED_DUMP), VERIFIED, True),
     "stale-cube": (stale_cube(VERIFIED_DUMP), VERIFIED, True),
     "missing-placement": (without_a_placement(VERIFIED_DUMP), VERIFIED, False),
@@ -1325,7 +1498,14 @@ def verdict(call):
 
 
 def read_then_verify(path, g):
-    return verdict(lambda: verify(read_dump(path), g))
+    """The verdict verify_dump should give: read_dump, check_report of the
+    report that the json module reads, then verify."""
+    def reference():
+        rep = read_dump(path)
+        builder.check_report(rep, json.loads(Path(path).read_text()).get("report"))
+        return verify(rep, g)
+
+    return verdict(reference)
 
 
 def open_descriptors() -> list[str]:
@@ -1338,6 +1518,11 @@ def verified_dumps(draw):
     """A dump_cases text, perhaps edited once (see mutate_dump), and a graph
     of its counts, or of one vertex more: (text, graph)."""
     rep, report, swapped = draw(dump_cases())
+    if draw(st.booleans()):  # a dump whose report and tags check_report accepts
+        tags = st.builds("{}-{}".format, st.sampled_from(TAG_KINDS), st.integers(1, 12))
+        rep = CubeRepresentation(rep.a_count, rep.b_count, rep.dims,
+                                 tuple(draw(tags) for _ in rep.dims))
+        report = matching_report(rep, swapped)
     text = render_dump(rep, report, swapped)
     mutation = draw(st.sampled_from(("none", *TEXT_MUTATIONS)))
     if mutation != "none":

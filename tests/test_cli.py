@@ -545,6 +545,87 @@ class TestVerify:
         assert "line 2" in capsys.readouterr().err
 
 
+def random_1(payload: dict) -> dict:
+    return next(dim for dim in payload["dims"] if dim["provenance"] == "random-1")
+
+
+# Edits of a dump's report or tags that make it contradict itself, each with
+# the error line verify gives, for gen 20 40 0.1 --seed 1 built with --seed 7
+# (k = 78: t = 67, bits_a = 5, bits_b = 6).
+TAMPERINGS = {
+    "the report's k and t, and a tag": (
+        lambda d: (d["report"].update(k=1, t="x"),
+                   random_1(d).update(provenance="side-a-bit-9")),
+        "report k is 1, but the dump's dims give 78"),
+    "t as text": (lambda d: d["report"].update(t="x"),
+                  'report t is "x", but the dump\'s dims give 67'),
+    "k as true": (lambda d: d["report"].update(k=True),
+                  "report k is true, but the dump's dims give 78"),
+    "k as a float": (lambda d: d["report"].update(k=78.0),
+                     "report k is 78.0, but the dump's dims give 78"),
+    "no k": (lambda d: d["report"].pop("k"), "report k is null, but the dump's dims give 78"),
+    "a random tag on a bit": (lambda d: random_1(d).update(provenance="side-a-bit-9"),
+                              "report t is 67, but the dump's dims give 66"),
+    "bits exchanged": (lambda d: d["report"].update(bits_a=6, bits_b=5),
+                       "report bits_a is 6, but the dump's dims give 5"),
+    "no report": (lambda d: d.pop("report"), "dump needs a report object"),
+    "a report list": (lambda d: d.update(report=[78]), "dump needs a report object"),
+    **{f"tag {tag!r}": (lambda d, tag=tag: random_1(d).update(provenance=tag),
+                        f"dim 0: provenance {json.dumps(tag)} is not random-j, "
+                        "side-a-bit-i or side-b-bit-i")
+       for tag in ("random-0", "random-01", "random-", "random-+1", "greedy-1",
+                   "side-c-bit-1", "side-A-bit-1", "random-1 ", "random-1\n",
+                   "random-\u0661", "dim-1")},
+}
+
+
+class TestReportCheck:
+    """verify refuses a dump whose report or tags contradict its dims."""
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("report")
+        graph, dump = tmp / "g.txt", tmp / "dump.json"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["gen", "20", "40", "0.1", "--seed", "1", "--out", str(graph)]) == 0
+            assert main(["build", str(graph), "--seed", "7", "--out", str(dump)]) == 0
+        return graph, dump.read_text()
+
+    @pytest.mark.parametrize("case", TAMPERINGS)
+    @pytest.mark.parametrize("indent", [2, 4])
+    def test_a_tampered_dump_exits_two_with_one_line(self, built, tmp_path, capsys,
+                                                     case, indent):
+        # indent 2 is the canonical layout, which the stream reader reads;
+        # indent 4 takes the full decode: both hand on the same report
+        graph, text = built
+        payload = json.loads(text)
+        assert random_1(payload) is payload["dims"][0]
+        edit, error = TAMPERINGS[case]
+        edit(payload)
+        dump = tmp_path / "tampered.json"
+        dump.write_text(json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(graph), str(dump)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    def test_the_untouched_dump_passes(self, built, tmp_path, capsys):
+        graph, text = built
+        dump = tmp_path / "dump.json"
+        dump.write_text(text)
+        report = json.loads(text)["report"]
+        assert [report[key] for key in ("k", "t", "bits_a", "bits_b")] == [78, 67, 5, 6]
+        assert main(["verify", str(graph), str(dump)]) == 0
+
+    def test_a_swapped_build_passes(self, tmp_path, capsys):
+        # bits_a and bits_b follow the dump's labels, as its tags do
+        graph, dump = tmp_path / "h.txt", tmp_path / "hdump.json"
+        assert main(["gen", "40", "20", "0.1", "--seed", "1", "--out", str(graph)]) == 0
+        assert main(["build", str(graph), "--seed", "7", "--out", str(dump)]) == 0
+        report = json.loads(dump.read_text())["report"]
+        assert (report["swapped"], report["bits_a"], report["bits_b"]) == (True, 6, 5)
+        assert main(["verify", str(graph), str(dump)]) == 0
+
+
 class TestProbe:
     def test_machine_payload_frozen(self, tmp_path, capsys):
         graph = write_graph(tmp_path, "g.txt", SINGLE_EDGE)

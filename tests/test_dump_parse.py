@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import stale_cube
+from conftest import matching_report, stale_cube
 from cuberep import (
     SIDE_A,
     SIDE_B,
@@ -126,7 +126,7 @@ def hostile_payloads(draw):
         for _ in range(draw(st.integers(0, 4))))
     rep = CubeRepresentation(a_count, b_count, dims,
                              tuple(random_dim_tag(j + 1) for j in range(len(dims))))
-    payload = json.loads(render_dump(rep, EMPTY_REPORT))
+    payload = json.loads(render_dump(rep, matching_report(rep)))
     mutation = draw(st.sampled_from(MUTATIONS))
     if mutation == "other-vertex-set":
         # well formed, but every placement now misses a declared vertex

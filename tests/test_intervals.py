@@ -25,7 +25,7 @@ from cuberep import (
     to_unit_cubes,
     vertex_key,
 )
-from cuberep.intervals import bit_dim_tag, parse_vertex_key, random_dim_tag
+from cuberep.intervals import bit_dim_tag, parse_vertex_key, random_dim_tag, tag_kind
 
 VERTS = [(SIDE_A, 1), (SIDE_A, 2), (SIDE_B, 1), (SIDE_B, 2)]
 
@@ -211,6 +211,21 @@ class TestToUnitCubes:
                 for (ulo, uhi), (vlo, vhi) in zip(cubes[u], cubes[v]))
             threshold_adjacent = all(dim.adjacent(u, v) for dim in dims)
             assert overlap == threshold_adjacent
+
+
+class TestTagKind:
+    @given(st.integers(1, 10 ** 30))
+    def test_the_tags_a_build_makes_are_well_formed(self, index):
+        assert tag_kind(random_dim_tag(index)) == "random"
+        assert tag_kind(bit_dim_tag(SIDE_A, index)) == "side-a-bit"
+        assert tag_kind(bit_dim_tag(SIDE_B, index)) == "side-b-bit"
+
+    @pytest.mark.parametrize("tag", ["random-0", "random-01", "random-", "random-+1",
+                                     "random--1", "random-1 ", " random-1", "random-1\n",
+                                     "random-\u0661", "Random-1", "side-c-bit-1",
+                                     "side-a-bit", "greedy-1", "dim-1", ""])
+    def test_other_text_has_no_kind(self, tag):
+        assert tag_kind(tag) is None
 
 
 class TestSwapSides:
