@@ -24,7 +24,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import and_, itemgetter, or_
+from operator import itemgetter, or_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -55,7 +55,6 @@ from .randomized import (
     choose_permuted_side,
     neighbour_masks,
     random_permutation,  # noqa: F401  unused here; the benchmark's traced replica patches it
-    reached_below,
     shuffled_ranks,
     supergraph_from_permutation,  # noqa: F401  likewise
     supergraph_from_ranks,
@@ -217,6 +216,13 @@ class BuildPlan:
         """neighbour_masks of the permuted side, made on first use."""
         return neighbour_masks(self.graph, self.side)
 
+    @cached_property
+    def non_edge_rows(self) -> list[int]:
+        """Entry p: the bitset of the cross non-edges of permuted vertex
+        p + 1, bit f for other-side vertex f + 1; made on first use."""
+        full = (1 << (self.graph.vertex_count - self.side_size)) - 1
+        return [full ^ mask for mask in self.neighbours]
+
 
 def make_plan(g: BipartiteGraph, t_override: int | None = None) -> BuildPlan:
     """The plan of g, in g's own labels; t is t_override, or default_t of d'
@@ -246,15 +252,21 @@ def dimension_rngs(master_seed: int, index: int, t: int) -> Iterator[random.Rand
     Reseeding leaves it in the state make_rng of that seed would build, at
     less cost than building a new one; each generator is in that state only
     until the next is drawn.  The hash of the master seed and the index,
-    derive_seed's prefix, is made once per attempt and copied per j."""
+    derive_seed's prefix, is made once per attempt and copied per j.
+
+    Random.seed of an int seeds the base generator and clears gauss_next;
+    the two are done here without its type checks, which cost about 0.8 us
+    of a 14 us draw.  The draw pin checks that the state is make_rng's."""
     prefix = hashlib.blake2b(digest_size=8)
     prefix.update((master_seed & MASK64).to_bytes(8, "little"))
     prefix.update((index & MASK64).to_bytes(8, "little"))
     rng = random.Random(0)
+    reseed = super(random.Random, rng).seed
     for j in range(t):
         h = prefix.copy()
         h.update(j.to_bytes(8, "little"))
-        rng.seed(int.from_bytes(h.digest(), "little"))
+        reseed(int.from_bytes(h.digest(), "little"))
+        rng.gauss_next = None
         yield rng
 
 
@@ -509,32 +521,61 @@ def _draw_and_render(plan: BuildPlan, master_seed: int, index: int, columns: int
     return _render_into(dump, _assembled(plan, tuple(drawn)), report)
 
 
+def live_rows(plan: BuildPlan, master_seed: int, index: int) -> Iterator[list[int]]:
+    """After each random dimension j = 1, 2, ... of attempt(plan,
+    master_seed, index), in turn, the cross non-edges adjacent in all of
+    dimensions 1..j: entry p is the bitset of the live non-edges of permuted
+    vertex p + 1, bit f for other-side vertex f + 1.  It stops after t
+    dimensions, or after the first that leaves nothing live, and draws none
+    when nothing is live to begin with, so the number of lists it yields is
+    j*, the dimensions an attempt needs: t or fewer.  Each list is the last
+    one (plan.non_edge_rows before the first) ANDed with reached_below of
+    the dimension's ranks, made in one walk in rank order that cuts only
+    the live rows; the caller must not change it.
+    """
+    size, neighbours = plan.side_size, plan.neighbours
+    alive = plan.non_edge_rows
+    if not any(alive):
+        return
+    for rng in dimension_rngs(master_seed, index, plan.t):
+        at_rank = [0] * size
+        for p, r in enumerate(shuffled_ranks(size, rng)):
+            at_rank[r - 1] = p
+        cut, seen = [0] * size, 0
+        for p in at_rank:
+            row = alive[p]
+            if row:
+                cut[p] = row & seen
+            seen |= neighbours[p]
+        alive = cut
+        yield alive
+        if not any(alive):
+            return
+
+
 def survivor_masks(plan: BuildPlan, master_seed: int,
                    attempts: range) -> Iterator[list[int]]:
     """For each attempt index in `attempts`, in turn, the cross non-edges
-    adjacent in all t random dimensions of attempt(plan, master_seed, index):
-    entry p is the bitset of the live non-edges of permuted vertex p + 1, bit
-    f for other-side vertex f + 1.  Each such bitset starts as p's non-edges
-    and is cut per dimension by reached_below; the draws stop once all are
-    empty, since every dimension has its own seed.
+    adjacent in all t random dimensions of attempt(plan, master_seed, index),
+    as live_rows gives them: its last list, or plan.non_edge_rows when it
+    yields none.  Dimensions past the first that leaves nothing live are not
+    drawn, since every dimension has its own seed.
     """
-    size, neighbours = plan.side_size, plan.neighbours
-    full = (1 << (plan.graph.vertex_count - size)) - 1
-    start = [full ^ mask for mask in neighbours]
     for index in attempts:
-        alive = start
-        for rng in dimension_rngs(master_seed, index, plan.t):
-            if not any(alive):
-                break
-            alive = list(map(and_, alive, reached_below(shuffled_ranks(size, rng), neighbours)))
+        alive = plan.non_edge_rows
+        for alive in live_rows(plan, master_seed, index):
+            pass
         yield alive
 
 
 # Fewest dimension draws (trials x t, shared out over the processes) that
 # make a forked child worth its cost.  On a 2-CPU x86-64 host under
 # Python 3.11, forking a child, reading its pipe and reaping it took
-# 1.5-4 ms, and one draw 12 us at side size 2 and 21 us at side size 30; a
-# block of 1000 draws is 12 ms or more when no attempt stops early.
+# 2.0-3.2 ms (median 2.3 ms of 40), and one draw of live_rows, with its
+# share of its attempt's set-up, 12 us at side size 2 (about 3 draws an
+# attempt) and 15-17 us at side size 30 (30x60 graphs at t = 50, about 46
+# draws an attempt); the survivor loop before it took 18 and 21-22 us.  A
+# block of 1000 draws is still 12 ms or more, four times a fork or more.
 MIN_CHILD_DRAWS = 1000
 
 # Fewest cells (vertices x k) of a dump that make work on it in a forked
@@ -677,7 +718,7 @@ def failure_rate(plan: BuildPlan, master_seed: int, trials: int) -> float:
     not part of this process's peak RSS."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    plan.neighbours  # made once, before any fork
+    plan.non_edge_rows  # made once, with plan.neighbours, before any fork
     with _Children() as children:
         workers = 1
         if children.allowed:

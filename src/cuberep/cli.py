@@ -175,11 +175,14 @@ def cmd_probe(args: argparse.Namespace) -> int:
     ends = [(a - 1, b - 1) if side == SIDE_A else (b - 1, a - 1) for a, b in non_edges]
     counts = survival_counts(plan.neighbours, g.vertex_count - plan.side_size,
                              ends, trials, make_rng(seed))
+    other = other_side(side)
+    exact: dict[int, str] = {}  # survival is exactly d/(d + 1), formatted once per d
     rows = []
     for (a, b), (_, f), count in zip(non_edges, ends, counts):
-        d = profile.degree((other_side(side), f + 1))  # survival is exactly d/(d + 1)
-        rows.append({"pair": f"A{a}-B{b}", "observed": count / trials,
-                     "exact": str(Fraction(d, d + 1))})
+        d = profile.degree((other, f + 1))
+        if d not in exact:
+            exact[d] = str(Fraction(d, d + 1))
+        rows.append({"pair": f"A{a}-B{b}", "observed": count / trials, "exact": exact[d]})
     rate = failure_rate(plan, seed, trials)
     if args.format == "machine":
         payload = {

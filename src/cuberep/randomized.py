@@ -79,18 +79,24 @@ def shuffled_ranks(size: int, rng: random.Random) -> list[int]:
     shuffle makes (3.10 to 3.13): for i from size - 1 down to 1, with
     n = i + 1 and k = n.bit_length(), getrandbits(k) is redrawn until it is
     below n.  Both the ranks and the generator's state afterwards equal
-    shuffle's; only the per-step method call of shuffle is saved.
+    shuffle's; only the per-step method call of shuffle is saved, and the
+    per-step k, which _shuffle_steps holds.
     """
     ranks = list(range(1, size + 1))
     getrandbits = rng.getrandbits
-    for i in range(size - 1, 0, -1):
-        n = i + 1
-        k = n.bit_length()
+    for i, k in _shuffle_steps(size):
         j = getrandbits(k)
-        while j >= n:
+        while j > i:  # j >= n
             j = getrandbits(k)
         ranks[i], ranks[j] = ranks[j], ranks[i]
     return ranks
+
+
+@lru_cache(maxsize=4)
+def _shuffle_steps(size: int) -> tuple[tuple[int, int], ...]:
+    """The steps (i, k) of shuffled_ranks of `size` ranks, in turn: about
+    80 bytes a step, made once per size.  A build or a probe draws one size."""
+    return tuple((i, (i + 1).bit_length()) for i in range(size - 1, 0, -1))
 
 
 def random_permutation(size: int, rng: random.Random, side: str = SIDE_A) -> Permutation:

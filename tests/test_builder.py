@@ -15,6 +15,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import chain, islice
+from operator import and_
 from pathlib import Path
 from unittest import mock
 
@@ -68,12 +69,13 @@ from cuberep.builder import (
     attempt,
     checked_attempts,
     dimension_rngs,
+    live_rows,
     make_plan,
     survivor_masks,
 )
 from cuberep.graphs import MAX_VERTICES
 from cuberep.intervals import TAG_KINDS, random_dim_tag
-from cuberep.randomized import neighbour_masks
+from cuberep.randomized import neighbour_masks, reached_below, shuffled_ranks
 
 K44_MINUS_CORNER = BipartiteGraph(
     4, 4, {(a, b) for a in range(1, 5) for b in range(1, 5)} - {(4, 4)})
@@ -433,9 +435,34 @@ class TestEstimateFailureRate:
             BipartiteGraph(2, 2, {(a, b) for a in (1, 2) for b in (1, 2)}), params, 7) == 0.0
 
 
+def oracle_rows(plan, seed: int, index: int) -> list[list[int]]:
+    """live_rows of the attempt as a list, made by the loop it replaced: each
+    dimension's reached_below row, ANDed into the live rows, drawn until t
+    dimensions are drawn or nothing is live."""
+    size, neighbours = plan.side_size, plan.neighbours
+    full = (1 << (plan.graph.vertex_count - size)) - 1
+    alive = [full ^ mask for mask in neighbours]
+    rows = []
+    for rng in dimension_rngs(seed, index, plan.t):
+        if not any(alive):
+            break
+        alive = list(map(and_, alive, reached_below(shuffled_ranks(size, rng), neighbours)))
+        rows.append(alive)
+    return rows
+
+
+def oracle_survivors(plan, seed: int, index: int) -> list[int]:
+    """What oracle_rows leaves live after all t dimensions."""
+    rows = oracle_rows(plan, seed, index)
+    if rows:
+        return rows[-1]
+    full = (1 << (plan.graph.vertex_count - plan.side_size)) - 1
+    return [full ^ mask for mask in plan.neighbours]
+
+
 def sequential_rate(plan, seed: int, trials: int) -> float:
-    """failure_rate's value, counted in this process in one pass."""
-    return sum(map(any, survivor_masks(plan, seed, range(trials)))) / trials
+    """failure_rate's value, counted by the oracle in this process."""
+    return sum(any(oracle_survivors(plan, seed, index)) for index in range(trials)) / trials
 
 
 def flipped(g: BipartiteGraph) -> BipartiteGraph:
@@ -877,6 +904,36 @@ def swapped_graphs():
 # b1 sees all three A vertices, no A vertex sees more than two, so
 # delta_b > delta_a and side B is permuted
 SIDE_B_PERMUTED = BipartiteGraph(3, 4, {(1, 1), (2, 1), (3, 1), (1, 2), (2, 3)})
+
+
+class TestLiveRows:
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bipartite_graphs(max_a=6, max_b=6), st.sampled_from([0, 1, 2, 5, None]),
+           st.integers(0, 2 ** 64 - 1))
+    # a permuted side of size 1, no dimension, an edgeless graph, a first
+    # side that is the larger (and permuted), side B permuted, no cross non-edge
+    @example(BipartiteGraph(1, 4, {(1, 2)}), 3, 5)
+    @example(BipartiteGraph(4, 1, {(2, 1)}), 3, 5)
+    @example(BipartiteGraph(3, 4, {(1, 1), (2, 1)}), 0, 5)
+    @example(BipartiteGraph(3, 4, frozenset()), 2, 5)
+    @example(BipartiteGraph(5, 3, {(1, 1), (2, 2), (3, 3), (4, 1)}), None, 5)
+    @example(SIDE_B_PERMUTED, 5, 5)
+    @example(BipartiteGraph(2, 2, {(a, b) for a in (1, 2) for b in (1, 2)}), 2, 5)
+    def test_rows_and_j_star_are_the_oracle_loop(self, forks, monkeypatch, g, t, seed):
+        plan = make_plan(g, t)
+        trials = 5
+        for index in range(trials):
+            # every row list, and so j*, their number
+            assert list(live_rows(plan, seed, index)) == oracle_rows(plan, seed, index)
+        assert list(survivor_masks(plan, seed, range(trials))) == [
+            oracle_survivors(plan, seed, index) for index in range(trials)]
+        expected = sequential_rate(plan, seed, trials)
+        assert builder.failure_rate(plan, seed, trials) == expected  # forked when t > 0
+        with monkeypatch.context() as alone:
+            alone.setattr(builder, "available_cpus", lambda: 1)
+            assert builder.failure_rate(plan, seed, trials) == expected
+        assert_no_child_left()
 
 
 class TestAttemptPlan:

@@ -670,6 +670,15 @@ class TestProbe:
                      "--seed", "1", "--format", "machine"]) == 0
         assert capsys.readouterr().out == (DATA / expected).read_text()
 
+    # probe --trials 300 --t 50 --seed 1 on `gen 30 60 0.15 --seed 1`,
+    # recorded from the failure estimate that ANDed each dimension's
+    # reached_below row into the live rows: 38% of the attempts fail, and
+    # the others draw up to 50 dimensions before nothing is live
+    def test_machine_output_golden_many_dimensions(self, capsys):
+        assert main(["probe", str(DATA / "graph_30x60.txt"), "--trials", "300", "--t", "50",
+                     "--seed", "1", "--format", "machine"]) == 0
+        assert capsys.readouterr().out == (DATA / "probe_30x60_seed1_t50.json").read_text()
+
     def test_forked_estimate_writes_one_output(self, tmp_path):
         # 200 trials x t = 30 is enough work for a child on every CPU but
         # one; a child writes nothing, so each stream holds what one

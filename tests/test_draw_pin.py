@@ -18,7 +18,8 @@ from cuberep import derive_seed, make_rng, random_permutation
 from cuberep.builder import dimension_rngs
 from cuberep.randomized import shuffled_ranks
 
-SIZES = (*range(1, 71), 300, 1000)
+# every size up to 70, and each side of the bit-length steps at 128 and 256
+SIZES = (*range(1, 71), 127, 128, 129, 255, 256, 257, 300, 1000)
 # small seeds and 64-bit ones, as derive_seed makes them
 SEEDS = (*range(30), *(derive_seed(2024, i) for i in range(30)))
 
