@@ -23,7 +23,7 @@ from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter, or_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -248,11 +248,13 @@ def make_plan(g: BipartiteGraph, t_override: int | None = None) -> BuildPlan:
 
 def dimension_rngs(master_seed: int, index: int, t: int) -> Iterator[random.Random]:
     """The generators of random dimensions 0..t-1 of attempt `index`: one
-    random.Random, reseeded in turn to derive_seed(master_seed, index, j).
-    Reseeding leaves it in the state make_rng of that seed would build, at
-    less cost than building a new one; each generator is in that state only
-    until the next is drawn.  The hash of the master seed and the index,
-    derive_seed's prefix, is made once per attempt and copied per j.
+    random.Random, made from derive_seed(master_seed, index, 0) and
+    reseeded in turn to derive_seed(master_seed, index, j).  Reseeding
+    leaves it in the state make_rng of that seed would build, at less cost
+    than building a new one; each generator is in that state only until
+    the next is drawn.  None is made when t = 0.  The hash of the master
+    seed and the index, derive_seed's prefix, is made once per attempt and
+    copied per j.
 
     Random.seed of an int seeds the base generator and clears gauss_next;
     the two are done here without its type checks, which cost about 0.8 us
@@ -260,24 +262,27 @@ def dimension_rngs(master_seed: int, index: int, t: int) -> Iterator[random.Rand
     prefix = hashlib.blake2b(digest_size=8)
     prefix.update((master_seed & MASK64).to_bytes(8, "little"))
     prefix.update((index & MASK64).to_bytes(8, "little"))
-    rng = random.Random(0)
-    reseed = super(random.Random, rng).seed
+    rng = reseed = None
     for j in range(t):
         h = prefix.copy()
         h.update(j.to_bytes(8, "little"))
-        reseed(int.from_bytes(h.digest(), "little"))
-        rng.gauss_next = None
+        seed = int.from_bytes(h.digest(), "little")
+        if rng is None:
+            rng = random.Random(seed)
+            reseed = super(random.Random, rng).seed
+        else:
+            reseed(seed)
+            rng.gauss_next = None
         yield rng
 
 
-def random_dims(plan: BuildPlan, master_seed: int, index: int,
-                start: int = 0) -> Iterator[UnitIntervalRep]:
-    """Random dimensions start..t-1 of attempt `index`, in turn: dimension j
-    is the supergraph of the permutation that shuffled_ranks draws from
+def random_dims(plan: BuildPlan, master_seed: int, index: int) -> Iterator[UnitIntervalRep]:
+    """Random dimensions 0..t-1 of attempt `index`, in turn: dimension j is
+    the supergraph of the permutation that shuffled_ranks draws from
     derive_seed(master_seed, index, j).  The ranks are a bijection as drawn,
     so no Permutation checks them again."""
     g, side, size = plan.graph, plan.side, plan.side_size
-    for rng in islice(dimension_rngs(master_seed, index, plan.t), start, None):
+    for rng in dimension_rngs(master_seed, index, plan.t):
         yield supergraph_from_ranks(shuffled_ranks(size, rng), side, g)
 
 
@@ -293,36 +298,40 @@ def _assembled(plan: BuildPlan, drawn: tuple[UnitIntervalRep, ...]) -> CubeRepre
     return CubeRepresentation(g.a_count, g.b_count, drawn + plan.bit_dims, plan.provenance)
 
 
-def checked_attempts(plan: BuildPlan, master_seed: int,
-                     check: Callable[[int], tuple[CubeRepresentation, list[Violation],
-                                                  float, float]] | None = None
-                     ) -> Iterator[tuple[CubeRepresentation, list[Violation], float, float]]:
-    """Attempts 0, 1, ... of plan (see `attempt`), in turn and without end,
-    each with the violations verify finds in it against plan.graph and the
-    seconds spent constructing it and verifying it.  `check`, if given, is
-    called with each attempt's index to give those four in its own way."""
-    for index in count():
-        if check is not None:
-            rep, violations, built, checked = check(index)
-        else:
-            started = time.perf_counter()
-            rep = attempt(plan, master_seed, index)
-            drawn = time.perf_counter()
-            violations = verify(rep, plan.graph)
-            built, checked = drawn - started, time.perf_counter() - drawn
-        if any(v.kind == "missing-edge" for v in violations):
-            # Retrying cannot help: every dimension is meant to be a supergraph.
-            raise RuntimeError(f"internal error: an edge went missing: {violations}")
-        yield rep, violations, built, checked
+def checked_attempt(plan: BuildPlan, master_seed: int, index: int,
+                    drawing: "_DrawnBeside | None" = None
+                    ) -> tuple[CubeRepresentation, list[Violation], float, float]:
+    """Attempt `index` of plan (see `attempt`), the violations verify finds
+    in it against plan.graph, and the seconds spent constructing it and
+    verifying it; an internal RuntimeError if an edge went missing.
+
+    With `drawing`, the attempt's forked child draws it while this process
+    verifies it (_DrawnBeside.check).  When that gives no attempt, because
+    no child was forked or one sent a column short, the attempt is made
+    and verified here by attempt and verify, as without `drawing`, and the
+    seconds of the abandoned check are counted too."""
+    rep, violations, built, checked = (drawing.check() if drawing is not None
+                                       else (None, None, 0.0, 0.0))
+    if rep is None:
+        started = time.perf_counter()
+        rep = attempt(plan, master_seed, index)
+        drawn = time.perf_counter()
+        violations = verify(rep, plan.graph)
+        built += drawn - started
+        checked += time.perf_counter() - drawn
+    if any(v.kind == "missing-edge" for v in violations):
+        # Retrying cannot help: every dimension is meant to be a supergraph.
+        raise RuntimeError(f"internal error: an edge went missing: {violations}")
+    return rep, violations, built, checked
 
 
 def build_representation(
     g: BipartiteGraph, params: BuildParams, out: str | Path | None = None
 ) -> tuple[CubeRepresentation, BuildReport]:
     """Build a verified representation of g, whichever side comes first: the
-    first of g's checked_attempts that passes, among at most max_retries (one
-    when t = 0, since every attempt is then the same); else BuildFailure lists
-    the last one's surviving pairs in g's labels.
+    first attempt that passes (checked_attempt), among at most max_retries
+    (one when t = 0, since every attempt is then the same); else
+    BuildFailure lists the last one's surviving pairs in g's labels.
 
     With `out`, the result's dump is written there, as write_dump writes it,
     once it has passed; nothing is written on BuildFailure.  Each attempt
@@ -332,13 +341,15 @@ def build_representation(
     than MIN_CHILD_CELLS cells (vertices x k).  On a pass the child is
     reaped and its dump is copied to `out` in the kernel (_send_file); a
     failed attempt's child is killed and reaped, and its files dropped.
-    When the child fails, or the copy does, write_dump writes the dump here
-    instead, to the same bytes.  No child and no temporary file outlives
-    the call.
+    When the fork is refused, or the child fails before its last column,
+    the whole attempt is made and verified here, as without `out`; when the
+    child fails, or the copy does, write_dump writes the dump here instead,
+    to the same bytes.  No child and no temporary file outlives the call.
 
     report.construct_seconds is the time spent drawing random dimensions or
     waiting for them, report.verify_seconds the time in the sweep of verify,
-    and report.write_seconds the time from the passing verification to the
+    both with those of a check abandoned when its child failed, and
+    report.write_seconds the time from the passing verification to the
     dump in place."""
     plan = make_plan(g, params.t_override)
     k = plan.t + len(plan.bit_dims)
@@ -360,19 +371,14 @@ def build_representation(
             write_seconds=write)
 
     construct_seconds = verify_seconds = 0.0
-    drawing = None  # the _DrawnBeside of the attempt being checked
     with ExitStack() as files, _Children() as children:
-        def check_beside(index: int) -> tuple[CubeRepresentation, list[Violation], float, float]:
-            nonlocal drawing
-            drawing = _DrawnBeside(plan, params.master_seed, index, children, files,
-                                   report(index))
-            return drawing.check()
-
         forking = (out is not None and children.allowed
                    and g.vertex_count * k >= MIN_CHILD_CELLS)
-        for index, (rep, violations, built, checked) in enumerate(islice(
-                checked_attempts(plan, params.master_seed, check_beside if forking else None),
-                params.max_retries if plan.t else 1)):
+        for index in range(params.max_retries if plan.t else 1):
+            drawing = (_DrawnBeside(plan, params.master_seed, index, children, files,
+                                    report(index)) if forking else None)
+            rep, violations, built, checked = checked_attempt(
+                plan, params.master_seed, index, drawing)
             construct_seconds += built
             verify_seconds += checked
             if violations:
@@ -405,6 +411,10 @@ def _ints(count: int) -> tuple[int, ...]:
     return tuple(range(count))
 
 
+class _ChildFailed(Exception):
+    """A drawing child sent a column short, or none."""
+
+
 class _DrawnBeside:
     """One attempt of a build with a dump, whose random dimensions a forked
     child draws while this process verifies them as they arrive.
@@ -418,16 +428,16 @@ class _DrawnBeside:
     sweep over the bit dimensions and then over each column as its byte
     comes, read from the file by os.pread.
 
-    From the first column that the child does not send in full (it exited,
-    was killed, or the file holds less than the column), or from the start
-    when no child could be forked, the child is killed and reaped and this
-    process draws the rest itself (random_dims, from the same seeds); the
+    When no child could be forked, `check` gives no attempt.  At the first
+    column that the child does not send in full (it exited, was killed, or
+    the file holds less than the column), the sweep is abandoned, the
+    child is killed and reaped, and `check` gives no attempt either; the
     dump is then not the child's, and `send` says so."""
 
     def __init__(self, plan: BuildPlan, master_seed: int, index: int,
                  children: "_Children", files: ExitStack, report: BuildReport) -> None:
         started = time.perf_counter()
-        self.plan, self.master_seed, self.index = plan, master_seed, index
+        self.plan = plan
         self.children = children
         self.columns = files.enter_context(tempfile.TemporaryFile())
         self.dump = files.enter_context(tempfile.TemporaryFile())
@@ -435,49 +445,48 @@ class _DrawnBeside:
             _draw_and_render, plan, master_seed, index, self.columns.fileno(),
             self.dump.fileno(), report), stream=True)
         self.drawn: list[UnitIntervalRep] = []
-        # seconds spent forking the child, and waiting for or drawing columns
+        # seconds spent forking the child, and waiting for or reading columns
         self.waited = time.perf_counter() - started
 
-    def check(self) -> tuple[CubeRepresentation, list[Violation], float, float]:
+    def check(self) -> tuple[CubeRepresentation | None, list[Violation] | None, float, float]:
         """The attempt, its violations against plan.graph (as verify gives
-        them), and the seconds spent constructing it and verifying it."""
+        them), and the seconds spent constructing it and verifying it; the
+        attempt and its violations are None when the child was not forked
+        or failed."""
         started, forked = time.perf_counter(), self.waited
-        violations = sweep(chain(self.plan.bit_dims, self._timed(self._arriving())),
-                           self.plan.graph)
+        rep = violations = None
+        if self.pid is not None:
+            try:
+                violations = sweep(chain(self.plan.bit_dims, self._arriving()),
+                                   self.plan.graph)
+                rep = _assembled(self.plan, tuple(self.drawn))
+            except _ChildFailed:
+                self.stop()
         swept = time.perf_counter() - started
         self.columns.close()
-        return (_assembled(self.plan, tuple(self.drawn)), violations,
-                self.waited, swept - (self.waited - forked))
-
-    def _timed(self, dims: Iterator[UnitIntervalRep]) -> Iterator[UnitIntervalRep]:
-        """The dimensions of `dims`, kept in self.drawn, with the time taken
-        to get each added to self.waited."""
-        while True:
-            started = time.perf_counter()
-            dim = next(dims, None)
-            self.waited += time.perf_counter() - started
-            if dim is None:
-                return
-            self.drawn.append(dim)
-            yield dim
+        return rep, violations, self.waited, swept - (self.waited - forked)
 
     def _arriving(self) -> Iterator[UnitIntervalRep]:
-        """Random dimensions 0..t-1, from the child while it sends them in
-        full, then drawn here."""
+        """Random dimensions 0..t-1 as the child sends them, each kept in
+        self.drawn, with the time taken to get it added to self.waited;
+        _ChildFailed at the first that the child does not send in full."""
         plan = self.plan
         g = plan.graph
         n, verts = g.vertex_count, vertex_order(g.a_count, g.b_count)
         ints, width = _ints(2 * n + 3), n * array(_COLUMN_TYPE).itemsize
         sent = 0
         for j in range(plan.t):
-            if j == sent and self.pid is not None:
+            started = time.perf_counter()
+            if j == sent:
                 sent += len(self.children.read(self.pid, plan.t - j))
             column = os.pread(self.columns.fileno(), width, j * width) if j < sent else b""
-            if len(column) < width:
-                self.stop()
-                yield from random_dims(plan, self.master_seed, self.index, j)
-                return
-            yield UnitIntervalRep.column(verts, [ints[x] for x in array(_COLUMN_TYPE, column)], n)
+            dim = (UnitIntervalRep.column(verts, [ints[x] for x in array(_COLUMN_TYPE, column)], n)
+                   if len(column) == width else None)
+            self.waited += time.perf_counter() - started
+            if dim is None:
+                raise _ChildFailed
+            self.drawn.append(dim)
+            yield dim
 
     def stop(self) -> None:
         """Kill and reap the child, if it runs."""
@@ -677,6 +686,13 @@ class _Children:
         status = self._reap(pid)
         return int.from_bytes(reply, "little") if status == 0 and len(reply) == 8 else None
 
+    def result(self, pid: int | None, compute: Callable[[], int]) -> int:
+        """The reply of child `pid` (see `reply`), once it is reaped, or
+        compute() in this process when pid is None or the child exited
+        non-zero or replied short."""
+        reply = None if pid is None else self.reply(pid)
+        return compute() if reply is None else reply
+
     def read(self, pid: int, most: int) -> bytes:
         """Up to `most` of the bytes that child `pid` streams before its
         reply, waiting for one at least; b"" once the child has exited
@@ -710,12 +726,12 @@ def failure_rate(plan: BuildPlan, master_seed: int, trials: int) -> float:
     and a forked child counts each other block and sends back only its
     count.  There is one process per trial at most, and one per
     MIN_CHILD_DRAWS of trials x t; there is no child where _Children allows
-    no fork.  The rate is the same float either way.  A child that exits
-    non-zero or replies short has its block counted here instead, and a
-    block whose child cannot be forked is counted here too.  Every child is
-    reaped before the call returns; on an exception (such as
-    KeyboardInterrupt) the children are killed first.  A child's memory is
-    not part of this process's peak RSS."""
+    no fork.  The rate is the same float either way.  A block whose child
+    cannot be forked, exits non-zero or replies short is counted here
+    instead (_Children.result).  Every child is reaped before the call
+    returns; on an exception (such as KeyboardInterrupt) the children are
+    killed first.  A child's memory is not part of this process's peak
+    RSS."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     plan.non_edge_rows  # made once, with plan.neighbours, before any fork
@@ -724,18 +740,12 @@ def failure_rate(plan: BuildPlan, master_seed: int, trials: int) -> float:
         if children.allowed:
             workers = max(1, min(available_cpus(), trials, trials * plan.t // MIN_CHILD_DRAWS))
         bounds = [trials * i // workers for i in range(workers + 1)]
-        *blocks, own = map(range, bounds, bounds[1:])
-        forked = []  # (pid, attempts) of each child
-        for attempts in blocks:
-            pid = children.fork(partial(_failures, plan, master_seed, attempts))
-            if pid is None:  # no process to spare: count the rest here
-                own = range(attempts.start, trials)
-                break
-            forked.append((pid, attempts))
-        failures = _failures(plan, master_seed, own)
-        for pid, attempts in forked:
-            count = children.reply(pid)
-            failures += _failures(plan, master_seed, attempts) if count is None else count
+        *blocks, own = [partial(_failures, plan, master_seed, attempts)
+                        for attempts in map(range, bounds, bounds[1:])]
+        pids = [children.fork(block) for block in blocks]
+        failures = own()
+        for pid, block in zip(pids, blocks):
+            failures += children.result(pid, block)
     return failures / trials
 
 
@@ -1115,9 +1125,9 @@ def _stream_or_decode(chunks: Callable[[], Iterator[str]], whole: Callable[[], s
     pass 2 (_layout_accepted) and replies 1 or 0 while this process calls
     beside on them; the source is not touched here until the child is
     reaped.  There is no child where _Children forbids a fork or the
-    dimensions hold fewer than MIN_CHILD_CELLS cells (vertices x k), or
-    when the fork fails: pass 2 then runs here, before beside.  A child
-    that exits non-zero or replies short has pass 2 run here instead.  An
+    dimensions hold fewer than MIN_CHILD_CELLS cells (vertices x k).  Pass
+    2 runs here, after beside, when there is no child, the fork fails, or
+    the child exits non-zero or replies short (_Children.result).  An
     Exception from beside is held until pass 2 has given its verdict, and
     raised only when the text is accepted; a turned-down text takes the
     full decode, and beside is called on its result.  So the result, or the
@@ -1126,25 +1136,20 @@ def _stream_or_decode(chunks: Callable[[], Iterator[str]], whole: Callable[[], s
     exception (a KeyboardInterrupt in beside, say)."""
     with _collector_paused(), _Children() as children:
         rep, report = _dims_or_none(chunks) or (None, None)
-        pid = None
-        if (rep is not None and beside is not None and children.allowed
-                and (rep.a_count + rep.b_count) * rep.dimension >= MIN_CHILD_CELLS):
-            pid = children.fork(partial(_layout_accepted, chunks, rep))
+        forking = (rep is not None and beside is not None and children.allowed
+                   and (rep.a_count + rep.b_count) * rep.dimension >= MIN_CHILD_CELLS)
         beside = beside or _same
-        if pid is not None:
+        if rep is not None:
+            layout = partial(_layout_accepted, chunks, rep)
+            pid = children.fork(layout) if forking else None
             try:
                 result, held = beside(rep, report), None
             except Exception as exc:
                 result, held = None, exc
-            accepted = children.reply(pid)
-            if accepted is None:
-                accepted = _layout_accepted(chunks, rep)
-            if accepted:
+            if children.result(pid, layout):
                 if held is not None:
                     raise held
                 return result
-        elif rep is not None and _layout_accepted(chunks, rep):
-            return beside(rep, report)
         return beside(*_decode_dump(whole()))
 
 

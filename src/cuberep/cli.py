@@ -12,7 +12,7 @@ import random
 import statistics
 import sys
 from fractions import Fraction
-from itertools import islice
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +20,7 @@ from .builder import (
     BuildFailure,
     BuildParams,
     build_representation,
-    checked_attempts,
+    checked_attempt,
     failure_rate,
     format_violation,
     make_plan,
@@ -216,7 +216,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     plan = make_plan(g, args.t)
     # round i is attempt i, checked as build checks it
     rounds = [(not violations, built, checked) for _, violations, built, checked
-              in islice(checked_attempts(plan, seed), args.trials)]
+              in map(partial(checked_attempt, plan, seed), range(args.trials))]
     passed, construct_times, verify_times = zip(*rounds)
     passes = sum(passed)
     per_invocation = min(construct_times) / plan.t if plan.t else 0.0

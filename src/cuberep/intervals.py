@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 from .graphs import MAX_VERTICES, SIDE_A, SIDE_B, Vertex, vertex_order
 
@@ -283,24 +283,55 @@ def rep_to_jsonable(rep: CubeRepresentation) -> dict:
 
 def rep_from_jsonable(obj: object) -> CubeRepresentation:
     """The representation a dump payload describes; ValueError if it is
-    malformed.  Each dimension is read in turn by dim_decoder's reader, so
-    a bad one is refused before later dimensions are read.  Then the cubes
-    block must restate the dimensions read (_check_cubes)."""
+    malformed.  This is the full decode's reader: the stream reader reads
+    a dims item by its layout, and proves what it reads by rendering it
+    again.
+
+    Each dimension is read in turn, so a bad one is refused, with an error
+    naming its position, before later dimensions are read.  A placement
+    holding exactly the declared vertices with int values becomes a column
+    in canonical order through one lookup per vertex; any other placement
+    is refused by _placement_fault.  Then the cubes block must restate the
+    dimensions read (_check_cubes)."""
     if not isinstance(obj, dict):
         raise ValueError("dump must be a JSON object")
     a_count = obj.get("a_count")
     b_count = obj.get("b_count")
     if not all(isinstance(n, int) and not isinstance(n, bool) for n in (a_count, b_count)):
         raise ValueError("dump needs integer a_count and b_count")
-    decode = dim_decoder(a_count, b_count)
+    if a_count < 1 or b_count < 1:
+        raise ValueError("side counts must be >= 1")
+    count = a_count + b_count
+    if count > MAX_VERTICES:
+        raise ValueError(f"dump declares {a_count}+{b_count} vertices, "
+                         f"more than the limit of {MAX_VERTICES}")
+    order = vertex_order(a_count, b_count)
+    lookup = itemgetter(*map(vertex_key, order))
     raw_dims = obj.get("dims")
     if not isinstance(raw_dims, list):
         raise ValueError("dump needs a list of dims")
     dims: list[UnitIntervalRep] = []
     tags: list[str] = []
     for pos, raw in enumerate(raw_dims):
-        dim, tag = decode(raw, pos)
-        dims.append(dim)
+        if not isinstance(raw, dict):
+            raise ValueError(f"dim {pos} must be an object")
+        threshold = raw.get("threshold")
+        raw_placement = raw.get("placement")
+        if not isinstance(raw_placement, dict):
+            raise ValueError(f"dim {pos} needs a placement object")
+        try:
+            values = list(lookup(raw_placement))
+        except KeyError:
+            values = None
+        # a JSON true is a bool, so the type test refuses it
+        if values is None or len(raw_placement) != count or set(map(type, values)) != {int}:
+            _placement_fault(raw_placement, pos, a_count, b_count)
+        if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold <= 0:
+            raise ValueError(f"dim {pos}: threshold must be a positive integer")
+        tag = raw.get("provenance", f"dim-{pos + 1}")
+        if not isinstance(tag, str):
+            raise ValueError(f"dim {pos}: provenance must be a string")
+        dims.append(UnitIntervalRep.column(order, values, threshold))
         tags.append(tag)
     rep = CubeRepresentation(a_count, b_count, tuple(dims), tuple(tags))
     _check_cubes(obj.get("cubes"), rep)
@@ -343,52 +374,6 @@ def _check_cubes(cubes: object, rep: CubeRepresentation) -> None:
         keys = set(map(vertex_key, rep.vertices()))
         extra = next(key for key in cubes if key not in keys)
         raise ValueError(f"cubes hold {extra!r}, which is not a declared vertex")
-
-
-def dim_decoder(a_count: int, b_count: int) -> Callable[[object, int],
-                                                        tuple[UnitIntervalRep, str]]:
-    """The full decode's reader of the dimensions of a dump that declares
-    a_count + b_count vertices; ValueError if those counts are out of
-    range.  The stream reader does not use it: it reads a dims item by its
-    layout, and proves what it reads by rendering it again.
-
-    The reader takes one decoded item of the dump's dims and its position,
-    and returns the dimension's column and provenance tag, or raises
-    ValueError naming the position.  A placement holding exactly the
-    declared vertices with int values becomes a column in canonical order
-    through one lookup per vertex; any other placement is refused by
-    _placement_fault."""
-    if a_count < 1 or b_count < 1:
-        raise ValueError("side counts must be >= 1")
-    count = a_count + b_count
-    if count > MAX_VERTICES:
-        raise ValueError(f"dump declares {a_count}+{b_count} vertices, "
-                         f"more than the limit of {MAX_VERTICES}")
-    order = vertex_order(a_count, b_count)
-    lookup = itemgetter(*map(vertex_key, order))
-
-    def decode(raw: object, pos: int) -> tuple[UnitIntervalRep, str]:
-        if not isinstance(raw, dict):
-            raise ValueError(f"dim {pos} must be an object")
-        threshold = raw.get("threshold")
-        raw_placement = raw.get("placement")
-        if not isinstance(raw_placement, dict):
-            raise ValueError(f"dim {pos} needs a placement object")
-        try:
-            values = list(lookup(raw_placement))
-        except KeyError:
-            values = None
-        # a JSON true is a bool, so the type test refuses it
-        if values is None or len(raw_placement) != count or set(map(type, values)) != {int}:
-            _placement_fault(raw_placement, pos, a_count, b_count)
-        if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold <= 0:
-            raise ValueError(f"dim {pos}: threshold must be a positive integer")
-        tag = raw.get("provenance", f"dim-{pos + 1}")
-        if not isinstance(tag, str):
-            raise ValueError(f"dim {pos}: provenance must be a string")
-        return UnitIntervalRep.column(order, values, threshold), tag
-
-    return decode
 
 
 def _placement_fault(raw_placement: dict, pos: int, a_count: int,

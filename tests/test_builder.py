@@ -67,7 +67,7 @@ from cuberep import (
 from cuberep import builder
 from cuberep.builder import (
     attempt,
-    checked_attempts,
+    checked_attempt,
     dimension_rngs,
     live_rows,
     make_plan,
@@ -553,6 +553,32 @@ class TestParallelFailureRate:
         assert len(forks) == 1
         assert_no_child_left()
 
+    def test_a_refused_fork_has_its_block_counted_here(self, forks, monkeypatch):
+        # three blocks: the first is forked, the second's fork is refused,
+        # and this process counts the third, then the second
+        plan = make_plan(K44_MINUS_CORNER, 1)
+        expected = sequential_rate(plan, 5, 300)
+        parent, fork, failures = os.getpid(), os.fork, builder._failures
+        calls, counted_here = [], []
+
+        def second_refused():
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("no process to spare")
+            return fork()
+
+        def recording(plan, master_seed, attempts):
+            if os.getpid() == parent:
+                counted_here.append(attempts)
+            return failures(plan, master_seed, attempts)
+
+        monkeypatch.setattr(builder, "available_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", second_refused)
+        monkeypatch.setattr(builder, "_failures", recording)
+        assert builder.failure_rate(plan, 5, 300) == expected
+        assert len(forks) == 1 and counted_here == [range(200, 300), range(100, 200)]
+        assert_no_child_left()
+
     def test_no_fork_while_another_thread_runs(self, forks):
         plan = make_plan(K44_MINUS_CORNER, 1)
         stop = threading.Event()
@@ -693,13 +719,18 @@ class TestRenderBeside:
         assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
         assert_nothing_left(temporary_files)
 
-    @pytest.mark.parametrize("failure, first", [("raises", 0), ("killed", 0), ("killed", 5),
-                                                ("short column", 0), ("short column", 7)])
+    @pytest.mark.parametrize("column", ["first", "middle", "last"])
+    @pytest.mark.parametrize("failure", ["raises", "killed", "short column"])
     def test_a_failed_draw_is_drawn_here(self, forks, temporary_files, monkeypatch,
-                                         tmp_path, failure, first):
-        # the child sends columns 0..first-1 in full, then raises, is
-        # killed, or sends a short column and waits: this process draws the
-        # rest from the same seeds and writes the dump itself
+                                         tmp_path, failure, column):
+        # the child sends the columns before `column` in full, then raises,
+        # is killed, or sends a short column and waits: this process drops
+        # the partial check, then draws and verifies the whole attempt
+        # itself and writes the dump, as a build in one process does
+        params = BuildParams(master_seed=1)
+        expected = one_cpu_build(tmp_path, RENDERED, params)
+        t = make_plan(RENDERED).t
+        first = {"first": 0, "middle": t // 2, "last": t - 1}[column]
         parent, dims, write = os.getpid(), builder.random_dims, os.write
         sent = []
 
@@ -727,26 +758,28 @@ class TestRenderBeside:
             monkeypatch.setattr(os, "write", short_in_child)
         out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
         drawn_here = recorded_draws(monkeypatch, parent)
+        verified_here = recorded_verifies(monkeypatch)
         started = time.monotonic()
-        rep, report = build_representation(RENDERED, BuildParams(master_seed=1), out)
+        rep, report = build_representation(RENDERED, params, out)
         assert time.monotonic() - started < 30
         assert len(forks) == 1
-        assert writes == [out] and drawn_here == [first]
-        assert rep == attempt(make_plan(RENDERED), 1, 0)
-        assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
+        assert writes == [out] and drawn_here == [0] and verified_here == [rep]
+        assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
         assert_nothing_left(temporary_files)
 
     def test_a_failed_fork_is_drawn_here(self, forks, temporary_files, monkeypatch, tmp_path):
         def refuse():
             raise OSError("no process to spare")
 
+        params = BuildParams(master_seed=1)
+        expected = one_cpu_build(tmp_path, RENDERED, params)
         monkeypatch.setattr(os, "fork", refuse)
         drawn_here = recorded_draws(monkeypatch, os.getpid())
+        verified_here = recorded_verifies(monkeypatch)
         out = tmp_path / "dump.json"
-        rep, report = build_representation(RENDERED, BuildParams(master_seed=1), out)
-        assert drawn_here == [0]
-        assert rep == attempt(make_plan(RENDERED), 1, 0)
-        assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
+        rep, report = build_representation(RENDERED, params, out)
+        assert drawn_here == [0] and verified_here == [rep]
+        assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
         assert_nothing_left(temporary_files)
 
     def test_interrupt_during_verify_kills_and_reaps_the_child(
@@ -856,17 +889,26 @@ class TestRenderBeside:
 
 
 def recorded_draws(monkeypatch, parent: int) -> list[int]:
-    """The first dimension index of each random_dims call made in this
-    process, not in a child, from now on."""
-    starts, dims = [], builder.random_dims
+    """The attempt index of each random_dims call made in this process, not
+    in a child, from now on; each call draws from dimension 0."""
+    indices, dims = [], builder.random_dims
 
-    def recording(plan, master_seed, index, start=0):
+    def recording(plan, master_seed, index):
         if not in_child(parent):
-            starts.append(start)
-        return dims(plan, master_seed, index, start)
+            indices.append(index)
+        return dims(plan, master_seed, index)
 
     monkeypatch.setattr(builder, "random_dims", recording)
-    return starts
+    return indices
+
+
+def one_cpu_build(tmp_path, g, params) -> tuple:
+    """The representation, report block and dump bytes of
+    build_representation(g, params, out) in one process."""
+    out = tmp_path / "one-cpu.json"
+    with mock.patch.object(builder, "available_cpus", lambda: 1):
+        rep, report = build_representation(g, params, out)
+    return rep, report_to_jsonable(report), out.read_bytes()
 
 
 class TestSweep:
@@ -981,8 +1023,7 @@ class TestAttemptPlan:
                                    gen_random_bipartite(9, 5, 0.35, seed=4)])
     def test_checked_attempts_are_the_verified_attempts(self, g):
         plan = make_plan(g, 1)
-        checked = list(islice(checked_attempts(plan, 3), 3))
-        assert len(checked) == 3
+        checked = [checked_attempt(plan, 3, index) for index in range(3)]
         for index, (rep, violations, construct_seconds, verify_seconds) in enumerate(checked):
             assert rep == attempt(plan, 3, index)
             assert violations == verify(rep, g)
@@ -1742,26 +1783,40 @@ class TestLayoutBeside:
         assert open_descriptors() == descriptors
         assert_no_child_left()
 
-    @pytest.mark.parametrize("why", ["another thread", "one CPU", "small dump"])
+    @pytest.mark.parametrize("why", ["another thread", "one CPU", "small dump", "fork refused"])
     def test_no_fork(self, forks, monkeypatch, tmp_path, why):
+        # pass 2 runs once, here, after verification
         rep = parse_dump(VERIFIED_DUMP)
         cells = VERIFIED.vertex_count * rep.dimension
         monkeypatch.setattr(builder, "MIN_CHILD_CELLS", cells + (why == "small dump"))
         if why == "one CPU":
             monkeypatch.setattr(builder, "available_cpus", lambda: 1)
+        if why == "fork refused":
+            def refuse():
+                raise OSError("no process to spare")
+
+            monkeypatch.setattr(os, "fork", refuse)
         path = tmp_path / "dump.json"
         path.write_text(VERIFIED_DUMP)
+        expected = read_then_verify(path, VERIFIED)
+        parent, layout, checked = os.getpid(), builder._layout_accepted, []
+
+        def recording(*args):
+            checked.append(os.getpid() == parent)
+            return layout(*args)
+
+        monkeypatch.setattr(builder, "_layout_accepted", recording)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         if why == "another thread":
             thread.start()
         try:
-            assert verify_dump(path, VERIFIED) == []
+            assert verdict(lambda: verify_dump(path, VERIFIED)) == expected == ("returned", [])
         finally:
             stop.set()
             if thread.is_alive():
                 thread.join()
-        assert forks == []
+        assert forks == [] and checked == [True]
 
     def test_a_dump_of_min_child_cells_is_checked_beside(self, forks, monkeypatch, tmp_path):
         rep = parse_dump(VERIFIED_DUMP)
