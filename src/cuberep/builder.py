@@ -24,7 +24,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, compress, repeat
-from operator import itemgetter, or_
+from operator import and_, itemgetter, ne, not_, or_, sub
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -131,13 +131,15 @@ def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
     adjacent in every dimension seen so far.  Per dimension, the vertices
     sorted by placement give prefix OR-masks, and the vertices within the
     threshold of i form one contiguous run of that order, so alive[i] is cut
-    by a single XOR of two prefixes.  That is
-    O(k n log n) interpreted steps plus O(k n^2 / 64) word operations, with
-    O(n^2) bits of memory.  Dimensions run tightest threshold first (the
-    intersection does not depend on the order): bit dimensions then empty the
-    bitsets of most vertices early, and an empty bitset is skipped.  Returns
-    all violations, order-normalized; an empty list means the representation
-    is exact.
+    by a single XOR of two prefixes.  Dimensions run tightest threshold
+    first (the intersection does not depend on the order): bit dimensions
+    then empty the bitsets of most vertices early, and an empty bitset is
+    skipped.  Once no pair but edges of g is alive, a dimension can only cut
+    an edge, so each further one is checked on the surviving edges alone.
+    Up to that point a dimension costs O(n log n) interpreted steps plus
+    O(n^2 / 64) word operations, after it O(m) steps at C level for m
+    surviving edges; memory is O(n^2) bits.  Returns all violations,
+    order-normalized; an empty list means the representation is exact.
     """
     if rep.a_count != g.a_count or rep.b_count != g.b_count:
         raise ValueError(
@@ -150,14 +152,28 @@ def sweep(dims: Iterable[UnitIntervalRep], g: BipartiteGraph) -> list[Violation]
     """The violations of the intersection of `dims` against g, as verify
     reports them: the sweep of verify over dimensions whose values are
     columns in the canonical order of g's vertices, each taken from `dims`
-    when the one before it is done.  So a build can feed it the bit
-    dimensions and then each random dimension as it arrives."""
+    when the one before it is done, and every one taken, also after no pair
+    is left to cut.  So a build can feed it the bit dimensions and then
+    each random dimension as it arrives.
+
+    Phase 1 is verify's window pass, made while some same-side pair or
+    cross non-edge is alive.  In phase 2 only edges are alive, kept as two
+    lists of endpoint indices, and each dimension is checked by two
+    itemgetters, the endpoints' differences and their largest and smallest
+    against the threshold; only a dimension that cuts an edge has its
+    edges looked at one by one."""
     verts = vertex_order(g.a_count, g.b_count)
     count = len(verts)
     bit = [1 << i for i in range(count)]
     full = (1 << count) - 1
     alive = [full ^ ((b << 1) - 1) for b in bit]
-    for dim in dims:
+    edges = [0] * count
+    for a, b in g.edges:
+        edges[a - 1] |= bit[g.a_count + b - 1]
+    dims = iter(dims)
+    # phase 1 while some row holds a pair that is no edge, phase 2 after it
+    while any(map(ne, map(and_, alive, edges), alive)) and \
+            (dim := next(dims, None)) is not None:
         values = dim.values
         c = dim.threshold
         order = sorted(range(count), key=values.__getitem__)
@@ -170,9 +186,26 @@ def sweep(dims: Iterable[UnitIntervalRep], g: BipartiteGraph) -> list[Violation]
             while hi < count and ranked[hi] <= x + c:
                 hi += 1
             alive[i] &= prefix[hi] ^ prefix[lo]
-    edges = [0] * count
-    for a, b in g.edges:
-        edges[a - 1] |= bit[g.a_count + b - 1]
+    us, vs = [], []  # the surviving edges' endpoints, A then B
+    for u, ns in enumerate(g.neighbours(SIDE_A)):
+        for v in ns:
+            if alive[u] & bit[g.a_count + v]:
+                us.append(u)
+                vs.append(g.a_count + v)
+    take_u = take_v = None
+    for dim in dims:
+        if not us:
+            continue  # nothing is left to cut, but every dimension is taken
+        if take_u is None:
+            take_u, take_v = _getter(us), _getter(vs)
+        c, values = dim.threshold, dim.values
+        gaps = list(map(sub, take_u(values), take_v(values)))
+        if max(gaps) > c or min(gaps) < -c:
+            kept = [-c <= gap <= c for gap in gaps]
+            for u, v in compress(zip(us, vs), map(not_, kept)):
+                alive[u] ^= bit[v]
+            us, vs = list(compress(us, kept)), list(compress(vs, kept))
+            take_u = take_v = None
     violations = []
     for i, u in enumerate(verts):
         for kind, pairs in (("extra-edge", alive[i] & ~edges[i]),
@@ -182,6 +215,15 @@ def sweep(dims: Iterable[UnitIntervalRep], g: BipartiteGraph) -> list[Violation]
                 violations.append(Violation(kind, u, verts[low.bit_length() - 1]))
                 pairs ^= low
     return sorted(violations)
+
+
+def _getter(indices: list[int]) -> itemgetter:
+    """An itemgetter that takes a sequence to its items at `indices`, as a
+    sequence also when there is one index (itemgetter of one index gives
+    the item itself)."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)
 
 
 @dataclass(frozen=True)
@@ -338,9 +380,11 @@ def build_representation(
     then forks a child that draws its random dimensions and renders its dump
     while this process verifies the dimensions as they arrive
     (_DrawnBeside), unless _Children forbids a fork or the dump has fewer
-    than MIN_CHILD_CELLS cells (vertices x k).  On a pass the child is
-    reaped and its dump is copied to `out` in the kernel (_send_file); a
-    failed attempt's child is killed and reaped, and its files dropped.
+    than MIN_CHILD_CELLS cells (vertices x k).  On a pass `out` is opened,
+    which truncates the file there while the child may still render, and
+    then the child is reaped and its dump is copied to `out` in the kernel
+    (_DrawnBeside.send); a failed attempt's child is killed and reaped,
+    and its files dropped.
     When the fork is refused, or the child fails before its last column,
     the whole attempt is made and verified here, as without `out`; when the
     child fails, or the copy does, write_dump writes the dump here instead,
@@ -500,14 +544,18 @@ class _DrawnBeside:
         self.dump.close()
 
     def send(self, out: str | Path) -> bool:
-        """Reap the child and copy its dump to `out` (_send_file); False,
-        with `out` perhaps part written, when there is no child, it exited
-        non-zero or replied short, or the copy failed."""
+        """Open `out` as write_dump opens it, truncating the file there
+        while the child may still render, then reap the child and copy its
+        dump into it (_send_file); False, with `out` emptied or part
+        written, when there is no child, it exited non-zero or replied
+        short, or the copy failed.  When the open raises, the child is left
+        to _Children, which kills and reaps it."""
         if self.pid is None:
             return False
-        size = self.children.reply(self.pid)
-        self.pid = None
-        return size is not None and _send_file(self.dump, out, size)
+        with open(out, "w") as target:
+            size = self.children.reply(self.pid)
+            self.pid = None
+            return size is not None and _send_file(self.dump, target, size)
 
 
 def _draw_and_render(plan: BuildPlan, master_seed: int, index: int, columns: int,
@@ -589,16 +637,15 @@ MIN_CHILD_DRAWS = 1000
 
 # Fewest cells (vertices x k) of a dump that make work on it in a forked
 # child, beside verification, worth its cost: build_representation's draw
-# and render, and verify_dump's layout check.  On the same host, builds
-# with --out of gen_random_bipartite(n, 2n, 4/n) graphs, with the child
-# that draws and renders against without it (medians of 40 to 100
-# alternating builds each): 2,160 to 17,400 cells -4% to +10%, each
-# difference under 1 ms, 21,870 to 22,800 cells -2% to -13%, 36,000 cells
-# -31% and 51,120 cells -32%.  verify_dump with the layout child, against
-# without it (medians of 40 alternating calls each): 7,320 cells +3.3 ms (+24%),
-# 12,060 +1.5 to +2.5 ms, 16,170 +0.2 ms (+1%), 18,960 -1.5 to -3.1 ms,
-# 23,625 -1.5 ms (-4%), 24,750 -5.6 to -6.5 ms (-12 to -15%), 43,680
-# -11.6 ms (-15%) and 57,000 -24.9 ms (-24%).
+# and render, and verify_dump's layout check.  On the same host, with the
+# two-phase sweep, gen_random_bipartite(n, 2n, 4/n, 1) graphs built with
+# --out, and their dumps verified, with the child against without it
+# (medians of 40 alternating calls each): builds at 7,320 cells +3.7 ms
+# (+28%), 12,060 +2.0 ms (+11%), 18,960 +0.7 ms (+2%), 23,625 -2.7 ms
+# (-8%), 24,750 -3.2 ms (-10%), 30,780 -6.0 ms (-15%) and 40,320 -9.2 ms
+# (-18%); verify_dump at 7,320 cells +3.8 ms (+28%), 12,060 +3.0 ms
+# (+14%), 18,960 -0.3 ms (-1%), 23,625 -2.8 ms (-7%), 24,750 -3.5 ms (-8%),
+# 30,780 -5.6 ms (-11%), 43,680 -11.4 ms (-19%) and 57,000 -17.9 ms (-20%).
 MIN_CHILD_CELLS = 20_000
 
 
@@ -889,21 +936,20 @@ def _render_into(fd: int, rep: CubeRepresentation, report: BuildReport) -> int:
     return os.lseek(fd, 0, os.SEEK_CUR)
 
 
-def _send_file(source, path: str | Path, size: int) -> bool:
-    """Copy the first `size` bytes of the file object `source` to `path`,
-    opened as write_dump opens it, by os.sendfile, without passing them
-    through this process; False, with `path` perhaps part written, when
-    sendfile fails or the source ends first."""
-    with open(path, "w") as out:
-        offset = 0
-        try:
-            while offset < size:
-                sent = os.sendfile(out.fileno(), source.fileno(), offset, size - offset)
-                if not sent:
-                    return False
-                offset += sent
-        except OSError:
-            return False
+def _send_file(source, target, size: int) -> bool:
+    """Copy the first `size` bytes of the file object `source` to the empty
+    file object `target` by os.sendfile, without passing them through this
+    process; False, with `target` perhaps part written, when sendfile fails
+    or the source ends first."""
+    offset = 0
+    try:
+        while offset < size:
+            sent = os.sendfile(target.fileno(), source.fileno(), offset, size - offset)
+            if not sent:
+                return False
+            offset += sent
+    except OSError:
+        return False
     return True
 
 

@@ -124,15 +124,20 @@ def supergraph_from_permutation(pi: Permutation, g: BipartiteGraph) -> UnitInter
 def supergraph_from_ranks(ranks: Sequence[int], side: str, g: BipartiteGraph) -> UnitIntervalRep:
     """supergraph_from_permutation of the permutation of `side` whose ranks
     are `ranks`, which must be a bijection from that side onto 1..its size:
-    unlike a Permutation's, that is not checked."""
-    n = g.vertex_count
-    best = [0] * (n - len(ranks))  # 0: no neighbour seen; ranks are >= 1
+    unlike a Permutation's, that is not checked.
+
+    The neighbour lists are put in rank order and walked from the highest
+    rank down, each writing its rank over every neighbour's, so the lowest
+    is written last and no rank is compared."""
+    n, size = g.vertex_count, len(ranks)
+    at_rank = [()] * size
     for neighbours, r in zip(g.neighbours(side), ranks):
+        at_rank[r - 1] = neighbours
+    best = [0] * (n - size)  # 0: no neighbour; ranks are >= 1
+    for r, neighbours in zip(range(size, 0, -1), reversed(at_rank)):
         for f in neighbours:
-            b = best[f]
-            if not b or r < b:
-                best[f] = r
-    reached = map(_placed(n, len(ranks)).__getitem__, best)
+            best[f] = r
+    reached = map(_placed(n, size).__getitem__, best)
     values = [*ranks, *reached] if side == SIDE_A else [*reached, *ranks]
     return UnitIntervalRep.column(vertex_order(g.a_count, g.b_count), values, n)
 

@@ -689,34 +689,63 @@ class TestRenderBeside:
     @pytest.mark.parametrize("failure", ["raises", "killed", "short reply", "copy refused"])
     def test_a_failed_render_is_written_here(self, forks, temporary_files, monkeypatch,
                                              tmp_path, failure):
-        # the child sends every column, then fails to render or to reply
+        # the child sends every column, then waits until this process has
+        # truncated the previous dump at `out`, which it does before it
+        # waits for the child's reply, and only then fails to render or to
+        # reply; a child that sees no truncation renders and replies
+        params = BuildParams(master_seed=1)
+        expected = one_cpu_build(tmp_path, RENDERED, params)
+        out = tmp_path / "dump.json"
+        out.write_bytes(b"the previous dump\n" * 100_000)
         parent, pieces, write = os.getpid(), builder._dump_pieces, os.write
 
         def failing_in_child(*args):
             if in_child(parent):
-                if failure == "raises":
-                    raise RuntimeError("the child fails")
-                if failure == "killed":
-                    os.kill(os.getpid(), signal.SIGKILL)
+                waited = time.monotonic()
+                while out.stat().st_size and time.monotonic() - waited < 10:
+                    time.sleep(0.001)
+                if not out.stat().st_size:
+                    if failure == "raises":
+                        raise RuntimeError("the child fails")
+                    if failure == "killed":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    if failure == "short reply":
+                        os.write = short_reply
             return pieces(*args)
 
-        def short_in_child(fd, data):
-            return write(fd, data[:3] if in_child(parent) and len(data) == 8 else data)
+        def short_reply(fd, data):
+            return write(fd, data[:3] if len(data) == 8 else data)
 
         def refuse(*args):
             raise OSError("sendfile refused")
 
         monkeypatch.setattr(builder, "_dump_pieces", failing_in_child)
-        monkeypatch.setattr(os, "write", short_in_child if failure == "short reply" else write)
         if failure == "copy refused":
             monkeypatch.setattr(os, "sendfile", refuse)
-        out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
+        writes = in_process_writes(monkeypatch)
         drawn_here = recorded_draws(monkeypatch, parent)
-        rep, report = build_representation(RENDERED, BuildParams(master_seed=1), out)
+        rep, report = build_representation(RENDERED, params, out)
         assert len(forks) == 1
         assert writes == [out] and drawn_here == []
-        assert rep == attempt(make_plan(RENDERED), 1, 0)
-        assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
+        assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
+        assert_nothing_left(temporary_files)
+
+    def test_an_out_that_cannot_be_opened_kills_the_child(
+            self, forks, temporary_files, monkeypatch, tmp_path):
+        # the child would render for a minute: only a kill ends it in time
+        parent, pieces = os.getpid(), builder._dump_pieces
+
+        def slow_in_child(*args):
+            if in_child(parent):
+                time.sleep(60)
+            return pieces(*args)
+
+        monkeypatch.setattr(builder, "_dump_pieces", slow_in_child)
+        started = time.monotonic()
+        with pytest.raises(IsADirectoryError):
+            build_representation(RENDERED, BuildParams(master_seed=1), tmp_path)
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
         assert_nothing_left(temporary_files)
 
     @pytest.mark.parametrize("column", ["first", "middle", "last"])
@@ -911,6 +940,35 @@ def one_cpu_build(tmp_path, g, params) -> tuple:
     return rep, report_to_jsonable(report), out.read_bytes()
 
 
+class Counted:
+    """An iterator over `items` that counts the items pulled from it, and
+    whether a pull found it exhausted."""
+
+    def __init__(self, items) -> None:
+        self.items, self.pulled, self.exhausted = iter(items), 0, False
+
+    def __iter__(self) -> "Counted":
+        return self
+
+    def __next__(self):
+        try:
+            item = next(self.items)
+        except StopIteration:
+            self.exhausted = True
+            raise
+        self.pulled += 1
+        return item
+
+
+# (graph, master seed) whose attempt 0 passes and leaves no cross non-edge
+# alive after fewer than t random dimensions: the CI's 100+200 graph and
+# its seed, a graph with no edge and one with a single edge
+SWEPT_CASES = [(gen_random_bipartite(100, 200, 0.04, seed=1), 7),
+               (BipartiteGraph(3, 4, frozenset()), 1),
+               (BipartiteGraph(3, 4, frozenset({(2, 3)})), 1)]
+SWEPT_IDS = ["100x200", "edgeless", "one-edge"]
+
+
 class TestSweep:
     @settings(max_examples=100, deadline=None)
     @given(bipartite_graphs(max_a=5, max_b=6), st.integers(0, 2 ** 64 - 1), st.data())
@@ -929,6 +987,52 @@ class TestSweep:
         moved = CubeRepresentation(rep.a_count, rep.b_count, tuple(dims), rep.provenance)
         fed = chain(moved.dims[plan.t:], moved.dims[:plan.t])
         assert builder.sweep(fed, g) == verify(moved, g) == oracle_violations(moved, g)
+
+    @pytest.mark.parametrize("g, seed", SWEPT_CASES, ids=SWEPT_IDS)
+    def test_every_dimension_is_taken(self, g, seed):
+        # a build's child sends a column only as the sweep takes it, so the
+        # sweep takes every dimension, also those after the last non-edge
+        # died (here well before the last) and when no edge is left to check
+        plan = make_plan(g)
+        assert len(list(live_rows(plan, seed, 0))) < plan.t
+        rep = attempt(plan, seed, 0)
+        fed = Counted(chain(plan.bit_dims, rep.dims[:plan.t]))
+        assert builder.sweep(fed, g) == verify(rep, g) == []
+        assert fed.pulled == len(rep.dims) and fed.exhausted
+
+    @pytest.mark.parametrize("g, seed, cut", [
+        (*SWEPT_CASES[0], 1), (*SWEPT_CASES[0], 2), (*SWEPT_CASES[0], "all"),
+        (RENDERED, 1, 1), (RENDERED, 1, "all"), (*SWEPT_CASES[2], "all"),
+    ], ids=["100x200-one", "100x200-two", "100x200-all", "10x20-one", "10x20-all",
+            "one-edge"])
+    def test_edges_cut_in_the_last_dimension_go_missing(self, g, seed, cut):
+        # the dimensions before the last random one represent g, so every
+        # non-edge is dead there; a placement moved in the last one so that
+        # it cuts the `cut` lowest placed of its vertex's edges makes those
+        # edges missing and nothing else
+        plan = make_plan(g)
+        rep = attempt(plan, seed, 0)
+        assert builder.sweep(chain(plan.bit_dims, rep.dims[:plan.t - 1]), g) == []
+        last = rep.dims[plan.t - 1]
+        other = other_side(plan.side)
+        offset = {SIDE_A: 0, SIDE_B: g.a_count}
+        vertex, neighbours = max(enumerate(g.neighbours(other), 1),
+                                 key=lambda item: len(item[1]))
+        lowest = sorted(neighbours, key=lambda p: last.values[offset[plan.side] + p])
+        cut = len(lowest) if cut == "all" else cut
+        assert cut <= len(lowest)
+        values = list(last.values)
+        values[offset[other] + vertex - 1] = \
+            last.values[offset[plan.side] + lowest[cut - 1]] + last.threshold + 1
+        dims = list(rep.dims)
+        dims[plan.t - 1] = UnitIntervalRep.column(last.verts, values, last.threshold)
+        moved = CubeRepresentation(rep.a_count, rep.b_count, tuple(dims), rep.provenance)
+        missing = sorted(Violation("missing-edge", *sorted([(other, vertex), (plan.side, p + 1)]))
+                         for p in lowest[:cut])
+        fed = chain(moved.dims[plan.t:], moved.dims[:plan.t])
+        assert builder.sweep(fed, g) == verify(moved, g) == missing
+        if g.vertex_count <= 30:  # the reference takes 44 s at 100+200
+            assert oracle_violations(moved, g) == missing
 
 
 def normalized_graphs(max_a: int = 4, max_b: int = 5):
