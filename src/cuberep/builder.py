@@ -20,10 +20,10 @@ import threading
 import time
 from array import array
 from collections import Counter
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from itertools import accumulate, chain, compress, repeat
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import and_, itemgetter, ne, not_, or_, sub
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -52,6 +52,7 @@ from .intervals import (
 )
 from .randomized import (
     MASK64,
+    _placed,
     choose_permuted_side,
     neighbour_masks,
     random_permutation,  # noqa: F401  unused here; the benchmark's traced replica patches it
@@ -135,11 +136,14 @@ def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
     first (the intersection does not depend on the order): bit dimensions
     then empty the bitsets of most vertices early, and an empty bitset is
     skipped.  Once no pair but edges of g is alive, a dimension can only cut
-    an edge, so each further one is checked on the surviving edges alone.
-    Up to that point a dimension costs O(n log n) interpreted steps plus
-    O(n^2 / 64) word operations, after it O(m) steps at C level for m
-    surviving edges; memory is O(n^2) bits.  Returns all violations,
-    order-normalized; an empty list means the representation is exact.
+    an edge, so the further ones are checked on the surviving edges alone,
+    up to 64 dimensions at once in 32-bit lanes of one int per vertex
+    (values outside [0, 2^30) take the window pass instead).  Up to that
+    point a dimension costs O(n log n) interpreted steps plus O(n^2 / 64)
+    word operations; after it a block of dimensions costs O(n) steps to
+    pack and O(m) big-int steps for m surviving edges.  Memory is O(n^2)
+    bits.  Returns all violations, order-normalized; an empty list means
+    the representation is exact.
     """
     if rep.a_count != g.a_count or rep.b_count != g.b_count:
         raise ValueError(
@@ -151,17 +155,22 @@ def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
 def sweep(dims: Iterable[UnitIntervalRep], g: BipartiteGraph) -> list[Violation]:
     """The violations of the intersection of `dims` against g, as verify
     reports them: the sweep of verify over dimensions whose values are
-    columns in the canonical order of g's vertices, each taken from `dims`
-    when the one before it is done, and every one taken, also after no pair
-    is left to cut.  So a build can feed it the bit dimensions and then
-    each random dimension as it arrives.
+    columns in the canonical order of g's vertices, taken from `dims` in
+    the order given, and every one taken, also after no pair is left to
+    cut.  So a build can feed it the bit dimensions and then each random
+    dimension as it arrives.
 
-    Phase 1 is verify's window pass, made while some same-side pair or
-    cross non-edge is alive.  In phase 2 only edges are alive, kept as two
-    lists of endpoint indices, and each dimension is checked by two
-    itemgetters, the endpoints' differences and their largest and smallest
-    against the threshold; only a dimension that cuts an edge has its
-    edges looked at one by one."""
+    Phase 1 is verify's window pass (_window_cut), made while some
+    same-side pair or cross non-edge is alive.  In phase 2 only edges are
+    alive, kept as two lists of endpoint indices, and the dimensions are
+    taken in blocks of up to _LANE_BLOCK.  A block whose values all lie in
+    [0, 2^30) is packed into one int per vertex, 32 bits a dimension
+    (_lane_ints), and each edge is checked in all of the block's
+    dimensions at once by two additions on the difference of its
+    endpoints' ints (_lane_kept); the edges that fail are cut.  A
+    dimension holding a value outside [0, 2^30), negative or large, takes
+    the window pass instead, which is exact for any ints, and the
+    surviving edges are then read again from the bitsets."""
     verts = vertex_order(g.a_count, g.b_count)
     count = len(verts)
     bit = [1 << i for i in range(count)]
@@ -174,38 +183,26 @@ def sweep(dims: Iterable[UnitIntervalRep], g: BipartiteGraph) -> list[Violation]
     # phase 1 while some row holds a pair that is no edge, phase 2 after it
     while any(map(ne, map(and_, alive, edges), alive)) and \
             (dim := next(dims, None)) is not None:
-        values = dim.values
-        c = dim.threshold
-        order = sorted(range(count), key=values.__getitem__)
-        ranked = list(map(values.__getitem__, order))
-        prefix = [0, *accumulate(map(bit.__getitem__, order), or_)]
-        lo = hi = 0
-        for i, x in compress(zip(order, ranked), map(alive.__getitem__, order)):
-            while ranked[lo] < x - c:
-                lo += 1
-            while hi < count and ranked[hi] <= x + c:
-                hi += 1
-            alive[i] &= prefix[hi] ^ prefix[lo]
-    us, vs = [], []  # the surviving edges' endpoints, A then B
-    for u, ns in enumerate(g.neighbours(SIDE_A)):
-        for v in ns:
-            if alive[u] & bit[g.a_count + v]:
-                us.append(u)
-                vs.append(g.a_count + v)
-    take_u = take_v = None
-    for dim in dims:
+        _window_cut(alive, bit, dim)
+    us, vs = _surviving_edges(g, alive, bit)
+    while block := list(islice(dims, _LANE_BLOCK)):
         if not us:
             continue  # nothing is left to cut, but every dimension is taken
-        if take_u is None:
-            take_u, take_v = _getter(us), _getter(vs)
-        c, values = dim.threshold, dim.values
-        gaps = list(map(sub, take_u(values), take_v(values)))
-        if max(gaps) > c or min(gaps) < -c:
-            kept = [-c <= gap <= c for gap in gaps]
+        xs = _lane_ints(block)
+        if xs is None:
+            inside = [0 <= min(dim.values) and max(dim.values) < 1 << 30 for dim in block]
+            for dim in compress(block, map(not_, inside)):
+                _window_cut(alive, bit, dim)
+            us, vs = _surviving_edges(g, alive, bit)
+            block = list(compress(block, inside))
+            if not (us and block):
+                continue
+            xs = _lane_ints(block)
+        kept = _lane_kept(block, xs, us, vs)
+        if not all(kept):
             for u, v in compress(zip(us, vs), map(not_, kept)):
                 alive[u] ^= bit[v]
             us, vs = list(compress(us, kept)), list(compress(vs, kept))
-            take_u = take_v = None
     violations = []
     for i, u in enumerate(verts):
         for kind, pairs in (("extra-edge", alive[i] & ~edges[i]),
@@ -215,6 +212,86 @@ def sweep(dims: Iterable[UnitIntervalRep], g: BipartiteGraph) -> list[Violation]
                 violations.append(Violation(kind, u, verts[low.bit_length() - 1]))
                 pairs ^= low
     return sorted(violations)
+
+
+# Most dimensions that phase 2 of sweep packs into one int per vertex.  It
+# bounds what the packing holds at a time, about 12 bytes x vertices x
+# _LANE_BLOCK (the packed array, its bytes and the ints): 0.7 MB at 900
+# vertices.
+_LANE_BLOCK = 64
+
+
+def _window_cut(alive: list[int], bit: list[int], dim: UnitIntervalRep) -> None:
+    """Cut from each bitset alive[i] the vertices out of reach of vertex i
+    in `dim`: the vertices sorted by placement give prefix OR-masks, and
+    the vertices within the threshold of i form one contiguous run of that
+    order, found by two pointers, so alive[i] is cut by one XOR of two
+    prefixes.  Empty bitsets are skipped.  Exact for any int values."""
+    values, c = dim.values, dim.threshold
+    count = len(values)
+    order = sorted(range(count), key=values.__getitem__)
+    ranked = list(map(values.__getitem__, order))
+    prefix = [0, *accumulate(map(bit.__getitem__, order), or_)]
+    lo = hi = 0
+    for i, x in compress(zip(order, ranked), map(alive.__getitem__, order)):
+        while ranked[lo] < x - c:
+            lo += 1
+        while hi < count and ranked[hi] <= x + c:
+            hi += 1
+        alive[i] &= prefix[hi] ^ prefix[lo]
+
+
+def _surviving_edges(g: BipartiteGraph, alive: list[int],
+                     bit: list[int]) -> tuple[list[int], list[int]]:
+    """The edges of g whose pair is alive, as two lists of endpoint
+    indices, A then B."""
+    us, vs = [], []
+    for u, ns in enumerate(g.neighbours(SIDE_A)):
+        for v in ns:
+            if alive[u] & bit[g.a_count + v]:
+                us.append(u)
+                vs.append(g.a_count + v)
+    return us, vs
+
+
+def _packed(lanes: Iterable[int]) -> int:
+    """The int whose 32-bit lane j, from the lowest, holds the j-th of
+    `lanes`, each in [0, 2^32): OverflowError otherwise."""
+    return int.from_bytes(array(_COLUMN_TYPE, lanes), "little")
+
+
+def _lane_ints(block: list[UnitIntervalRep]) -> list[int] | None:
+    """One int per vertex, in canonical order, whose lane j holds the
+    vertex's value in the j-th dimension of `block`; None when some value
+    lies outside [0, 2^30)."""
+    try:
+        packed = array(_COLUMN_TYPE, chain.from_iterable(zip(*(dim.values for dim in block))))
+    except OverflowError:  # below 0 or from 2^32 on
+        return None
+    width = packed.itemsize * len(block)
+    packed = packed.tobytes()
+    xs = [int.from_bytes(packed[i:i + width], "little") for i in range(0, len(packed), width)]
+    return None if reduce(or_, xs) & _packed([3 << 30] * len(block)) else xs
+
+
+def _lane_kept(block: list[UnitIntervalRep], xs: list[int], us: list[int],
+               vs: list[int]) -> list[bool]:
+    """For each edge (us[e], vs[e]), whether it is adjacent in every
+    dimension of `block`, whose values are packed into `xs` (_lane_ints).
+
+    With d = xs[u] - xs[v] and H the top bit of every lane, lane j of
+    d + LOW is x_u - x_v + 2^31 + c_j and lane j of d + UP is x_u - x_v +
+    2^31 - c_j - 1: for values in [0, 2^30) and c_j < 2^30 both lie in
+    [1, 2^32 - 2], so no lane borrows or carries, and the top bit of the
+    first is set iff x_u - x_v >= -c_j, that of the second clear iff
+    x_u - x_v <= c_j.  A threshold from 2^30 on is taken as 2^30 - 1,
+    which no gap of such values exceeds, so no verdict changes."""
+    cs = [min(dim.threshold, (1 << 30) - 1) for dim in block]
+    high = _packed([1 << 31] * len(block))
+    low = _packed([(1 << 31) + c for c in cs])
+    up = _packed([(1 << 31) - c - 1 for c in cs])
+    ds = map(sub, _getter(us)(xs), _getter(vs)(xs))
+    return [(d + low) & high == high and not (d + up) & high for d in ds]
 
 
 def _getter(indices: list[int]) -> itemgetter:
@@ -288,15 +365,16 @@ def make_plan(g: BipartiteGraph, t_override: int | None = None) -> BuildPlan:
                      tuple(rep for fam in families for rep in fam.reps), swapped)
 
 
-def dimension_rngs(master_seed: int, index: int, t: int) -> Iterator[random.Random]:
-    """The generators of random dimensions 0..t-1 of attempt `index`: one
-    random.Random, made from derive_seed(master_seed, index, 0) and
+def dimension_rngs(master_seed: int, index: int, t: int,
+                   start: int = 0) -> Iterator[random.Random]:
+    """The generators of random dimensions start..t-1 of attempt `index`:
+    one random.Random, made from derive_seed(master_seed, index, start) and
     reseeded in turn to derive_seed(master_seed, index, j).  Reseeding
     leaves it in the state make_rng of that seed would build, at less cost
     than building a new one; each generator is in that state only until
-    the next is drawn.  None is made when t = 0.  The hash of the master
-    seed and the index, derive_seed's prefix, is made once per attempt and
-    copied per j.
+    the next is drawn.  None is made when start >= t.  The hash of the
+    master seed and the index, derive_seed's prefix, is made once per call
+    and copied per j.
 
     Random.seed of an int seeds the base generator and clears gauss_next;
     the two are done here without its type checks, which cost about 0.8 us
@@ -305,7 +383,7 @@ def dimension_rngs(master_seed: int, index: int, t: int) -> Iterator[random.Rand
     prefix.update((master_seed & MASK64).to_bytes(8, "little"))
     prefix.update((index & MASK64).to_bytes(8, "little"))
     rng = reseed = None
-    for j in range(t):
+    for j in range(start, t):
         h = prefix.copy()
         h.update(j.to_bytes(8, "little"))
         seed = int.from_bytes(h.digest(), "little")
@@ -318,13 +396,15 @@ def dimension_rngs(master_seed: int, index: int, t: int) -> Iterator[random.Rand
         yield rng
 
 
-def random_dims(plan: BuildPlan, master_seed: int, index: int) -> Iterator[UnitIntervalRep]:
-    """Random dimensions 0..t-1 of attempt `index`, in turn: dimension j is
-    the supergraph of the permutation that shuffled_ranks draws from
-    derive_seed(master_seed, index, j).  The ranks are a bijection as drawn,
-    so no Permutation checks them again."""
+def random_dims(plan: BuildPlan, master_seed: int, index: int,
+                start: int = 0) -> Iterator[UnitIntervalRep]:
+    """Random dimensions start..t-1 of attempt `index`, in turn: dimension j
+    is the supergraph of the permutation that shuffled_ranks draws from
+    derive_seed(master_seed, index, j), so each is the same whichever
+    process draws it and whatever it drew before.  The ranks are a
+    bijection as drawn, so no Permutation checks them again."""
     g, side, size = plan.graph, plan.side, plan.side_size
-    for rng in dimension_rngs(master_seed, index, plan.t):
+    for rng in dimension_rngs(master_seed, index, plan.t, start):
         yield supergraph_from_ranks(shuffled_ranks(size, rng), side, g)
 
 
@@ -377,21 +457,24 @@ def build_representation(
 
     With `out`, the result's dump is written there, as write_dump writes it,
     once it has passed; nothing is written on BuildFailure.  Each attempt
-    then forks a child that draws its random dimensions and renders its dump
-    while this process verifies the dimensions as they arrive
-    (_DrawnBeside), unless _Children forbids a fork or the dump has fewer
-    than MIN_CHILD_CELLS cells (vertices x k).  On a pass `out` is opened,
+    then forks a child that draws the first half of its random dimensions
+    while this process draws the second, and renders its dump while this
+    process verifies the dimensions (_DrawnBeside), unless _Children
+    forbids a fork or the dump has fewer than MIN_CHILD_CELLS cells
+    (vertices x k).  On a pass `out` is opened,
     which truncates the file there while the child may still render, and
     then the child is reaped and its dump is copied to `out` in the kernel
     (_DrawnBeside.send); a failed attempt's child is killed and reaped,
     and its files dropped.
-    When the fork is refused, or the child fails before its last column,
-    the whole attempt is made and verified here, as without `out`; when the
-    child fails, or the copy does, write_dump writes the dump here instead,
-    to the same bytes.  No child and no temporary file outlives the call.
+    When the fork is refused, or the child fails before the last column of
+    its half, the whole attempt is made and verified here, as without
+    `out`; when the child fails, or the copy does, write_dump writes the
+    dump here instead, to the same bytes.  No child, no temporary file and
+    no pipe outlives the call.
 
-    report.construct_seconds is the time spent drawing random dimensions or
-    waiting for them, report.verify_seconds the time in the sweep of verify,
+    report.construct_seconds is the time spent drawing random dimensions
+    here or waiting for the child's, report.verify_seconds the time in the
+    sweep of verify,
     both with those of a check abandoned when its child failed, and
     report.write_seconds the time from the passing verification to the
     dump in place."""
@@ -441,18 +524,51 @@ def build_representation(
         "zero random dimensions cannot remove cross non-edges", violations)
 
 
-# How a column crosses from the drawing child to its parent: one C unsigned
-# int per value, 4 bytes wherever CPython runs; a placement is at most
-# 2 * MAX_VERTICES + 2, which needs more than 2.
+# How a column crosses between the drawing child and its parent: one C
+# unsigned int per value, 4 bytes wherever CPython runs; a placement is at
+# most 2 * MAX_VERTICES + 2, which needs more than 2.
 _COLUMN_TYPE = "I"
 
 
 @lru_cache(maxsize=16)
-def _ints(count: int) -> tuple[int, ...]:
-    """The ints 0..count-1, one tuple per size, so that the columns read
-    from a child share one int object per value instead of each making
-    its own."""
-    return tuple(range(count))
+def _ints(n: int, size: int) -> tuple[int, ...]:
+    """The ints 0..2n+2, the placements of a random dimension of n vertices
+    whose permuted side has `size`, made once per size; those that place
+    the other side are the objects of _placed, from which
+    supergraph_from_ranks places it.  So the columns read from a file share
+    one int object per value, with each other and with the other side's
+    placements in the columns drawn here, instead of each making its own."""
+    ints, placed = list(range(2 * n + 3)), _placed(n, size)
+    ints[n + 1:n + size + 1] = placed[1:]
+    ints[2 * n + 2] = placed[0]
+    return tuple(ints)
+
+
+def _column_reader(plan: BuildPlan, fd: int) -> Callable[[int], UnitIntervalRep | None]:
+    """A function that reads the i-th column of the file open at descriptor
+    `fd`, as _COLUMN_TYPE ints at offset i x the column's size, by
+    os.pread (the offset of the descriptor is neither read nor moved), as
+    a random dimension of plan's attempts; None when the file holds less
+    than the column.  Both processes of a build read columns with it."""
+    g = plan.graph
+    n, verts = g.vertex_count, vertex_order(g.a_count, g.b_count)
+    ints, width = _ints(n, plan.side_size), n * array(_COLUMN_TYPE).itemsize
+
+    def read(i: int) -> UnitIntervalRep | None:
+        column = os.pread(fd, width, i * width)
+        if len(column) != width:
+            return None
+        return UnitIntervalRep.column(verts, [ints[x] for x in array(_COLUMN_TYPE, column)], n)
+
+    return read
+
+
+def _write_column(fd: int, dim: UnitIntervalRep) -> None:
+    """Append dim's values to the file open at descriptor `fd`, as
+    _COLUMN_TYPE ints; OSError when they are written short."""
+    column = array(_COLUMN_TYPE, dim.values).tobytes()
+    if os.write(fd, column) != len(column):
+        raise OSError("a column was written short")
 
 
 class _ChildFailed(Exception):
@@ -460,72 +576,111 @@ class _ChildFailed(Exception):
 
 
 class _DrawnBeside:
-    """One attempt of a build with a dump, whose random dimensions a forked
-    child draws while this process verifies them as they arrive.
+    """One attempt of a build with a dump, whose random dimensions this
+    process and a forked child draw, each its half, while this process
+    verifies them.
 
-    The child (_draw_and_render) draws dimensions 0..t-1 as random_dims
-    does.  It appends each column to an unnamed temporary file, as
-    _COLUMN_TYPE ints, and then writes one byte to its reply pipe, so it
-    does not wait for this process (while t is below the pipe's capacity,
-    64 KiB on Linux); then it renders the attempt's dump into a second
-    unnamed temporary file and replies the dump's size.  `check` runs one
-    sweep over the bit dimensions and then over each column as its byte
-    comes, read from the file by os.pread.
+    The child (_draw_and_render) draws dimensions 0..h-1, h = ceil(t/2), as
+    random_dims does.  It appends each column to an unnamed temporary file,
+    as _COLUMN_TYPE ints, and then writes one byte to its reply pipe, so it
+    does not wait for this process (while h is below the pipe's capacity,
+    64 KiB on Linux).  Meanwhile this process draws dimensions h..t-1
+    (random_dims from h) into a second unnamed temporary file, closes it,
+    and writes one byte to a pipe of its own to the child.  The child waits
+    for that byte, reads these columns (_column_reader), renders the
+    attempt's dump into a third unnamed temporary file and replies the
+    dump's size.  `check` draws this process's half first, since the child
+    cannot render before that half is in its file, and then runs one sweep
+    over the bit dimensions, each of the child's columns as its byte comes,
+    read from the file, and its own.
 
     When no child could be forked, `check` gives no attempt.  At the first
-    column that the child does not send in full (it exited, was killed, or
-    the file holds less than the column), the sweep is abandoned, the
-    child is killed and reaped, and `check` gives no attempt either; the
-    dump is then not the child's, and `send` says so."""
+    column of its half that the child does not send in full (it exited,
+    was killed, or the file holds less than the column), the sweep is
+    abandoned, this process's half dropped, the child killed and reaped,
+    and `check` gives no attempt either; the dump is then not the child's,
+    and `send` says so.  A child that fails after its half (waiting for
+    this process's byte, reading its columns or rendering) has sent every
+    column it drew, so the check stands, and `send` finds the child
+    failed.  Each process writes only its own file: a column written short
+    stays at the end of its file, where the reader finds it short."""
 
     def __init__(self, plan: BuildPlan, master_seed: int, index: int,
                  children: "_Children", files: ExitStack, report: BuildReport) -> None:
         started = time.perf_counter()
-        self.plan = plan
+        self.plan, self.master_seed, self.index = plan, master_seed, index
         self.children = children
+        self.half = (plan.t + 1) // 2
         self.columns = files.enter_context(tempfile.TemporaryFile())
+        self.own_columns = files.enter_context(tempfile.TemporaryFile())
         self.dump = files.enter_context(tempfile.TemporaryFile())
-        self.pid = children.fork(partial(
-            _draw_and_render, plan, master_seed, index, self.columns.fileno(),
-            self.dump.fileno(), report), stream=True)
+        ready, tell = os.pipe()  # this process's byte to the child
+        self.tell = files.enter_context(open(tell, "wb", buffering=0))
+        try:
+            self.pid = children.fork(partial(
+                _draw_and_render, plan, master_seed, index, self.half,
+                self.columns.fileno(), self.own_columns.fileno(), ready, tell,
+                self.dump.fileno(), report), stream=True)
+        finally:
+            os.close(ready)
+        if self.pid is None:
+            self.own_columns.close()
+            self.tell.close()
         self.drawn: list[UnitIntervalRep] = []
-        # seconds spent forking the child, and waiting for or reading columns
+        # seconds spent forking the child, drawing this process's half, and
+        # waiting for or reading the child's columns
         self.waited = time.perf_counter() - started
 
     def check(self) -> tuple[CubeRepresentation | None, list[Violation] | None, float, float]:
         """The attempt, its violations against plan.graph (as verify gives
         them), and the seconds spent constructing it and verifying it; the
         attempt and its violations are None when the child was not forked
-        or failed."""
+        or failed in its half."""
         started, forked = time.perf_counter(), self.waited
         rep = violations = None
         if self.pid is not None:
             try:
-                violations = sweep(chain(self.plan.bit_dims, self._arriving()),
+                own = self._own_half()
+                violations = sweep(chain(self.plan.bit_dims, self._arriving(), own),
                                    self.plan.graph)
-                rep = _assembled(self.plan, tuple(self.drawn))
+                rep = _assembled(self.plan, tuple(self.drawn) + own)
             except _ChildFailed:
                 self.stop()
         swept = time.perf_counter() - started
         self.columns.close()
         return rep, violations, self.waited, swept - (self.waited - forked)
 
+    def _own_half(self) -> tuple[UnitIntervalRep, ...]:
+        """Random dimensions h..t-1, drawn here and written to this
+        process's file, which is then closed (the child reads its own
+        descriptor of it), and then the byte that tells the child so; the
+        time taken is added to self.waited.  When the child has left
+        before the byte is sent, the byte finds no reader, and the child's
+        failure is found later, by _arriving or by send."""
+        started = time.perf_counter()
+        try:
+            own = tuple(random_dims(self.plan, self.master_seed, self.index, self.half))
+            for dim in own:
+                _write_column(self.own_columns.fileno(), dim)
+            with suppress(BrokenPipeError):
+                self.tell.write(b"\1")
+        finally:
+            self.own_columns.close()
+            self.tell.close()
+            self.waited += time.perf_counter() - started
+        return own
+
     def _arriving(self) -> Iterator[UnitIntervalRep]:
-        """Random dimensions 0..t-1 as the child sends them, each kept in
+        """Random dimensions 0..h-1 as the child sends them, each kept in
         self.drawn, with the time taken to get it added to self.waited;
         _ChildFailed at the first that the child does not send in full."""
-        plan = self.plan
-        g = plan.graph
-        n, verts = g.vertex_count, vertex_order(g.a_count, g.b_count)
-        ints, width = _ints(2 * n + 3), n * array(_COLUMN_TYPE).itemsize
+        read = _column_reader(self.plan, self.columns.fileno())
         sent = 0
-        for j in range(plan.t):
+        for j in range(self.half):
             started = time.perf_counter()
             if j == sent:
-                sent += len(self.children.read(self.pid, plan.t - j))
-            column = os.pread(self.columns.fileno(), width, j * width) if j < sent else b""
-            dim = (UnitIntervalRep.column(verts, [ints[x] for x in array(_COLUMN_TYPE, column)], n)
-                   if len(column) == width else None)
+                sent += len(self.children.read(self.pid, self.half - j))
+            dim = read(j) if j < sent else None
             self.waited += time.perf_counter() - started
             if dim is None:
                 raise _ChildFailed
@@ -558,22 +713,37 @@ class _DrawnBeside:
             return size is not None and _send_file(self.dump, target, size)
 
 
-def _draw_and_render(plan: BuildPlan, master_seed: int, index: int, columns: int,
-                     dump: int, report: BuildReport, progress: int) -> int:
-    """The forked child of _DrawnBeside: draw random dimensions 0..t-1 of
-    attempt `index` (random_dims), appending each column's values to the
+def _draw_and_render(plan: BuildPlan, master_seed: int, index: int, half: int,
+                     columns: int, own: int, ready: int, tell: int, dump: int,
+                     report: BuildReport, progress: int) -> int:
+    """The forked child of _DrawnBeside: draw random dimensions 0..half-1
+    of attempt `index` (random_dims), appending each column's values to the
     file open at descriptor `columns` as _COLUMN_TYPE ints and then writing
-    one byte to descriptor `progress`; then render the attempt's dump into
+    one byte to descriptor `progress`; wait for the parent's byte on
+    descriptor `ready`, read its dimensions half..t-1 from the file open at
+    descriptor `own` (_column_reader); then render the attempt's dump into
     the empty file at descriptor `dump` (_render_into) and return its size.
+    OSError when the parent's byte or a column of its is missing.
+
+    The child first closes its copy of `tell`, the write end of `ready`'s
+    pipe, so that a parent that dies leaves `ready` at its end instead of
+    blocking it.
     The garbage collector stays off: the child makes no cycle, and a
     collection in a forked child would copy every page it scans."""
+    os.close(tell)
     gc.disable()
     drawn = []
-    for dim in random_dims(plan, master_seed, index):
-        column = array(_COLUMN_TYPE, dim.values).tobytes()
-        if os.write(columns, column) != len(column):
-            raise OSError("a column was written short")
+    for dim in islice(random_dims(plan, master_seed, index), half):
+        _write_column(columns, dim)
         os.write(progress, b"\1")
+        drawn.append(dim)
+    if os.read(ready, 1) != b"\1":
+        raise OSError("the parent sent no columns")
+    read = _column_reader(plan, own)
+    for i in range(plan.t - half):
+        dim = read(i)
+        if dim is None:
+            raise OSError("a column of the parent's was read short")
         drawn.append(dim)
     return _render_into(dump, _assembled(plan, tuple(drawn)), report)
 
@@ -637,15 +807,17 @@ MIN_CHILD_DRAWS = 1000
 
 # Fewest cells (vertices x k) of a dump that make work on it in a forked
 # child, beside verification, worth its cost: build_representation's draw
-# and render, and verify_dump's layout check.  On the same host, with the
-# two-phase sweep, gen_random_bipartite(n, 2n, 4/n, 1) graphs built with
-# --out, and their dumps verified, with the child against without it
-# (medians of 40 alternating calls each): builds at 7,320 cells +3.7 ms
-# (+28%), 12,060 +2.0 ms (+11%), 18,960 +0.7 ms (+2%), 23,625 -2.7 ms
-# (-8%), 24,750 -3.2 ms (-10%), 30,780 -6.0 ms (-15%) and 40,320 -9.2 ms
-# (-18%); verify_dump at 7,320 cells +3.8 ms (+28%), 12,060 +3.0 ms
-# (+14%), 18,960 -0.3 ms (-1%), 23,625 -2.8 ms (-7%), 24,750 -3.5 ms (-8%),
-# 30,780 -5.6 ms (-11%), 43,680 -11.4 ms (-19%) and 57,000 -17.9 ms (-20%).
+# of half the random dimensions and render, and verify_dump's layout check.
+# On the same host, with the lane-block sweep and the split draw,
+# gen_random_bipartite(n, 2n, 4/n, 1) graphs built with --out, and their
+# dumps verified, with the child against without it (medians of 40
+# alternating calls each): builds at 7,320 cells +3.7 ms (+35%), 12,060
+# +2.7 ms (+18%), 18,960 +0.2 ms (+1%), 23,625 -0.1 ms (0%), 24,750 -3.3 ms
+# (-11%), 30,780 -4.6 ms (-14%), 40,320 -7.5 ms (-17%) and 57,000 -14.9 ms
+# (-24%); verify_dump at 7,320 cells +3.2 ms (+25%), 12,060 +3.1 ms (+16%),
+# 18,960 +1.1 ms (+4%), 23,625 -1.7 ms (-5%), 24,750 -3.5 ms (-9%), 30,780
+# -6.4 ms (-13%), 40,320 -3.8 ms (-7%) and 57,000 -12.2 ms (-15%).  A second
+# run crossed over between the same two sizes.
 MIN_CHILD_CELLS = 20_000
 
 

@@ -73,7 +73,7 @@ from cuberep.builder import (
     make_plan,
     survivor_masks,
 )
-from cuberep.graphs import MAX_VERTICES
+from cuberep.graphs import MAX_VERTICES, vertex_order
 from cuberep.intervals import TAG_KINDS, random_dim_tag
 from cuberep.randomized import neighbour_masks, reached_below, shuffled_ranks
 
@@ -92,6 +92,24 @@ def oracle_violations(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violat
     violations = []
     for u, v in all_pairs(verts):
         adjacent = frozenset((u, v)) in edges
+        wanted = u[0] == SIDE_A and v[0] == SIDE_B and (u[1], v[1]) in g.edges
+        if adjacent and not wanted:
+            violations.append(Violation("extra-edge", u, v))
+        elif wanted and not adjacent:
+            violations.append(Violation("missing-edge", u, v))
+    return sorted(violations)
+
+
+def pair_violations(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
+    """verify's result pair by pair: a pair is adjacent when it is adjacent
+    in every dimension, tried tightest threshold first, so that most
+    non-edges stop at their first dimension.  It makes no set of pairs per
+    dimension, as oracle_violations does, so it can check attempts at
+    100+200."""
+    dims = sorted(rep.dims, key=lambda dim: dim.threshold)
+    violations = []
+    for u, v in all_pairs(rep.vertices()):
+        adjacent = all(dim.adjacent(u, v) for dim in dims)
         wanted = u[0] == SIDE_A and v[0] == SIDE_B and (u[1], v[1]) in g.edges
         if adjacent and not wanted:
             violations.append(Violation("extra-edge", u, v))
@@ -224,6 +242,12 @@ class TestVerify:
     def test_matches_oracle_on_hostile_representations(self, case):
         rep, g = case
         assert verify(rep, g) == oracle_violations(rep, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hostile_cases())
+    def test_pair_reference_is_the_oracle(self, case):
+        rep, g = case
+        assert pair_violations(rep, g) == oracle_violations(rep, g)
 
     def test_single_placement_change_caught_exactly(self):
         # verify reports a violation exactly when the changed placement
@@ -606,6 +630,8 @@ class TestParallelFailureRate:
 
 
 RENDERED = gen_random_bipartite(10, 20, 0.3, seed=5)
+# a graph whose attempts at t = 4 and t = 7 fail a few times, at seed 3
+SPLIT = gen_random_bipartite(6, 9, 0.25, seed=3)
 # (graph, params, attempts): passing at once, with the larger side first,
 # and failing once at t = 15 before passing
 RENDER_CASES = [(RENDERED, BuildParams(master_seed=1), 1),
@@ -631,9 +657,18 @@ def in_process_writes(monkeypatch) -> list:
     return writes
 
 
-def assert_nothing_left(temporary_files):
+def assert_nothing_left(temporary_files, descriptors):
+    """No child is left, every temporary file is closed, and no descriptor
+    is open but `descriptors`, those open before."""
     assert_no_child_left()
     assert all(file.closed for file in temporary_files)
+    assert open_descriptors() == descriptors
+
+
+@pytest.fixture
+def descriptors() -> list[str]:
+    """The descriptors open before the test (open_descriptors)."""
+    return open_descriptors()
 
 
 def in_child(parent: int) -> bool:
@@ -642,26 +677,30 @@ def in_child(parent: int) -> bool:
 
 class TestRenderBeside:
     """A build with a dump forks, per attempt, one child that draws the
-    attempt's random dimensions and renders its dump while this process
-    verifies the dimensions as they arrive."""
+    first half of the attempt's random dimensions, while this process draws
+    the second, and renders its dump while this process verifies the
+    dimensions as they arrive."""
 
     @pytest.mark.parametrize("g, params, attempts", RENDER_CASES)
-    def test_dump_is_write_dump_s_bytes(self, forks, temporary_files, monkeypatch,
-                                        tmp_path, g, params, attempts):
+    def test_dump_is_write_dump_s_bytes(self, descriptors, forks, temporary_files,
+                                        monkeypatch, tmp_path, g, params, attempts):
         out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
+        drawn_here = recorded_draws(monkeypatch, os.getpid())
         rep, report = build_representation(g, params, out)
         assert writes == []
         assert report.retries == attempts - 1
         assert report.swapped is (g.a_count > g.b_count)
-        # a file of columns and a file of the dump per attempt
-        assert len(forks) == attempts and len(temporary_files) == 2 * attempts
+        # this process draws once per attempt, from h = ceil(t / 2) on
+        assert drawn_here == [(index, half(g, params)) for index in range(attempts)]
+        # the child's file of columns, this process's, and the dump's, per attempt
+        assert len(forks) == attempts and len(temporary_files) == 3 * attempts
         assert rep == attempt(make_plan(g, params.t_override), params.master_seed,
                               attempts - 1)
         assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
         assert report.construct_seconds > 0.0 and report.verify_seconds > 0.0
         assert report.write_seconds > 0.0
         assert build_representation(g, params)[0] == rep
-        assert_nothing_left(temporary_files)
+        assert_nothing_left(temporary_files, descriptors)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -687,8 +726,8 @@ class TestRenderBeside:
         assert_no_child_left()
 
     @pytest.mark.parametrize("failure", ["raises", "killed", "short reply", "copy refused"])
-    def test_a_failed_render_is_written_here(self, forks, temporary_files, monkeypatch,
-                                             tmp_path, failure):
+    def test_a_failed_render_is_written_here(self, descriptors, forks, temporary_files,
+                                             monkeypatch, tmp_path, failure):
         # the child sends every column, then waits until this process has
         # truncated the previous dump at `out`, which it does before it
         # waits for the child's reply, and only then fails to render or to
@@ -726,12 +765,12 @@ class TestRenderBeside:
         drawn_here = recorded_draws(monkeypatch, parent)
         rep, report = build_representation(RENDERED, params, out)
         assert len(forks) == 1
-        assert writes == [out] and drawn_here == []
+        assert writes == [out] and drawn_here == [(0, half(RENDERED, params))]
         assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
-        assert_nothing_left(temporary_files)
+        assert_nothing_left(temporary_files, descriptors)
 
     def test_an_out_that_cannot_be_opened_kills_the_child(
-            self, forks, temporary_files, monkeypatch, tmp_path):
+            self, descriptors, forks, temporary_files, monkeypatch, tmp_path):
         # the child would render for a minute: only a kill ends it in time
         parent, pieces = os.getpid(), builder._dump_pieces
 
@@ -746,25 +785,26 @@ class TestRenderBeside:
             build_representation(RENDERED, BuildParams(master_seed=1), tmp_path)
         assert time.monotonic() - started < 30
         assert len(forks) == 1
-        assert_nothing_left(temporary_files)
+        assert_nothing_left(temporary_files, descriptors)
 
     @pytest.mark.parametrize("column", ["first", "middle", "last"])
     @pytest.mark.parametrize("failure", ["raises", "killed", "short column"])
-    def test_a_failed_draw_is_drawn_here(self, forks, temporary_files, monkeypatch,
-                                         tmp_path, failure, column):
-        # the child sends the columns before `column` in full, then raises,
-        # is killed, or sends a short column and waits: this process drops
-        # the partial check, then draws and verifies the whole attempt
-        # itself and writes the dump, as a build in one process does
+    def test_a_failed_draw_is_drawn_here(self, descriptors, forks, temporary_files,
+                                         monkeypatch, tmp_path, failure, column):
+        # the child sends the columns of its half before `column` in full,
+        # then raises, is killed, or sends a short column and waits: this
+        # process drops the partial check and its own half, then draws and
+        # verifies the whole attempt itself and writes the dump, as a build
+        # in one process does
         params = BuildParams(master_seed=1)
         expected = one_cpu_build(tmp_path, RENDERED, params)
-        t = make_plan(RENDERED).t
-        first = {"first": 0, "middle": t // 2, "last": t - 1}[column]
+        h = half(RENDERED, params)
+        first = {"first": 0, "middle": h // 2, "last": h - 1}[column]
         parent, dims, write = os.getpid(), builder.random_dims, os.write
         sent = []
 
-        def failing_in_child(*args):
-            for j, dim in enumerate(dims(*args)):
+        def failing_in_child(plan, master_seed, index, start=0):
+            for j, dim in enumerate(dims(plan, master_seed, index, start), start):
                 if in_child(parent) and j == first and failure != "short column":
                     if failure == "raises":
                         raise RuntimeError("the child fails")
@@ -792,11 +832,79 @@ class TestRenderBeside:
         rep, report = build_representation(RENDERED, params, out)
         assert time.monotonic() - started < 30
         assert len(forks) == 1
-        assert writes == [out] and drawn_here == [0] and verified_here == [rep]
+        assert writes == [out] and drawn_here == [(0, h), (0, 0)] and verified_here == [rep]
         assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
-        assert_nothing_left(temporary_files)
+        assert_nothing_left(temporary_files, descriptors)
 
-    def test_a_failed_fork_is_drawn_here(self, forks, temporary_files, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("failure", ["no byte", "short read"])
+    def test_a_child_failed_after_its_half_renders_here(
+            self, descriptors, forks, temporary_files, monkeypatch, tmp_path, failure):
+        # the child sends its half in full, then finds no byte from this
+        # process, or reads this process's columns short: the check of the
+        # columns stands, and this process writes the dump
+        params = BuildParams(master_seed=1)
+        expected = one_cpu_build(tmp_path, RENDERED, params)
+        parent, read, pread = os.getpid(), os.read, os.pread
+
+        def no_byte_in_child(fd, count):
+            return b"" if in_child(parent) else read(fd, count)
+
+        def short_in_child(fd, count, offset):
+            data = pread(fd, count, offset)
+            return data[:-1] if in_child(parent) else data
+
+        if failure == "no byte":
+            monkeypatch.setattr(os, "read", no_byte_in_child)
+        else:
+            monkeypatch.setattr(os, "pread", short_in_child)
+        out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
+        drawn_here = recorded_draws(monkeypatch, parent)
+        verified_here = recorded_verifies(monkeypatch)
+        rep, report = build_representation(RENDERED, params, out)
+        assert len(forks) == 1
+        assert writes == [out] and drawn_here == [(0, half(RENDERED, params))]
+        assert verified_here == []
+        assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
+        assert_nothing_left(temporary_files, descriptors)
+
+    def test_a_failed_draw_here_kills_the_child(self, descriptors, forks, temporary_files,
+                                                monkeypatch, tmp_path):
+        # an exception in this process's own half propagates; the child,
+        # which would otherwise wait for this process's byte, is killed and
+        # reaped, and no file or descriptor is left
+        parent, dims = os.getpid(), builder.random_dims
+
+        def failing_here(plan, master_seed, index, start=0):
+            for j, dim in enumerate(dims(plan, master_seed, index, start), start):
+                if not in_child(parent) and j == start + 1:
+                    raise RuntimeError("the draw here fails")
+                yield dim
+
+        monkeypatch.setattr(builder, "random_dims", failing_here)
+        out = tmp_path / "dump.json"
+        with pytest.raises(RuntimeError, match="the draw here fails"):
+            build_representation(RENDERED, BuildParams(master_seed=1), out)
+        assert len(forks) == 1 and not out.exists()
+        assert_nothing_left(temporary_files, descriptors)
+
+    @pytest.mark.parametrize("g, t", [
+        (BipartiteGraph(3, 4, frozenset((a, b) for a in range(1, 4) for b in range(1, 5))), 0),
+        (BipartiteGraph(3, 4, frozenset()), 1),
+        (SPLIT, 4), (SPLIT, 7)], ids=["t0", "t1", "even", "odd"])
+    def test_each_split_writes_the_one_cpu_bytes(self, descriptors, forks, temporary_files,
+                                                 tmp_path, g, t):
+        # t = 0 and t = 1 leave this process nothing to draw; an even and
+        # an odd t split evenly and unevenly, and fail a few attempts first
+        params = BuildParams(master_seed=3, t_override=t)
+        expected = one_cpu_build(tmp_path, g, params)
+        out = tmp_path / "dump.json"
+        rep, report = build_representation(g, params, out)
+        assert len(forks) == report.retries + 1 and (t < 4 or report.retries > 0)
+        assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
+        assert_nothing_left(temporary_files, descriptors)
+
+    def test_a_failed_fork_is_drawn_here(self, descriptors, forks, temporary_files,
+                                         monkeypatch, tmp_path):
         def refuse():
             raise OSError("no process to spare")
 
@@ -807,12 +915,12 @@ class TestRenderBeside:
         verified_here = recorded_verifies(monkeypatch)
         out = tmp_path / "dump.json"
         rep, report = build_representation(RENDERED, params, out)
-        assert drawn_here == [0] and verified_here == [rep]
+        assert drawn_here == [(0, 0)] and verified_here == [rep]
         assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
-        assert_nothing_left(temporary_files)
+        assert_nothing_left(temporary_files, descriptors)
 
     def test_interrupt_during_verify_kills_and_reaps_the_child(
-            self, forks, temporary_files, monkeypatch, tmp_path):
+            self, descriptors, forks, temporary_files, monkeypatch, tmp_path):
         # the child would render for a minute: only a kill ends it in time;
         # the sweep is interrupted once it has taken a few columns
         parent, pieces, sweep = os.getpid(), builder._dump_pieces, builder.sweep
@@ -836,16 +944,16 @@ class TestRenderBeside:
         assert time.monotonic() - started < 30
         assert len(forks) == 1
         assert not out.exists()
-        assert_nothing_left(temporary_files)
+        assert_nothing_left(temporary_files, descriptors)
 
-    def test_failed_build_writes_nothing(self, forks, temporary_files, tmp_path):
+    def test_failed_build_writes_nothing(self, descriptors, forks, temporary_files, tmp_path):
         out = tmp_path / "dump.json"
         with pytest.raises(BuildFailure):
             build_representation(RENDERED, BuildParams(master_seed=1, t_override=1,
                                                        max_retries=3), out)
         assert len(forks) == 3
         assert not out.exists()
-        assert_nothing_left(temporary_files)
+        assert_nothing_left(temporary_files, descriptors)
 
     @pytest.mark.parametrize("why", ["another thread", "one CPU", "small dump", "no out"])
     def test_no_fork(self, forks, temporary_files, monkeypatch, tmp_path, why):
@@ -906,9 +1014,10 @@ class TestRenderBeside:
         assert_no_child_left()
 
     def test_received_columns_share_their_ints(self, forks, tmp_path):
-        # one int object per value, as in a column drawn here, where the
-        # placements of the other side come from one table per size; past
-        # 128 vertices, placements exceed the ints that Python caches
+        # one int object per value, in the columns received from the child
+        # and in those drawn here, where the placements of the other side
+        # come from one table per size; past 128 vertices, placements
+        # exceed the ints that Python caches
         g = gen_random_bipartite(50, 100, 0.06, seed=1)
         rep, _ = build_representation(g, BuildParams(master_seed=1), tmp_path / "dump.json")
         random_dims = rep.dims[:make_plan(g).t]
@@ -917,18 +1026,23 @@ class TestRenderBeside:
             len({x for dim in random_dims for x in dim.values})
 
 
-def recorded_draws(monkeypatch, parent: int) -> list[int]:
-    """The attempt index of each random_dims call made in this process, not
-    in a child, from now on; each call draws from dimension 0."""
-    indices, dims = [], builder.random_dims
+def recorded_draws(monkeypatch, parent: int) -> list[tuple[int, int]]:
+    """The attempt index and the first dimension of each random_dims call
+    made in this process, not in a child, from now on."""
+    calls, dims = [], builder.random_dims
 
-    def recording(plan, master_seed, index):
+    def recording(plan, master_seed, index, start=0):
         if not in_child(parent):
-            indices.append(index)
-        return dims(plan, master_seed, index)
+            calls.append((index, start))
+        return dims(plan, master_seed, index, start)
 
     monkeypatch.setattr(builder, "random_dims", recording)
-    return indices
+    return calls
+
+
+def half(g: BipartiteGraph, params: BuildParams) -> int:
+    """h = ceil(t / 2): the random dimensions that a build's child draws."""
+    return (make_plan(g, params.t_override).t + 1) // 2
 
 
 def one_cpu_build(tmp_path, g, params) -> tuple:
@@ -1013,26 +1127,146 @@ class TestSweep:
         plan = make_plan(g)
         rep = attempt(plan, seed, 0)
         assert builder.sweep(chain(plan.bit_dims, rep.dims[:plan.t - 1]), g) == []
-        last = rep.dims[plan.t - 1]
-        other = other_side(plan.side)
-        offset = {SIDE_A: 0, SIDE_B: g.a_count}
-        vertex, neighbours = max(enumerate(g.neighbours(other), 1),
-                                 key=lambda item: len(item[1]))
-        lowest = sorted(neighbours, key=lambda p: last.values[offset[plan.side] + p])
-        cut = len(lowest) if cut == "all" else cut
-        assert cut <= len(lowest)
-        values = list(last.values)
-        values[offset[other] + vertex - 1] = \
-            last.values[offset[plan.side] + lowest[cut - 1]] + last.threshold + 1
-        dims = list(rep.dims)
-        dims[plan.t - 1] = UnitIntervalRep.column(last.verts, values, last.threshold)
-        moved = CubeRepresentation(rep.a_count, rep.b_count, tuple(dims), rep.provenance)
-        missing = sorted(Violation("missing-edge", *sorted([(other, vertex), (plan.side, p + 1)]))
-                         for p in lowest[:cut])
+        moved, missing = edges_cut(plan, rep, plan.t - 1, cut)
         fed = chain(moved.dims[plan.t:], moved.dims[:plan.t])
         assert builder.sweep(fed, g) == verify(moved, g) == missing
         if g.vertex_count <= 30:  # the reference takes 44 s at 100+200
             assert oracle_violations(moved, g) == missing
+
+
+def edges_cut(plan, rep: CubeRepresentation, j: int,
+              cut: int | str) -> tuple[CubeRepresentation, list[Violation]]:
+    """rep, an attempt of plan, with one placement of its random dimension
+    j moved past the `cut` lowest placed neighbours (all of them for
+    "all") of the vertex of the unpermuted side with the most neighbours,
+    and the missing edges that the move gives where rep represents
+    plan.graph: those `cut` edges and nothing else."""
+    g, dim = plan.graph, rep.dims[j]
+    other = other_side(plan.side)
+    offset = {SIDE_A: 0, SIDE_B: g.a_count}
+    vertex, neighbours = max(enumerate(g.neighbours(other), 1), key=lambda item: len(item[1]))
+    lowest = sorted(neighbours, key=lambda p: dim.values[offset[plan.side] + p])
+    cut = len(lowest) if cut == "all" else cut
+    assert cut <= len(lowest)
+    values = list(dim.values)
+    values[offset[other] + vertex - 1] = \
+        dim.values[offset[plan.side] + lowest[cut - 1]] + dim.threshold + 1
+    dims = list(rep.dims)
+    dims[j] = UnitIntervalRep.column(dim.verts, values, dim.threshold)
+    moved = CubeRepresentation(rep.a_count, rep.b_count, tuple(dims), rep.provenance)
+    missing = sorted(Violation("missing-edge", *sorted([(other, vertex), (plan.side, p + 1)]))
+                     for p in lowest[:cut])
+    return moved, missing
+
+
+def with_column(rep: CubeRepresentation, j: int, values: list[int],
+                threshold: int | None = None) -> CubeRepresentation:
+    """rep with the values, and perhaps the threshold, of dimension j
+    replaced."""
+    dims = list(rep.dims)
+    dims[j] = UnitIntervalRep.column(rep.dims[j].verts, values,
+                                     threshold or rep.dims[j].threshold)
+    return CubeRepresentation(rep.a_count, rep.b_count, tuple(dims), rep.provenance)
+
+
+# placement values that phase 2 of sweep packs into its 32-bit lanes or
+# sends to the window pass: below them, at both ends of [0, 2^30), past
+# it, and past what a lane and array("I") hold
+LANE_VALUES = [-1, 0, 2 ** 30 - 1, 2 ** 30, 2 ** 31, 2 ** 32, 10 ** 20]
+# (u's value, v's value, threshold) of one dimension of an edge (u, v), at
+# both sides of the edge of its threshold
+LANE_GAPS = [(2 ** 31, 0, 2 ** 31), (0, 2 ** 31, 2 ** 31), (2 ** 31, 0, 2 ** 31 - 1),
+             (2 ** 32 - 1, 0, 2 ** 30 - 1), (0, 2 ** 32, 2 ** 32), (-1, 0, 1), (0, -2, 1),
+             (10 ** 20, 0, 1), (2 ** 30 - 1, 0, 2 ** 30 - 1), (0, 2 ** 30 - 1, 2 ** 30 - 2),
+             (2 ** 30, 0, 2 ** 30), (2 ** 30, 1, 2 ** 30 - 2)]
+
+
+class TestLaneBlocks:
+    """Phase 2 of sweep checks the surviving edges in blocks of up to
+    _LANE_BLOCK dimensions, packed in 32-bit lanes, and sends a dimension
+    with a value outside [0, 2^30) to the window pass."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bipartite_graphs(max_a=5, max_b=6), st.integers(0, 2 ** 64 - 1), st.data())
+    def test_values_at_and_past_the_lanes_sweep_as_verify(self, g, seed, data):
+        # t up to 200, so that phase 2 spans several blocks
+        plan = make_plan(g, data.draw(st.integers(0, 200)))
+        rep = attempt(plan, seed, 0)
+        for _ in range(data.draw(st.integers(0, 6)) if rep.dims else 0):
+            j = data.draw(st.integers(0, len(rep.dims) - 1))
+            values = list(rep.dims[j].values)
+            values[data.draw(st.integers(0, len(values) - 1))] = \
+                data.draw(st.sampled_from(LANE_VALUES))
+            rep = with_column(rep, j, values)
+        for _ in range(data.draw(st.integers(0, 3)) if rep.dims else 0):
+            j = data.draw(st.integers(0, len(rep.dims) - 1))
+            threshold = data.draw(st.sampled_from([2 ** 30 - 1, 2 ** 30, 2 ** 31])
+                                  | st.integers(1, 2 ** 31))
+            rep = with_column(rep, j, list(rep.dims[j].values), threshold)
+        fed = chain(rep.dims[plan.t:], rep.dims[:plan.t])
+        assert builder.sweep(fed, g) == verify(rep, g) == oracle_violations(rep, g)
+
+    @pytest.mark.parametrize("at", [0, 63, 64, 129], ids=["first", "end", "second", "last"])
+    @pytest.mark.parametrize("gap", LANE_GAPS, ids=str)
+    def test_one_dimension_among_boundary_gaps(self, gap, at):
+        # the one pair of a graph of one edge is checked in phase 2 from the
+        # first dimension on; every other dimension puts the edge's
+        # endpoints at exactly their threshold apart, either way round, so a
+        # carry or borrow from the tested dimension's lane into another, a
+        # dimension skipped, or a value mishandled outside the lanes shows
+        g = BipartiteGraph(1, 1, frozenset({(1, 1)}))
+        verts = vertex_order(1, 1)
+        dims = [UnitIntervalRep.column(verts, [0, c] if i % 2 else [c, 0], c)
+                for i, c in enumerate([1, 2 ** 30 - 1] * 65)]
+        u, v, c = gap
+        dims[at] = UnitIntervalRep.column(verts, [u, v], c)
+        rep = CubeRepresentation(1, 1, tuple(dims), tuple(map(random_dim_tag, range(1, 131))))
+        missing = [] if abs(u - v) <= c else [Violation("missing-edge", *verts)]
+        assert builder.sweep(iter(dims), g) == verify(rep, g) == missing
+        assert pair_violations(rep, g) == missing
+
+    @pytest.fixture(scope="class")
+    def swept(self):
+        """The CI's 100+200 default attempt, which passes, and its j*."""
+        g, seed = SWEPT_CASES[0]
+        plan = make_plan(g)
+        rep = attempt(plan, seed, 0)
+        j_star = len(list(live_rows(plan, seed, 0)))
+        # phase 2 runs from random dimension j* and spans two blocks, the
+        # second partial
+        assert 0 < (plan.t - j_star) % builder._LANE_BLOCK < plan.t - j_star
+        return plan, rep, j_star
+
+    @pytest.mark.parametrize("where", ["block start", "block end", "last"])
+    @pytest.mark.parametrize("cut", [1, "all"])
+    def test_edges_cut_in_a_block_go_missing(self, swept, where, cut):
+        plan, rep, j_star = swept
+        block = builder._LANE_BLOCK
+        j = {"block start": j_star + block, "block end": j_star + block - 1,
+             "last": plan.t - 1}[where]
+        moved, missing = edges_cut(plan, rep, j, cut)
+        fed = chain(moved.dims[plan.t:], moved.dims[:plan.t])
+        assert builder.sweep(fed, plan.graph) == verify(moved, plan.graph) == missing
+        assert pair_violations(moved, plan.graph) == missing
+
+    @pytest.mark.parametrize("cut", [0, 1, "all"])
+    def test_a_late_dimension_translated_below_the_lanes(self, swept, cut):
+        # every placement of a random dimension in the second block moved
+        # by -2^40, which keeps its verdicts, after `cut` edges are cut there
+        plan, rep, j_star = swept
+        j = j_star + builder._LANE_BLOCK + 1
+        moved, missing = edges_cut(plan, rep, j, cut) if cut else (rep, [])
+        moved = with_column(moved, j, [x - 2 ** 40 for x in moved.dims[j].values])
+        fed = chain(moved.dims[plan.t:], moved.dims[:plan.t])
+        assert builder.sweep(fed, plan.graph) == verify(moved, plan.graph) == missing
+        assert pair_violations(moved, plan.graph) == missing
+
+    @pytest.mark.parametrize("late", [1, 63, 64, 65])
+    def test_a_partial_last_block_is_taken(self, swept, late):
+        plan, rep, j_star = swept
+        fed = Counted(chain(plan.bit_dims, rep.dims[:j_star + late]))
+        assert builder.sweep(fed, plan.graph) == []
+        assert fed.pulled == len(plan.bit_dims) + j_star + late and fed.exhausted
 
 
 def normalized_graphs(max_a: int = 4, max_b: int = 5):
