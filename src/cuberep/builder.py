@@ -429,9 +429,9 @@ def checked_attempt(plan: BuildPlan, master_seed: int, index: int,
 
     With `drawing`, the attempt's forked child draws it while this process
     verifies it (_DrawnBeside.check).  When that gives no attempt, because
-    no child was forked or one sent a column short, the attempt is made
-    and verified here by attempt and verify, as without `drawing`, and the
-    seconds of the abandoned check are counted too."""
+    no child was forked or it left before sending its half, the attempt is
+    made and verified here by attempt and verify, as without `drawing`, and
+    the seconds of the abandoned check are counted too."""
     rep, violations, built, checked = (drawing.check() if drawing is not None
                                        else (None, None, 0.0, 0.0))
     if rep is None:
@@ -466,18 +466,17 @@ def build_representation(
     then the child is reaped and its dump is copied to `out` in the kernel
     (_DrawnBeside.send); a failed attempt's child is killed and reaped,
     and its files dropped.
-    When the fork is refused, or the child fails before the last column of
-    its half, the whole attempt is made and verified here, as without
-    `out`; when the child fails, or the copy does, write_dump writes the
+    When the fork is refused, or the child fails before it has sent its
+    half, the whole attempt is made and verified here, as without `out`;
+    when the child fails later, or the copy does, write_dump writes the
     dump here instead, to the same bytes.  No child, no temporary file and
     no pipe outlives the call.
 
     report.construct_seconds is the time spent drawing random dimensions
-    here or waiting for the child's, report.verify_seconds the time in the
-    sweep of verify,
-    both with those of a check abandoned when its child failed, and
-    report.write_seconds the time from the passing verification to the
-    dump in place."""
+    here or waiting for the child's half, report.verify_seconds the time in
+    the sweep of verify, both with those of a check abandoned when its
+    child failed, and report.write_seconds the time from the passing
+    verification to the dump in place."""
     plan = make_plan(g, params.t_override)
     k = plan.t + len(plan.bit_dims)
 
@@ -544,35 +543,32 @@ def _ints(n: int, size: int) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _column_reader(plan: BuildPlan, fd: int) -> Callable[[int], UnitIntervalRep | None]:
-    """A function that reads the i-th column of the file open at descriptor
-    `fd`, as _COLUMN_TYPE ints at offset i x the column's size, by
-    os.pread (the offset of the descriptor is neither read nor moved), as
-    a random dimension of plan's attempts; None when the file holds less
-    than the column.  Both processes of a build read columns with it."""
+def _write_columns(fd: int, dims: Iterable[UnitIntervalRep], first: int) -> None:
+    """Write dims as columns first, first + 1, ... of the file open at
+    descriptor `fd`: column j is its dimension's values as _COLUMN_TYPE
+    ints at offset j x the column's size, written by os.pwrite (the
+    descriptor's offset is neither read nor moved); OSError when one is
+    written short."""
+    for j, dim in enumerate(dims, first):
+        column = array(_COLUMN_TYPE, dim.values).tobytes()
+        if os.pwrite(fd, column, j * len(column)) != len(column):
+            raise OSError("a column was written short")
+
+
+def _read_columns(plan: BuildPlan, fd: int, columns: range) -> tuple[UnitIntervalRep, ...]:
+    """The given columns of the file open at descriptor `fd`
+    (_write_columns), read by os.pread as random dimensions of plan's
+    attempts."""
     g = plan.graph
     n, verts = g.vertex_count, vertex_order(g.a_count, g.b_count)
     ints, width = _ints(n, plan.side_size), n * array(_COLUMN_TYPE).itemsize
-
-    def read(i: int) -> UnitIntervalRep | None:
-        column = os.pread(fd, width, i * width)
-        if len(column) != width:
-            return None
-        return UnitIntervalRep.column(verts, [ints[x] for x in array(_COLUMN_TYPE, column)], n)
-
-    return read
-
-
-def _write_column(fd: int, dim: UnitIntervalRep) -> None:
-    """Append dim's values to the file open at descriptor `fd`, as
-    _COLUMN_TYPE ints; OSError when they are written short."""
-    column = array(_COLUMN_TYPE, dim.values).tobytes()
-    if os.write(fd, column) != len(column):
-        raise OSError("a column was written short")
+    return tuple(UnitIntervalRep.column(
+        verts, [ints[x] for x in array(_COLUMN_TYPE, os.pread(fd, width, j * width))], n)
+        for j in columns)
 
 
 class _ChildFailed(Exception):
-    """A drawing child sent a column short, or none."""
+    """A drawing child left without sending its byte."""
 
 
 class _DrawnBeside:
@@ -581,29 +577,27 @@ class _DrawnBeside:
     verifies them.
 
     The child (_draw_and_render) draws dimensions 0..h-1, h = ceil(t/2), as
-    random_dims does.  It appends each column to an unnamed temporary file,
-    as _COLUMN_TYPE ints, and then writes one byte to its reply pipe, so it
-    does not wait for this process (while h is below the pipe's capacity,
-    64 KiB on Linux).  Meanwhile this process draws dimensions h..t-1
-    (random_dims from h) into a second unnamed temporary file, closes it,
-    and writes one byte to a pipe of its own to the child.  The child waits
-    for that byte, reads these columns (_column_reader), renders the
-    attempt's dump into a third unnamed temporary file and replies the
-    dump's size.  `check` draws this process's half first, since the child
-    cannot render before that half is in its file, and then runs one sweep
-    over the bit dimensions, each of the child's columns as its byte comes,
-    read from the file, and its own.
+    random_dims does, and this process dimensions h..t-1 (random_dims from
+    h).  Each writes its whole half into one unnamed temporary file, column
+    j at offset j x the column's size (_write_columns), and only then sends
+    one byte: the child on its reply pipe, so it never waits for this
+    process, and this process on a pipe of its own to the child.  Neither
+    reads the other's columns before the other's byte, and a column written
+    short raises in its writer before that byte, so no column is read
+    before it is whole.  The child then reads this process's half
+    (_read_columns), renders the attempt's dump into a second unnamed
+    temporary file and replies the dump's size.  `check` draws this
+    process's half first, since the child cannot render before it, then
+    reads the child's half and runs one sweep over the bit dimensions and
+    random dimensions 0..t-1.
 
-    When no child could be forked, `check` gives no attempt.  At the first
-    column of its half that the child does not send in full (it exited,
-    was killed, or the file holds less than the column), the sweep is
-    abandoned, this process's half dropped, the child killed and reaped,
-    and `check` gives no attempt either; the dump is then not the child's,
-    and `send` says so.  A child that fails after its half (waiting for
-    this process's byte, reading its columns or rendering) has sent every
-    column it drew, so the check stands, and `send` finds the child
-    failed.  Each process writes only its own file: a column written short
-    stays at the end of its file, where the reader finds it short."""
+    When no child could be forked, `check` gives no attempt.  When the child
+    leaves before its byte (it raised, wrote a column short, or was
+    killed), the check is abandoned, the child reaped, and `check` gives no
+    attempt either; the dump is then not the child's, and `send` says so.
+    A child that fails after its byte (waiting for this process's byte,
+    reading its columns or rendering) has written its whole half, so the
+    check stands, and `send` finds the child failed."""
 
     def __init__(self, plan: BuildPlan, master_seed: int, index: int,
                  children: "_Children", files: ExitStack, report: BuildReport) -> None:
@@ -612,23 +606,20 @@ class _DrawnBeside:
         self.children = children
         self.half = (plan.t + 1) // 2
         self.columns = files.enter_context(tempfile.TemporaryFile())
-        self.own_columns = files.enter_context(tempfile.TemporaryFile())
         self.dump = files.enter_context(tempfile.TemporaryFile())
         ready, tell = os.pipe()  # this process's byte to the child
         self.tell = files.enter_context(open(tell, "wb", buffering=0))
         try:
             self.pid = children.fork(partial(
                 _draw_and_render, plan, master_seed, index, self.half,
-                self.columns.fileno(), self.own_columns.fileno(), ready, tell,
-                self.dump.fileno(), report), stream=True)
+                self.columns.fileno(), ready, tell, self.dump.fileno(), report),
+                stream=True)
         finally:
             os.close(ready)
         if self.pid is None:
-            self.own_columns.close()
             self.tell.close()
-        self.drawn: list[UnitIntervalRep] = []
         # seconds spent forking the child, drawing this process's half, and
-        # waiting for or reading the child's columns
+        # waiting for and reading the child's
         self.waited = time.perf_counter() - started
 
     def check(self) -> tuple[CubeRepresentation | None, list[Violation] | None, float, float]:
@@ -640,52 +631,32 @@ class _DrawnBeside:
         rep = violations = None
         if self.pid is not None:
             try:
-                own = self._own_half()
-                violations = sweep(chain(self.plan.bit_dims, self._arriving(), own),
-                                   self.plan.graph)
-                rep = _assembled(self.plan, tuple(self.drawn) + own)
+                drawn = self._drawn()
+                violations = sweep(chain(self.plan.bit_dims, drawn), self.plan.graph)
+                rep = _assembled(self.plan, drawn)
             except _ChildFailed:
                 self.stop()
         swept = time.perf_counter() - started
         self.columns.close()
         return rep, violations, self.waited, swept - (self.waited - forked)
 
-    def _own_half(self) -> tuple[UnitIntervalRep, ...]:
-        """Random dimensions h..t-1, drawn here and written to this
-        process's file, which is then closed (the child reads its own
-        descriptor of it), and then the byte that tells the child so; the
-        time taken is added to self.waited.  When the child has left
-        before the byte is sent, the byte finds no reader, and the child's
-        failure is found later, by _arriving or by send."""
+    def _drawn(self) -> tuple[UnitIntervalRep, ...]:
+        """Random dimensions 0..t-1: this process's half drawn and written,
+        then its byte sent (to no reader when the child has left), then the
+        child's half read once its byte has come; the time taken is added to
+        self.waited.  _ChildFailed when the child leaves without its byte."""
         started = time.perf_counter()
         try:
             own = tuple(random_dims(self.plan, self.master_seed, self.index, self.half))
-            for dim in own:
-                _write_column(self.own_columns.fileno(), dim)
+            _write_columns(self.columns.fileno(), own, self.half)
             with suppress(BrokenPipeError):
                 self.tell.write(b"\1")
+            if not self.children.read(self.pid, 1):
+                raise _ChildFailed
+            return _read_columns(self.plan, self.columns.fileno(), range(self.half)) + own
         finally:
-            self.own_columns.close()
             self.tell.close()
             self.waited += time.perf_counter() - started
-        return own
-
-    def _arriving(self) -> Iterator[UnitIntervalRep]:
-        """Random dimensions 0..h-1 as the child sends them, each kept in
-        self.drawn, with the time taken to get it added to self.waited;
-        _ChildFailed at the first that the child does not send in full."""
-        read = _column_reader(self.plan, self.columns.fileno())
-        sent = 0
-        for j in range(self.half):
-            started = time.perf_counter()
-            if j == sent:
-                sent += len(self.children.read(self.pid, self.half - j))
-            dim = read(j) if j < sent else None
-            self.waited += time.perf_counter() - started
-            if dim is None:
-                raise _ChildFailed
-            self.drawn.append(dim)
-            yield dim
 
     def stop(self) -> None:
         """Kill and reap the child, if it runs."""
@@ -714,16 +685,16 @@ class _DrawnBeside:
 
 
 def _draw_and_render(plan: BuildPlan, master_seed: int, index: int, half: int,
-                     columns: int, own: int, ready: int, tell: int, dump: int,
+                     columns: int, ready: int, tell: int, dump: int,
                      report: BuildReport, progress: int) -> int:
     """The forked child of _DrawnBeside: draw random dimensions 0..half-1
-    of attempt `index` (random_dims), appending each column's values to the
-    file open at descriptor `columns` as _COLUMN_TYPE ints and then writing
-    one byte to descriptor `progress`; wait for the parent's byte on
-    descriptor `ready`, read its dimensions half..t-1 from the file open at
-    descriptor `own` (_column_reader); then render the attempt's dump into
-    the empty file at descriptor `dump` (_render_into) and return its size.
-    OSError when the parent's byte or a column of its is missing.
+    of attempt `index` (random_dims), write them to the column file open at
+    descriptor `columns` (_write_columns) and then one byte to descriptor
+    `progress`; wait for the parent's byte on descriptor `ready` and read
+    dimensions half..t-1 from the column file; then render the attempt's
+    dump into the empty file at descriptor `dump` (_render_into) and return
+    its size.  OSError when a column is written short or the parent's byte
+    is missing.
 
     The child first closes its copy of `tell`, the write end of `ready`'s
     pipe, so that a parent that dies leaves `ready` at its end instead of
@@ -732,20 +703,13 @@ def _draw_and_render(plan: BuildPlan, master_seed: int, index: int, half: int,
     collection in a forked child would copy every page it scans."""
     os.close(tell)
     gc.disable()
-    drawn = []
-    for dim in islice(random_dims(plan, master_seed, index), half):
-        _write_column(columns, dim)
-        os.write(progress, b"\1")
-        drawn.append(dim)
+    drawn = tuple(islice(random_dims(plan, master_seed, index), half))
+    _write_columns(columns, drawn, 0)
+    os.write(progress, b"\1")
     if os.read(ready, 1) != b"\1":
         raise OSError("the parent sent no columns")
-    read = _column_reader(plan, own)
-    for i in range(plan.t - half):
-        dim = read(i)
-        if dim is None:
-            raise OSError("a column of the parent's was read short")
-        drawn.append(dim)
-    return _render_into(dump, _assembled(plan, tuple(drawn)), report)
+    drawn += _read_columns(plan, columns, range(half, plan.t))
+    return _render_into(dump, _assembled(plan, drawn), report)
 
 
 def live_rows(plan: BuildPlan, master_seed: int, index: int) -> Iterator[list[int]]:

@@ -187,6 +187,15 @@ def gen_random_bipartite(n1: int, n2: int, p: float, seed: int) -> BipartiteGrap
     return BipartiteGraph(n1, n2, edges)
 
 
+def _natural(field: str) -> int:
+    """The int that `field` spells in ASCII digits only, as the dump's
+    vertex keys are (parse_vertex_key); ValueError for a sign, an
+    underscore, any other digit, or more digits than int() reads."""
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"not ASCII digits: {field!r}")
+    return int(field)
+
+
 def parse_graph(text: str) -> BipartiteGraph:
     """Parse the graph file format:
 
@@ -195,9 +204,9 @@ def parse_graph(text: str) -> BipartiteGraph:
         e <a-index> <b-index>     (1-based, one line per edge)
 
     Lines end at LF, CRLF or CR only, so a form feed in a comment stays in
-    it.  Raises GraphFormatError with the offending line number on malformed
-    headers, more than MAX_VERTICES vertices, out-of-range indices, and
-    duplicate edges.
+    it.  Counts and indices are ASCII digits.  Raises GraphFormatError with
+    the offending line number on malformed headers, more than MAX_VERTICES
+    vertices, out-of-range indices, and duplicate edges.
     """
     n1 = n2 = m = None
     edges: set[tuple[int, int]] = set()
@@ -214,26 +223,24 @@ def parse_graph(text: str) -> BipartiteGraph:
                 raise GraphFormatError(
                     "malformed header, expected 'p bipartite <n1> <n2> <m>'", lineno)
             try:
-                n1, n2, m = int(fields[2]), int(fields[3]), int(fields[4])
+                n1, n2, m = map(_natural, fields[2:])
             except ValueError:
-                raise GraphFormatError("malformed header, counts must be integers",
+                raise GraphFormatError("malformed header, counts must be ASCII digits",
                                        lineno) from None
             if n1 < 1 or n2 < 1:
                 raise GraphFormatError("side counts must be >= 1", lineno)
             if n1 + n2 > MAX_VERTICES:
                 raise GraphFormatError(
                     f"{n1}+{n2} vertices exceed the limit of {MAX_VERTICES}", lineno)
-            if m < 0:
-                raise GraphFormatError("edge count must be >= 0", lineno)
         elif fields[0] == "e":
             if n1 is None or n2 is None or m is None:
                 raise GraphFormatError("edge line before header", lineno)
             if len(fields) != 3:
                 raise GraphFormatError("malformed edge, expected 'e <a> <b>'", lineno)
             try:
-                a, b = int(fields[1]), int(fields[2])
+                a, b = map(_natural, fields[1:])
             except ValueError:
-                raise GraphFormatError("malformed edge, indices must be integers",
+                raise GraphFormatError("malformed edge, indices must be ASCII digits",
                                        lineno) from None
             if not 1 <= a <= n1:
                 raise GraphFormatError(f"a-index {a} outside 1..{n1}", lineno)

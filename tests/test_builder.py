@@ -678,8 +678,8 @@ def in_child(parent: int) -> bool:
 class TestRenderBeside:
     """A build with a dump forks, per attempt, one child that draws the
     first half of the attempt's random dimensions, while this process draws
-    the second, and renders its dump while this process verifies the
-    dimensions as they arrive."""
+    the second, each writing its half into one column file before one byte,
+    and renders its dump while this process verifies the dimensions."""
 
     @pytest.mark.parametrize("g, params, attempts", RENDER_CASES)
     def test_dump_is_write_dump_s_bytes(self, descriptors, forks, temporary_files,
@@ -692,8 +692,8 @@ class TestRenderBeside:
         assert report.swapped is (g.a_count > g.b_count)
         # this process draws once per attempt, from h = ceil(t / 2) on
         assert drawn_here == [(index, half(g, params)) for index in range(attempts)]
-        # the child's file of columns, this process's, and the dump's, per attempt
-        assert len(forks) == attempts and len(temporary_files) == 3 * attempts
+        # the one file of columns and the dump's, per attempt
+        assert len(forks) == attempts and len(temporary_files) == 2 * attempts
         assert rep == attempt(make_plan(g, params.t_override), params.master_seed,
                               attempts - 1)
         assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
@@ -787,44 +787,47 @@ class TestRenderBeside:
         assert len(forks) == 1
         assert_nothing_left(temporary_files, descriptors)
 
-    @pytest.mark.parametrize("column", ["first", "middle", "last"])
-    @pytest.mark.parametrize("failure", ["raises", "killed", "short column"])
+    @pytest.mark.parametrize("failure, column", [
+        *((failure, column) for failure in ["raises", "killed", "short pwrite"]
+          for column in ["first", "middle", "last"]),
+        ("killed before its byte", "last")])
     def test_a_failed_draw_is_drawn_here(self, descriptors, forks, temporary_files,
                                          monkeypatch, tmp_path, failure, column):
-        # the child sends the columns of its half before `column` in full,
-        # then raises, is killed, or sends a short column and waits: this
-        # process drops the partial check and its own half, then draws and
-        # verifies the whole attempt itself and writes the dump, as a build
-        # in one process does
+        # the child writes the columns of its half before `column` in full,
+        # then raises, is killed, or writes `column` short, which raises
+        # before its byte; or it writes its whole half and is killed before
+        # its byte: this process drops the partial check and its own half,
+        # then draws and verifies the whole attempt itself and writes the
+        # dump, as a build in one process does
         params = BuildParams(master_seed=1)
         expected = one_cpu_build(tmp_path, RENDERED, params)
         h = half(RENDERED, params)
         first = {"first": 0, "middle": h // 2, "last": h - 1}[column]
-        parent, dims, write = os.getpid(), builder.random_dims, os.write
-        sent = []
+        parent, dims, pwrite = os.getpid(), builder.random_dims, os.pwrite
+        written = []
 
         def failing_in_child(plan, master_seed, index, start=0):
             for j, dim in enumerate(dims(plan, master_seed, index, start), start):
-                if in_child(parent) and j == first and failure != "short column":
+                if in_child(parent) and j == first and failure in ("raises", "killed"):
                     if failure == "raises":
                         raise RuntimeError("the child fails")
                     os.kill(os.getpid(), signal.SIGKILL)
                 yield dim
 
-        def short_in_child(fd, data):
-            if in_child(parent) and len(data) > 8:  # a column
-                sent.append(data)
-                if len(sent) == first + 1:
-                    write(fd, data[:-1])
-                    return len(data)
-            elif in_child(parent) and len(sent) == first + 1:  # its byte
-                write(fd, data)
-                time.sleep(60)  # only a kill ends the child in time
-            return write(fd, data)
+        def failing_pwrite_in_child(fd, data, offset):
+            if not in_child(parent):
+                return pwrite(fd, data, offset)
+            written.append(offset)
+            if failure == "short pwrite" and len(written) == first + 1:
+                return pwrite(fd, data[:-1], offset)
+            count = pwrite(fd, data, offset)
+            if failure == "killed before its byte" and len(written) == h:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return count
 
         monkeypatch.setattr(builder, "random_dims", failing_in_child)
-        if failure == "short column":
-            monkeypatch.setattr(os, "write", short_in_child)
+        if failure in ("short pwrite", "killed before its byte"):
+            monkeypatch.setattr(os, "pwrite", failing_pwrite_in_child)
         out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
         drawn_here = recorded_draws(monkeypatch, parent)
         verified_here = recorded_verifies(monkeypatch)
@@ -839,9 +842,9 @@ class TestRenderBeside:
     @pytest.mark.parametrize("failure", ["no byte", "short read"])
     def test_a_child_failed_after_its_half_renders_here(
             self, descriptors, forks, temporary_files, monkeypatch, tmp_path, failure):
-        # the child sends its half in full, then finds no byte from this
-        # process, or reads this process's columns short: the check of the
-        # columns stands, and this process writes the dump
+        # the child writes its half and sends its byte, then finds no byte
+        # from this process, or reads this process's columns short: the
+        # check of the columns stands, and this process writes the dump
         params = BuildParams(master_seed=1)
         expected = one_cpu_build(tmp_path, RENDERED, params)
         parent, read, pread = os.getpid(), os.read, os.pread

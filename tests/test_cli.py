@@ -544,6 +544,17 @@ class TestVerify:
         assert main(["verify", graph, dump]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_graph_index_in_other_digits_exit_two(self, tmp_path, capsys):
+        # int() would read "\u0661" as 1 and "+2" as 2
+        graph = write_graph(tmp_path, "bad.txt", "p bipartite 2 2 1\ne \u0661 +2\n")
+        _, dump = self._dump_for(tmp_path, COMPLETE_22)
+        capsys.readouterr()
+        assert main(["verify", graph, dump]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: line 2: malformed edge, indices must be "
+                                "ASCII digits\n")
+
 
 def random_1(payload: dict) -> dict:
     return next(dim for dim in payload["dims"] if dim["provenance"] == "random-1")

@@ -245,6 +245,13 @@ class TestGraphFile:
         ("p bipartite 2 2 0\nq 1 1\n", 2),        # unknown line type
         ("p bipartite 2 2 1\ne 1 1 1\n", 2),      # malformed edge arity
         ("p bipartite 2 2 1\ne 1 x\n", 2),        # non-integer index
+        # counts and indices are ASCII digits, as int() alone would not ask
+        ("p bipartite 1_0 2 1\ne 1 2\n", 1),      # underscore in a count
+        ("p bipartite +2 2 0\n", 1),              # signed count
+        ("p bipartite 2 2 \u0661\n", 1),          # Arabic-Indic digit count
+        ("p bipartite 2 2 1\ne \u0661 +2\n", 2),  # Arabic-Indic digit index
+        ("p bipartite 2 2 1\ne +1 2\n", 2),       # signed index
+        ("p bipartite 2 2 1\ne 1 2\uff12\n", 2),  # fullwidth digit index
     ])
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(GraphFormatError) as excinfo:
