@@ -122,55 +122,42 @@ def nominal_dimension_bound(delta_prime: int, n2: int) -> int:
 
 
 def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
-    """Exact check that the dims' intersection graph equals g.
+    """Exact check that the dims' intersection graph equals g: all
+    violations, order-normalized; an empty list means the representation is
+    exact.
 
-    The dimensions go to `sweep`, tightest threshold first.  Vertices are
-    indexed in canonical order (A1..An1, B1..Bn2), the order of each
-    dimension's value column (CubeRepresentation checks that every
-    dimension is one), and each vertex i keeps an integer
-    bitset alive[i] whose bit j (j > i) is set while the pair (i, j) is
-    adjacent in every dimension seen so far.  Per dimension, the vertices
-    sorted by placement give prefix OR-masks, and the vertices within the
-    threshold of i form one contiguous run of that order, so alive[i] is cut
-    by a single XOR of two prefixes.  Dimensions run tightest threshold
-    first (the intersection does not depend on the order): bit dimensions
-    then empty the bitsets of most vertices early, and an empty bitset is
-    skipped.  Once no pair but edges of g is alive, a dimension can only cut
-    an edge, so the further ones are checked on the surviving edges alone,
-    up to 64 dimensions at once in 32-bit lanes of one int per vertex
-    (values outside [0, 2^30) take the window pass instead).  Up to that
-    point a dimension costs O(n log n) interpreted steps plus O(n^2 / 64)
-    word operations; after it a block of dimensions costs O(n) steps to
-    pack and O(m) big-int steps for m surviving edges.  Memory is O(n^2)
-    bits.  Returns all violations, order-normalized; an empty list means
-    the representation is exact.
+    Vertices are indexed in canonical order (A1..An1, B1..Bn2), the order
+    of each dimension's value column (CubeRepresentation checks that every
+    dimension is one), and each vertex i keeps an integer bitset alive[i]
+    whose bit j (j > i) is set while the pair (i, j) is adjacent in every
+    dimension seen so far.  The intersection does not depend on the order
+    of the dimensions, so they are taken tightest threshold first, in their
+    own order among equal thresholds: in an attempt, the bit dimensions and
+    then random dimensions 0..t-1.
+
+    Phase 1, while some same-side pair or cross non-edge is alive, is the
+    window pass (_window_cut): per dimension, the vertices sorted by
+    placement give prefix OR-masks, the vertices within the threshold of i
+    form one contiguous run of that order, so alive[i] is cut by a single
+    XOR of two prefixes, and an empty bitset is skipped.  The bit
+    dimensions empty the bitsets of most vertices early.  In phase 2 only
+    edges are alive, kept as two lists of endpoint indices, and the further
+    dimensions are taken in blocks of up to _LANE_BLOCK until no edge is
+    alive.  A block whose values all lie in [0, 2^30) is packed into one
+    int per vertex, 32 bits a dimension (_lane_ints), and each edge is
+    checked in all of the block's dimensions at once by two additions on
+    the difference of its endpoints' ints (_lane_kept); the edges that fail
+    are cut.  A dimension holding a value outside [0, 2^30), negative or
+    large, takes the window pass instead, and the surviving edges are then
+    read again from the bitsets.  A phase-1 dimension costs O(n log n)
+    interpreted steps plus O(n^2 / 64) word operations; a phase-2 block
+    O(n) steps to pack and O(m) big-int steps for m surviving edges.
+    Memory is O(n^2) bits.
     """
     if rep.a_count != g.a_count or rep.b_count != g.b_count:
         raise ValueError(
             f"vertex mismatch: representation is {rep.a_count}+{rep.b_count}, "
             f"graph is {g.a_count}+{g.b_count}")
-    return sweep(sorted(rep.dims, key=lambda dim: dim.threshold), g)
-
-
-def sweep(dims: Iterable[UnitIntervalRep], g: BipartiteGraph) -> list[Violation]:
-    """The violations of the intersection of `dims` against g, as verify
-    reports them: the sweep of verify over dimensions whose values are
-    columns in the canonical order of g's vertices, taken from `dims` in
-    the order given, and every one taken, also after no pair is left to
-    cut.  So a build can feed it the bit dimensions and then each random
-    dimension as it arrives.
-
-    Phase 1 is verify's window pass (_window_cut), made while some
-    same-side pair or cross non-edge is alive.  In phase 2 only edges are
-    alive, kept as two lists of endpoint indices, and the dimensions are
-    taken in blocks of up to _LANE_BLOCK.  A block whose values all lie in
-    [0, 2^30) is packed into one int per vertex, 32 bits a dimension
-    (_lane_ints), and each edge is checked in all of the block's
-    dimensions at once by two additions on the difference of its
-    endpoints' ints (_lane_kept); the edges that fail are cut.  A
-    dimension holding a value outside [0, 2^30), negative or large, takes
-    the window pass instead, which is exact for any ints, and the
-    surviving edges are then read again from the bitsets."""
     verts = vertex_order(g.a_count, g.b_count)
     count = len(verts)
     bit = [1 << i for i in range(count)]
@@ -179,15 +166,13 @@ def sweep(dims: Iterable[UnitIntervalRep], g: BipartiteGraph) -> list[Violation]
     edges = [0] * count
     for a, b in g.edges:
         edges[a - 1] |= bit[g.a_count + b - 1]
-    dims = iter(dims)
+    dims = iter(sorted(rep.dims, key=lambda dim: dim.threshold))
     # phase 1 while some row holds a pair that is no edge, phase 2 after it
     while any(map(ne, map(and_, alive, edges), alive)) and \
             (dim := next(dims, None)) is not None:
         _window_cut(alive, bit, dim)
     us, vs = _surviving_edges(g, alive, bit)
-    while block := list(islice(dims, _LANE_BLOCK)):
-        if not us:
-            continue  # nothing is left to cut, but every dimension is taken
+    while us and (block := list(islice(dims, _LANE_BLOCK))):
         xs = _lane_ints(block)
         if xs is None:
             inside = [0 <= min(dim.values) and max(dim.values) < 1 << 30 for dim in block]
@@ -214,7 +199,7 @@ def sweep(dims: Iterable[UnitIntervalRep], g: BipartiteGraph) -> list[Violation]
     return sorted(violations)
 
 
-# Most dimensions that phase 2 of sweep packs into one int per vertex.  It
+# Most dimensions that phase 2 of verify packs into one int per vertex.  It
 # bounds what the packing holds at a time, about 12 bytes x vertices x
 # _LANE_BLOCK (the packed array, its bytes and the ints): 0.7 MB at 900
 # vertices.
@@ -427,24 +412,21 @@ def checked_attempt(plan: BuildPlan, master_seed: int, index: int,
     in it against plan.graph, and the seconds spent constructing it and
     verifying it; an internal RuntimeError if an edge went missing.
 
-    With `drawing`, the attempt's forked child draws it while this process
-    verifies it (_DrawnBeside.check).  When that gives no attempt, because
+    With `drawing`, this process and the attempt's forked child draw its
+    random dimensions (_DrawnBeside.drawn); when that gives none, because
     no child was forked or it left before sending its half, the attempt is
-    made and verified here by attempt and verify, as without `drawing`, and
-    the seconds of the abandoned check are counted too."""
-    rep, violations, built, checked = (drawing.check() if drawing is not None
-                                       else (None, None, 0.0, 0.0))
-    if rep is None:
-        started = time.perf_counter()
-        rep = attempt(plan, master_seed, index)
-        drawn = time.perf_counter()
-        violations = verify(rep, plan.graph)
-        built += drawn - started
-        checked += time.perf_counter() - drawn
+    made here by `attempt`, as without `drawing`.  Either way verify is
+    called on it once.  The seconds constructing it count the fork and an
+    abandoned hand-over too."""
+    started = time.perf_counter()
+    drawn = drawing.drawn() if drawing is not None else None
+    rep = attempt(plan, master_seed, index) if drawn is None else _assembled(plan, drawn)
+    built = time.perf_counter()
+    violations = verify(rep, plan.graph)
     if any(v.kind == "missing-edge" for v in violations):
         # Retrying cannot help: every dimension is meant to be a supergraph.
         raise RuntimeError(f"internal error: an edge went missing: {violations}")
-    return rep, violations, built, checked
+    return rep, violations, built - started, time.perf_counter() - built
 
 
 def build_representation(
@@ -458,25 +440,24 @@ def build_representation(
     With `out`, the result's dump is written there, as write_dump writes it,
     once it has passed; nothing is written on BuildFailure.  Each attempt
     then forks a child that draws the first half of its random dimensions
-    while this process draws the second, and renders its dump while this
-    process verifies the dimensions (_DrawnBeside), unless _Children
-    forbids a fork or the dump has fewer than MIN_CHILD_CELLS cells
-    (vertices x k).  On a pass `out` is opened,
-    which truncates the file there while the child may still render, and
-    then the child is reaped and its dump is copied to `out` in the kernel
-    (_DrawnBeside.send); a failed attempt's child is killed and reaped,
-    and its files dropped.
-    When the fork is refused, or the child fails before it has sent its
-    half, the whole attempt is made and verified here, as without `out`;
-    when the child fails later, or the copy does, write_dump writes the
-    dump here instead, to the same bytes.  No child, no temporary file and
-    no pipe outlives the call.
+    while this process draws the second, hands its half over, and renders
+    the dump while this process verifies the attempt (_DrawnBeside), unless
+    _Children forbids a fork or the dump has fewer than MIN_CHILD_CELLS
+    cells (vertices x k).  On a pass `out` is opened, which truncates the
+    file there while the child may still render, and then the child is
+    reaped and its dump is copied to `out` in the kernel
+    (_DrawnBeside.send); a failed attempt's child is killed and reaped, and
+    its files dropped.  When the fork is refused, or the child fails before
+    it has sent its half, the whole attempt is drawn here, as without
+    `out`; when the child fails later, or the copy does, write_dump writes
+    the dump here instead, to the same bytes.  No child, no temporary file
+    and no pipe outlives the call.
 
     report.construct_seconds is the time spent drawing random dimensions
-    here or waiting for the child's half, report.verify_seconds the time in
-    the sweep of verify, both with those of a check abandoned when its
-    child failed, and report.write_seconds the time from the passing
-    verification to the dump in place."""
+    here, forking the child and waiting for its half, abandoned hand-overs
+    included, report.verify_seconds the time in verify, and
+    report.write_seconds the time from the passing verification to the
+    dump in place."""
     plan = make_plan(g, params.t_override)
     k = plan.t + len(plan.bit_dims)
 
@@ -567,14 +548,10 @@ def _read_columns(plan: BuildPlan, fd: int, columns: range) -> tuple[UnitInterva
         for j in columns)
 
 
-class _ChildFailed(Exception):
-    """A drawing child left without sending its byte."""
-
-
 class _DrawnBeside:
-    """One attempt of a build with a dump, whose random dimensions this
-    process and a forked child draw, each its half, while this process
-    verifies them.
+    """The random dimensions of one attempt of a build with a dump, drawn
+    by this process and a forked child, each its half; the child renders
+    the attempt's dump while this process verifies it.
 
     The child (_draw_and_render) draws dimensions 0..h-1, h = ceil(t/2), as
     random_dims does, and this process dimensions h..t-1 (random_dims from
@@ -585,78 +562,49 @@ class _DrawnBeside:
     reads the other's columns before the other's byte, and a column written
     short raises in its writer before that byte, so no column is read
     before it is whole.  The child then reads this process's half
-    (_read_columns), renders the attempt's dump into a second unnamed
-    temporary file and replies the dump's size.  `check` draws this
-    process's half first, since the child cannot render before it, then
-    reads the child's half and runs one sweep over the bit dimensions and
-    random dimensions 0..t-1.
+    (_read_columns), renders the dump into a second unnamed temporary file
+    and replies the dump's size.
 
-    When no child could be forked, `check` gives no attempt.  When the child
-    leaves before its byte (it raised, wrote a column short, or was
-    killed), the check is abandoned, the child reaped, and `check` gives no
-    attempt either; the dump is then not the child's, and `send` says so.
-    A child that fails after its byte (waiting for this process's byte,
-    reading its columns or rendering) has written its whole half, so the
-    check stands, and `send` finds the child failed."""
+    When no child could be forked, or the child leaves before its byte (it
+    raised, wrote a column short, or was killed), `drawn` gives nothing and
+    the child is reaped; the dump is then not the child's, and `send` says
+    so.  A child that fails after its byte (waiting for this process's
+    byte, reading its columns or rendering) has written its whole half, so
+    its columns stand, and `send` finds the child failed."""
 
     def __init__(self, plan: BuildPlan, master_seed: int, index: int,
                  children: "_Children", files: ExitStack, report: BuildReport) -> None:
-        started = time.perf_counter()
         self.plan, self.master_seed, self.index = plan, master_seed, index
-        self.children = children
-        self.half = (plan.t + 1) // 2
-        self.columns = files.enter_context(tempfile.TemporaryFile())
-        self.dump = files.enter_context(tempfile.TemporaryFile())
+        self.children, self.files, self.report = children, files, report
+        self.pid = None
+
+    def drawn(self) -> tuple[UnitIntervalRep, ...] | None:
+        """Random dimensions 0..t-1: the child forked, this process's half
+        drawn and written, then its byte sent (to no reader when the child
+        has left), then the child's half read once its byte has come; None
+        when no child was forked or it left without its byte."""
+        plan, half = self.plan, (self.plan.t + 1) // 2
+        columns = self.files.enter_context(tempfile.TemporaryFile())
+        self.dump = self.files.enter_context(tempfile.TemporaryFile())
         ready, tell = os.pipe()  # this process's byte to the child
-        self.tell = files.enter_context(open(tell, "wb", buffering=0))
-        try:
-            self.pid = children.fork(partial(
-                _draw_and_render, plan, master_seed, index, self.half,
-                self.columns.fileno(), ready, tell, self.dump.fileno(), report),
-                stream=True)
-        finally:
-            os.close(ready)
-        if self.pid is None:
-            self.tell.close()
-        # seconds spent forking the child, drawing this process's half, and
-        # waiting for and reading the child's
-        self.waited = time.perf_counter() - started
-
-    def check(self) -> tuple[CubeRepresentation | None, list[Violation] | None, float, float]:
-        """The attempt, its violations against plan.graph (as verify gives
-        them), and the seconds spent constructing it and verifying it; the
-        attempt and its violations are None when the child was not forked
-        or failed in its half."""
-        started, forked = time.perf_counter(), self.waited
-        rep = violations = None
-        if self.pid is not None:
+        with columns, open(tell, "wb", buffering=0) as told:
             try:
-                drawn = self._drawn()
-                violations = sweep(chain(self.plan.bit_dims, drawn), self.plan.graph)
-                rep = _assembled(self.plan, drawn)
-            except _ChildFailed:
-                self.stop()
-        swept = time.perf_counter() - started
-        self.columns.close()
-        return rep, violations, self.waited, swept - (self.waited - forked)
-
-    def _drawn(self) -> tuple[UnitIntervalRep, ...]:
-        """Random dimensions 0..t-1: this process's half drawn and written,
-        then its byte sent (to no reader when the child has left), then the
-        child's half read once its byte has come; the time taken is added to
-        self.waited.  _ChildFailed when the child leaves without its byte."""
-        started = time.perf_counter()
-        try:
-            own = tuple(random_dims(self.plan, self.master_seed, self.index, self.half))
-            _write_columns(self.columns.fileno(), own, self.half)
+                self.pid = self.children.fork(partial(
+                    _draw_and_render, plan, self.master_seed, self.index, half,
+                    columns.fileno(), ready, tell, self.dump.fileno(), self.report),
+                    stream=True)
+            finally:
+                os.close(ready)
+            if self.pid is None:
+                return None
+            own = tuple(random_dims(plan, self.master_seed, self.index, half))
+            _write_columns(columns.fileno(), own, half)
             with suppress(BrokenPipeError):
-                self.tell.write(b"\1")
+                told.write(b"\1")
             if not self.children.read(self.pid, 1):
-                raise _ChildFailed
-            return _read_columns(self.plan, self.columns.fileno(), range(self.half)) + own
-        finally:
-            self.tell.close()
-            self.waited += time.perf_counter() - started
+                self.stop()
+                return None
+            return _read_columns(plan, columns.fileno(), range(half)) + own
 
     def stop(self) -> None:
         """Kill and reap the child, if it runs."""
@@ -772,7 +720,7 @@ MIN_CHILD_DRAWS = 1000
 # Fewest cells (vertices x k) of a dump that make work on it in a forked
 # child, beside verification, worth its cost: build_representation's draw
 # of half the random dimensions and render, and verify_dump's layout check.
-# On the same host, with the lane-block sweep and the split draw,
+# On the same host, with verify's lane blocks and the split draw,
 # gen_random_bipartite(n, 2n, 4/n, 1) graphs built with --out, and their
 # dumps verified, with the child against without it (medians of 40
 # alternating calls each): builds at 7,320 cells +3.7 ms (+35%), 12,060

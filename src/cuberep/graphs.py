@@ -204,8 +204,9 @@ def parse_graph(text: str) -> BipartiteGraph:
         e <a-index> <b-index>     (1-based, one line per edge)
 
     Lines end at LF, CRLF or CR only, so a form feed in a comment stays in
-    it.  Counts and indices are ASCII digits.  Raises GraphFormatError with
-    the offending line number on malformed headers, more than MAX_VERTICES
+    it.  Counts and indices are ASCII digits, and only comment lines may
+    hold other than ASCII characters.  Raises GraphFormatError with the
+    offending line number on malformed headers, more than MAX_VERTICES
     vertices, out-of-range indices, and duplicate edges.
     """
     n1 = n2 = m = None
@@ -253,6 +254,8 @@ def parse_graph(text: str) -> BipartiteGraph:
             edges.add((a, b))
         else:
             raise GraphFormatError(f"unrecognized line type {fields[0]!r}", lineno)
+        if not raw.isascii():  # split() read a space such as U+00A0 or U+2028
+            raise GraphFormatError("non-ASCII character outside a comment", lineno)
     if n1 is None or n2 is None or m is None:
         raise GraphFormatError("missing 'p bipartite' header")
     if len(edges) != m:

@@ -14,7 +14,6 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import chain, islice
 from operator import and_
 from pathlib import Path
 from unittest import mock
@@ -686,12 +685,16 @@ class TestRenderBeside:
                                         monkeypatch, tmp_path, g, params, attempts):
         out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
         drawn_here = recorded_draws(monkeypatch, os.getpid())
+        verified_here = recorded_verifies(monkeypatch)
         rep, report = build_representation(g, params, out)
         assert writes == []
         assert report.retries == attempts - 1
         assert report.swapped is (g.a_count > g.b_count)
-        # this process draws once per attempt, from h = ceil(t / 2) on
+        # this process draws once per attempt, from h = ceil(t / 2) on, and
+        # verifies each attempt once
         assert drawn_here == [(index, half(g, params)) for index in range(attempts)]
+        assert verified_here == [attempt(make_plan(g, params.t_override), params.master_seed,
+                                         index) for index in range(attempts)]
         # the one file of columns and the dump's, per attempt
         assert len(forks) == attempts and len(temporary_files) == 2 * attempts
         assert rep == attempt(make_plan(g, params.t_override), params.master_seed,
@@ -796,9 +799,9 @@ class TestRenderBeside:
         # the child writes the columns of its half before `column` in full,
         # then raises, is killed, or writes `column` short, which raises
         # before its byte; or it writes its whole half and is killed before
-        # its byte: this process drops the partial check and its own half,
-        # then draws and verifies the whole attempt itself and writes the
-        # dump, as a build in one process does
+        # its byte: this process drops its own half, then draws the whole
+        # attempt itself, verifies it once and writes the dump, as a build
+        # in one process does
         params = BuildParams(master_seed=1)
         expected = one_cpu_build(tmp_path, RENDERED, params)
         h = half(RENDERED, params)
@@ -843,8 +846,8 @@ class TestRenderBeside:
     def test_a_child_failed_after_its_half_renders_here(
             self, descriptors, forks, temporary_files, monkeypatch, tmp_path, failure):
         # the child writes its half and sends its byte, then finds no byte
-        # from this process, or reads this process's columns short: the
-        # check of the columns stands, and this process writes the dump
+        # from this process, or reads this process's columns short: its
+        # columns stand, and this process verifies them and writes the dump
         params = BuildParams(master_seed=1)
         expected = one_cpu_build(tmp_path, RENDERED, params)
         parent, read, pread = os.getpid(), os.read, os.pread
@@ -866,7 +869,7 @@ class TestRenderBeside:
         rep, report = build_representation(RENDERED, params, out)
         assert len(forks) == 1
         assert writes == [out] and drawn_here == [(0, half(RENDERED, params))]
-        assert verified_here == []
+        assert verified_here == [rep]
         assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
         assert_nothing_left(temporary_files, descriptors)
 
@@ -925,21 +928,20 @@ class TestRenderBeside:
     def test_interrupt_during_verify_kills_and_reaps_the_child(
             self, descriptors, forks, temporary_files, monkeypatch, tmp_path):
         # the child would render for a minute: only a kill ends it in time;
-        # the sweep is interrupted once it has taken a few columns
-        parent, pieces, sweep = os.getpid(), builder._dump_pieces, builder.sweep
+        # verify is interrupted once it is given the whole attempt
+        parent, pieces = os.getpid(), builder._dump_pieces
 
         def slow_in_child(*args):
             if in_child(parent):
                 time.sleep(60)
             return pieces(*args)
 
-        def interrupted(dims, g):
-            taken = list(islice(dims, len(make_plan(RENDERED).bit_dims) + 3))
-            assert len(taken) == len(make_plan(RENDERED).bit_dims) + 3
+        def interrupted(rep, g):
+            assert rep == attempt(make_plan(RENDERED), 1, 0)
             raise KeyboardInterrupt
 
         monkeypatch.setattr(builder, "_dump_pieces", slow_in_child)
-        monkeypatch.setattr(builder, "sweep", interrupted)
+        monkeypatch.setattr(builder, "verify", interrupted)
         out = tmp_path / "dump.json"
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
@@ -1057,65 +1059,53 @@ def one_cpu_build(tmp_path, g, params) -> tuple:
     return rep, report_to_jsonable(report), out.read_bytes()
 
 
-class Counted:
-    """An iterator over `items` that counts the items pulled from it, and
-    whether a pull found it exhausted."""
-
-    def __init__(self, items) -> None:
-        self.items, self.pulled, self.exhausted = iter(items), 0, False
-
-    def __iter__(self) -> "Counted":
-        return self
-
-    def __next__(self):
-        try:
-            item = next(self.items)
-        except StopIteration:
-            self.exhausted = True
-            raise
-        self.pulled += 1
-        return item
-
-
 # (graph, master seed) whose attempt 0 passes and leaves no cross non-edge
 # alive after fewer than t random dimensions: the CI's 100+200 graph and
 # its seed, a graph with no edge and one with a single edge
 SWEPT_CASES = [(gen_random_bipartite(100, 200, 0.04, seed=1), 7),
                (BipartiteGraph(3, 4, frozenset()), 1),
                (BipartiteGraph(3, 4, frozenset({(2, 3)})), 1)]
-SWEPT_IDS = ["100x200", "edgeless", "one-edge"]
 
 
-class TestSweep:
-    @settings(max_examples=100, deadline=None)
+class TestVerifyPhases:
+    @settings(max_examples=150, deadline=None)
     @given(bipartite_graphs(max_a=5, max_b=6), st.integers(0, 2 ** 64 - 1), st.data())
-    def test_bit_dims_then_columns_sweep_as_verify(self, g, seed, data):
-        # the order in which a build feeds the sweep, on attempts with some
-        # placements moved, so that both verdicts and both kinds occur
-        plan = make_plan(g, data.draw(st.integers(0, 4)))
+    def test_the_order_of_the_dimensions_does_not_matter(self, g, seed, data):
+        # attempts with placements moved, some into LANE_VALUES, and
+        # thresholds redrawn, so that both verdicts and both kinds occur and
+        # phase 2 spans several lane blocks, given in a drawn order, tags
+        # with their dimensions
+        plan = make_plan(g, data.draw(st.integers(0, 150)))
         rep = attempt(plan, seed, 0)
-        dims = list(rep.dims)
-        for _ in range(data.draw(st.integers(0, 3)) if dims else 0):
-            pos = data.draw(st.integers(0, len(dims) - 1))
-            values = list(dims[pos].values)
+        for _ in range(data.draw(st.integers(0, 6)) if rep.dims else 0):
+            j = data.draw(st.integers(0, len(rep.dims) - 1))
+            values = list(rep.dims[j].values)
             values[data.draw(st.integers(0, len(values) - 1))] = data.draw(
-                st.integers(-2 * g.vertex_count, 3 * g.vertex_count))
-            dims[pos] = UnitIntervalRep.column(dims[pos].verts, values, dims[pos].threshold)
-        moved = CubeRepresentation(rep.a_count, rep.b_count, tuple(dims), rep.provenance)
-        fed = chain(moved.dims[plan.t:], moved.dims[:plan.t])
-        assert builder.sweep(fed, g) == verify(moved, g) == oracle_violations(moved, g)
+                st.sampled_from(LANE_VALUES) | st.integers(-2 * g.vertex_count,
+                                                           3 * g.vertex_count))
+            rep = with_column(rep, j, values)
+        for _ in range(data.draw(st.integers(0, 4)) if rep.dims else 0):
+            j = data.draw(st.integers(0, len(rep.dims) - 1))
+            threshold = data.draw(st.sampled_from([1, g.vertex_count, 2 ** 30 - 1, 2 ** 30])
+                                  | st.integers(1, 2 ** 31))
+            rep = with_column(rep, j, list(rep.dims[j].values), threshold)
+        order = data.draw(st.permutations(range(len(rep.dims))))
+        permuted = CubeRepresentation(rep.a_count, rep.b_count,
+                                      tuple(rep.dims[j] for j in order),
+                                      tuple(rep.provenance[j] for j in order))
+        assert verify(permuted, g) == verify(rep, g) == pair_violations(rep, g)
 
-    @pytest.mark.parametrize("g, seed", SWEPT_CASES, ids=SWEPT_IDS)
-    def test_every_dimension_is_taken(self, g, seed):
-        # a build's child sends a column only as the sweep takes it, so the
-        # sweep takes every dimension, also those after the last non-edge
-        # died (here well before the last) and when no edge is left to check
+    @pytest.mark.parametrize("g, seed", SWEPT_CASES, ids=["100x200", "edgeless", "one-edge"])
+    def test_phase_2_takes_the_dimensions_after_j_star(self, monkeypatch, g, seed):
+        # the window pass takes the bit dimensions and the first j* random
+        # ones, after which no non-edge is alive; phase 2 packs the rest
+        # while an edge is alive, so none where g has no edge
         plan = make_plan(g)
-        assert len(list(live_rows(plan, seed, 0))) < plan.t
-        rep = attempt(plan, seed, 0)
-        fed = Counted(chain(plan.bit_dims, rep.dims[:plan.t]))
-        assert builder.sweep(fed, g) == verify(rep, g) == []
-        assert fed.pulled == len(rep.dims) and fed.exhausted
+        j_star = len(list(live_rows(plan, seed, 0)))
+        assert j_star < plan.t
+        packs = counted_packs(monkeypatch)
+        assert verify(attempt(plan, seed, 0), g) == []
+        assert sum(packs) == (plan.t - j_star if g.edges else 0)
 
     @pytest.mark.parametrize("g, seed, cut", [
         (*SWEPT_CASES[0], 1), (*SWEPT_CASES[0], 2), (*SWEPT_CASES[0], "all"),
@@ -1129,10 +1119,9 @@ class TestSweep:
         # edges missing and nothing else
         plan = make_plan(g)
         rep = attempt(plan, seed, 0)
-        assert builder.sweep(chain(plan.bit_dims, rep.dims[:plan.t - 1]), g) == []
+        assert verify(attempt(make_plan(g, plan.t - 1), seed, 0), g) == []
         moved, missing = edges_cut(plan, rep, plan.t - 1, cut)
-        fed = chain(moved.dims[plan.t:], moved.dims[:plan.t])
-        assert builder.sweep(fed, g) == verify(moved, g) == missing
+        assert verify(moved, g) == missing
         if g.vertex_count <= 30:  # the reference takes 44 s at 100+200
             assert oracle_violations(moved, g) == missing
 
@@ -1154,12 +1143,9 @@ def edges_cut(plan, rep: CubeRepresentation, j: int,
     values = list(dim.values)
     values[offset[other] + vertex - 1] = \
         dim.values[offset[plan.side] + lowest[cut - 1]] + dim.threshold + 1
-    dims = list(rep.dims)
-    dims[j] = UnitIntervalRep.column(dim.verts, values, dim.threshold)
-    moved = CubeRepresentation(rep.a_count, rep.b_count, tuple(dims), rep.provenance)
     missing = sorted(Violation("missing-edge", *sorted([(other, vertex), (plan.side, p + 1)]))
                      for p in lowest[:cut])
-    return moved, missing
+    return with_column(rep, j, values), missing
 
 
 def with_column(rep: CubeRepresentation, j: int, values: list[int],
@@ -1172,7 +1158,7 @@ def with_column(rep: CubeRepresentation, j: int, values: list[int],
     return CubeRepresentation(rep.a_count, rep.b_count, tuple(dims), rep.provenance)
 
 
-# placement values that phase 2 of sweep packs into its 32-bit lanes or
+# placement values that phase 2 of verify packs into its 32-bit lanes or
 # sends to the window pass: below them, at both ends of [0, 2^30), past
 # it, and past what a lane and array("I") hold
 LANE_VALUES = [-1, 0, 2 ** 30 - 1, 2 ** 30, 2 ** 31, 2 ** 32, 10 ** 20]
@@ -1184,14 +1170,27 @@ LANE_GAPS = [(2 ** 31, 0, 2 ** 31), (0, 2 ** 31, 2 ** 31), (2 ** 31, 0, 2 ** 31 
              (2 ** 30, 0, 2 ** 30), (2 ** 30, 1, 2 ** 30 - 2)]
 
 
+def counted_packs(monkeypatch) -> list[int]:
+    """The size of each block that phase 2 of verify packs from now on."""
+    sizes, lane_ints = [], builder._lane_ints
+
+    def counting(block):
+        sizes.append(len(block))
+        return lane_ints(block)
+
+    monkeypatch.setattr(builder, "_lane_ints", counting)
+    return sizes
+
+
 class TestLaneBlocks:
-    """Phase 2 of sweep checks the surviving edges in blocks of up to
-    _LANE_BLOCK dimensions, packed in 32-bit lanes, and sends a dimension
-    with a value outside [0, 2^30) to the window pass."""
+    """Phase 2 of verify checks the surviving edges in blocks of up to
+    _LANE_BLOCK dimensions, packed in 32-bit lanes, sends a dimension with
+    a value outside [0, 2^30) to the window pass, and stops once no edge is
+    alive."""
 
     @settings(max_examples=150, deadline=None)
     @given(bipartite_graphs(max_a=5, max_b=6), st.integers(0, 2 ** 64 - 1), st.data())
-    def test_values_at_and_past_the_lanes_sweep_as_verify(self, g, seed, data):
+    def test_values_at_and_past_the_lanes_verify_as_the_oracle(self, g, seed, data):
         # t up to 200, so that phase 2 spans several blocks
         plan = make_plan(g, data.draw(st.integers(0, 200)))
         rep = attempt(plan, seed, 0)
@@ -1206,27 +1205,33 @@ class TestLaneBlocks:
             threshold = data.draw(st.sampled_from([2 ** 30 - 1, 2 ** 30, 2 ** 31])
                                   | st.integers(1, 2 ** 31))
             rep = with_column(rep, j, list(rep.dims[j].values), threshold)
-        fed = chain(rep.dims[plan.t:], rep.dims[:plan.t])
-        assert builder.sweep(fed, g) == verify(rep, g) == oracle_violations(rep, g)
+        assert verify(rep, g) == oracle_violations(rep, g)
 
     @pytest.mark.parametrize("at", [0, 63, 64, 129], ids=["first", "end", "second", "last"])
     @pytest.mark.parametrize("gap", LANE_GAPS, ids=str)
     def test_one_dimension_among_boundary_gaps(self, gap, at):
         # the one pair of a graph of one edge is checked in phase 2 from the
-        # first dimension on; every other dimension puts the edge's
-        # endpoints at exactly their threshold apart, either way round, so a
-        # carry or borrow from the tested dimension's lane into another, a
-        # dimension skipped, or a value mishandled outside the lanes shows
+        # first dimension on, which is the tested one at `at` of verify's
+        # order, tightest threshold first: those before it have thresholds
+        # up to c, those after it from c on.  Every other dimension puts the
+        # edge's endpoints at exactly their threshold apart, or 2^30 - 1
+        # apart where it is larger, either way round, so a carry or borrow
+        # from the tested dimension's lane into another, a dimension
+        # skipped, or a value mishandled outside the lanes shows
         g = BipartiteGraph(1, 1, frozenset({(1, 1)}))
         verts = vertex_order(1, 1)
-        dims = [UnitIntervalRep.column(verts, [0, c] if i % 2 else [c, 0], c)
-                for i, c in enumerate([1, 2 ** 30 - 1] * 65)]
         u, v, c = gap
+        below, above = [1, min(c, 2 ** 30 - 1)], [c, max(c, 2 ** 30 - 1)]
+        thresholds = [(below if i < at else above)[i % 2] for i in range(130)]
+        dims = [UnitIntervalRep.column(verts, [0, gap] if i % 2 else [gap, 0], threshold)
+                for i, threshold in enumerate(thresholds)
+                for gap in [min(threshold, 2 ** 30 - 1)]]
         dims[at] = UnitIntervalRep.column(verts, [u, v], c)
+        assert [dim is dims[at] for dim in sorted(dims, key=lambda dim: dim.threshold)
+                ].index(True) == at
         rep = CubeRepresentation(1, 1, tuple(dims), tuple(map(random_dim_tag, range(1, 131))))
         missing = [] if abs(u - v) <= c else [Violation("missing-edge", *verts)]
-        assert builder.sweep(iter(dims), g) == verify(rep, g) == missing
-        assert pair_violations(rep, g) == missing
+        assert verify(rep, g) == pair_violations(rep, g) == missing
 
     @pytest.fixture(scope="class")
     def swept(self):
@@ -1248,9 +1253,23 @@ class TestLaneBlocks:
         j = {"block start": j_star + block, "block end": j_star + block - 1,
              "last": plan.t - 1}[where]
         moved, missing = edges_cut(plan, rep, j, cut)
-        fed = chain(moved.dims[plan.t:], moved.dims[:plan.t])
-        assert builder.sweep(fed, plan.graph) == verify(moved, plan.graph) == missing
-        assert pair_violations(moved, plan.graph) == missing
+        assert verify(moved, plan.graph) == pair_violations(moved, plan.graph) == missing
+
+    @pytest.mark.parametrize("where", [0, 1, 63], ids=["first", "second", "last"])
+    def test_phase_2_stops_once_every_edge_is_cut(self, swept, monkeypatch, where):
+        # one dimension of the first phase-2 block places every A vertex at
+        # 0 and every B vertex past the threshold: every edge goes missing
+        # there, and the blocks after it are not packed
+        plan, rep, j_star = swept
+        g, j = plan.graph, j_star + where
+        c = rep.dims[j].threshold
+        moved = with_column(rep, j, [0] * g.a_count + [c + 1] * g.b_count)
+        missing = sorted(Violation("missing-edge", (SIDE_A, a), (SIDE_B, b))
+                         for a, b in g.edges)
+        packs = counted_packs(monkeypatch)
+        assert verify(moved, g) == missing
+        assert packs == [builder._LANE_BLOCK]
+        assert pair_violations(moved, g) == missing
 
     @pytest.mark.parametrize("cut", [0, 1, "all"])
     def test_a_late_dimension_translated_below_the_lanes(self, swept, cut):
@@ -1260,16 +1279,15 @@ class TestLaneBlocks:
         j = j_star + builder._LANE_BLOCK + 1
         moved, missing = edges_cut(plan, rep, j, cut) if cut else (rep, [])
         moved = with_column(moved, j, [x - 2 ** 40 for x in moved.dims[j].values])
-        fed = chain(moved.dims[plan.t:], moved.dims[:plan.t])
-        assert builder.sweep(fed, plan.graph) == verify(moved, plan.graph) == missing
-        assert pair_violations(moved, plan.graph) == missing
+        assert verify(moved, plan.graph) == pair_violations(moved, plan.graph) == missing
 
     @pytest.mark.parametrize("late", [1, 63, 64, 65])
     def test_a_partial_last_block_is_taken(self, swept, late):
+        # the attempt cut after j* + late random dimensions, whose last
+        # block is partial but for late = 64, still passes
         plan, rep, j_star = swept
-        fed = Counted(chain(plan.bit_dims, rep.dims[:j_star + late]))
-        assert builder.sweep(fed, plan.graph) == []
-        assert fed.pulled == len(plan.bit_dims) + j_star + late and fed.exhausted
+        assert verify(attempt(make_plan(plan.graph, j_star + late), SWEPT_CASES[0][1], 0),
+                      plan.graph) == []
 
 
 def normalized_graphs(max_a: int = 4, max_b: int = 5):

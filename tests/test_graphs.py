@@ -252,6 +252,13 @@ class TestGraphFile:
         ("p bipartite 2 2 1\ne \u0661 +2\n", 2),  # Arabic-Indic digit index
         ("p bipartite 2 2 1\ne +1 2\n", 2),       # signed index
         ("p bipartite 2 2 1\ne 1 2\uff12\n", 2),  # fullwidth digit index
+        # header and edge lines are ASCII, as str.split() alone would not ask
+        ("p bipartite 2 2 1\ne 1\u00a02\n", 2),  # no-break space in an edge
+        ("p bipartite 2 2 1\ne 1\u20282\n", 2),  # line separator in an edge
+        ("p\u00a0bipartite 1 1 1\ne 1 1\n", 1),  # no-break space in the header
+        # a line separator before an edge line; the comment and the blank
+        # line of a no-break space before it pass
+        ("c \u00e9t\u00e9\np bipartite 1 1 0\n\u00a0\n\u2028e 1 1\n", 4),
     ])
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(GraphFormatError) as excinfo:
