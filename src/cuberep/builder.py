@@ -147,8 +147,8 @@ def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
     int per vertex, 32 bits a dimension (_lane_ints), and each edge is
     checked in all of the block's dimensions at once by two additions on
     the difference of its endpoints' ints (_lane_kept); the edges that fail
-    are cut.  A dimension holding a value outside [0, 2^30), negative or
-    large, takes the window pass instead, and the surviving edges are then
+    are cut.  A block holding a value outside [0, 2^30), negative or large,
+    takes the window pass whole instead, and the surviving edges are then
     read again from the bitsets.  A phase-1 dimension costs O(n log n)
     interpreted steps plus O(n^2 / 64) word operations; a phase-2 block
     O(n) steps to pack and O(m) big-int steps for m surviving edges.
@@ -175,14 +175,10 @@ def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
     while us and (block := list(islice(dims, _LANE_BLOCK))):
         xs = _lane_ints(block)
         if xs is None:
-            inside = [0 <= min(dim.values) and max(dim.values) < 1 << 30 for dim in block]
-            for dim in compress(block, map(not_, inside)):
+            for dim in block:
                 _window_cut(alive, bit, dim)
             us, vs = _surviving_edges(g, alive, bit)
-            block = list(compress(block, inside))
-            if not (us and block):
-                continue
-            xs = _lane_ints(block)
+            continue
         kept = _lane_kept(block, xs, us, vs)
         if not all(kept):
             for u, v in compress(zip(us, vs), map(not_, kept)):
@@ -557,13 +553,12 @@ class _DrawnBeside:
     random_dims does, and this process dimensions h..t-1 (random_dims from
     h).  Each writes its whole half into one unnamed temporary file, column
     j at offset j x the column's size (_write_columns), and only then sends
-    one byte: the child on its reply pipe, so it never waits for this
-    process, and this process on a pipe of its own to the child.  Neither
-    reads the other's columns before the other's byte, and a column written
-    short raises in its writer before that byte, so no column is read
-    before it is whole.  The child then reads this process's half
-    (_read_columns), renders the dump into a second unnamed temporary file
-    and replies the dump's size.
+    one byte on a pipe of its own to the other, so the child never waits
+    for this process before its byte.  Neither reads the other's columns
+    before the other's byte, and a column written short raises in its
+    writer before that byte, so no column is read before it is whole.  The
+    child then reads this process's half (_read_columns), renders the dump
+    into a second unnamed temporary file and replies the dump's size.
 
     When no child could be forked, or the child leaves before its byte (it
     raised, wrote a column short, or was killed), `drawn` gives nothing and
@@ -582,26 +577,31 @@ class _DrawnBeside:
         """Random dimensions 0..t-1: the child forked, this process's half
         drawn and written, then its byte sent (to no reader when the child
         has left), then the child's half read once its byte has come; None
-        when no child was forked or it left without its byte."""
+        when no child was forked or it left without its byte.  This process
+        closes its write end of the child's pipe right after the fork, so a
+        child that leaves before its byte leaves the pipe at its end."""
         plan, half = self.plan, (self.plan.t + 1) // 2
         columns = self.files.enter_context(tempfile.TemporaryFile())
         self.dump = self.files.enter_context(tempfile.TemporaryFile())
         ready, tell = os.pipe()  # this process's byte to the child
-        with columns, open(tell, "wb", buffering=0) as told:
+        halfway, written = os.pipe()  # the child's byte to this process
+        with columns, open(tell, "wb", buffering=0) as told, \
+                open(halfway, "rb", buffering=0) as heard:
             try:
                 self.pid = self.children.fork(partial(
                     _draw_and_render, plan, self.master_seed, self.index, half,
-                    columns.fileno(), ready, tell, self.dump.fileno(), self.report),
-                    stream=True)
+                    columns.fileno(), ready, tell, halfway, written, self.dump.fileno(),
+                    self.report))
             finally:
                 os.close(ready)
+                os.close(written)
             if self.pid is None:
                 return None
             own = tuple(random_dims(plan, self.master_seed, self.index, half))
             _write_columns(columns.fileno(), own, half)
             with suppress(BrokenPipeError):
                 told.write(b"\1")
-            if not self.children.read(self.pid, 1):
+            if not heard.read(1):
                 self.stop()
                 return None
             return _read_columns(plan, columns.fileno(), range(half)) + own
@@ -633,27 +633,29 @@ class _DrawnBeside:
 
 
 def _draw_and_render(plan: BuildPlan, master_seed: int, index: int, half: int,
-                     columns: int, ready: int, tell: int, dump: int,
-                     report: BuildReport, progress: int) -> int:
+                     columns: int, ready: int, tell: int, halfway: int, written: int,
+                     dump: int, report: BuildReport) -> int:
     """The forked child of _DrawnBeside: draw random dimensions 0..half-1
     of attempt `index` (random_dims), write them to the column file open at
     descriptor `columns` (_write_columns) and then one byte to descriptor
-    `progress`; wait for the parent's byte on descriptor `ready` and read
+    `written`; wait for the parent's byte on descriptor `ready` and read
     dimensions half..t-1 from the column file; then render the attempt's
     dump into the empty file at descriptor `dump` (_render_into) and return
     its size.  OSError when a column is written short or the parent's byte
     is missing.
 
-    The child first closes its copy of `tell`, the write end of `ready`'s
+    The child first closes its copies of `tell`, the write end of `ready`'s
     pipe, so that a parent that dies leaves `ready` at its end instead of
-    blocking it.
+    blocking it, and of `halfway`, the read end of `written`'s pipe, which
+    only the parent reads.
     The garbage collector stays off: the child makes no cycle, and a
     collection in a forked child would copy every page it scans."""
     os.close(tell)
+    os.close(halfway)
     gc.disable()
     drawn = tuple(islice(random_dims(plan, master_seed, index), half))
     _write_columns(columns, drawn, 0)
-    os.write(progress, b"\1")
+    os.write(written, b"\1")
     if os.read(ready, 1) != b"\1":
         raise OSError("the parent sent no columns")
     drawn += _read_columns(plan, columns, range(half, plan.t))
@@ -759,6 +761,8 @@ def _leave_cpu_of(pid: int) -> None:
 
 class _Children:
     """The children that one call forks, each to compute one int beside it.
+    Every caller forks a child, does its own work, then acts on the
+    child's one reply (`reply` or `result`).
 
     `allowed` says whether this process may fork at all: os.fork exists, no
     other thread runs (forking a threaded process can deadlock), and a
@@ -781,13 +785,11 @@ class _Children:
                 os.kill(pid, signal.SIGKILL)
             self._reap(pid)
 
-    def fork(self, compute: Callable[..., int], stream: bool = False) -> int | None:
+    def fork(self, compute: Callable[[], int]) -> int | None:
         """Fork a child that writes compute() to a pipe, as 8 little-endian
-        bytes, and leaves by os._exit: it flushes no inherited buffer and
-        runs no exit handler.  It writes nothing else to the pipe, unless
-        `stream` is set: compute is then called with the pipe's write end,
-        and may write bytes to it before its reply, which `read` reads.
-        Returns its pid, or None when no process can be forked."""
+        bytes, and nothing else, and leaves by os._exit: it flushes no
+        inherited buffer and runs no exit handler.  Returns its pid, or None
+        when no process can be forked."""
         read, write = os.pipe()
         try:
             pid = os.fork()
@@ -800,7 +802,7 @@ class _Children:
             try:
                 os.close(read)
                 _leave_cpu_of(os.getppid())
-                value = compute(write) if stream else compute()
+                value = compute()
                 os.write(write, value.to_bytes(8, "little"))
                 status = 0
             finally:
@@ -823,13 +825,6 @@ class _Children:
         non-zero or replied short."""
         reply = None if pid is None else self.reply(pid)
         return compute() if reply is None else reply
-
-    def read(self, pid: int, most: int) -> bytes:
-        """Up to `most` of the bytes that child `pid` streams before its
-        reply, waiting for one at least; b"" once the child has exited
-        without writing more.  The caller reads no more than the child
-        streams, so that the reply is left whole for `reply`."""
-        return os.read(self.running[pid], most)
 
     def kill(self, pid: int) -> None:
         """Kill child `pid` and reap it."""
@@ -1196,15 +1191,6 @@ def _layout_accepted(chunks: Callable[[], Iterator[str]], rep: CubeRepresentatio
         return False
 
 
-def _dims_or_none(chunks: Callable[[], Iterator[str]]
-                  ) -> tuple[CubeRepresentation, object] | None:
-    """_dims_pass of a new call of `chunks`, or None where it fails."""
-    try:
-        return _dims_pass(chunks())
-    except (ValueError, RecursionError):
-        return None
-
-
 @contextmanager
 def _collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector, and restore its state on exit.  A
@@ -1234,58 +1220,51 @@ def _decode_dump(text: str) -> tuple[CubeRepresentation, object]:
 
 
 def _stream_or_decode(chunks: Callable[[], Iterator[str]], whole: Callable[[], str],
-                      beside: Callable[[CubeRepresentation, object], object] | None = None
-                      ) -> object:
+                      g: BipartiteGraph | None = None
+                      ) -> CubeRepresentation | list[Violation]:
     """The representation of the dump text that each call of `chunks`
-    spells out anew and `whole` returns at once, or, with `beside`, what
-    beside returns for it and the dump's report.  The stream reader reads
-    it in two passes, and never decodes its cubes block: pass 1
+    spells out anew and `whole` returns at once, or, with g, what
+    _verified gives for it and its report against g.  The stream reader
+    reads it in two passes, and never decodes its cubes block: pass 1
     (_dims_pass) proposes the dimensions, read by the layout of the dims
     items alone, and the report after them, and pass 2 (_layout_accepted)
     proves them, accepting the text only when it is their rendering and
     then a report.  So an accepted text is the rendering of the returned
     representation, which the full decode reads back to that
     representation, and then the report that the full decode reads too.
-    Any other text, and any that cannot be
-    decoded from its chunks, takes the full decode of whole(), which gives
-    every verdict and error text.  The garbage collector is paused
-    throughout (_collector_paused).
+    Any other text, and any that cannot be decoded from its chunks, takes
+    the full decode of whole(), which gives every verdict and error text.
+    The garbage collector is paused throughout (_collector_paused).
 
-    With `beside`, once pass 1 has read the dimensions, a forked child runs
-    pass 2 (_layout_accepted) and replies 1 or 0 while this process calls
-    beside on them; the source is not touched here until the child is
-    reaped.  There is no child where _Children forbids a fork or the
-    dimensions hold fewer than MIN_CHILD_CELLS cells (vertices x k).  Pass
-    2 runs here, after beside, when there is no child, the fork fails, or
-    the child exits non-zero or replies short (_Children.result).  An
-    Exception from beside is held until pass 2 has given its verdict, and
-    raised only when the text is accepted; a turned-down text takes the
-    full decode, and beside is called on its result.  So the result, or the
-    exception, is beside's of the representation read without it.  The
-    child is reaped before the call returns, and killed first on an
-    exception (a KeyboardInterrupt in beside, say)."""
+    With g, once pass 1 has read the dimensions, a forked child runs pass 2
+    and replies 1 or 0 while this process verifies the dimensions, if
+    their vertex counts are g's; the source is not touched here until the
+    child is reaped.  There is no child where _Children forbids a fork or
+    the dimensions hold fewer than MIN_CHILD_CELLS cells (vertices x k).
+    Without a child, or when it exits non-zero or replies short
+    (_Children.result), pass 2 runs here before any verification.  Once
+    the verdict is in, _verified checks the report and verifies, reusing
+    the violations found beside the child when the text was accepted.
+    The child is reaped before the call returns, and killed first on an
+    exception (a KeyboardInterrupt in verify, say)."""
     with _collector_paused(), _Children() as children:
-        rep, report = _dims_or_none(chunks) or (None, None)
-        forking = (rep is not None and beside is not None and children.allowed
-                   and (rep.a_count + rep.b_count) * rep.dimension >= MIN_CHILD_CELLS)
-        beside = beside or _same
+        try:
+            rep, report = _dims_pass(chunks())
+        except (ValueError, RecursionError):
+            rep = None
+        violations = None
         if rep is not None:
             layout = partial(_layout_accepted, chunks, rep)
+            forking = (g is not None and children.allowed
+                       and (rep.a_count + rep.b_count) * rep.dimension >= MIN_CHILD_CELLS)
             pid = children.fork(layout) if forking else None
-            try:
-                result, held = beside(rep, report), None
-            except Exception as exc:
-                result, held = None, exc
-            if children.result(pid, layout):
-                if held is not None:
-                    raise held
-                return result
-        return beside(*_decode_dump(whole()))
-
-
-def _same(rep: CubeRepresentation, report: object) -> CubeRepresentation:
-    """The `beside` of a plain read: the representation itself."""
-    return rep
+            if pid is not None and (rep.a_count, rep.b_count) == (g.a_count, g.b_count):
+                violations = verify(rep, g)
+            if not children.result(pid, layout):
+                rep = violations = None
+        if rep is None:
+            rep, report = _decode_dump(whole())
+        return rep if g is None else _verified(g, rep, report, violations)
 
 
 def parse_dump(text: str) -> CubeRepresentation:
@@ -1309,7 +1288,7 @@ def read_dump(path: str | Path) -> CubeRepresentation:
     included.  A file that cannot seek, such as a pipe, is read whole once
     and read as parse_dump reads its text.  No process is forked.
     """
-    return _read_dump(path, None)
+    return _read_dump(path)
 
 
 def verify_dump(path: str | Path, g: BipartiteGraph) -> list[Violation]:
@@ -1317,14 +1296,18 @@ def verify_dump(path: str | Path, g: BipartiteGraph) -> list[Violation]:
     report and tags, with the same result or the same exception: the file
     is read as read_dump reads it, and where that forks (see
     _stream_or_decode), a child checks the text's layout while this process
-    checks the report and verifies the dimensions.  No child outlives the
-    call, and a child's memory is not part of this process's peak RSS."""
-    return _read_dump(path, partial(_verified, g))
+    verifies the dimensions; the report is checked once the child has
+    replied.  No child outlives the call, and a child's memory is not part
+    of this process's peak RSS."""
+    return _read_dump(path, g)
 
 
-def _verified(g: BipartiteGraph, rep: CubeRepresentation, report: object) -> list[Violation]:
+def _verified(g: BipartiteGraph, rep: CubeRepresentation, report: object,
+              violations: list[Violation] | None) -> list[Violation]:
+    """verify(rep, g) once check_report has accepted rep and `report`, or
+    `violations` when they already are its result."""
     check_report(rep, report)
-    return verify(rep, g)
+    return verify(rep, g) if violations is None else violations
 
 
 def check_report(rep: CubeRepresentation, report: object) -> None:
@@ -1350,14 +1333,14 @@ def check_report(rep: CubeRepresentation, report: object) -> None:
                              f"but the dump's dims give {count}")
 
 
-def _read_dump(path: str | Path,
-               beside: Callable[[CubeRepresentation, object], object] | None) -> object:
+def _read_dump(path: str | Path, g: BipartiteGraph | None = None
+               ) -> CubeRepresentation | list[Violation]:
     """_stream_or_decode of the file at `path`, read as read_dump reads it,
-    with `beside`."""
+    with g."""
     with open(path) as dump:
         if not dump.seekable():
             text = dump.read()
-            return _stream_or_decode(lambda: iter((text,)), lambda: text, beside)
+            return _stream_or_decode(lambda: iter((text,)), lambda: text, g)
 
         def chunks() -> Iterator[str]:
             dump.seek(0)
@@ -1367,7 +1350,7 @@ def _read_dump(path: str | Path,
             dump.seek(0)
             return dump.read()
 
-        return _stream_or_decode(chunks, whole, beside)
+        return _stream_or_decode(chunks, whole, g)
 
 
 def format_violation(violation: Violation) -> str:

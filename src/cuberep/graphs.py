@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -196,6 +197,11 @@ def _natural(field: str) -> int:
     return int(field)
 
 
+# The ASCII control characters but tab: str.split() reads \x0b, \x0c and
+# \x1c-\x1f as spaces, so a header or edge line may hold none of them.
+_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
+
+
 def parse_graph(text: str) -> BipartiteGraph:
     """Parse the graph file format:
 
@@ -205,9 +211,10 @@ def parse_graph(text: str) -> BipartiteGraph:
 
     Lines end at LF, CRLF or CR only, so a form feed in a comment stays in
     it.  Counts and indices are ASCII digits, and only comment lines may
-    hold other than ASCII characters.  Raises GraphFormatError with the
-    offending line number on malformed headers, more than MAX_VERTICES
-    vertices, out-of-range indices, and duplicate edges.
+    hold other than ASCII characters; header and edge lines hold no
+    control character but tab.  Raises GraphFormatError with the offending
+    line number on malformed headers, more than MAX_VERTICES vertices,
+    out-of-range indices, and duplicate edges.
     """
     n1 = n2 = m = None
     edges: set[tuple[int, int]] = set()
@@ -217,6 +224,8 @@ def parse_graph(text: str) -> BipartiteGraph:
         if not line or line.startswith("c"):
             continue
         fields = line.split()
+        if fields[0] in ("p", "e") and _CONTROL.search(raw):
+            raise GraphFormatError("control character outside a comment", lineno)
         if fields[0] == "p":
             if n1 is not None:
                 raise GraphFormatError("duplicate header", lineno)

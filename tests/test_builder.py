@@ -995,21 +995,6 @@ class TestRenderBeside:
         builder._leave_cpu_of(-1)  # no such process: nothing changes
         assert os.sched_getaffinity(0) == cpus
 
-    def test_a_streaming_child_s_bytes_come_before_its_reply(self):
-        def streaming(pipe):
-            os.write(pipe, b"ab")
-            os.write(pipe, b"c")
-            return 7
-
-        with builder._Children() as children:
-            pid = children.fork(streaming, stream=True)
-            got = b""
-            while len(got) < 3:
-                got += children.read(pid, 3 - len(got))
-            assert got == b"abc"
-            assert children.reply(pid) == 7
-        assert_no_child_left()
-
     def test_a_dump_of_min_child_cells_is_rendered_beside(self, forks, monkeypatch, tmp_path):
         plan = make_plan(RENDERED)
         monkeypatch.setattr(builder, "MIN_CHILD_CELLS",
@@ -1674,8 +1659,11 @@ def walked(text: str) -> tuple[CubeRepresentation, object] | None:
     def chunks():
         return iter((text,))
 
-    read = builder._dims_or_none(chunks)
-    return read if read is not None and builder._layout_accepted(chunks, read[0]) else None
+    try:
+        read = builder._dims_pass(chunks())
+    except (ValueError, RecursionError):
+        return None
+    return read if builder._layout_accepted(chunks, read[0]) else None
 
 
 def walk(text: str) -> CubeRepresentation | None:
@@ -1923,6 +1911,16 @@ def without_a_placement(text: str) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def swapped_placement_lines(text: str) -> str:
+    """The dump text with the first two lines of its first placement
+    swapped: pass 1 reads it, pass 2 turns it down, and the full decode
+    reads it as the unedited text."""
+    head = text.index('"placement": {\n') + len('"placement": {\n')
+    first = text.index("\n", head) + 1
+    second = text.index("\n", first) + 1
+    return text[:head] + text[first:second] + text[head:first] + text[second:]
+
+
 OTHER_COUNTS = BipartiteGraph(VERIFIED.a_count, VERIFIED.b_count + 1, VERIFIED.edges)
 # name: (dump text, graph, whether pass 1 reads its dimensions and report,
 # so that verify_dump forks on two CPUs; it reads no report from a text that
@@ -2080,9 +2078,35 @@ class TestLayoutBeside:
         path = tmp_path_factory.getbasetemp() / "verified.json"
         path.write_bytes(text.encode("utf-8"))
         expected = read_then_verify(path, g)
+        calls = []
+
+        def counted(rep, g):
+            calls.append(rep)
+            return verify(rep, g)
+
         with mock.patch.object(builder, "available_cpus", lambda: cpus), \
-                mock.patch.object(builder, "_READ_PIECE", piece):
+                mock.patch.object(builder, "_READ_PIECE", piece), \
+                mock.patch.object(builder, "verify", counted):
             assert verdict(lambda: verify_dump(path, g)) == expected
+        assert len(calls) <= (1 if cpus == 1 else 2)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus, case, calls", [
+        (1, "canonical", 1), (1, "swapped-lines", 1),
+        (2, "canonical", 1), (2, "swapped-lines", 2)])
+    def test_verify_calls_per_dump(self, forks, monkeypatch, tmp_path, cpus, case, calls):
+        # without a child, pass 2 runs before verification, so a text that
+        # it turns down is verified once, after the full decode; a child's
+        # verdict comes after the proposal has been verified beside it
+        text = VERIFIED_DUMP if case == "canonical" else swapped_placement_lines(VERIFIED_DUMP)
+        path = tmp_path / "dump.json"
+        path.write_text(text)
+        expected = read_then_verify(path, VERIFIED)
+        monkeypatch.setattr(builder, "available_cpus", lambda: cpus)
+        verified = recorded_verifies(monkeypatch)
+        assert verdict(lambda: verify_dump(path, VERIFIED)) == expected == ("returned", [])
+        assert len(verified) == calls and verified[-1] == parse_dump(VERIFIED_DUMP)
+        assert len(forks) == (1 if cpus == 2 else 0)
         assert_no_child_left()
 
     @pytest.mark.parametrize("failure", ["raises", "killed", "short reply"])
@@ -2144,7 +2168,7 @@ class TestLayoutBeside:
 
     @pytest.mark.parametrize("why", ["another thread", "one CPU", "small dump", "fork refused"])
     def test_no_fork(self, forks, monkeypatch, tmp_path, why):
-        # pass 2 runs once, here, after verification
+        # pass 2 runs once, here, before verification
         rep = parse_dump(VERIFIED_DUMP)
         cells = VERIFIED.vertex_count * rep.dimension
         monkeypatch.setattr(builder, "MIN_CHILD_CELLS", cells + (why == "small dump"))
@@ -2161,10 +2185,15 @@ class TestLayoutBeside:
         parent, layout, checked = os.getpid(), builder._layout_accepted, []
 
         def recording(*args):
-            checked.append(os.getpid() == parent)
+            checked.append("layout here" if os.getpid() == parent else "layout in a child")
             return layout(*args)
 
+        def recording_verify(rep, g):
+            checked.append("verify")
+            return verify(rep, g)
+
         monkeypatch.setattr(builder, "_layout_accepted", recording)
+        monkeypatch.setattr(builder, "verify", recording_verify)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         if why == "another thread":
@@ -2175,7 +2204,7 @@ class TestLayoutBeside:
             stop.set()
             if thread.is_alive():
                 thread.join()
-        assert forks == [] and checked == [True]
+        assert forks == [] and checked == ["layout here", "verify"]
 
     def test_a_dump_of_min_child_cells_is_checked_beside(self, forks, monkeypatch, tmp_path):
         rep = parse_dump(VERIFIED_DUMP)

@@ -565,6 +565,16 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: line 2: non-ASCII character outside a comment\n"
 
+    def test_graph_line_with_a_control_separator_exit_two(self, tmp_path, capsys):
+        # str.split() would read the unit separator as a space
+        graph = write_graph(tmp_path, "bad.txt", "p bipartite 2 2 1\ne 1\x1f2\n")
+        _, dump = self._dump_for(tmp_path, COMPLETE_22)
+        capsys.readouterr()
+        assert main(["verify", graph, dump]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: control character outside a comment\n"
+
 
 def random_1(payload: dict) -> dict:
     return next(dim for dim in payload["dims"] if dim["provenance"] == "random-1")

@@ -259,12 +259,24 @@ class TestGraphFile:
         # a line separator before an edge line; the comment and the blank
         # line of a no-break space before it pass
         ("c \u00e9t\u00e9\np bipartite 1 1 0\n\u00a0\n\u2028e 1 1\n", 4),
+        # header and edge lines hold no control character but tab, as
+        # str.split() alone would not ask; the comment and the blank line
+        # of separators before the edge pass
+        *((f"p bipartite 2 2 1\ne 1{c}2\n", 2) for c in "\x0b\x0c\x1c\x1d\x1e\x1f"),
+        ("p bipartite 2 2 1\ne 1 2\x0b\n", 2),  # trailing vertical tab
+        ("p bipartite 2 2 1\ne 1\x002\n", 2),   # NUL in an edge
+        ("p bipartite 2 2 1\ne 1 2\x7f\n", 2),  # DEL after an edge
+        ("p\x0cbipartite 1 1 0\n", 1),          # form feed in the header
+        ("c \x1f\x0b\np bipartite 1 1 0\n\x0b\x1c\ne\x1d1 1\n", 4),
     ])
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(GraphFormatError) as excinfo:
             parse_graph(text)
         assert excinfo.value.line == line
         assert f"line {line}:" in str(excinfo.value)
+
+    def test_tabs_separate_fields(self):
+        assert parse_graph("p\tbipartite 2 2 1\t\ne\t1 2\n").edges == {(1, 2)}
 
     def test_vertex_count_limit(self):
         half = MAX_VERTICES // 2
