@@ -20,7 +20,7 @@ import threading
 import time
 from array import array
 from collections import Counter
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import accumulate, chain, compress, islice, repeat
@@ -408,15 +408,17 @@ def checked_attempt(plan: BuildPlan, master_seed: int, index: int,
     in it against plan.graph, and the seconds spent constructing it and
     verifying it; an internal RuntimeError if an edge went missing.
 
-    With `drawing`, this process and the attempt's forked child draw its
-    random dimensions (_DrawnBeside.drawn); when that gives none, because
-    no child was forked or it left before sending its half, the attempt is
-    made here by `attempt`, as without `drawing`.  Either way verify is
-    called on it once.  The seconds constructing it count the fork and an
-    abandoned hand-over too."""
+    With `drawing`, this process and a forked child draw its random
+    dimensions, and a second child is forked to render it
+    (_DrawnBeside.drawn); when that gives none, because the draw child
+    could not be forked, failed or replied short, the attempt is made here
+    by `attempt`, as without `drawing`.  Either way verify is called on it
+    once.  The seconds constructing it count both forks and an abandoned
+    draw too."""
     started = time.perf_counter()
-    drawn = drawing.drawn() if drawing is not None else None
-    rep = attempt(plan, master_seed, index) if drawn is None else _assembled(plan, drawn)
+    rep = drawing.drawn() if drawing is not None else None
+    if rep is None:
+        rep = attempt(plan, master_seed, index)
     built = time.perf_counter()
     violations = verify(rep, plan.graph)
     if any(v.kind == "missing-edge" for v in violations):
@@ -435,25 +437,26 @@ def build_representation(
 
     With `out`, the result's dump is written there, as write_dump writes it,
     once it has passed; nothing is written on BuildFailure.  Each attempt
-    then forks a child that draws the first half of its random dimensions
-    while this process draws the second, hands its half over, and renders
-    the dump while this process verifies the attempt (_DrawnBeside), unless
-    _Children forbids a fork or the dump has fewer than MIN_CHILD_CELLS
-    cells (vertices x k).  On a pass `out` is opened, which truncates the
-    file there while the child may still render, and then the child is
-    reaped and its dump is copied to `out` in the kernel
-    (_DrawnBeside.send); a failed attempt's child is killed and reaped, and
-    its files dropped.  When the fork is refused, or the child fails before
-    it has sent its half, the whole attempt is drawn here, as without
-    `out`; when the child fails later, or the copy does, write_dump writes
-    the dump here instead, to the same bytes.  No child, no temporary file
-    and no pipe outlives the call.
+    then forks a draw child that draws the first half of its random
+    dimensions while this process draws the second, and once it has
+    replied, a render child that renders the dump while this process
+    verifies the attempt (_DrawnBeside), unless _Children forbids a fork or
+    the dump has fewer than MIN_CHILD_CELLS cells (vertices x k).  On a
+    pass `out` is opened, which truncates the file there while the render
+    child may still render, and then that child is reaped and its dump is
+    copied to `out` in the kernel (_DrawnBeside.send); a failed attempt's
+    render child is killed and reaped, and its dump dropped.  When the draw
+    child cannot be forked, fails or replies short, the whole attempt is
+    drawn here, as without `out`; when the render child cannot be forked
+    or fails, or the copy does, write_dump writes the dump here instead, to
+    the same bytes.  No child, no temporary file and no pipe outlives the
+    call.
 
     report.construct_seconds is the time spent drawing random dimensions
-    here, forking the child and waiting for its half, abandoned hand-overs
-    included, report.verify_seconds the time in verify, and
-    report.write_seconds the time from the passing verification to the
-    dump in place."""
+    here, forking the draw child and waiting for its half, then forking the
+    render child; abandoned draws are included.  report.verify_seconds is
+    the time in verify, and report.write_seconds the time from the passing
+    verification to the dump in place."""
     plan = make_plan(g, params.t_override)
     k = plan.t + len(plan.bit_dims)
 
@@ -520,16 +523,12 @@ def _ints(n: int, size: int) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _write_columns(fd: int, dims: Iterable[UnitIntervalRep], first: int) -> None:
-    """Write dims as columns first, first + 1, ... of the file open at
-    descriptor `fd`: column j is its dimension's values as _COLUMN_TYPE
-    ints at offset j x the column's size, written by os.pwrite (the
-    descriptor's offset is neither read nor moved); OSError when one is
+def _write_columns(fd: int, dims: Iterable[UnitIntervalRep]) -> int:
+    """Write dims in turn to the file open at descriptor `fd`, from its
+    offset on, each its values as _COLUMN_TYPE ints, and return the bytes
+    written: column j is at offset j x the column's size when none is
     written short."""
-    for j, dim in enumerate(dims, first):
-        column = array(_COLUMN_TYPE, dim.values).tobytes()
-        if os.pwrite(fd, column, j * len(column)) != len(column):
-            raise OSError("a column was written short")
+    return sum(os.write(fd, array(_COLUMN_TYPE, dim.values)) for dim in dims)
 
 
 def _read_columns(plan: BuildPlan, fd: int, columns: range) -> tuple[UnitIntervalRep, ...]:
@@ -545,27 +544,18 @@ def _read_columns(plan: BuildPlan, fd: int, columns: range) -> tuple[UnitInterva
 
 
 class _DrawnBeside:
-    """The random dimensions of one attempt of a build with a dump, drawn
-    by this process and a forked child, each its half; the child renders
-    the attempt's dump while this process verifies it.
+    """One attempt of a build with a dump, drawn with a forked child and
+    rendered by another while this process verifies it.
 
-    The child (_draw_and_render) draws dimensions 0..h-1, h = ceil(t/2), as
-    random_dims does, and this process dimensions h..t-1 (random_dims from
-    h).  Each writes its whole half into one unnamed temporary file, column
-    j at offset j x the column's size (_write_columns), and only then sends
-    one byte on a pipe of its own to the other, so the child never waits
-    for this process before its byte.  Neither reads the other's columns
-    before the other's byte, and a column written short raises in its
-    writer before that byte, so no column is read before it is whole.  The
-    child then reads this process's half (_read_columns), renders the dump
-    into a second unnamed temporary file and replies the dump's size.
-
-    When no child could be forked, or the child leaves before its byte (it
-    raised, wrote a column short, or was killed), `drawn` gives nothing and
-    the child is reaped; the dump is then not the child's, and `send` says
-    so.  A child that fails after its byte (waiting for this process's
-    byte, reading its columns or rendering) has written its whole half, so
-    its columns stand, and `send` finds the child failed."""
+    The draw child writes random dimensions 0..h-1, h = ceil(t/2), as
+    random_dims draws them, to an unnamed temporary file (_write_columns)
+    and replies the bytes it wrote, while this process draws dimensions
+    h..t-1 (random_dims from h).  Only a reply of h whole columns has its
+    columns read (_read_columns); otherwise `drawn` gives nothing.  The
+    render child renders the assembled attempt, which it inherits through
+    the fork, into a second unnamed temporary file (_render_into) and
+    replies the dump's size; when it cannot be forked or fails, `send`
+    says so."""
 
     def __init__(self, plan: BuildPlan, master_seed: int, index: int,
                  children: "_Children", files: ExitStack, report: BuildReport) -> None:
@@ -573,55 +563,39 @@ class _DrawnBeside:
         self.children, self.files, self.report = children, files, report
         self.pid = None
 
-    def drawn(self) -> tuple[UnitIntervalRep, ...] | None:
-        """Random dimensions 0..t-1: the child forked, this process's half
-        drawn and written, then its byte sent (to no reader when the child
-        has left), then the child's half read once its byte has come; None
-        when no child was forked or it left without its byte.  This process
-        closes its write end of the child's pipe right after the fork, so a
-        child that leaves before its byte leaves the pipe at its end."""
-        plan, half = self.plan, (self.plan.t + 1) // 2
-        columns = self.files.enter_context(tempfile.TemporaryFile())
+    def drawn(self) -> CubeRepresentation | None:
+        """The attempt, its first h random dimensions read from the draw
+        child's columns, once the render child is forked; None when the
+        draw child could not be forked, failed or replied short."""
+        plan, master_seed, index = self.plan, self.master_seed, self.index
+        half = (plan.t + 1) // 2
+        with tempfile.TemporaryFile() as columns:
+            pid = self.children.fork(lambda: _write_columns(
+                columns.fileno(), islice(random_dims(plan, master_seed, index), half)))
+            if pid is None:
+                return None
+            own = tuple(random_dims(plan, master_seed, index, half))
+            width = plan.graph.vertex_count * array(_COLUMN_TYPE).itemsize
+            if self.children.reply(pid) != half * width:
+                return None
+            rep = _assembled(plan, _read_columns(plan, columns.fileno(), range(half)) + own)
         self.dump = self.files.enter_context(tempfile.TemporaryFile())
-        ready, tell = os.pipe()  # this process's byte to the child
-        halfway, written = os.pipe()  # the child's byte to this process
-        with columns, open(tell, "wb", buffering=0) as told, \
-                open(halfway, "rb", buffering=0) as heard:
-            try:
-                self.pid = self.children.fork(partial(
-                    _draw_and_render, plan, self.master_seed, self.index, half,
-                    columns.fileno(), ready, tell, halfway, written, self.dump.fileno(),
-                    self.report))
-            finally:
-                os.close(ready)
-                os.close(written)
-            if self.pid is None:
-                return None
-            own = tuple(random_dims(plan, self.master_seed, self.index, half))
-            _write_columns(columns.fileno(), own, half)
-            with suppress(BrokenPipeError):
-                told.write(b"\1")
-            if not heard.read(1):
-                self.stop()
-                return None
-            return _read_columns(plan, columns.fileno(), range(half)) + own
+        self.pid = self.children.fork(partial(_render_into, self.dump.fileno(), rep, self.report))
+        return rep
 
-    def stop(self) -> None:
-        """Kill and reap the child, if it runs."""
+    def drop(self) -> None:
+        """Kill and reap the render child of a failed attempt, if it runs,
+        and close its dump."""
         if self.pid is not None:
             self.children.kill(self.pid)
             self.pid = None
-
-    def drop(self) -> None:
-        """Kill and reap the child of a failed attempt and close its dump."""
-        self.stop()
-        self.dump.close()
+            self.dump.close()
 
     def send(self, out: str | Path) -> bool:
         """Open `out` as write_dump opens it, truncating the file there
-        while the child may still render, then reap the child and copy its
-        dump into it (_send_file); False, with `out` emptied or part
-        written, when there is no child, it exited non-zero or replied
+        while the render child may still render, then reap the child and
+        copy its dump into it (_send_file); False, with `out` emptied or
+        part written, when there is no child, it exited non-zero or replied
         short, or the copy failed.  When the open raises, the child is left
         to _Children, which kills and reaps it."""
         if self.pid is None:
@@ -630,36 +604,6 @@ class _DrawnBeside:
             size = self.children.reply(self.pid)
             self.pid = None
             return size is not None and _send_file(self.dump, target, size)
-
-
-def _draw_and_render(plan: BuildPlan, master_seed: int, index: int, half: int,
-                     columns: int, ready: int, tell: int, halfway: int, written: int,
-                     dump: int, report: BuildReport) -> int:
-    """The forked child of _DrawnBeside: draw random dimensions 0..half-1
-    of attempt `index` (random_dims), write them to the column file open at
-    descriptor `columns` (_write_columns) and then one byte to descriptor
-    `written`; wait for the parent's byte on descriptor `ready` and read
-    dimensions half..t-1 from the column file; then render the attempt's
-    dump into the empty file at descriptor `dump` (_render_into) and return
-    its size.  OSError when a column is written short or the parent's byte
-    is missing.
-
-    The child first closes its copies of `tell`, the write end of `ready`'s
-    pipe, so that a parent that dies leaves `ready` at its end instead of
-    blocking it, and of `halfway`, the read end of `written`'s pipe, which
-    only the parent reads.
-    The garbage collector stays off: the child makes no cycle, and a
-    collection in a forked child would copy every page it scans."""
-    os.close(tell)
-    os.close(halfway)
-    gc.disable()
-    drawn = tuple(islice(random_dims(plan, master_seed, index), half))
-    _write_columns(columns, drawn, 0)
-    os.write(written, b"\1")
-    if os.read(ready, 1) != b"\1":
-        raise OSError("the parent sent no columns")
-    drawn += _read_columns(plan, columns, range(half, plan.t))
-    return _render_into(dump, _assembled(plan, drawn), report)
 
 
 def live_rows(plan: BuildPlan, master_seed: int, index: int) -> Iterator[list[int]]:
@@ -721,18 +665,19 @@ MIN_CHILD_DRAWS = 1000
 
 # Fewest cells (vertices x k) of a dump that make work on it in a forked
 # child, beside verification, worth its cost: build_representation's draw
-# of half the random dimensions and render, and verify_dump's layout check.
-# On the same host, with verify's lane blocks and the split draw,
+# and render children, and verify_dump's layout check.  On the same host,
 # gen_random_bipartite(n, 2n, 4/n, 1) graphs built with --out, and their
-# dumps verified, with the child against without it (medians of 40
-# alternating calls each): builds at 7,320 cells +3.7 ms (+35%), 12,060
-# +2.7 ms (+18%), 18,960 +0.2 ms (+1%), 23,625 -0.1 ms (0%), 24,750 -3.3 ms
-# (-11%), 30,780 -4.6 ms (-14%), 40,320 -7.5 ms (-17%) and 57,000 -14.9 ms
-# (-24%); verify_dump at 7,320 cells +3.2 ms (+25%), 12,060 +3.1 ms (+16%),
-# 18,960 +1.1 ms (+4%), 23,625 -1.7 ms (-5%), 24,750 -3.5 ms (-9%), 30,780
-# -6.4 ms (-13%), 40,320 -3.8 ms (-7%) and 57,000 -12.2 ms (-15%).  A second
-# run crossed over between the same two sizes.
-MIN_CHILD_CELLS = 20_000
+# dumps verified, with the children against without them (medians of 40
+# alternating calls each; the middle of three runs): builds at 7,320 cells
+# +7.6 ms (+100%), 12,060 +5.6 ms (+40%), 18,960 +3.2 ms (+19%), 24,750
+# +2.3 ms (+9%), 30,780 +2.4 ms (+12%), 40,320 +1.4 ms (+5%), 43,680
+# -2.3 ms (-6%), 45,990 -4.0 ms (-9%), 51,000 -0.9 ms (-2%) and 57,000
+# -2.2 ms (-5%); verify_dump at 7,320 cells +3.2 ms (+35%), 12,060 +1.9 ms
+# (+11%), 18,960 -0.2 ms (-1%), 24,750 +2.4 ms (+10%), 30,780 +1.4 ms
+# (+5%), 40,320 +0.6 ms (+2%), 43,680 -5.8 ms (-11%), 45,990 -5.8 ms
+# (-10%), 51,000 -1.1 ms (-2%) and 57,000 -1.1 ms (-2%).  Both crossed over
+# between 40,320 and 43,680 cells.
+MIN_CHILD_CELLS = 42_000
 
 
 def available_cpus() -> int:
@@ -789,7 +734,9 @@ class _Children:
         """Fork a child that writes compute() to a pipe, as 8 little-endian
         bytes, and nothing else, and leaves by os._exit: it flushes no
         inherited buffer and runs no exit handler.  Returns its pid, or None
-        when no process can be forked."""
+        when no process can be forked.  The child runs with the cyclic
+        garbage collector off: no compute makes a cycle, and a collection in
+        a forked child would copy every page it scans."""
         read, write = os.pipe()
         try:
             pid = os.fork()
@@ -801,6 +748,7 @@ class _Children:
             status = 1
             try:
                 os.close(read)
+                gc.disable()
                 _leave_cpu_of(os.getppid())
                 value = compute()
                 os.write(write, value.to_bytes(8, "little"))
@@ -1009,7 +957,7 @@ def write_dump(path: str | Path, rep: CubeRepresentation, report: BuildReport) -
 def _render_into(fd: int, rep: CubeRepresentation, report: BuildReport) -> int:
     """Write render_dump(rep, report) to the empty file open at descriptor
     `fd`, as write_dump writes it, and return the bytes written; run in the
-    forked child of a build (_draw_and_render)."""
+    render child of a build (_DrawnBeside)."""
     with open(fd, "w", closefd=False) as out:
         out.writelines(_dump_pieces(rep, report))
     return os.lseek(fd, 0, os.SEEK_CUR)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import subprocess
 import threading
 import time
 import tracemalloc
+from array import array
 from fractions import Fraction
 from operator import and_
 from pathlib import Path
@@ -675,10 +677,10 @@ def in_child(parent: int) -> bool:
 
 
 class TestRenderBeside:
-    """A build with a dump forks, per attempt, one child that draws the
-    first half of the attempt's random dimensions, while this process draws
-    the second, each writing its half into one column file before one byte,
-    and renders its dump while this process verifies the dimensions."""
+    """A build with a dump forks, per attempt, a draw child that writes the
+    first half of the attempt's random dimensions to a column file while
+    this process draws the second, then a render child that renders the
+    attempt's dump while this process verifies it."""
 
     @pytest.mark.parametrize("g, params, attempts", RENDER_CASES)
     def test_dump_is_write_dump_s_bytes(self, descriptors, forks, temporary_files,
@@ -695,8 +697,9 @@ class TestRenderBeside:
         assert drawn_here == [(index, half(g, params)) for index in range(attempts)]
         assert verified_here == [attempt(make_plan(g, params.t_override), params.master_seed,
                                          index) for index in range(attempts)]
-        # the one file of columns and the dump's, per attempt
-        assert len(forks) == attempts and len(temporary_files) == 2 * attempts
+        # the draw and the render child, and the one file of columns and
+        # the dump's, per attempt
+        assert len(forks) == 2 * attempts and len(temporary_files) == 2 * attempts
         assert rep == attempt(make_plan(g, params.t_override), params.master_seed,
                               attempts - 1)
         assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
@@ -731,10 +734,10 @@ class TestRenderBeside:
     @pytest.mark.parametrize("failure", ["raises", "killed", "short reply", "copy refused"])
     def test_a_failed_render_is_written_here(self, descriptors, forks, temporary_files,
                                              monkeypatch, tmp_path, failure):
-        # the child sends every column, then waits until this process has
-        # truncated the previous dump at `out`, which it does before it
-        # waits for the child's reply, and only then fails to render or to
-        # reply; a child that sees no truncation renders and replies
+        # the render child waits until this process has truncated the
+        # previous dump at `out`, which it does before it waits for the
+        # child's reply, and only then fails to render or to reply; a child
+        # that sees no truncation renders and replies
         params = BuildParams(master_seed=1)
         expected = one_cpu_build(tmp_path, RENDERED, params)
         out = tmp_path / "dump.json"
@@ -767,7 +770,7 @@ class TestRenderBeside:
         writes = in_process_writes(monkeypatch)
         drawn_here = recorded_draws(monkeypatch, parent)
         rep, report = build_representation(RENDERED, params, out)
-        assert len(forks) == 1
+        assert len(forks) == 2
         assert writes == [out] and drawn_here == [(0, half(RENDERED, params))]
         assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
         assert_nothing_left(temporary_files, descriptors)
@@ -787,26 +790,26 @@ class TestRenderBeside:
         with pytest.raises(IsADirectoryError):
             build_representation(RENDERED, BuildParams(master_seed=1), tmp_path)
         assert time.monotonic() - started < 30
-        assert len(forks) == 1
+        assert len(forks) == 2
         assert_nothing_left(temporary_files, descriptors)
 
     @pytest.mark.parametrize("failure, column", [
-        *((failure, column) for failure in ["raises", "killed", "short pwrite"]
+        *((failure, column) for failure in ["raises", "killed", "short columns"]
           for column in ["first", "middle", "last"]),
-        ("killed before its byte", "last")])
+        ("killed after its columns, before its reply", "last")])
     def test_a_failed_draw_is_drawn_here(self, descriptors, forks, temporary_files,
                                          monkeypatch, tmp_path, failure, column):
-        # the child writes the columns of its half before `column` in full,
-        # then raises, is killed, or writes `column` short, which raises
-        # before its byte; or it writes its whole half and is killed before
-        # its byte: this process drops its own half, then draws the whole
-        # attempt itself, verifies it once and writes the dump, as a build
-        # in one process does
+        # the draw child writes the columns of its half before `column` in
+        # full, then raises, is killed, or writes `column` short, so that
+        # its reply is not h x n x 4 bytes; or it writes its whole half and
+        # is killed before its reply: this process drops its own half, then
+        # draws the whole attempt itself, verifies it once and writes the
+        # dump, as a build in one process does, and forks no render child
         params = BuildParams(master_seed=1)
         expected = one_cpu_build(tmp_path, RENDERED, params)
         h = half(RENDERED, params)
         first = {"first": 0, "middle": h // 2, "last": h - 1}[column]
-        parent, dims, pwrite = os.getpid(), builder.random_dims, os.pwrite
+        parent, dims, write = os.getpid(), builder.random_dims, os.write
         written = []
 
         def failing_in_child(plan, master_seed, index, start=0):
@@ -817,20 +820,20 @@ class TestRenderBeside:
                     os.kill(os.getpid(), signal.SIGKILL)
                 yield dim
 
-        def failing_pwrite_in_child(fd, data, offset):
-            if not in_child(parent):
-                return pwrite(fd, data, offset)
-            written.append(offset)
-            if failure == "short pwrite" and len(written) == first + 1:
-                return pwrite(fd, data[:-1], offset)
-            count = pwrite(fd, data, offset)
-            if failure == "killed before its byte" and len(written) == h:
+        def failing_write_in_child(fd, data):
+            if not in_child(parent) or not isinstance(data, array):  # not a column
+                return write(fd, data)
+            written.append(fd)
+            if failure == "short columns" and len(written) == first + 1:
+                return write(fd, data.tobytes()[:-1])
+            count = write(fd, data)
+            if failure.startswith("killed after") and len(written) == h:
                 os.kill(os.getpid(), signal.SIGKILL)
             return count
 
         monkeypatch.setattr(builder, "random_dims", failing_in_child)
-        if failure in ("short pwrite", "killed before its byte"):
-            monkeypatch.setattr(os, "pwrite", failing_pwrite_in_child)
+        if failure not in ("raises", "killed"):
+            monkeypatch.setattr(os, "write", failing_write_in_child)
         out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
         drawn_here = recorded_draws(monkeypatch, parent)
         verified_here = recorded_verifies(monkeypatch)
@@ -842,42 +845,11 @@ class TestRenderBeside:
         assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
         assert_nothing_left(temporary_files, descriptors)
 
-    @pytest.mark.parametrize("failure", ["no byte", "short read"])
-    def test_a_child_failed_after_its_half_renders_here(
-            self, descriptors, forks, temporary_files, monkeypatch, tmp_path, failure):
-        # the child writes its half and sends its byte, then finds no byte
-        # from this process, or reads this process's columns short: its
-        # columns stand, and this process verifies them and writes the dump
-        params = BuildParams(master_seed=1)
-        expected = one_cpu_build(tmp_path, RENDERED, params)
-        parent, read, pread = os.getpid(), os.read, os.pread
-
-        def no_byte_in_child(fd, count):
-            return b"" if in_child(parent) else read(fd, count)
-
-        def short_in_child(fd, count, offset):
-            data = pread(fd, count, offset)
-            return data[:-1] if in_child(parent) else data
-
-        if failure == "no byte":
-            monkeypatch.setattr(os, "read", no_byte_in_child)
-        else:
-            monkeypatch.setattr(os, "pread", short_in_child)
-        out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
-        drawn_here = recorded_draws(monkeypatch, parent)
-        verified_here = recorded_verifies(monkeypatch)
-        rep, report = build_representation(RENDERED, params, out)
-        assert len(forks) == 1
-        assert writes == [out] and drawn_here == [(0, half(RENDERED, params))]
-        assert verified_here == [rep]
-        assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
-        assert_nothing_left(temporary_files, descriptors)
-
     def test_a_failed_draw_here_kills_the_child(self, descriptors, forks, temporary_files,
                                                 monkeypatch, tmp_path):
-        # an exception in this process's own half propagates; the child,
-        # which would otherwise wait for this process's byte, is killed and
-        # reaped, and no file or descriptor is left
+        # an exception in this process's own half propagates; the draw
+        # child is killed and reaped, no render child is forked, and no
+        # file or descriptor is left
         parent, dims = os.getpid(), builder.random_dims
 
         def failing_here(plan, master_seed, index, start=0):
@@ -905,7 +877,7 @@ class TestRenderBeside:
         expected = one_cpu_build(tmp_path, g, params)
         out = tmp_path / "dump.json"
         rep, report = build_representation(g, params, out)
-        assert len(forks) == report.retries + 1 and (t < 4 or report.retries > 0)
+        assert len(forks) == 2 * (report.retries + 1) and (t < 4 or report.retries > 0)
         assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
         assert_nothing_left(temporary_files, descriptors)
 
@@ -923,6 +895,39 @@ class TestRenderBeside:
         rep, report = build_representation(RENDERED, params, out)
         assert drawn_here == [(0, 0)] and verified_here == [rep]
         assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
+        assert_nothing_left(temporary_files, descriptors)
+
+    def test_a_failed_render_fork_is_written_here(self, descriptors, forks, temporary_files,
+                                                  monkeypatch, tmp_path):
+        # the draw child is forked and replies; the render child's fork is
+        # refused, so this process writes the dump, to the same bytes
+        params = BuildParams(master_seed=1)
+        expected = one_cpu_build(tmp_path, RENDERED, params)
+        fork, calls = os.fork, []
+
+        def second_refused():
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("no process to spare")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_refused)
+        out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
+        drawn_here = recorded_draws(monkeypatch, os.getpid())
+        rep, report = build_representation(RENDERED, params, out)
+        assert len(forks) == 1 and len(calls) == 2
+        assert writes == [out] and drawn_here == [(0, half(RENDERED, params))]
+        assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
+        assert_nothing_left(temporary_files, descriptors)
+
+    @pytest.mark.parametrize("g, params, attempts", RENDER_CASES)
+    def test_one_pipe_per_fork(self, descriptors, forks, temporary_files, monkeypatch,
+                               tmp_path, g, params, attempts):
+        # each child's one reply pipe is the only pipe a build makes
+        pipe, pipes = os.pipe, []
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(1) or pipe())
+        build_representation(g, params, tmp_path / "dump.json")
+        assert len(pipes) == len(forks) == 2 * attempts
         assert_nothing_left(temporary_files, descriptors)
 
     def test_interrupt_during_verify_kills_and_reaps_the_child(
@@ -947,7 +952,7 @@ class TestRenderBeside:
         with pytest.raises(KeyboardInterrupt):
             build_representation(RENDERED, BuildParams(master_seed=1), out)
         assert time.monotonic() - started < 30
-        assert len(forks) == 1
+        assert len(forks) == 2
         assert not out.exists()
         assert_nothing_left(temporary_files, descriptors)
 
@@ -956,7 +961,7 @@ class TestRenderBeside:
         with pytest.raises(BuildFailure):
             build_representation(RENDERED, BuildParams(master_seed=1, t_override=1,
                                                        max_retries=3), out)
-        assert len(forks) == 3
+        assert len(forks) == 6
         assert not out.exists()
         assert_nothing_left(temporary_files, descriptors)
 
@@ -995,12 +1000,18 @@ class TestRenderBeside:
         builder._leave_cpu_of(-1)  # no such process: nothing changes
         assert os.sched_getaffinity(0) == cpus
 
+    def test_a_child_runs_without_the_collector(self):
+        with builder._Children() as children:
+            pid = children.fork(gc.isenabled)
+            assert children.reply(pid) == 0
+        assert gc.isenabled()
+
     def test_a_dump_of_min_child_cells_is_rendered_beside(self, forks, monkeypatch, tmp_path):
         plan = make_plan(RENDERED)
         monkeypatch.setattr(builder, "MIN_CHILD_CELLS",
                             RENDERED.vertex_count * (plan.t + len(plan.bit_dims)))
         build_representation(RENDERED, BuildParams(master_seed=1), tmp_path / "dump.json")
-        assert len(forks) == 1
+        assert len(forks) == 2
         assert_no_child_left()
 
     def test_received_columns_share_their_ints(self, forks, tmp_path):
