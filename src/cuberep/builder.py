@@ -52,10 +52,10 @@ from .intervals import (
 )
 from .randomized import (
     MASK64,
-    _placed,
     choose_permuted_side,
     neighbour_masks,
     random_permutation,  # noqa: F401  unused here; the benchmark's traced replica patches it
+    shared_ints,
     shuffled_ranks,
     supergraph_from_permutation,  # noqa: F401  likewise
     supergraph_from_ranks,
@@ -509,20 +509,6 @@ def build_representation(
 _COLUMN_TYPE = "I"
 
 
-@lru_cache(maxsize=16)
-def _ints(n: int, size: int) -> tuple[int, ...]:
-    """The ints 0..2n+2, the placements of a random dimension of n vertices
-    whose permuted side has `size`, made once per size; those that place
-    the other side are the objects of _placed, from which
-    supergraph_from_ranks places it.  So the columns read from a file share
-    one int object per value, with each other and with the other side's
-    placements in the columns drawn here, instead of each making its own."""
-    ints, placed = list(range(2 * n + 3)), _placed(n, size)
-    ints[n + 1:n + size + 1] = placed[1:]
-    ints[2 * n + 2] = placed[0]
-    return tuple(ints)
-
-
 def _write_columns(fd: int, dims: Iterable[UnitIntervalRep]) -> int:
     """Write dims in turn to the file open at descriptor `fd`, from its
     offset on, each its values as _COLUMN_TYPE ints, and return the bytes
@@ -534,10 +520,10 @@ def _write_columns(fd: int, dims: Iterable[UnitIntervalRep]) -> int:
 def _read_columns(plan: BuildPlan, fd: int, columns: range) -> tuple[UnitIntervalRep, ...]:
     """The given columns of the file open at descriptor `fd`
     (_write_columns), read by os.pread as random dimensions of plan's
-    attempts."""
+    attempts, their values the objects of shared_ints."""
     g = plan.graph
     n, verts = g.vertex_count, vertex_order(g.a_count, g.b_count)
-    ints, width = _ints(n, plan.side_size), n * array(_COLUMN_TYPE).itemsize
+    ints, width = shared_ints(n), n * array(_COLUMN_TYPE).itemsize
     return tuple(UnitIntervalRep.column(
         verts, [ints[x] for x in array(_COLUMN_TYPE, os.pread(fd, width, j * width))], n)
         for j in columns)
@@ -550,12 +536,12 @@ class _DrawnBeside:
     The draw child writes random dimensions 0..h-1, h = ceil(t/2), as
     random_dims draws them, to an unnamed temporary file (_write_columns)
     and replies the bytes it wrote, while this process draws dimensions
-    h..t-1 (random_dims from h).  Only a reply of h whole columns has its
-    columns read (_read_columns); otherwise `drawn` gives nothing.  The
-    render child renders the assembled attempt, which it inherits through
-    the fork, into a second unnamed temporary file (_render_into) and
-    replies the dump's size; when it cannot be forked or fails, `send`
-    says so."""
+    h..t-1 (random_dims from h); none is forked when t = 0.  Only a reply
+    of h whole columns has its columns read (_read_columns); otherwise
+    `drawn` gives nothing.  The render child renders the assembled attempt,
+    which it inherits through the fork, into a second unnamed temporary
+    file (_render_into) and replies the dump's size; when it cannot be
+    forked or fails, `send` says so."""
 
     def __init__(self, plan: BuildPlan, master_seed: int, index: int,
                  children: "_Children", files: ExitStack, report: BuildReport) -> None:
@@ -568,17 +554,19 @@ class _DrawnBeside:
         child's columns, once the render child is forked; None when the
         draw child could not be forked, failed or replied short."""
         plan, master_seed, index = self.plan, self.master_seed, self.index
-        half = (plan.t + 1) // 2
-        with tempfile.TemporaryFile() as columns:
-            pid = self.children.fork(lambda: _write_columns(
-                columns.fileno(), islice(random_dims(plan, master_seed, index), half)))
-            if pid is None:
-                return None
-            own = tuple(random_dims(plan, master_seed, index, half))
-            width = plan.graph.vertex_count * array(_COLUMN_TYPE).itemsize
-            if self.children.reply(pid) != half * width:
-                return None
-            rep = _assembled(plan, _read_columns(plan, columns.fileno(), range(half)) + own)
+        half, drawn = (plan.t + 1) // 2, ()
+        if half:  # with t = 0 there is nothing to draw beside
+            with tempfile.TemporaryFile() as columns:
+                pid = self.children.fork(lambda: _write_columns(
+                    columns.fileno(), islice(random_dims(plan, master_seed, index), half)))
+                if pid is None:
+                    return None
+                own = tuple(random_dims(plan, master_seed, index, half))
+                width = plan.graph.vertex_count * array(_COLUMN_TYPE).itemsize
+                if self.children.reply(pid) != half * width:
+                    return None
+                drawn = _read_columns(plan, columns.fileno(), range(half)) + own
+        rep = _assembled(plan, drawn)
         self.dump = self.files.enter_context(tempfile.TemporaryFile())
         self.pid = self.children.fork(partial(_render_into, self.dump.fileno(), rep, self.report))
         return rep
@@ -668,15 +656,16 @@ MIN_CHILD_DRAWS = 1000
 # and render children, and verify_dump's layout check.  On the same host,
 # gen_random_bipartite(n, 2n, 4/n, 1) graphs built with --out, and their
 # dumps verified, with the children against without them (medians of 40
-# alternating calls each; the middle of three runs): builds at 7,320 cells
-# +7.6 ms (+100%), 12,060 +5.6 ms (+40%), 18,960 +3.2 ms (+19%), 24,750
-# +2.3 ms (+9%), 30,780 +2.4 ms (+12%), 40,320 +1.4 ms (+5%), 43,680
-# -2.3 ms (-6%), 45,990 -4.0 ms (-9%), 51,000 -0.9 ms (-2%) and 57,000
-# -2.2 ms (-5%); verify_dump at 7,320 cells +3.2 ms (+35%), 12,060 +1.9 ms
-# (+11%), 18,960 -0.2 ms (-1%), 24,750 +2.4 ms (+10%), 30,780 +1.4 ms
-# (+5%), 40,320 +0.6 ms (+2%), 43,680 -5.8 ms (-11%), 45,990 -5.8 ms
-# (-10%), 51,000 -1.1 ms (-2%) and 57,000 -1.1 ms (-2%).  Both crossed over
-# between 40,320 and 43,680 cells.
+# alternating calls each): builds at 7,320 cells +7.6 ms (+100%), 12,060
+# +5.6 ms (+40%), 18,960 +3.2 ms (+19%), 24,750 +2.3 ms (+9%), 30,780
+# +2.4 ms (+12%), 40,320 +1.4 ms (+5%), 43,680 -2.3 ms (-6%), 45,990 -4.0 ms
+# (-9%), 51,000 -0.9 ms (-2%) and 57,000 -2.2 ms (-5%), the middle of three
+# runs; verify_dump, reading placements as shared_ints, at 7,320 cells
+# +3.1 ms (+48%), 12,060 +2.8 ms (+29%), 18,960 +2.4 ms (+16%), 24,750
+# +2.4 ms (+13%), 30,780 +2.0 ms (+9%), 40,320 +1.0 ms (+3%), 43,680
+# -1.4 ms (-4%), 45,990 -0.4 ms (-1%), 51,000 -1.9 ms (-5%) and 57,000
+# -3.1 ms (-7%), the median of three runs.  Both crossed over between
+# 40,320 and 43,680 cells.
 MIN_CHILD_CELLS = 42_000
 
 
@@ -865,20 +854,17 @@ def report_to_jsonable(report: BuildReport, swapped: bool | None = None,
 
 
 @lru_cache(maxsize=16)
-def _key_order(a_count: int, b_count: int) -> tuple[tuple[str, ...], tuple[int, ...],
-                                                      itemgetter]:
+def _key_order(a_count: int, b_count: int) -> tuple[tuple[str, ...], itemgetter, itemgetter]:
     """The order in which a dump writes the vertices of a_count + b_count
     vertices, made once per size, so that the rendering and pass 1 of the
     stream reader follow one order: the vertex keys sorted as strings (A10
-    before A2), the canonical position of the vertex of each, and an
-    itemgetter that takes a sequence of values in key order to the tuple of
-    them in canonical order."""
+    before A2), an itemgetter that takes values in canonical order to the
+    tuple of them in key order, and one back; with two vertices or more,
+    both give tuples."""
     keys = [vertex_key(v) for v in vertex_order(a_count, b_count)]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    where = [0] * len(order)
-    for at, i in enumerate(order):
-        where[i] = at
-    return tuple(keys[i] for i in order), tuple(order), itemgetter(*where)
+    where = sorted(range(len(order)), key=order.__getitem__)
+    return tuple(keys[i] for i in order), itemgetter(*order), itemgetter(*where)
 
 
 def _layout_pieces(rep: CubeRepresentation) -> Iterator[str]:
@@ -886,17 +872,15 @@ def _layout_pieces(rep: CubeRepresentation) -> Iterator[str]:
     pieces: the header, one piece per cubes row (its key, and after the
     first row the comma before it), one piece per dimension, likewise, then
     the end of the dims list when there is one.  A piece is formatted only
-    when it is asked for, and each cubes row is drawn from the columns in
-    key order as it is formatted, so a consumer holds one piece at a time
-    and no reordered copy of the columns is made.
+    when it is asked for, so a consumer holds one piece at a time; each
+    column is taken in key order (_key_order) by one itemgetter call.
 
-    Vertex keys follow _key_order (sorted as strings, so A10 precedes A2),
-    the cube cell of a placement value is formatted once per distinct value
+    The cube cell of a placement value is formatted once per distinct value
     and threshold, and every placement block is one %-format of a template
     that holds all keys.  Provenance tags go through json.dumps, which keeps
     its escaping.
     """
-    keys, order, _ = _key_order(rep.a_count, rep.b_count)
+    keys, in_key_order, _ = _key_order(rep.a_count, rep.b_count)
     placement = ",".join(f'\n        "{key}": %d' for key in keys)
     cell_text: dict[int, dict[int, str]] = {}  # threshold -> value -> cell
     columns = []
@@ -906,7 +890,7 @@ def _layout_pieces(rep: CubeRepresentation) -> Iterator[str]:
         for x in set(dim.values).difference(cells):
             lo, hi = cube_cell(x, c)
             cells[x] = f'[\n        "{lo}",\n        "{hi}"\n      ]'
-        columns.append(map(cells.__getitem__, map(dim.values.__getitem__, order)))
+        columns.append(map(cells.__getitem__, in_key_order(dim.values)))
     yield ('{\n  "a_count": ' + str(rep.a_count)
            + ',\n  "b_count": ' + str(rep.b_count) + ',\n  "cubes": {')
     rows = zip(*columns) if columns else repeat(())
@@ -916,7 +900,7 @@ def _layout_pieces(rep: CubeRepresentation) -> Iterator[str]:
     yield '\n  },\n  "dims": ' + ("[" if rep.dims else "[]")
     for i, (dim, tag) in enumerate(zip(rep.dims, rep.provenance)):
         yield (("," if i else "") + '\n    {\n      "placement": {'
-               + placement % tuple(map(dim.values.__getitem__, order))
+               + placement % in_key_order(dim.values)
                + '\n      },\n      "provenance": ' + json.dumps(tag)
                + ',\n      "threshold": ' + str(dim.threshold) + "\n    }")
     if rep.dims:
@@ -1017,17 +1001,19 @@ def _item_fields(item: str, count: int) -> tuple[list[int], int, str]:
     The fields are read by where they stand, not by their keys: each
     placement line splits at its whitespace into its key and its value
     with the comma after it, so the values are every second word of the
-    block, and the block goes to json.loads as one list of ints.  Nothing
-    else is checked: a text that spells a field in any other way, or whose
+    block, decoded as one list of ints by _placement_decoder; the tag is
+    found from the end, as no tag holds a line break.  Nothing else is
+    checked: a text that spells a field in any other way, or whose
     keys are not those of the rendering, differs from the rendering of what
     is read here, and pass 2 turns it down."""
     if not item.startswith(_ITEM_HEAD):
         raise ValueError("the dims item does not start as rendered")
-    block_end = item.find(_ITEM_TAG)
+    block_end = item.rfind(_ITEM_TAG)
     tag_text, cut, threshold_text = item[block_end + len(_ITEM_TAG):].rpartition(_ITEM_THRESHOLD)
     if block_end < 0 or not cut:
         raise ValueError("the dims item holds no provenance and threshold after its placement")
-    values = json.loads("[" + "".join(item[len(_ITEM_HEAD):block_end].split()[1::2]) + "]")
+    values = _placement_decoder(count).decode(
+        "[" + "".join(item[len(_ITEM_HEAD):block_end].split()[1::2]) + "]")
     if len(values) != count or set(map(type, values)) != {int}:  # a JSON true is a bool
         raise ValueError(f"the placement does not hold {count} integers")
     threshold = int(threshold_text[:-len(_ITEM_END)])
@@ -1035,6 +1021,18 @@ def _item_fields(item: str, count: int) -> tuple[list[int], int, str]:
     if threshold <= 0 or not isinstance(tag, str):
         raise ValueError("the threshold is not positive or the provenance not a string")
     return values, threshold, tag
+
+
+class _Spellings(dict):  # decimal spelling -> int
+    __missing__ = staticmethod(int)  # a spelling not held: a new int
+
+
+@lru_cache(maxsize=4)
+def _placement_decoder(n: int) -> json.JSONDecoder:
+    """json's decoder, but reading each int of shared_ints(n) as that
+    object, and any other as a new int, made once per vertex count."""
+    spellings = _Spellings(zip(map(str, shared_ints(n)), shared_ints(n)))
+    return json.JSONDecoder(parse_int=spellings.__getitem__)
 
 
 def _dims_pass(chunks: Iterator[str]) -> tuple[CubeRepresentation, object]:
@@ -1079,13 +1077,15 @@ def _dims_pass(chunks: Iterator[str]) -> tuple[CubeRepresentation, object]:
     a_count, b_count = map(int, head.groups())
     if a_count < 1 or b_count < 1 or a_count + b_count > MAX_VERTICES:
         raise ValueError("the header declares counts that the full decode refuses")
-    verts = vertex_order(a_count, b_count)
-    canonical = _key_order(a_count, b_count)[2]
+    verts, canonical = vertex_order(a_count, b_count), _key_order(a_count, b_count)[2]
     through("dims", keep=False)  # cubes rows hold no letters but A and B
     dims, tags = [], []
     more = through("\n") == '": [\n'  # '": [],\n' when the list is empty
     while more:
-        values, threshold, tag = _item_fields(through(_ITEM_END), len(verts))
+        # the first "}" closes the placements, a fast one-character find;
+        # then _ITEM_END, not "}" again, since a tag may hold "}"
+        item = through("}") + through(_ITEM_END)
+        values, threshold, tag = _item_fields(item, len(verts))
         dims.append(UnitIntervalRep.column(verts, list(canonical(values)), threshold))
         tags.append(tag)
         more = through("\n") == ",\n"

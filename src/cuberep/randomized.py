@@ -127,28 +127,27 @@ def supergraph_from_ranks(ranks: Sequence[int], side: str, g: BipartiteGraph) ->
     unlike a Permutation's, that is not checked.
 
     The neighbour lists are put in rank order and walked from the highest
-    rank down, each writing its rank over every neighbour's, so the lowest
-    is written last and no rank is compared."""
-    n, size = g.vertex_count, len(ranks)
+    rank down, each writing its placement over every neighbour's, so the
+    lowest is written last and no rank is compared."""
+    n, size, ints = g.vertex_count, len(ranks), shared_ints(g.vertex_count)
     at_rank = [()] * size
     for neighbours, r in zip(g.neighbours(side), ranks):
         at_rank[r - 1] = neighbours
-    best = [0] * (n - size)  # 0: no neighbour; ranks are >= 1
-    for r, neighbours in zip(range(size, 0, -1), reversed(at_rank)):
+    placed = [ints[2 * n + 2]] * (n - size)  # no neighbour: isolated
+    for x, neighbours in zip(ints[n + size:n:-1], reversed(at_rank)):
         for f in neighbours:
-            best[f] = r
-    reached = map(_placed(n, size).__getitem__, best)
-    values = [*ranks, *reached] if side == SIDE_A else [*reached, *ranks]
+            placed[f] = x  # n + rank, the lowest rank written last
+    values = [*ranks, *placed] if side == SIDE_A else [*placed, *ranks]
     return UnitIntervalRep.column(vertex_order(g.a_count, g.b_count), values, n)
 
 
 @lru_cache(maxsize=16)
-def _placed(n: int, size: int) -> tuple[int, ...]:
-    """Entry r: the placement of a non-permuted vertex whose lowest neighbour
-    rank is r, or of an isolated one for r = 0.  Shared by all dimensions of
-    one graph size, so they share these int objects instead of each making
-    its own."""
-    return (2 * n + 2, *range(n + 1, n + size + 1))
+def shared_ints(n: int) -> tuple[int, ...]:
+    """The ints 0..2n+2, every placement of a random dimension of n
+    vertices, made once per vertex count: supergraph_from_ranks places the
+    other side, a build reads its draw child's columns and a dump is read
+    back with these objects, so they share one int object per value."""
+    return tuple(range(2 * n + 3))
 
 
 def choose_permuted_side(profile: DegreeProfile) -> str:

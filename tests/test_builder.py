@@ -170,6 +170,12 @@ def own_report(report: BuildReport, swapped: bool) -> BuildReport:
 EMPTY_REPORT = BuildReport(0, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
 
 
+def tagged(tag: str) -> tuple[CubeRepresentation, BuildReport, bool]:
+    """A dump_cases case of one dimension whose provenance is `tag`."""
+    dim = UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 1, (SIDE_B, 2): 2}, 1)
+    return CubeRepresentation(1, 2, (dim,), (tag,)), EMPTY_REPORT, False
+
+
 def recorded_verifies(monkeypatch) -> list[CubeRepresentation]:
     """The representations that builder.verify checks from now on."""
     calls = []
@@ -871,13 +877,15 @@ class TestRenderBeside:
         (SPLIT, 4), (SPLIT, 7)], ids=["t0", "t1", "even", "odd"])
     def test_each_split_writes_the_one_cpu_bytes(self, descriptors, forks, temporary_files,
                                                  tmp_path, g, t):
-        # t = 0 and t = 1 leave this process nothing to draw; an even and
-        # an odd t split evenly and unevenly, and fail a few attempts first
+        # t = 0 forks no draw child, only the render child; t = 1 leaves
+        # this process nothing to draw; an even and an odd t split evenly
+        # and unevenly, and fail a few attempts first
         params = BuildParams(master_seed=3, t_override=t)
         expected = one_cpu_build(tmp_path, g, params)
         out = tmp_path / "dump.json"
         rep, report = build_representation(g, params, out)
-        assert len(forks) == 2 * (report.retries + 1) and (t < 4 or report.retries > 0)
+        assert len(forks) == (2 if t else 1) * (report.retries + 1)
+        assert t < 4 or report.retries > 0
         assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
         assert_nothing_left(temporary_files, descriptors)
 
@@ -1687,6 +1695,12 @@ class TestCanonicalParse:
     @settings(max_examples=100, deadline=None)
     @given(dump_cases())
     @example((CubeRepresentation(1, 1, (), ()), EMPTY_REPORT, False))
+    # pass 1 ends an item's placement block at its first "}": a tag may
+    # hold "}" too, and its JSON escape the characters of _ITEM_END but
+    # for the line break
+    @example(tagged("}"))
+    @example(tagged("a}b"))
+    @example(tagged("\n    }"))
     def test_canonical_text_skips_the_cubes(self, case):
         rep = case[0]
         assert walk(render_dump(*case)) == rep
@@ -1747,6 +1761,17 @@ class TestCanonicalParse:
             finally:
                 tracemalloc.stop()
         assert parsed == rep and peak - retained < path.stat().st_size / 4
+
+    def test_placements_that_no_table_holds_are_read_by_pass_1(self):
+        # past 128 vertices, most placements are read as the objects of
+        # shared_ints; -1 and 2^40 are not among them and are made anew
+        verts = CubeRepresentation(100, 50, (), ()).vertices()
+        values = [-1, 1 << 40, *range(2, len(verts))]
+        rep = CubeRepresentation(100, 50, (UnitIntervalRep(dict(zip(verts, values)), 3),),
+                                 ("random-1",))
+        text = render_dump(rep, EMPTY_REPORT)
+        assert '"A1": -1,' in text and f'"A2": {1 << 40},' in text
+        assert walk(text) == rep == rep_from_jsonable(json.loads(text))
 
     def test_an_edited_cube_cell_takes_the_full_decode(self, tmp_path):
         # the cell stays well formed, so only its value differs from the
@@ -2118,6 +2143,27 @@ class TestLayoutBeside:
         assert verdict(lambda: verify_dump(path, VERIFIED)) == expected == ("returned", [])
         assert len(verified) == calls and verified[-1] == parse_dump(VERIFIED_DUMP)
         assert len(forks) == (1 if cpus == 2 else 0)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("how", ["read_dump", "verify_dump beside", "verify_dump here"])
+    def test_a_dump_read_back_shares_its_ints(self, forks, monkeypatch, tmp_path, how):
+        # one int object per value, as in the columns a build receives from
+        # its draw child; past 128 vertices, placements exceed the ints
+        # that Python caches
+        g = gen_random_bipartite(50, 100, 0.06, seed=1)
+        path = tmp_path / "dump.json"
+        write_dump(path, *build_representation(g, BuildParams(master_seed=1)))
+        monkeypatch.setattr(builder, "available_cpus", lambda: 1 if how.endswith("here") else 2)
+        verified = recorded_verifies(monkeypatch)
+        if how == "read_dump":
+            rep = read_dump(path)
+        else:
+            assert verify_dump(path, g) == []
+            [rep] = verified
+        assert len(forks) == (how == "verify_dump beside")
+        assert rep == parse_dump(path.read_text())
+        values = [x for dim in rep.dims for x in dim.values]
+        assert max(values) > 256 and len(set(map(id, values))) == len(set(values))
         assert_no_child_left()
 
     @pytest.mark.parametrize("failure", ["raises", "killed", "short reply"])
