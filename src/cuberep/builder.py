@@ -195,6 +195,12 @@ def verify(rep: CubeRepresentation, g: BipartiteGraph) -> list[Violation]:
     return sorted(violations)
 
 
+# The C type of a 32-bit lane: an unsigned int, 4 bytes wherever CPython
+# runs.  _lane_ints packs a block's placements as these, so a value outside
+# [0, 2^32) raises OverflowError and sends the block to the window pass, and
+# _packed packs the lane constants of _lane_kept the same way.
+_COLUMN_TYPE = "I"
+
 # Most dimensions that phase 2 of verify packs into one int per vertex.  It
 # bounds what the packing holds at a time, about 12 bytes x vertices x
 # _LANE_BLOCK (the packed array, its bytes and the ints): 0.7 MB at 900
@@ -346,16 +352,15 @@ def make_plan(g: BipartiteGraph, t_override: int | None = None) -> BuildPlan:
                      tuple(rep for fam in families for rep in fam.reps), swapped)
 
 
-def dimension_rngs(master_seed: int, index: int, t: int,
-                   start: int = 0) -> Iterator[random.Random]:
-    """The generators of random dimensions start..t-1 of attempt `index`:
-    one random.Random, made from derive_seed(master_seed, index, start) and
+def dimension_rngs(master_seed: int, index: int, t: int) -> Iterator[random.Random]:
+    """The generators of random dimensions 0..t-1 of attempt `index`: one
+    random.Random, made from derive_seed(master_seed, index, 0) and
     reseeded in turn to derive_seed(master_seed, index, j).  Reseeding
     leaves it in the state make_rng of that seed would build, at less cost
     than building a new one; each generator is in that state only until
-    the next is drawn.  None is made when start >= t.  The hash of the
-    master seed and the index, derive_seed's prefix, is made once per call
-    and copied per j.
+    the next is drawn.  None is made when t = 0.  The hash of the master
+    seed and the index, derive_seed's prefix, is made once per call and
+    copied per j.
 
     Random.seed of an int seeds the base generator and clears gauss_next;
     the two are done here without its type checks, which cost about 0.8 us
@@ -364,7 +369,7 @@ def dimension_rngs(master_seed: int, index: int, t: int,
     prefix.update((master_seed & MASK64).to_bytes(8, "little"))
     prefix.update((index & MASK64).to_bytes(8, "little"))
     rng = reseed = None
-    for j in range(start, t):
+    for j in range(t):
         h = prefix.copy()
         h.update(j.to_bytes(8, "little"))
         seed = int.from_bytes(h.digest(), "little")
@@ -377,48 +382,32 @@ def dimension_rngs(master_seed: int, index: int, t: int,
         yield rng
 
 
-def random_dims(plan: BuildPlan, master_seed: int, index: int,
-                start: int = 0) -> Iterator[UnitIntervalRep]:
-    """Random dimensions start..t-1 of attempt `index`, in turn: dimension j
-    is the supergraph of the permutation that shuffled_ranks draws from
-    derive_seed(master_seed, index, j), so each is the same whichever
-    process draws it and whatever it drew before.  The ranks are a
-    bijection as drawn, so no Permutation checks them again."""
-    g, side, size = plan.graph, plan.side, plan.side_size
-    for rng in dimension_rngs(master_seed, index, plan.t, start):
-        yield supergraph_from_ranks(shuffled_ranks(size, rng), side, g)
-
-
 def attempt(plan: BuildPlan, master_seed: int, index: int) -> CubeRepresentation:
-    """Attempt `index`: its t random dimensions (random_dims), then both bit
-    families."""
-    return _assembled(plan, tuple(random_dims(plan, master_seed, index)))
-
-
-def _assembled(plan: BuildPlan, drawn: tuple[UnitIntervalRep, ...]) -> CubeRepresentation:
-    """The attempt of plan whose random dimensions are `drawn`."""
-    g = plan.graph
+    """Attempt `index`: its t random dimensions, then both bit families.
+    Random dimension j is the supergraph of the permutation that
+    shuffled_ranks draws from derive_seed(master_seed, index, j)
+    (dimension_rngs), so each is the same whatever was drawn before.  The
+    ranks are a bijection as drawn, so no Permutation checks them again."""
+    g, side, size = plan.graph, plan.side, plan.side_size
+    drawn = tuple(supergraph_from_ranks(shuffled_ranks(size, rng), side, g)
+                  for rng in dimension_rngs(master_seed, index, plan.t))
     return CubeRepresentation(g.a_count, g.b_count, drawn + plan.bit_dims, plan.provenance)
 
 
 def checked_attempt(plan: BuildPlan, master_seed: int, index: int,
-                    drawing: "_DrawnBeside | None" = None
+                    render: Callable[[CubeRepresentation], None] | None = None
                     ) -> tuple[CubeRepresentation, list[Violation], float, float]:
     """Attempt `index` of plan (see `attempt`), the violations verify finds
     in it against plan.graph, and the seconds spent constructing it and
     verifying it; an internal RuntimeError if an edge went missing.
 
-    With `drawing`, this process and a forked child draw its random
-    dimensions, and a second child is forked to render it
-    (_DrawnBeside.drawn); when that gives none, because the draw child
-    could not be forked, failed or replied short, the attempt is made here
-    by `attempt`, as without `drawing`.  Either way verify is called on it
-    once.  The seconds constructing it count both forks and an abandoned
-    draw too."""
+    With `render`, the attempt is handed to it before verify is called: a
+    build with a dump forks its render child there (_RenderedBeside.render),
+    and the seconds constructing the attempt count that fork too."""
     started = time.perf_counter()
-    rep = drawing.drawn() if drawing is not None else None
-    if rep is None:
-        rep = attempt(plan, master_seed, index)
+    rep = attempt(plan, master_seed, index)
+    if render is not None:
+        render(rep)
     built = time.perf_counter()
     violations = verify(rep, plan.graph)
     if any(v.kind == "missing-edge" for v in violations):
@@ -437,26 +426,23 @@ def build_representation(
 
     With `out`, the result's dump is written there, as write_dump writes it,
     once it has passed; nothing is written on BuildFailure.  Each attempt
-    then forks a draw child that draws the first half of its random
-    dimensions while this process draws the second, and once it has
-    replied, a render child that renders the dump while this process
-    verifies the attempt (_DrawnBeside), unless _Children forbids a fork or
-    the dump has fewer than MIN_CHILD_CELLS cells (vertices x k).  On a
-    pass `out` is opened, which truncates the file there while the render
-    child may still render, and then that child is reaped and its dump is
-    copied to `out` in the kernel (_DrawnBeside.send); a failed attempt's
-    render child is killed and reaped, and its dump dropped.  When the draw
-    child cannot be forked, fails or replies short, the whole attempt is
-    drawn here, as without `out`; when the render child cannot be forked
+    is then drawn whole here, and a forked render child renders its dump
+    while this process verifies it (_RenderedBeside), unless _Children
+    forbids a fork or the dump has fewer than MIN_CHILD_CELLS cells
+    (vertices x k).  On a pass `out` is opened, which truncates the file
+    there while the render child may still render, and then that child is
+    reaped and its dump is copied to `out` in the kernel
+    (_RenderedBeside.send); a failed attempt's render child is killed and
+    reaped, and its dump dropped.  When the render child cannot be forked
     or fails, or the copy does, write_dump writes the dump here instead, to
     the same bytes.  No child, no temporary file and no pipe outlives the
     call.
 
-    report.construct_seconds is the time spent drawing random dimensions
-    here, forking the draw child and waiting for its half, then forking the
-    render child; abandoned draws are included.  report.verify_seconds is
-    the time in verify, and report.write_seconds the time from the passing
-    verification to the dump in place."""
+    report.construct_seconds is the time spent drawing all t random
+    dimensions of each attempt and assembling it, and forking its render
+    child.  report.verify_seconds is the time in verify, and
+    report.write_seconds the time from the passing verification to the
+    dump in place."""
     plan = make_plan(g, params.t_override)
     k = plan.t + len(plan.bit_dims)
 
@@ -481,20 +467,19 @@ def build_representation(
         forking = (out is not None and children.allowed
                    and g.vertex_count * k >= MIN_CHILD_CELLS)
         for index in range(params.max_retries if plan.t else 1):
-            drawing = (_DrawnBeside(plan, params.master_seed, index, children, files,
-                                    report(index)) if forking else None)
+            rendering = _RenderedBeside(children, files, report(index)) if forking else None
             rep, violations, built, checked = checked_attempt(
-                plan, params.master_seed, index, drawing)
+                plan, params.master_seed, index, rendering.render if rendering else None)
             construct_seconds += built
             verify_seconds += checked
             if violations:
-                if drawing is not None:
-                    drawing.drop()
+                if rendering is not None:
+                    rendering.drop()
                 continue
             write_seconds = 0.0
             if out is not None:
                 passed = time.perf_counter()
-                if drawing is None or not drawing.send(out):
+                if rendering is None or not rendering.send(out):
                     write_dump(out, rep, report(index))
                 write_seconds = time.perf_counter() - passed
             return rep, report(index, construct_seconds, verify_seconds, write_seconds)
@@ -503,73 +488,22 @@ def build_representation(
         "zero random dimensions cannot remove cross non-edges", violations)
 
 
-# How a column crosses between the drawing child and its parent: one C
-# unsigned int per value, 4 bytes wherever CPython runs; a placement is at
-# most 2 * MAX_VERTICES + 2, which needs more than 2.
-_COLUMN_TYPE = "I"
+class _RenderedBeside:
+    """The dump of one attempt of a build, rendered by a forked child while
+    this process verifies the attempt.
 
+    The render child renders the attempt, which it inherits through the
+    fork, into an unnamed temporary file (_render_into) and replies the
+    dump's size; when it cannot be forked or fails, `send` says so."""
 
-def _write_columns(fd: int, dims: Iterable[UnitIntervalRep]) -> int:
-    """Write dims in turn to the file open at descriptor `fd`, from its
-    offset on, each its values as _COLUMN_TYPE ints, and return the bytes
-    written: column j is at offset j x the column's size when none is
-    written short."""
-    return sum(os.write(fd, array(_COLUMN_TYPE, dim.values)) for dim in dims)
-
-
-def _read_columns(plan: BuildPlan, fd: int, columns: range) -> tuple[UnitIntervalRep, ...]:
-    """The given columns of the file open at descriptor `fd`
-    (_write_columns), read by os.pread as random dimensions of plan's
-    attempts, their values the objects of shared_ints."""
-    g = plan.graph
-    n, verts = g.vertex_count, vertex_order(g.a_count, g.b_count)
-    ints, width = shared_ints(n), n * array(_COLUMN_TYPE).itemsize
-    return tuple(UnitIntervalRep.column(
-        verts, [ints[x] for x in array(_COLUMN_TYPE, os.pread(fd, width, j * width))], n)
-        for j in columns)
-
-
-class _DrawnBeside:
-    """One attempt of a build with a dump, drawn with a forked child and
-    rendered by another while this process verifies it.
-
-    The draw child writes random dimensions 0..h-1, h = ceil(t/2), as
-    random_dims draws them, to an unnamed temporary file (_write_columns)
-    and replies the bytes it wrote, while this process draws dimensions
-    h..t-1 (random_dims from h); none is forked when t = 0.  Only a reply
-    of h whole columns has its columns read (_read_columns); otherwise
-    `drawn` gives nothing.  The render child renders the assembled attempt,
-    which it inherits through the fork, into a second unnamed temporary
-    file (_render_into) and replies the dump's size; when it cannot be
-    forked or fails, `send` says so."""
-
-    def __init__(self, plan: BuildPlan, master_seed: int, index: int,
-                 children: "_Children", files: ExitStack, report: BuildReport) -> None:
-        self.plan, self.master_seed, self.index = plan, master_seed, index
+    def __init__(self, children: "_Children", files: ExitStack, report: BuildReport) -> None:
         self.children, self.files, self.report = children, files, report
         self.pid = None
 
-    def drawn(self) -> CubeRepresentation | None:
-        """The attempt, its first h random dimensions read from the draw
-        child's columns, once the render child is forked; None when the
-        draw child could not be forked, failed or replied short."""
-        plan, master_seed, index = self.plan, self.master_seed, self.index
-        half, drawn = (plan.t + 1) // 2, ()
-        if half:  # with t = 0 there is nothing to draw beside
-            with tempfile.TemporaryFile() as columns:
-                pid = self.children.fork(lambda: _write_columns(
-                    columns.fileno(), islice(random_dims(plan, master_seed, index), half)))
-                if pid is None:
-                    return None
-                own = tuple(random_dims(plan, master_seed, index, half))
-                width = plan.graph.vertex_count * array(_COLUMN_TYPE).itemsize
-                if self.children.reply(pid) != half * width:
-                    return None
-                drawn = _read_columns(plan, columns.fileno(), range(half)) + own
-        rep = _assembled(plan, drawn)
+    def render(self, rep: CubeRepresentation) -> None:
+        """Fork the render child of rep's dump."""
         self.dump = self.files.enter_context(tempfile.TemporaryFile())
         self.pid = self.children.fork(partial(_render_into, self.dump.fileno(), rep, self.report))
-        return rep
 
     def drop(self) -> None:
         """Kill and reap the render child of a failed attempt, if it runs,
@@ -652,21 +586,23 @@ def survivor_masks(plan: BuildPlan, master_seed: int,
 MIN_CHILD_DRAWS = 1000
 
 # Fewest cells (vertices x k) of a dump that make work on it in a forked
-# child, beside verification, worth its cost: build_representation's draw
-# and render children, and verify_dump's layout check.  On the same host,
+# child, beside verification, worth its cost: build_representation's render
+# child and verify_dump's layout check.  On the same host,
 # gen_random_bipartite(n, 2n, 4/n, 1) graphs built with --out, and their
-# dumps verified, with the children against without them (medians of 40
-# alternating calls each): builds at 7,320 cells +7.6 ms (+100%), 12,060
-# +5.6 ms (+40%), 18,960 +3.2 ms (+19%), 24,750 +2.3 ms (+9%), 30,780
-# +2.4 ms (+12%), 40,320 +1.4 ms (+5%), 43,680 -2.3 ms (-6%), 45,990 -4.0 ms
-# (-9%), 51,000 -0.9 ms (-2%) and 57,000 -2.2 ms (-5%), the middle of three
-# runs; verify_dump, reading placements as shared_ints, at 7,320 cells
-# +3.1 ms (+48%), 12,060 +2.8 ms (+29%), 18,960 +2.4 ms (+16%), 24,750
-# +2.4 ms (+13%), 30,780 +2.0 ms (+9%), 40,320 +1.0 ms (+3%), 43,680
-# -1.4 ms (-4%), 45,990 -0.4 ms (-1%), 51,000 -1.9 ms (-5%) and 57,000
-# -3.1 ms (-7%), the median of three runs.  Both crossed over between
-# 40,320 and 43,680 cells.
-MIN_CHILD_CELLS = 42_000
+# dumps verified, with the child against without it (the middle of three
+# runs, each the medians of 40 alternating calls, 60 from 30,780 cells on):
+# builds at 7,320 cells +3.6 ms (+58%), 12,060 +2.0 ms (+15%), 18,960
+# +3.5 ms (+22%), 24,750 +1.2 ms (+7%), 30,780 -1.2 ms (-5%), 32,562 -5.5 ms
+# (-16%), 35,532 -6.9 ms (-20%), 37,818 -2.1 ms (-7%), 39,975 -3.2 ms (-9%),
+# 40,320 -4.9 ms (-13%), 42,588 -8.1 ms (-21%) and 57,000 -5.9 ms (-16%);
+# verify_dump at 30,780 -1.6 ms (-4%), 32,562 -6.5 ms (-15%), 35,532
+# -7.2 ms (-16%), 37,818 -7.0 ms (-15%), 39,975 -4.5 ms (-11%), 40,320
+# -3.4 ms (-7%) and 42,588 -4.8 ms (-10%).  The build crossed over at about
+# 31,000 cells.  Runs of these sizes vary by several ms: an earlier
+# measurement put verify_dump's crossover between 40,320 and 43,680 cells,
+# with a loss of 1.0-2.0 ms a call (3-9%) from 30,780 to 40,320, which the
+# one constant accepts there.
+MIN_CHILD_CELLS = 32_000
 
 
 def available_cpus() -> int:
@@ -941,7 +877,7 @@ def write_dump(path: str | Path, rep: CubeRepresentation, report: BuildReport) -
 def _render_into(fd: int, rep: CubeRepresentation, report: BuildReport) -> int:
     """Write render_dump(rep, report) to the empty file open at descriptor
     `fd`, as write_dump writes it, and return the bytes written; run in the
-    render child of a build (_DrawnBeside)."""
+    render child of a build (_RenderedBeside)."""
     with open(fd, "w", closefd=False) as out:
         out.writelines(_dump_pieces(rep, report))
     return os.lseek(fd, 0, os.SEEK_CUR)

@@ -145,8 +145,8 @@ def supergraph_from_ranks(ranks: Sequence[int], side: str, g: BipartiteGraph) ->
 def shared_ints(n: int) -> tuple[int, ...]:
     """The ints 0..2n+2, every placement of a random dimension of n
     vertices, made once per vertex count: supergraph_from_ranks places the
-    other side, a build reads its draw child's columns and a dump is read
-    back with these objects, so they share one int object per value."""
+    other side and a dump is read back with these objects, so they share
+    one int object per value."""
     return tuple(range(2 * n + 3))
 
 

@@ -14,7 +14,6 @@ import subprocess
 import threading
 import time
 import tracemalloc
-from array import array
 from fractions import Fraction
 from operator import and_
 from pathlib import Path
@@ -638,7 +637,7 @@ class TestParallelFailureRate:
 
 RENDERED = gen_random_bipartite(10, 20, 0.3, seed=5)
 # a graph whose attempts at t = 4 and t = 7 fail a few times, at seed 3
-SPLIT = gen_random_bipartite(6, 9, 0.25, seed=3)
+RETRYING = gen_random_bipartite(6, 9, 0.25, seed=3)
 # (graph, params, attempts): passing at once, with the larger side first,
 # and failing once at t = 15 before passing
 RENDER_CASES = [(RENDERED, BuildParams(master_seed=1), 1),
@@ -683,29 +682,26 @@ def in_child(parent: int) -> bool:
 
 
 class TestRenderBeside:
-    """A build with a dump forks, per attempt, a draw child that writes the
-    first half of the attempt's random dimensions to a column file while
-    this process draws the second, then a render child that renders the
-    attempt's dump while this process verifies it."""
+    """A build with a dump draws each attempt whole in this process, then
+    forks one render child that renders the attempt's dump while this
+    process verifies it."""
 
     @pytest.mark.parametrize("g, params, attempts", RENDER_CASES)
     def test_dump_is_write_dump_s_bytes(self, descriptors, forks, temporary_files,
                                         monkeypatch, tmp_path, g, params, attempts):
         out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
-        drawn_here = recorded_draws(monkeypatch, os.getpid())
+        drawn_here = recorded_draws(monkeypatch)
         verified_here = recorded_verifies(monkeypatch)
         rep, report = build_representation(g, params, out)
         assert writes == []
         assert report.retries == attempts - 1
         assert report.swapped is (g.a_count > g.b_count)
-        # this process draws once per attempt, from h = ceil(t / 2) on, and
-        # verifies each attempt once
-        assert drawn_here == [(index, half(g, params)) for index in range(attempts)]
+        # this process draws each attempt once and verifies it once
+        assert drawn_here == list(range(attempts))
         assert verified_here == [attempt(make_plan(g, params.t_override), params.master_seed,
                                          index) for index in range(attempts)]
-        # the draw and the render child, and the one file of columns and
-        # the dump's, per attempt
-        assert len(forks) == 2 * attempts and len(temporary_files) == 2 * attempts
+        # the render child and the file of its dump, per attempt
+        assert len(forks) == attempts and len(temporary_files) == attempts
         assert rep == attempt(make_plan(g, params.t_override), params.master_seed,
                               attempts - 1)
         assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
@@ -774,10 +770,10 @@ class TestRenderBeside:
         if failure == "copy refused":
             monkeypatch.setattr(os, "sendfile", refuse)
         writes = in_process_writes(monkeypatch)
-        drawn_here = recorded_draws(monkeypatch, parent)
+        drawn_here = recorded_draws(monkeypatch)
         rep, report = build_representation(RENDERED, params, out)
-        assert len(forks) == 2
-        assert writes == [out] and drawn_here == [(0, half(RENDERED, params))]
+        assert len(forks) == 1
+        assert writes == [out] and drawn_here == [0]
         assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
         assert_nothing_left(temporary_files, descriptors)
 
@@ -796,135 +792,57 @@ class TestRenderBeside:
         with pytest.raises(IsADirectoryError):
             build_representation(RENDERED, BuildParams(master_seed=1), tmp_path)
         assert time.monotonic() - started < 30
-        assert len(forks) == 2
-        assert_nothing_left(temporary_files, descriptors)
-
-    @pytest.mark.parametrize("failure, column", [
-        *((failure, column) for failure in ["raises", "killed", "short columns"]
-          for column in ["first", "middle", "last"]),
-        ("killed after its columns, before its reply", "last")])
-    def test_a_failed_draw_is_drawn_here(self, descriptors, forks, temporary_files,
-                                         monkeypatch, tmp_path, failure, column):
-        # the draw child writes the columns of its half before `column` in
-        # full, then raises, is killed, or writes `column` short, so that
-        # its reply is not h x n x 4 bytes; or it writes its whole half and
-        # is killed before its reply: this process drops its own half, then
-        # draws the whole attempt itself, verifies it once and writes the
-        # dump, as a build in one process does, and forks no render child
-        params = BuildParams(master_seed=1)
-        expected = one_cpu_build(tmp_path, RENDERED, params)
-        h = half(RENDERED, params)
-        first = {"first": 0, "middle": h // 2, "last": h - 1}[column]
-        parent, dims, write = os.getpid(), builder.random_dims, os.write
-        written = []
-
-        def failing_in_child(plan, master_seed, index, start=0):
-            for j, dim in enumerate(dims(plan, master_seed, index, start), start):
-                if in_child(parent) and j == first and failure in ("raises", "killed"):
-                    if failure == "raises":
-                        raise RuntimeError("the child fails")
-                    os.kill(os.getpid(), signal.SIGKILL)
-                yield dim
-
-        def failing_write_in_child(fd, data):
-            if not in_child(parent) or not isinstance(data, array):  # not a column
-                return write(fd, data)
-            written.append(fd)
-            if failure == "short columns" and len(written) == first + 1:
-                return write(fd, data.tobytes()[:-1])
-            count = write(fd, data)
-            if failure.startswith("killed after") and len(written) == h:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return count
-
-        monkeypatch.setattr(builder, "random_dims", failing_in_child)
-        if failure not in ("raises", "killed"):
-            monkeypatch.setattr(os, "write", failing_write_in_child)
-        out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
-        drawn_here = recorded_draws(monkeypatch, parent)
-        verified_here = recorded_verifies(monkeypatch)
-        started = time.monotonic()
-        rep, report = build_representation(RENDERED, params, out)
-        assert time.monotonic() - started < 30
         assert len(forks) == 1
-        assert writes == [out] and drawn_here == [(0, h), (0, 0)] and verified_here == [rep]
-        assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
         assert_nothing_left(temporary_files, descriptors)
 
-    def test_a_failed_draw_here_kills_the_child(self, descriptors, forks, temporary_files,
-                                                monkeypatch, tmp_path):
-        # an exception in this process's own half propagates; the draw
-        # child is killed and reaped, no render child is forked, and no
-        # file or descriptor is left
-        parent, dims = os.getpid(), builder.random_dims
+    def test_a_failed_draw_forks_nothing(self, descriptors, forks, temporary_files,
+                                         monkeypatch, tmp_path):
+        # an exception while the attempt is drawn propagates before any
+        # render child is forked, and no file or descriptor is left
+        def failing(plan, master_seed, index):
+            raise RuntimeError("the draw fails")
 
-        def failing_here(plan, master_seed, index, start=0):
-            for j, dim in enumerate(dims(plan, master_seed, index, start), start):
-                if not in_child(parent) and j == start + 1:
-                    raise RuntimeError("the draw here fails")
-                yield dim
-
-        monkeypatch.setattr(builder, "random_dims", failing_here)
+        monkeypatch.setattr(builder, "attempt", failing)
         out = tmp_path / "dump.json"
-        with pytest.raises(RuntimeError, match="the draw here fails"):
+        with pytest.raises(RuntimeError, match="the draw fails"):
             build_representation(RENDERED, BuildParams(master_seed=1), out)
-        assert len(forks) == 1 and not out.exists()
+        assert forks == [] and temporary_files == [] and not out.exists()
         assert_nothing_left(temporary_files, descriptors)
 
     @pytest.mark.parametrize("g, t", [
         (BipartiteGraph(3, 4, frozenset((a, b) for a in range(1, 4) for b in range(1, 5))), 0),
         (BipartiteGraph(3, 4, frozenset()), 1),
-        (SPLIT, 4), (SPLIT, 7)], ids=["t0", "t1", "even", "odd"])
-    def test_each_split_writes_the_one_cpu_bytes(self, descriptors, forks, temporary_files,
-                                                 tmp_path, g, t):
-        # t = 0 forks no draw child, only the render child; t = 1 leaves
-        # this process nothing to draw; an even and an odd t split evenly
-        # and unevenly, and fail a few attempts first
+        (RETRYING, 4), (RETRYING, 7)], ids=["t0", "t1", "even", "odd"])
+    def test_each_t_writes_the_one_cpu_bytes(self, descriptors, forks, temporary_files,
+                                             tmp_path, g, t):
+        # t = 0 has no random dimension to draw and t = 1 one; an even and
+        # an odd t fail a few attempts first
         params = BuildParams(master_seed=3, t_override=t)
         expected = one_cpu_build(tmp_path, g, params)
         out = tmp_path / "dump.json"
         rep, report = build_representation(g, params, out)
-        assert len(forks) == (2 if t else 1) * (report.retries + 1)
+        assert len(forks) == report.retries + 1
         assert t < 4 or report.retries > 0
         assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
         assert_nothing_left(temporary_files, descriptors)
 
-    def test_a_failed_fork_is_drawn_here(self, descriptors, forks, temporary_files,
-                                         monkeypatch, tmp_path):
+    def test_a_failed_fork_is_written_here(self, descriptors, forks, temporary_files,
+                                           monkeypatch, tmp_path):
+        # the render child's fork is refused, so this process writes the
+        # dump, to the same bytes
         def refuse():
+            calls.append(1)
             raise OSError("no process to spare")
 
-        params = BuildParams(master_seed=1)
+        params, calls = BuildParams(master_seed=1), []
         expected = one_cpu_build(tmp_path, RENDERED, params)
         monkeypatch.setattr(os, "fork", refuse)
-        drawn_here = recorded_draws(monkeypatch, os.getpid())
-        verified_here = recorded_verifies(monkeypatch)
-        out = tmp_path / "dump.json"
-        rep, report = build_representation(RENDERED, params, out)
-        assert drawn_here == [(0, 0)] and verified_here == [rep]
-        assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
-        assert_nothing_left(temporary_files, descriptors)
-
-    def test_a_failed_render_fork_is_written_here(self, descriptors, forks, temporary_files,
-                                                  monkeypatch, tmp_path):
-        # the draw child is forked and replies; the render child's fork is
-        # refused, so this process writes the dump, to the same bytes
-        params = BuildParams(master_seed=1)
-        expected = one_cpu_build(tmp_path, RENDERED, params)
-        fork, calls = os.fork, []
-
-        def second_refused():
-            calls.append(1)
-            if len(calls) == 2:
-                raise OSError("no process to spare")
-            return fork()
-
-        monkeypatch.setattr(os, "fork", second_refused)
         out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
-        drawn_here = recorded_draws(monkeypatch, os.getpid())
+        drawn_here = recorded_draws(monkeypatch)
+        verified_here = recorded_verifies(monkeypatch)
         rep, report = build_representation(RENDERED, params, out)
-        assert len(forks) == 1 and len(calls) == 2
-        assert writes == [out] and drawn_here == [(0, half(RENDERED, params))]
+        assert len(calls) == 1 and writes == [out]
+        assert drawn_here == [0] and verified_here == [rep]
         assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
         assert_nothing_left(temporary_files, descriptors)
 
@@ -935,7 +853,7 @@ class TestRenderBeside:
         pipe, pipes = os.pipe, []
         monkeypatch.setattr(os, "pipe", lambda: pipes.append(1) or pipe())
         build_representation(g, params, tmp_path / "dump.json")
-        assert len(pipes) == len(forks) == 2 * attempts
+        assert len(pipes) == len(forks) == attempts
         assert_nothing_left(temporary_files, descriptors)
 
     def test_interrupt_during_verify_kills_and_reaps_the_child(
@@ -960,7 +878,7 @@ class TestRenderBeside:
         with pytest.raises(KeyboardInterrupt):
             build_representation(RENDERED, BuildParams(master_seed=1), out)
         assert time.monotonic() - started < 30
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert not out.exists()
         assert_nothing_left(temporary_files, descriptors)
 
@@ -969,7 +887,7 @@ class TestRenderBeside:
         with pytest.raises(BuildFailure):
             build_representation(RENDERED, BuildParams(master_seed=1, t_override=1,
                                                        max_retries=3), out)
-        assert len(forks) == 6
+        assert len(forks) == 3
         assert not out.exists()
         assert_nothing_left(temporary_files, descriptors)
 
@@ -1019,14 +937,14 @@ class TestRenderBeside:
         monkeypatch.setattr(builder, "MIN_CHILD_CELLS",
                             RENDERED.vertex_count * (plan.t + len(plan.bit_dims)))
         build_representation(RENDERED, BuildParams(master_seed=1), tmp_path / "dump.json")
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert_no_child_left()
 
-    def test_received_columns_share_their_ints(self, forks, tmp_path):
-        # one int object per value, in the columns received from the child
-        # and in those drawn here, where the placements of the other side
-        # come from one table per size; past 128 vertices, placements
-        # exceed the ints that Python caches
+    def test_drawn_dimensions_share_their_ints(self, forks, tmp_path):
+        # one int object per value in the random dimensions that the build
+        # draws, where the placements of the other side come from one table
+        # per size; past 128 vertices, placements exceed the ints that
+        # Python caches
         g = gen_random_bipartite(50, 100, 0.06, seed=1)
         rep, _ = build_representation(g, BuildParams(master_seed=1), tmp_path / "dump.json")
         random_dims = rep.dims[:make_plan(g).t]
@@ -1035,23 +953,16 @@ class TestRenderBeside:
             len({x for dim in random_dims for x in dim.values})
 
 
-def recorded_draws(monkeypatch, parent: int) -> list[tuple[int, int]]:
-    """The attempt index and the first dimension of each random_dims call
-    made in this process, not in a child, from now on."""
-    calls, dims = [], builder.random_dims
+def recorded_draws(monkeypatch) -> list[int]:
+    """The index of each attempt that builder.attempt draws from now on."""
+    calls, draw = [], builder.attempt
 
-    def recording(plan, master_seed, index, start=0):
-        if not in_child(parent):
-            calls.append((index, start))
-        return dims(plan, master_seed, index, start)
+    def recording(plan, master_seed, index):
+        calls.append(index)
+        return draw(plan, master_seed, index)
 
-    monkeypatch.setattr(builder, "random_dims", recording)
+    monkeypatch.setattr(builder, "attempt", recording)
     return calls
-
-
-def half(g: BipartiteGraph, params: BuildParams) -> int:
-    """h = ceil(t / 2): the random dimensions that a build's child draws."""
-    return (make_plan(g, params.t_override).t + 1) // 2
 
 
 def one_cpu_build(tmp_path, g, params) -> tuple:
@@ -2147,9 +2058,9 @@ class TestLayoutBeside:
 
     @pytest.mark.parametrize("how", ["read_dump", "verify_dump beside", "verify_dump here"])
     def test_a_dump_read_back_shares_its_ints(self, forks, monkeypatch, tmp_path, how):
-        # one int object per value, as in the columns a build receives from
-        # its draw child; past 128 vertices, placements exceed the ints
-        # that Python caches
+        # one int object per value, as in the random dimensions a build
+        # draws; past 128 vertices, placements exceed the ints that Python
+        # caches
         g = gen_random_bipartite(50, 100, 0.06, seed=1)
         path = tmp_path / "dump.json"
         write_dump(path, *build_representation(g, BuildParams(master_seed=1)))
