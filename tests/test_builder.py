@@ -795,18 +795,33 @@ class TestRenderBeside:
         assert len(forks) == 1
         assert_nothing_left(temporary_files, descriptors)
 
-    def test_a_failed_draw_forks_nothing(self, descriptors, forks, temporary_files,
-                                         monkeypatch, tmp_path):
-        # an exception while the attempt is drawn propagates before any
-        # render child is forked, and no file or descriptor is left
-        def failing(plan, master_seed, index):
-            raise RuntimeError("the draw fails")
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, MemoryError])
+    @pytest.mark.parametrize("failing", [0, 2, 4], ids=["first", "after retries", "last"])
+    def test_a_failed_draw_propagates_and_leaves_nothing(
+            self, descriptors, forks, temporary_files, monkeypatch, tmp_path, error, failing):
+        # the draw of attempt `failing` raises: the render children of the
+        # failed attempts before it were killed and reaped, and their dumps
+        # closed, before it was drawn; the error propagates before that
+        # attempt's render child is forked, and the previous dump at `out`
+        # is left as it was
+        draw = builder.attempt
 
-        monkeypatch.setattr(builder, "attempt", failing)
+        def failing_draw(plan, master_seed, index):
+            if index == failing:
+                assert_no_child_left()
+                assert all(file.closed for file in temporary_files)
+                raise error("the draw fails")
+            return draw(plan, master_seed, index)
+
+        monkeypatch.setattr(builder, "attempt", failing_draw)
         out = tmp_path / "dump.json"
-        with pytest.raises(RuntimeError, match="the draw fails"):
-            build_representation(RENDERED, BuildParams(master_seed=1), out)
-        assert forks == [] and temporary_files == [] and not out.exists()
+        out.write_text("an older dump\n")
+        before = out.stat()
+        with pytest.raises(error, match="the draw fails"):
+            build_representation(RETRYING, BuildParams(master_seed=3, t_override=4), out)
+        assert len(forks) == len(temporary_files) == failing
+        assert out.read_text() == "an older dump\n"
+        assert (out.stat().st_mtime_ns, out.stat().st_ino) == (before.st_mtime_ns, before.st_ino)
         assert_nothing_left(temporary_files, descriptors)
 
     @pytest.mark.parametrize("g, t", [
@@ -826,23 +841,27 @@ class TestRenderBeside:
         assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
         assert_nothing_left(temporary_files, descriptors)
 
+    @pytest.mark.parametrize("g, params, attempts", RENDER_CASES)
     def test_a_failed_fork_is_written_here(self, descriptors, forks, temporary_files,
-                                           monkeypatch, tmp_path):
-        # the render child's fork is refused, so this process writes the
-        # dump, to the same bytes
+                                           monkeypatch, tmp_path, g, params, attempts):
+        # each attempt's render child's fork is refused, so this process
+        # verifies each attempt and writes the passing one's dump, to the
+        # same bytes
         def refuse():
             calls.append(1)
             raise OSError("no process to spare")
 
-        params, calls = BuildParams(master_seed=1), []
-        expected = one_cpu_build(tmp_path, RENDERED, params)
+        calls = []
+        expected = one_cpu_build(tmp_path, g, params)
         monkeypatch.setattr(os, "fork", refuse)
         out, writes = tmp_path / "dump.json", in_process_writes(monkeypatch)
         drawn_here = recorded_draws(monkeypatch)
         verified_here = recorded_verifies(monkeypatch)
-        rep, report = build_representation(RENDERED, params, out)
-        assert len(calls) == 1 and writes == [out]
-        assert drawn_here == [0] and verified_here == [rep]
+        rep, report = build_representation(g, params, out)
+        assert len(calls) == attempts and writes == [out]
+        assert drawn_here == list(range(attempts))
+        assert verified_here == [attempt(make_plan(g, params.t_override), params.master_seed,
+                                         index) for index in range(attempts)]
         assert (rep, report_to_jsonable(report), out.read_bytes()) == expected
         assert_nothing_left(temporary_files, descriptors)
 
@@ -856,39 +875,60 @@ class TestRenderBeside:
         assert len(pipes) == len(forks) == attempts
         assert_nothing_left(temporary_files, descriptors)
 
+    @pytest.mark.parametrize("params, interrupted", [
+        (BuildParams(master_seed=1), 0), (BuildParams(master_seed=0, t_override=15), 1)],
+        ids=["first", "after a retry"])
     def test_interrupt_during_verify_kills_and_reaps_the_child(
-            self, descriptors, forks, temporary_files, monkeypatch, tmp_path):
+            self, descriptors, forks, temporary_files, monkeypatch, tmp_path, params,
+            interrupted):
         # the child would render for a minute: only a kill ends it in time;
-        # verify is interrupted once it is given the whole attempt
-        parent, pieces = os.getpid(), builder._dump_pieces
+        # verify of attempt `interrupted` is interrupted once it is given
+        # the whole attempt, after the attempts before it failed
+        parent, pieces, check, verified = os.getpid(), builder._dump_pieces, builder.verify, []
 
         def slow_in_child(*args):
             if in_child(parent):
                 time.sleep(60)
             return pieces(*args)
 
-        def interrupted(rep, g):
-            assert rep == attempt(make_plan(RENDERED), 1, 0)
+        def interrupted_verify(rep, g):
+            verified.append(rep)
+            if len(verified) <= interrupted:
+                return check(rep, g)
+            assert rep == attempt(make_plan(RENDERED, params.t_override),
+                                  params.master_seed, interrupted)
             raise KeyboardInterrupt
 
         monkeypatch.setattr(builder, "_dump_pieces", slow_in_child)
-        monkeypatch.setattr(builder, "verify", interrupted)
+        monkeypatch.setattr(builder, "verify", interrupted_verify)
         out = tmp_path / "dump.json"
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            build_representation(RENDERED, BuildParams(master_seed=1), out)
+            build_representation(RENDERED, params, out)
         assert time.monotonic() - started < 30
-        assert len(forks) == 1
+        assert len(forks) == interrupted + 1
         assert not out.exists()
         assert_nothing_left(temporary_files, descriptors)
 
-    def test_failed_build_writes_nothing(self, descriptors, forks, temporary_files, tmp_path):
+    @pytest.mark.parametrize("older", [None, "an older dump\n"], ids=["no file", "older dump"])
+    def test_failed_build_writes_nothing(self, descriptors, forks, temporary_files, tmp_path,
+                                         older):
+        # the render child of each failed attempt is killed before `out`
+        # is opened, so a file already there is left as it was
         out = tmp_path / "dump.json"
+        if older is not None:
+            out.write_text(older)
+            before = out.stat()
         with pytest.raises(BuildFailure):
             build_representation(RENDERED, BuildParams(master_seed=1, t_override=1,
                                                        max_retries=3), out)
         assert len(forks) == 3
-        assert not out.exists()
+        if older is None:
+            assert not out.exists()
+        else:
+            assert out.read_text() == older
+            assert (out.stat().st_mtime_ns, out.stat().st_ino) == \
+                (before.st_mtime_ns, before.st_ino)
         assert_nothing_left(temporary_files, descriptors)
 
     @pytest.mark.parametrize("why", ["another thread", "one CPU", "small dump", "no out"])
