@@ -41,10 +41,11 @@ from .graphs import (
 )
 from .intervals import (
     CubeRepresentation,
+    DIM_KINDS,
     UnitIntervalRep,
-    bit_dim_tag,
     cube_cell,
-    random_dim_tag,
+    dim_tag,
+    kind_counts,
     rep_from_jsonable,
     rep_to_jsonable,  # noqa: F401  unused here; the benchmark's traced replica patches it
     tag_kind,
@@ -94,8 +95,9 @@ class BuildParams:
 
 @dataclass(frozen=True)
 class BuildReport:
-    """What a build reports, in the labels of the graph it was given;
-    `swapped` is set when that graph's first side is the larger."""
+    """What a build reports, in the labels of the graph it was given: its
+    first four fields are kind_counts' in order, and `swapped` is set when
+    that graph's first side is the larger."""
 
     dimension: int  # k, the total number of dimensions
     t: int
@@ -293,17 +295,16 @@ def _getter(indices: list[int]) -> itemgetter:
 @dataclass(frozen=True)
 class BuildPlan:
     """What all attempts on one graph share, in that graph's labels; the
-    degree profile is kept for d' and the probe.  `bit_dims` holds both bit
-    families in attempt order, and `swapped` says the graph's first side is
-    the larger."""
+    degree profile is kept for d' and the probe.  `families` holds both bit
+    families in attempt order, `bit_dims` their dimensions, and `swapped`
+    says the graph's first side is the larger."""
 
     graph: BipartiteGraph
     t: int
     profile: DegreeProfile
     side: str
     side_size: int
-    fam_a: BitEncodingFamily
-    fam_b: BitEncodingFamily
+    families: tuple[BitEncodingFamily, BitEncodingFamily]
     bit_dims: tuple[UnitIntervalRep, ...]
     swapped: bool
 
@@ -312,10 +313,10 @@ class BuildPlan:
         """The tag of every dimension of an attempt, in attempt order, made
         on first use: a plan that no attempt is built from (the probe's)
         holds nothing that grows with t."""
-        families = (self.fam_b, self.fam_a) if self.swapped else (self.fam_a, self.fam_b)
-        return (tuple(random_dim_tag(j + 1) for j in range(self.t))
-                + tuple(bit_dim_tag(fam.side, i + 1)
-                        for fam in families for i in range(fam.bit_count)))
+        kind = {row.family: kind for kind, row in DIM_KINDS.items()}  # None: random
+        return (tuple(dim_tag(kind[None], j + 1) for j in range(self.t))
+                + tuple(dim_tag(kind[fam.side], i + 1)
+                        for fam in self.families for i in range(fam.bit_count)))
 
     @cached_property
     def neighbours(self) -> list[int]:
@@ -345,10 +346,9 @@ def make_plan(g: BipartiteGraph, t_override: int | None = None) -> BuildPlan:
     t = t_override if t_override is not None else \
         default_t(profile.delta_prime, max(g.a_count, g.b_count))
     side = choose_permuted_side(profile)
-    fam_a = build_bit_family(g, SIDE_A)
-    fam_b = build_bit_family(g, SIDE_B)
-    families = (fam_b, fam_a) if swapped else (fam_a, fam_b)
-    return BuildPlan(g, t, profile, side, g.side_count(side), fam_a, fam_b,
+    sides = (SIDE_B, SIDE_A) if swapped else (SIDE_A, SIDE_B)
+    families = tuple(build_bit_family(g, s) for s in sides)
+    return BuildPlan(g, t, profile, side, g.side_count(side), families,
                      tuple(rep for fam in families for rep in fam.reps), swapped)
 
 
@@ -444,15 +444,12 @@ def build_representation(
     report.write_seconds the time from the passing verification to the
     dump in place."""
     plan = make_plan(g, params.t_override)
-    k = plan.t + len(plan.bit_dims)
+    counts = kind_counts(plan.provenance)  # k and each kind's, as check_report counts
 
     def report(index: int, construct: float = 0.0, check: float = 0.0,
                write: float = 0.0) -> BuildReport:
         return BuildReport(
-            dimension=k,
-            t=plan.t,
-            bits_a=plan.fam_a.bit_count,
-            bits_b=plan.fam_b.bit_count,
+            *counts.values(),
             retries=index,
             seed=params.master_seed & MASK64,
             nominal_bound=nominal_dimension_bound(
@@ -465,7 +462,7 @@ def build_representation(
     construct_seconds = verify_seconds = 0.0
     with ExitStack() as files, _Children() as children:
         forking = (out is not None and children.allowed
-                   and g.vertex_count * k >= MIN_CHILD_CELLS)
+                   and g.vertex_count * counts["k"] >= MIN_CHILD_CELLS)
         for index in range(params.max_retries if plan.t else 1):
             rendering = _RenderedBeside(children, files, report(index)) if forking else None
             rep, violations, built, checked = checked_attempt(
@@ -763,18 +760,17 @@ def report_to_jsonable(report: BuildReport, swapped: bool | None = None,
     Left out, `swapped` is report.swapped and the block shows the report as
     it is.  Given, it is for the report of a build on the normalized graph
     whose representation was then swapped back (swap_sides): it sets the
-    block's flag, and when True exchanges bits_a and bits_b so that they
-    follow the dump's labels."""
-    bits_a, bits_b = report.bits_a, report.bits_b
+    block's flag, and when True gives each kind's count (report key, as
+    BuildReport names its field) to its DIM_KINDS partner's key, so that
+    bits_a and bits_b follow the dump's labels."""
+    counts = {row.key: getattr(report, row.key) for row in DIM_KINDS.values()}
     if swapped is None:
         swapped = report.swapped
     elif swapped:
-        bits_a, bits_b = bits_b, bits_a
+        counts = {row.key: counts[DIM_KINDS[row.swapped].key] for row in DIM_KINDS.values()}
     out = {
         "k": report.dimension,
-        "t": report.t,
-        "bits_a": bits_a,
-        "bits_b": bits_b,
+        **counts,
         "retries": report.retries,
         "seed": report.seed,
         "nominal_bound": report.nominal_bound,
@@ -1107,8 +1103,8 @@ def _stream_or_decode(chunks: Callable[[], Iterator[str]], whole: Callable[[], s
                       g: BipartiteGraph | None = None
                       ) -> CubeRepresentation | list[Violation]:
     """The representation of the dump text that each call of `chunks`
-    spells out anew and `whole` returns at once, or, with g, what
-    _verified gives for it and its report against g.  The stream reader
+    spells out anew and `whole` returns at once, or, with g, its verify
+    against g once check_report accepts it and its report.  The stream reader
     reads it in two passes, and never decodes its cubes block: pass 1
     (_dims_pass) proposes the dimensions, read by the layout of the dims
     items alone, and the report after them, and pass 2 (_layout_accepted)
@@ -1127,8 +1123,8 @@ def _stream_or_decode(chunks: Callable[[], Iterator[str]], whole: Callable[[], s
     the dimensions hold fewer than MIN_CHILD_CELLS cells (vertices x k).
     Without a child, or when it exits non-zero or replies short
     (_Children.result), pass 2 runs here before any verification.  Once
-    the verdict is in, _verified checks the report and verifies, reusing
-    the violations found beside the child when the text was accepted.
+    the verdict is in, check_report checks the report, and the violations
+    found beside the child are reused when the text was accepted.
     The child is reaped before the call returns, and killed first on an
     exception (a KeyboardInterrupt in verify, say)."""
     with _collector_paused(), _Children() as children:
@@ -1148,7 +1144,10 @@ def _stream_or_decode(chunks: Callable[[], Iterator[str]], whole: Callable[[], s
                 rep = violations = None
         if rep is None:
             rep, report = _decode_dump(whole())
-        return rep if g is None else _verified(g, rep, report, violations)
+        if g is None:
+            return rep
+        check_report(rep, report)
+        return verify(rep, g) if violations is None else violations
 
 
 def parse_dump(text: str) -> CubeRepresentation:
@@ -1186,31 +1185,22 @@ def verify_dump(path: str | Path, g: BipartiteGraph) -> list[Violation]:
     return _read_dump(path, g)
 
 
-def _verified(g: BipartiteGraph, rep: CubeRepresentation, report: object,
-              violations: list[Violation] | None) -> list[Violation]:
-    """verify(rep, g) once check_report has accepted rep and `report`, or
-    `violations` when they already are its result."""
-    check_report(rep, report)
-    return verify(rep, g) if violations is None else violations
-
-
 def check_report(rep: CubeRepresentation, report: object) -> None:
     """ValueError unless every provenance tag of rep is well formed
     (tag_kind) and `report`, a dump's report block as decoded, is an
-    object whose k is rep's number of dimensions and whose t, bits_a and
-    bits_b are the numbers of its random-j, side-a-bit-i and side-b-bit-i
-    tags, as ints.  A dump that contradicts itself is a format error, like
+    object whose k and whose count of each kind (t, bits_a and bits_b) are
+    kind_counts of rep's tags, as ints; the first key that differs is
+    named.  A dump that contradicts itself is a format error, like
     cubes that differ from the placements, so the CLI exits 2 on it."""
     kinds = list(map(tag_kind, rep.provenance))
     if None in kinds:
         pos = kinds.index(None)
+        *forms, last = (f"{kind}-{row.index}" for kind, row in DIM_KINDS.items())
         raise ValueError(f"dim {pos}: provenance {json.dumps(rep.provenance[pos])} is not "
-                         f"random-j, side-a-bit-i or side-b-bit-i")
+                         f"{', '.join(forms)} or {last}")
     if not isinstance(report, dict):
         raise ValueError("dump needs a report object")
-    counts = {"k": len(kinds), "t": kinds.count("random"),
-              "bits_a": kinds.count("side-a-bit"), "bits_b": kinds.count("side-b-bit")}
-    for key, count in counts.items():
+    for key, count in kind_counts(rep.provenance).items():
         value = report.get(key)
         if type(value) is not int or value != count:
             raise ValueError(f"report {key} is {json.dumps(value)}, "

@@ -131,10 +131,8 @@ def cmd_build(args: argparse.Namespace) -> int:
             payload["dump"] = args.out
         print(json.dumps(payload, sort_keys=True))
     else:
-        shown = report_to_jsonable(report)
-        for key in ("k", "t", "bits_a", "bits_b", "retries", "seed",
-                    "nominal_bound", "swapped"):
-            print(f"{key}: {shown[key]}")
+        for key, value in report_to_jsonable(report).items():
+            print(f"{key}: {value}")
         print(f"construct: {report.construct_seconds:.6f}s")
         print(f"verify: {report.verify_seconds:.6f}s")
         print("verification: PASS")

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .graphs import MAX_VERTICES, SIDE_A, SIDE_B, Vertex, vertex_order
 
@@ -137,26 +138,39 @@ def intersect_graphs(graphs: Sequence[VertexGraph]) -> VertexGraph:
     return VertexGraph(base.vertices, frozenset(edges))
 
 
-# The provenance tags of the dimensions a build makes, and their grammar:
-# random dimension j and bit i of side A's or side B's family, j and i
-# positive integers without a leading zero.
-def random_dim_tag(index: int) -> str:
-    return f"random-{index}"
+class DimKind(NamedTuple):
+    key: str  # the report key that counts the kind's dimensions
+    swapped: str  # the kind that swap_sides makes of it
+    index: str  # the letter that names the index in its tag form
+    family: str | None  # the side whose bit family makes it; None for random
 
 
-def bit_dim_tag(side: str, index: int) -> str:
-    return f"side-{side.lower()}-bit-{index}"
+# Every kind of dimension a build makes, one DimKind each.  A kind's tags are
+# dim_tag(kind, index), index a positive integer without a leading zero.
+DIM_KINDS = {
+    "random": DimKind("t", "random", "j", None),
+    "side-a-bit": DimKind("bits_a", "side-b-bit", "i", SIDE_A),
+    "side-b-bit": DimKind("bits_b", "side-a-bit", "i", SIDE_B),
+}
+_TAG = re.compile("(" + "|".join(DIM_KINDS) + ")-[1-9][0-9]*")
 
 
-TAG_KINDS = ("random", "side-a-bit", "side-b-bit")
-_TAG = re.compile("(" + "|".join(TAG_KINDS) + ")-[1-9][0-9]*")
+def dim_tag(kind: str, index: int) -> str:
+    return f"{kind}-{index}"
 
 
 def tag_kind(tag: str) -> str | None:
-    """The kind in TAG_KINDS of a well-formed provenance tag, or None for
+    """The kind in DIM_KINDS of a well-formed provenance tag, or None for
     any other text."""
     match = _TAG.fullmatch(tag)
     return match[1] if match else None
+
+
+def kind_counts(tags: Sequence[str]) -> dict[str, int]:
+    """k, the number of tags, then each kind's number of tags under its
+    report key, in DIM_KINDS order; a tag of no kind counts only in k."""
+    kinds = Counter(map(tag_kind, tags))
+    return {"k": len(tags), **{row.key: kinds[kind] for kind, row in DIM_KINDS.items()}}
 
 
 @dataclass(frozen=True)
@@ -215,21 +229,16 @@ def swap_sides(rep: CubeRepresentation) -> CubeRepresentation:
     """Relabel side A as side B and vice versa (undoes side normalization).
 
     Each dimension keeps its values: the B block moves in front of the A
-    block, which is the canonical order of the swapped sizes.
+    block, which is the canonical order of the swapped sizes.  A tag of a
+    kind becomes its DIM_KINDS partner's of the same index; text that
+    names no kind is kept.
     """
-
-    def swap_tag(tag: str) -> str:
-        if tag.startswith("side-a-"):
-            return "side-b-" + tag[len("side-a-"):]
-        if tag.startswith("side-b-"):
-            return "side-a-" + tag[len("side-b-"):]
-        return tag
-
     swapped = vertex_order(rep.b_count, rep.a_count)
     split = rep.a_count
     dims = tuple(UnitIntervalRep.column(swapped, dim.values[split:] + dim.values[:split],
                                         dim.threshold) for dim in rep.dims)
-    tags = tuple(swap_tag(t) for t in rep.provenance)
+    tags = tuple(tag if (kind := tag_kind(tag)) is None
+                 else DIM_KINDS[kind].swapped + tag[len(kind):] for tag in rep.provenance)
     return CubeRepresentation(rep.b_count, rep.a_count, dims, tags)
 
 

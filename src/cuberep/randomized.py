@@ -80,11 +80,12 @@ def shuffled_ranks(size: int, rng: random.Random) -> list[int]:
     n = i + 1 and k = n.bit_length(), getrandbits(k) is redrawn until it is
     below n.  Both the ranks and the generator's state afterwards equal
     shuffle's; only the per-step method call of shuffle is saved, and the
-    per-step k, which _shuffle_steps holds.
+    per-step k, which _shuffle_table holds with the ranks in order: each
+    draw copies that tuple, so every draw of a size shares its ints.
     """
-    ranks = list(range(1, size + 1))
-    getrandbits = rng.getrandbits
-    for i, k in _shuffle_steps(size):
+    start, steps = _shuffle_table(size)
+    ranks, getrandbits = list(start), rng.getrandbits
+    for i, k in steps:
         j = getrandbits(k)
         while j > i:  # j >= n
             j = getrandbits(k)
@@ -93,10 +94,12 @@ def shuffled_ranks(size: int, rng: random.Random) -> list[int]:
 
 
 @lru_cache(maxsize=4)
-def _shuffle_steps(size: int) -> tuple[tuple[int, int], ...]:
-    """The steps (i, k) of shuffled_ranks of `size` ranks, in turn: about
-    80 bytes a step, made once per size.  A build or a probe draws one size."""
-    return tuple((i, (i + 1).bit_length()) for i in range(size - 1, 0, -1))
+def _shuffle_table(size: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The ranks 1..size in order and the steps (i, k) of shuffled_ranks of
+    `size` ranks, in turn: 36 bytes a rank and about 80 a step, made once
+    per size.  A build or a probe draws one size."""
+    return (tuple(range(1, size + 1)),
+            tuple((i, (i + 1).bit_length()) for i in range(size - 1, 0, -1)))
 
 
 def random_permutation(size: int, rng: random.Random, side: str = SIDE_A) -> Permutation:

@@ -14,6 +14,7 @@ import subprocess
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from operator import and_
 from pathlib import Path
@@ -73,8 +74,9 @@ from cuberep.builder import (
     make_plan,
     survivor_masks,
 )
+from cuberep.bitfamily import bit_count_for
 from cuberep.graphs import MAX_VERTICES, vertex_order
-from cuberep.intervals import TAG_KINDS, random_dim_tag
+from cuberep.intervals import DIM_KINDS, dim_tag, kind_counts, tag_kind
 from cuberep.randomized import neighbour_masks, reached_below, shuffled_ranks
 
 K44_MINUS_CORNER = BipartiteGraph(
@@ -131,7 +133,7 @@ def hostile_cases(draw):
                         draw(st.integers(1, max(1, 2 * reach))))
         for _ in range(draw(st.integers(0, 4))))
     rep = CubeRepresentation(g.a_count, g.b_count, dims,
-                             tuple(random_dim_tag(j + 1) for j in range(len(dims))))
+                             tuple(dim_tag("random", j + 1) for j in range(len(dims))))
     return rep, g
 
 
@@ -208,7 +210,7 @@ class TestVerify:
         g = BipartiteGraph(2, 2, frozenset())
         dim = UnitIntervalRep(
             {(SIDE_A, 1): 1, (SIDE_A, 2): 2, (SIDE_B, 1): 10, (SIDE_B, 2): 10}, 4)
-        rep = CubeRepresentation(2, 2, (dim,), (random_dim_tag(1),))
+        rep = CubeRepresentation(2, 2, (dim,), (dim_tag("random", 1),))
         violations = verify(rep, g)
         assert violations == sorted(violations)
         assert set(violations) == {
@@ -219,7 +221,7 @@ class TestVerify:
     def test_detects_missing_edge(self):
         g = BipartiteGraph(1, 1, {(1, 1)})
         dim = UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 10}, 1)
-        rep = CubeRepresentation(1, 1, (dim,), (random_dim_tag(1),))
+        rep = CubeRepresentation(1, 1, (dim,), (dim_tag("random", 1),))
         assert verify(rep, g) == [Violation("missing-edge", (SIDE_A, 1), (SIDE_B, 1))]
 
     def test_zero_dims_complete_graph(self):
@@ -236,12 +238,12 @@ class TestVerify:
         # no representation verify could be given holds a partial placement
         dim = UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 0}, 1)
         with pytest.raises(ValueError, match="dimension 0 placement does not cover"):
-            CubeRepresentation(2, 1, (dim,), (random_dim_tag(1),))
+            CubeRepresentation(2, 1, (dim,), (dim_tag("random", 1),))
 
     def test_extra_placement_rejected(self):
         dim = UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 0, (SIDE_B, 2): 0}, 1)
         with pytest.raises(ValueError, match="dimension 0 placement does not cover"):
-            CubeRepresentation(1, 1, (dim,), (random_dim_tag(1),))
+            CubeRepresentation(1, 1, (dim,), (dim_tag("random", 1),))
 
     @settings(max_examples=300, deadline=None)
     @given(hostile_cases())
@@ -984,13 +986,16 @@ class TestRenderBeside:
         # one int object per value in the random dimensions that the build
         # draws, where the placements of the other side come from one table
         # per size; past 128 vertices, placements exceed the ints that
-        # Python caches
+        # Python caches.  The ranks of a permuted side of more than 256
+        # vertices do too, so each draw copies one table of them.
         g = gen_random_bipartite(50, 100, 0.06, seed=1)
         rep, _ = build_representation(g, BuildParams(master_seed=1), tmp_path / "dump.json")
-        random_dims = rep.dims[:make_plan(g).t]
-        assert max(x for dim in random_dims for x in dim.values) > 256
-        assert len({id(x) for dim in random_dims for x in dim.values}) == \
-            len({x for dim in random_dims for x in dim.values})
+        wide = make_plan(gen_random_bipartite(300, 600, 4 / 300, seed=1), 3)
+        assert wide.side_size > 256
+        for random_dims in (rep.dims[:make_plan(g).t], attempt(wide, 1, 0).dims[:wide.t]):
+            assert max(x for dim in random_dims for x in dim.values) > 256
+            assert len({id(x) for dim in random_dims for x in dim.values}) == \
+                len({x for dim in random_dims for x in dim.values})
 
 
 def recorded_draws(monkeypatch) -> list[int]:
@@ -1184,7 +1189,8 @@ class TestLaneBlocks:
         dims[at] = UnitIntervalRep.column(verts, [u, v], c)
         assert [dim is dims[at] for dim in sorted(dims, key=lambda dim: dim.threshold)
                 ].index(True) == at
-        rep = CubeRepresentation(1, 1, tuple(dims), tuple(map(random_dim_tag, range(1, 131))))
+        rep = CubeRepresentation(1, 1, tuple(dims),
+                                 tuple(dim_tag("random", j) for j in range(1, 131)))
         missing = [] if abs(u - v) <= c else [Violation("missing-edge", *verts)]
         assert verify(rep, g) == pair_violations(rep, g) == missing
 
@@ -1298,7 +1304,7 @@ class TestAttemptPlan:
         plan = make_plan(g)
         assert plan.t == default_t(plan.profile.delta_prime, 9)
         assert (plan.side, plan.side_size) == (SIDE_A, 5)
-        assert (plan.fam_a.bit_count, plan.fam_b.bit_count) == (3, 4)
+        assert [(fam.side, fam.bit_count) for fam in plan.families] == [(SIDE_A, 3), (SIDE_B, 4)]
         assert len(plan.provenance) == plan.t + 3 + 4
         assert make_plan(g, 2).t == 2
         assert make_plan(SIDE_B_PERMUTED).side == SIDE_B
@@ -1428,6 +1434,61 @@ class TestAttemptPlan:
             twin_rep, twin_report = build_representation(normalized, params)
             assert rep == swap_sides(twin_rep)
             assert render_dump(rep, report) == render_dump(rep, twin_report, swapped=True)
+
+
+# the report key of each tag form, written out here apart from DIM_KINDS
+TAG_KEYS = {"random": "t", "side-a-bit": "bits_a", "side-b-bit": "bits_b"}
+
+
+class TestDimKinds:
+    """DIM_KINDS, the one table of dimension kinds, and what reads it."""
+
+    def test_the_table_holds_the_tag_forms_and_keys(self):
+        assert {kind: row.key for kind, row in DIM_KINDS.items()} == TAG_KEYS
+        # the order in which check_report names the first count that differs
+        assert list(kind_counts(())) == ["k", "t", "bits_a", "bits_b"]
+
+    @pytest.mark.parametrize("kind", list(DIM_KINDS))
+    def test_each_kind_round_trips_swaps_and_counts(self, kind):
+        row = DIM_KINDS[kind]
+        for index in (1, 9, 10, 123):
+            assert tag_kind(dim_tag(kind, index)) == kind
+        assert row.swapped in DIM_KINDS and DIM_KINDS[row.swapped].swapped == kind
+        dim = UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 1}, 1)
+        rep = CubeRepresentation(1, 1, (dim, dim), (dim_tag(kind, 12), dim_tag(kind, 3)))
+        swapped = swap_sides(rep)
+        assert swapped.provenance == (dim_tag(row.swapped, 12), dim_tag(row.swapped, 3))
+        assert swap_sides(swapped) == rep
+        report = {"k": 2, **dict.fromkeys(TAG_KEYS.values(), 0), TAG_KEYS[kind]: 2}
+        assert kind_counts(rep.provenance) == report
+        builder.check_report(rep, report)
+        for key in report:  # one count off: check_report names that key
+            with pytest.raises(ValueError, match=f"^report {key} is {report[key] + 1}, "):
+                builder.check_report(rep, {**report, key: report[key] + 1})
+
+    @pytest.mark.parametrize("t", [0, 1, None])
+    @pytest.mark.parametrize("larger_first", [False, True])
+    def test_a_built_dump_reports_the_counts_of_its_tags(self, tmp_path, t, larger_first):
+        # every cross pair is an edge, so that t = 0 and t = 1 pass too
+        g = (gen_random_bipartite(10, 20, 0.2, seed=3) if t is None else
+             BipartiteGraph(3, 9, {(a, b) for a in range(1, 4) for b in range(1, 10)}))
+        if larger_first:
+            g = BipartiteGraph(g.b_count, g.a_count, frozenset((b, a) for a, b in g.edges))
+        out = tmp_path / "dump.json"
+        build_representation(g, BuildParams(master_seed=5, t_override=t), out)
+        payload = json.loads(out.read_text())
+        tags = [dim["provenance"] for dim in payload["dims"]]
+        forms = Counter(re.fullmatch(r"(.*)-[1-9][0-9]*", tag)[1] for tag in tags)
+        assert set(forms) <= set(TAG_KEYS)
+        report = payload["report"]
+        assert report["k"] == len(tags) and report["swapped"] is larger_first
+        assert {key: report[key] for key in TAG_KEYS.values()} == \
+            {key: forms[form] for form, key in TAG_KEYS.items()}
+        if t is not None:
+            assert report["t"] == t
+        # each family counted under the side it separates in g's own labels
+        assert (report["bits_a"], report["bits_b"]) == \
+            (bit_count_for(g.a_count), bit_count_for(g.b_count))
 
 
 class TestDumpRoundTrip:
@@ -1961,7 +2022,7 @@ def verified_dumps(draw):
     of its counts, or of one vertex more: (text, graph)."""
     rep, report, swapped = draw(dump_cases())
     if draw(st.booleans()):  # a dump whose report and tags check_report accepts
-        tags = st.builds("{}-{}".format, st.sampled_from(TAG_KINDS), st.integers(1, 12))
+        tags = st.builds("{}-{}".format, st.sampled_from(list(DIM_KINDS)), st.integers(1, 12))
         rep = CubeRepresentation(rep.a_count, rep.b_count, rep.dims,
                                  tuple(draw(tags) for _ in rep.dims))
         report = matching_report(rep, swapped)

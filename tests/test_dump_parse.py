@@ -40,7 +40,7 @@ from cuberep import (
 )
 from cuberep import builder
 from cuberep.cli import main
-from cuberep.intervals import parse_vertex_key, random_dim_tag, vertex_key
+from cuberep.intervals import dim_tag, parse_vertex_key, vertex_key
 
 EMPTY_REPORT = BuildReport(0, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
 
@@ -125,7 +125,7 @@ def hostile_payloads(draw):
                         draw(st.integers(1, 7)))
         for _ in range(draw(st.integers(0, 4))))
     rep = CubeRepresentation(a_count, b_count, dims,
-                             tuple(random_dim_tag(j + 1) for j in range(len(dims))))
+                             tuple(dim_tag("random", j + 1) for j in range(len(dims))))
     payload = json.loads(render_dump(rep, matching_report(rep)))
     mutation = draw(st.sampled_from(MUTATIONS))
     if mutation == "other-vertex-set":

@@ -25,7 +25,7 @@ from cuberep import (
     to_unit_cubes,
     vertex_key,
 )
-from cuberep.intervals import bit_dim_tag, parse_vertex_key, random_dim_tag, tag_kind
+from cuberep.intervals import dim_tag, parse_vertex_key, tag_kind
 
 VERTS = [(SIDE_A, 1), (SIDE_A, 2), (SIDE_B, 1), (SIDE_B, 2)]
 
@@ -152,7 +152,7 @@ class TestIntersectGraphs:
 def two_dim_rep() -> CubeRepresentation:
     dim1 = UnitIntervalRep({(SIDE_A, 1): 1, (SIDE_B, 1): 5}, 4)
     dim2 = UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_B, 1): 1}, 1)
-    return CubeRepresentation(1, 1, (dim1, dim2), (random_dim_tag(1), bit_dim_tag(SIDE_B, 1)))
+    return CubeRepresentation(1, 1, (dim1, dim2), (dim_tag("random", 1), dim_tag("side-b-bit", 1)))
 
 
 class TestCubeRepresentation:
@@ -169,7 +169,7 @@ class TestCubeRepresentation:
         missing = UnitIntervalRep(dict.fromkeys(VERTS[:3], 0), 1)
         stray = UnitIntervalRep({**dict.fromkeys(VERTS, 0), (SIDE_B, 3): 0}, 5)
         # by position, not by the tightest-threshold-first order of verify
-        tags = tuple(random_dim_tag(j + 1) for j in range(4))
+        tags = tuple(dim_tag("random", j + 1) for j in range(4))
         for dims, pos in (((missing,), 0), ((canonical, stray), 1),
                           ((canonical, stray, canonical, missing), 1)):
             with pytest.raises(ValueError,
@@ -194,7 +194,7 @@ class TestToUnitCubes:
         rep = CubeRepresentation(
             1, 1,
             (UnitIntervalRep({(SIDE_A, 1): 2, (SIDE_B, 1): 6}, 4),),
-            (random_dim_tag(1),))
+            (dim_tag("random", 1),))
         cubes = to_unit_cubes(rep)
         lo = cubes[(SIDE_A, 1)][0][0]
         assert (lo.numerator, lo.denominator) == (1, 2)
@@ -203,7 +203,7 @@ class TestToUnitCubes:
     @given(st.lists(unit_interval_reps(), min_size=1, max_size=4))
     def test_cube_overlap_equals_threshold_adjacency(self, dims):
         rep = CubeRepresentation(
-            2, 2, tuple(dims), tuple(random_dim_tag(i + 1) for i in range(len(dims))))
+            2, 2, tuple(dims), tuple(dim_tag("random", i + 1) for i in range(len(dims))))
         cubes = to_unit_cubes(rep)
         for u, v in all_pairs(VERTS):
             overlap = all(
@@ -216,9 +216,9 @@ class TestToUnitCubes:
 class TestTagKind:
     @given(st.integers(1, 10 ** 30))
     def test_the_tags_a_build_makes_are_well_formed(self, index):
-        assert tag_kind(random_dim_tag(index)) == "random"
-        assert tag_kind(bit_dim_tag(SIDE_A, index)) == "side-a-bit"
-        assert tag_kind(bit_dim_tag(SIDE_B, index)) == "side-b-bit"
+        assert tag_kind(dim_tag("random", index)) == "random"
+        assert tag_kind(dim_tag("side-a-bit", index)) == "side-a-bit"
+        assert tag_kind(dim_tag("side-b-bit", index)) == "side-b-bit"
 
     @pytest.mark.parametrize("tag", ["random-0", "random-01", "random-", "random-+1",
                                      "random--1", "random-1 ", " random-1", "random-1\n",
@@ -234,11 +234,18 @@ class TestSwapSides:
         swapped = swap_sides(rep)
         assert swapped.a_count == rep.b_count and swapped.b_count == rep.a_count
         assert swapped.dims[0].placement == {(SIDE_B, 1): 1, (SIDE_A, 1): 5}
-        assert swapped.provenance == (random_dim_tag(1), bit_dim_tag(SIDE_A, 1))
+        assert swapped.provenance == (dim_tag("random", 1), dim_tag("side-a-bit", 1))
 
     def test_involution(self):
         rep = two_dim_rep()
         assert swap_sides(swap_sides(rep)) == rep
+
+    @pytest.mark.parametrize("tag", ["side-a-foo", "side-b-", "side-a-bit-01", "side-b-bit",
+                                     "Side-a-bit-1", "random-0", "dim-1", ""])
+    def test_text_that_names_no_kind_is_kept(self, tag):
+        dim = UnitIntervalRep({(SIDE_A, 1): 0, (SIDE_A, 2): 3, (SIDE_B, 1): 1}, 1)
+        rep = CubeRepresentation(2, 1, (dim, dim), (tag, dim_tag("side-a-bit", 2)))
+        assert swap_sides(rep).provenance == (tag, dim_tag("side-b-bit", 2))
 
 
 class TestDumpPayload:
@@ -297,7 +304,7 @@ class TestDumpPayload:
     @given(st.lists(unit_interval_reps(), max_size=4))
     def test_cubes_text_matches_to_unit_cubes(self, dims):
         rep = CubeRepresentation(2, 2, tuple(dims),
-                                 tuple(random_dim_tag(j + 1) for j in range(len(dims))))
+                                 tuple(dim_tag("random", j + 1) for j in range(len(dims))))
         expected = {vertex_key(v): [[str(lo), str(hi)] for lo, hi in cells]
                     for v, cells in to_unit_cubes(rep).items()}
         assert rep_to_jsonable(rep)["cubes"] == expected
