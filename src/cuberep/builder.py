@@ -23,7 +23,7 @@ from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice
 from operator import and_, itemgetter, ne, not_, or_, sub
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -43,7 +43,7 @@ from .intervals import (
     CubeRepresentation,
     DIM_KINDS,
     UnitIntervalRep,
-    cube_cell,
+    cell_rows,
     dim_tag,
     kind_counts,
     rep_from_jsonable,
@@ -587,19 +587,18 @@ MIN_CHILD_DRAWS = 1000
 # child and verify_dump's layout check.  On the same host,
 # gen_random_bipartite(n, 2n, 4/n, 1) graphs built with --out, and their
 # dumps verified, with the child against without it (the middle of three
-# runs, each the medians of 40 alternating calls, 60 from 30,780 cells on):
-# builds at 7,320 cells +3.6 ms (+58%), 12,060 +2.0 ms (+15%), 18,960
-# +3.5 ms (+22%), 24,750 +1.2 ms (+7%), 30,780 -1.2 ms (-5%), 32,562 -5.5 ms
-# (-16%), 35,532 -6.9 ms (-20%), 37,818 -2.1 ms (-7%), 39,975 -3.2 ms (-9%),
-# 40,320 -4.9 ms (-13%), 42,588 -8.1 ms (-21%) and 57,000 -5.9 ms (-16%);
-# verify_dump at 30,780 -1.6 ms (-4%), 32,562 -6.5 ms (-15%), 35,532
-# -7.2 ms (-16%), 37,818 -7.0 ms (-15%), 39,975 -4.5 ms (-11%), 40,320
-# -3.4 ms (-7%) and 42,588 -4.8 ms (-10%).  The build crossed over at about
-# 31,000 cells.  Runs of these sizes vary by several ms: an earlier
-# measurement put verify_dump's crossover between 40,320 and 43,680 cells,
-# with a loss of 1.0-2.0 ms a call (3-9%) from 30,780 to 40,320, which the
-# one constant accepts there.
-MIN_CHILD_CELLS = 32_000
+# runs, each the medians of 40 alternating calls): builds at 18,960 cells
+# +0.4 ms (+3%), 24,750 -1.6 ms (-9%), 26,220 -1.1 ms (-7%), 29,580 -1.3 ms
+# (-7%), 30,780 -2.0 ms (-10%), 32,562 -2.4 ms (-12%), 35,532 -0.4 ms (-2%),
+# 37,818 -0.1 ms (-0%), 39,975 -2.4 ms (-10%), 40,320 -2.7 ms (-11%) and
+# 42,588 -3.7 ms (-15%); verify_dump at 18,960 +1.8 ms (+12%), 24,750
+# -0.3 ms (-1%), 26,220 +0.1 ms (+1%), 29,580 -1.1 ms (-5%), 30,780 -0.9 ms
+# (-4%), 32,562 -1.4 ms (-5%), 35,532 -0.7 ms (-2%), 37,818 -0.4 ms (-1%),
+# 39,975 -1.9 ms (-6%), 40,320 -1.8 ms (-6%) and 42,588 -2.5 ms (-7%).  The
+# build crossed over between 18,960 and 24,750 cells and verify_dump near
+# 26,000, so from 24,000 to there its child gains about nothing (+0.1 ms
+# at 26,220); runs of these sizes vary by several ms.
+MIN_CHILD_CELLS = 24_000
 
 
 def available_cpus() -> int:
@@ -805,34 +804,26 @@ def _layout_pieces(rep: CubeRepresentation) -> Iterator[str]:
     first row the comma before it), one piece per dimension, likewise, then
     the end of the dims list when there is one.  A piece is formatted only
     when it is asked for, so a consumer holds one piece at a time; each
-    column is taken in key order (_key_order) by one itemgetter call.
+    column is taken in key order (_key_order) by one itemgetter call, once.
 
-    The cube cell of a placement value is formatted once per distinct value
-    and threshold, and every placement block is one %-format of a template
-    that holds all keys.  Provenance tags go through json.dumps, which keeps
-    its escaping.
+    The cube cell text of a placement value is made on its first lookup,
+    once per distinct value and threshold (cell_rows), and every placement
+    block is one %-format of a template that holds all keys.  Provenance
+    tags go through json.dumps, which keeps its escaping.
     """
     keys, in_key_order, _ = _key_order(rep.a_count, rep.b_count)
     placement = ",".join(f'\n        "{key}": %d' for key in keys)
-    cell_text: dict[int, dict[int, str]] = {}  # threshold -> value -> cell
-    columns = []
-    for dim in rep.dims:
-        c = dim.threshold
-        cells = cell_text.setdefault(c, {})
-        for x in set(dim.values).difference(cells):
-            lo, hi = cube_cell(x, c)
-            cells[x] = f'[\n        "{lo}",\n        "{hi}"\n      ]'
-        columns.append(map(cells.__getitem__, in_key_order(dim.values)))
+    columns = [in_key_order(dim.values) for dim in rep.dims]
     yield ('{\n  "a_count": ' + str(rep.a_count)
            + ',\n  "b_count": ' + str(rep.b_count) + ',\n  "cubes": {')
-    rows = zip(*columns) if columns else repeat(())
+    rows = cell_rows(rep.dims, columns, '[\n        "%s",\n        "%s"\n      ]'.__mod__)
     for i, (key, row) in enumerate(zip(keys, rows)):
         cube = "[\n      " + ",\n      ".join(row) + "\n    ]" if row else "[]"
         yield f'{"," if i else ""}\n    "{key}": {cube}'
     yield '\n  },\n  "dims": ' + ("[" if rep.dims else "[]")
-    for i, (dim, tag) in enumerate(zip(rep.dims, rep.provenance)):
+    for i, (dim, column, tag) in enumerate(zip(rep.dims, columns, rep.provenance)):
         yield (("," if i else "") + '\n    {\n      "placement": {'
-               + placement % in_key_order(dim.values)
+               + placement % column
                + '\n      },\n      "provenance": ' + json.dumps(tag)
                + ',\n      "threshold": ' + str(dim.threshold) + "\n    }")
     if rep.dims:
@@ -926,16 +917,16 @@ _ITEM_END = "\n    }"
 def _item_fields(item: str, count: int) -> tuple[list[int], int, str]:
     """The placement values, in the order of their keys, the threshold and
     the provenance tag of a dims item laid out as _layout_pieces writes it,
-    `item` running from its indent through _ITEM_END; ValueError or
-    RecursionError where they are not `count` ints, a positive int and a
-    str.
+    `item` running from its indent through _ITEM_END; ValueError where they
+    are not `count` ints, a positive int and a str.
 
     The fields are read by where they stand, not by their keys: each
     placement line splits at its whitespace into its key and its value
     with the comma after it, so the values are every second word of the
-    block, decoded as one list of ints by _placement_decoder; the tag is
-    found from the end, as no tag holds a line break.  Nothing else is
-    checked: a text that spells a field in any other way, or whose
+    block, each read through the spelling table of `count` vertices
+    (_spellings); the tag is found from the end, as no tag holds a line
+    break, and decoded only when it starts as a JSON string does.  Nothing
+    else is checked: a text that spells a field in any other way, or whose
     keys are not those of the rendering, differs from the rendering of what
     is read here, and pass 2 turns it down."""
     if not item.startswith(_ITEM_HEAD):
@@ -944,34 +935,35 @@ def _item_fields(item: str, count: int) -> tuple[list[int], int, str]:
     tag_text, cut, threshold_text = item[block_end + len(_ITEM_TAG):].rpartition(_ITEM_THRESHOLD)
     if block_end < 0 or not cut:
         raise ValueError("the dims item holds no provenance and threshold after its placement")
-    values = _placement_decoder(count).decode(
-        "[" + "".join(item[len(_ITEM_HEAD):block_end].split()[1::2]) + "]")
-    if len(values) != count or set(map(type, values)) != {int}:  # a JSON true is a bool
+    words = item[len(_ITEM_HEAD):block_end].split()[1::2]
+    values = list(map(_spellings(count).__getitem__, words))
+    if len(values) != count:
         raise ValueError(f"the placement does not hold {count} integers")
     threshold = int(threshold_text[:-len(_ITEM_END)])
-    tag = json.loads(tag_text)
-    if threshold <= 0 or not isinstance(tag, str):
+    if threshold <= 0 or tag_text[:1] != '"':  # so json.loads gives a str or ValueError
         raise ValueError("the threshold is not positive or the provenance not a string")
-    return values, threshold, tag
+    return values, threshold, json.loads(tag_text)
 
 
-class _Spellings(dict):  # decimal spelling -> int
-    __missing__ = staticmethod(int)  # a spelling not held: a new int
+class _Spellings(dict):  # a placement word, such as "5" or "5,", -> its int
+    def __missing__(self, word: str) -> int:
+        return int(word.removesuffix(","))  # a new int or ValueError, not kept
 
 
 @lru_cache(maxsize=4)
-def _placement_decoder(n: int) -> json.JSONDecoder:
-    """json's decoder, but reading each int of shared_ints(n) as that
-    object, and any other as a new int, made once per vertex count."""
-    spellings = _Spellings(zip(map(str, shared_ints(n)), shared_ints(n)))
-    return json.JSONDecoder(parse_int=spellings.__getitem__)
+def _spellings(n: int) -> _Spellings:
+    """The placement words of n vertices, made once per vertex count: each
+    int of shared_ints(n), as that object, under its spelling with and
+    without the comma after it; int() reads any other word."""
+    ints = shared_ints(n)
+    return _Spellings(zip([*map(str, ints), *(f"{x}," for x in ints)], ints + ints))
 
 
 def _dims_pass(chunks: Iterator[str]) -> tuple[CubeRepresentation, object]:
     """Pass 1 of the stream reader: the representation whose dims the text
     that `chunks` spell out proposes, read where render_dump writes them,
     and the report that the text after them holds (_report_of); ValueError
-    or RecursionError where they are not found or not well formed.
+    where they are not found or not well formed.
 
     Pass 1 proposes and pass 2 proves.  The counts are taken from the
     header and refused where the full decode refuses them, before any
@@ -1067,7 +1059,7 @@ def _layout_accepted(chunks: Callable[[], Iterator[str]], rep: CubeRepresentatio
     try:
         _report_of(_after_layout(chunks(), rep))
         return True
-    except (ValueError, RecursionError):
+    except ValueError:
         return False
 
 
@@ -1130,7 +1122,7 @@ def _stream_or_decode(chunks: Callable[[], Iterator[str]], whole: Callable[[], s
     with _collector_paused(), _Children() as children:
         try:
             rep, report = _dims_pass(chunks())
-        except (ValueError, RecursionError):
+        except ValueError:
             rep = None
         violations = None
         if rep is not None:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .graphs import MAX_VERTICES, SIDE_A, SIDE_B, Vertex, vertex_order
 
@@ -269,25 +269,38 @@ def cube_cell(x: int, c: int) -> tuple[str, str]:
     return _ratio_text(x // d, c // d), _ratio_text((x + c) // d, c // d)
 
 
+class _Cells(dict):  # placement value -> form(cube_cell(value, c))
+    def __init__(self, c: int, form: Callable[[tuple[str, str]], object]) -> None:
+        self.c, self.form = c, form
+
+    def __missing__(self, x: int) -> object:
+        cell = self[x] = self.form(cube_cell(x, self.c))
+        return cell
+
+
+def cell_rows(dims: Sequence[UnitIntervalRep], columns: Iterable[Sequence[int]],
+              form: Callable[[tuple[str, str]], object]) -> Iterator[tuple]:
+    """The cubes rows of `columns`, the values of `dims` in some vertex
+    order: one tuple per vertex, in that order, of form(cube_cell(x, c))
+    for its value x in each dimension of threshold c; () for every vertex
+    when there are no dims.  A cell is made on its first lookup, in one
+    table per threshold, so once per distinct value and threshold."""
+    tables = {c: _Cells(c, form) for c in {dim.threshold for dim in dims}}
+    cells = [map(tables[dim.threshold].__getitem__, column) for dim, column in zip(dims, columns)]
+    return zip(*cells) if cells else repeat(())
+
+
 def rep_to_jsonable(rep: CubeRepresentation) -> dict:
     """JSON-ready dump: per dimension its threshold and placement, plus the
     cubes view of to_unit_cubes with rationals rendered in lowest terms
     (cube_cell)."""
-    verts = vertex_order(rep.a_count, rep.b_count)
-    keys = [vertex_key(v) for v in verts]
-    cells: list[list[list[str]]] = [[] for _ in verts]
-    dims = []
-    for dim, tag in zip(rep.dims, rep.provenance):
-        c = dim.threshold
-        for x, intervals in zip(dim.values, cells):
-            intervals.append(list(cube_cell(x, c)))
-        dims.append({
-            "provenance": tag,
-            "threshold": c,
-            "placement": dict(zip(keys, dim.values)),
-        })
+    keys = [vertex_key(v) for v in vertex_order(rep.a_count, rep.b_count)]
+    dims = [{"provenance": tag, "threshold": dim.threshold,
+             "placement": dict(zip(keys, dim.values))}
+            for dim, tag in zip(rep.dims, rep.provenance)]
+    rows = cell_rows(rep.dims, [dim.values for dim in rep.dims], tuple)
     return {"a_count": rep.a_count, "b_count": rep.b_count, "dims": dims,
-            "cubes": dict(zip(keys, cells))}
+            "cubes": {key: [list(cell) for cell in row] for key, row in zip(keys, rows)}}
 
 
 def rep_from_jsonable(obj: object) -> CubeRepresentation:
@@ -352,19 +365,11 @@ def _check_cubes(cubes: object, rep: CubeRepresentation) -> None:
     vertices whose row for each vertex holds, per dimension, the cell
     list(cube_cell(value, threshold)) of its placement.  The message names
     the first vertex, in canonical order, whose row is wrong, and the first
-    dimension at which it is.  A cell list is made once per distinct value
-    and threshold, and one expected row at a time."""
+    dimension at which it is.  The expected rows are made one at a time
+    (cell_rows)."""
     if not isinstance(cubes, dict):
         raise ValueError("dump needs a cubes object")
-    cells: dict[int, dict[int, list[str]]] = {}  # threshold -> value -> cell
-    columns = []
-    for dim in rep.dims:
-        c = dim.threshold
-        known = cells.setdefault(c, {})
-        for x in set(dim.values).difference(known):
-            known[x] = list(cube_cell(x, c))
-        columns.append(map(known.__getitem__, dim.values))
-    rows = map(list, zip(*columns)) if columns else repeat([])
+    rows = map(list, cell_rows(rep.dims, [dim.values for dim in rep.dims], list))
     for v, expected in zip(rep.vertices(), rows):
         key = vertex_key(v)
         row = cubes.get(key)

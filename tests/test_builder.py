@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import locale
 import math
 import os
 import random
@@ -1596,9 +1597,21 @@ TEXT_MUTATIONS = ("cell", "swap", "delete", "repeat", "cut", "head-space", "seco
                   *DIMS_ITEM_MUTATIONS)
 # A placement line of a dims item, with its key and its value.
 PLACEMENT_LINE = re.compile(r'\n        "([AB][0-9]+)": (-?[0-9]+)')
+
+
+def other_digits(zero: int):
+    """x spelled with the ten digits from code point `zero` on."""
+    return lambda x: str(x).translate({ord("0") + d: zero + d for d in range(10)})
+
+
 # Spellings of a placement value x that json.loads reads, or that it refuses.
+# int() reads "-0", the leading zero and the last four, each as x but for
+# "-0", so pass 1 reads them and pass 2's comparison with the rendering
+# turns them down.
 VALUE_SPELLINGS = (lambda x: f"{x}.0", lambda x: "true", lambda x: "-0",
-                   lambda x: f"-0{-x}" if x < 0 else f"0{x}", lambda x: f"{x}e0")
+                   lambda x: f"-0{-x}" if x < 0 else f"0{x}", lambda x: f"{x}e0",
+                   lambda x: f"+{x}", lambda x: f"-0_{-x}" if x < 0 else f"0_{x}",
+                   other_digits(0x660), other_digits(0xFF10))  # Arabic-Indic, fullwidth
 
 
 def mutate_dims_item(draw, text: str, mutation: str) -> str:
@@ -1734,8 +1747,9 @@ class TestCanonicalParse:
         # from a CRLF copy, which reads back as the same text
         path = tmp_path_factory.getbasetemp() / "mutated.json"
         crlf = tmp_path_factory.getbasetemp() / "mutated-crlf.json"
-        path.write_bytes(mutated.encode("ascii"))
-        crlf.write_bytes(mutated.replace("\n", "\r\n").encode("ascii"))
+        encoding = locale.getpreferredencoding(False)  # as read_dump reads a file
+        path.write_bytes(mutated.encode(encoding))
+        crlf.write_bytes(mutated.replace("\n", "\r\n").encode(encoding))
         for size in (1, 7, 4096):
             with mock.patch.object(builder, "_READ_PIECE", size):
                 assert outcome(read_dump, path) == expected
@@ -1775,8 +1789,9 @@ class TestCanonicalParse:
         assert parsed == rep and peak - retained < path.stat().st_size / 4
 
     def test_placements_that_no_table_holds_are_read_by_pass_1(self):
-        # past 128 vertices, most placements are read as the objects of
-        # shared_ints; -1 and 2^40 are not among them and are made anew
+        # pass 1 reads most placements through the spelling table, as the
+        # objects of shared_ints; -1 and 2^40 are not among its words, so
+        # int() reads them, as new ints
         verts = CubeRepresentation(100, 50, (), ()).vertices()
         values = [-1, 1 << 40, *range(2, len(verts))]
         rep = CubeRepresentation(100, 50, (UnitIntervalRep(dict(zip(verts, values)), 3),),
@@ -1784,6 +1799,16 @@ class TestCanonicalParse:
         text = render_dump(rep, EMPTY_REPORT)
         assert '"A1": -1,' in text and f'"A2": {1 << 40},' in text
         assert walk(text) == rep == rep_from_jsonable(json.loads(text))
+
+    @pytest.mark.parametrize("spell", VALUE_SPELLINGS, ids=lambda spell: spell(12))
+    def test_a_placement_spelled_otherwise_takes_the_full_decode(self, tmp_path, spell):
+        line = PLACEMENT_LINE.search(VERIFIED_DUMP, VERIFIED_DUMP.index('"placement": {'))
+        edited = VERIFIED_DUMP[:line.start(2)] + spell(int(line[2])) + VERIFIED_DUMP[line.end(2):]
+        assert walk(edited) is None
+        path = tmp_path / "edited.json"
+        path.write_bytes(edited.encode(locale.getpreferredencoding(False)))
+        expected = outcome(full_parse, edited)
+        assert outcome(parse_dump, edited) == outcome(read_dump, path) == expected
 
     def test_an_edited_cube_cell_takes_the_full_decode(self, tmp_path):
         # the cell stays well formed, so only its value differs from the
