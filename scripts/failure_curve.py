@@ -5,6 +5,9 @@ Sweeps t from 0 up past the default, estimating for each value the fraction
 of single attempts (no retry) whose verification fails, next to the union
 bound (number of cross non-edges) * (d'/(d'+1))^t capped at 1.  The observed
 curve should sit at or below the bound and cross 1/n2 near the default t.
+Attempt i fails at t exactly when it needs more than t random dimensions, so
+one pass over the attempts at the largest t gives every row, each the float
+estimate_failure_rate gives at its t.
 
 Usage:
     python scripts/failure_curve.py
@@ -14,15 +17,16 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import math
 from fractions import Fraction
 
 from cuberep import (
-    BuildParams,
+    BipartiteGraph,
     default_t,
     degree_profile,
-    estimate_failure_rate,
     gen_random_bipartite,
 )
+from cuberep.builder import BuildPlan, live_rows, make_plan
 from cuberep.cli import _count_type, _probability_type
 
 
@@ -33,6 +37,23 @@ def sweep_points(t_default: int, t_max: int | None) -> list[int]:
     if points[-1] != top:
         points.append(top)
     return points
+
+
+def dimensions_needed(plan: BuildPlan, seed: int, index: int) -> float:
+    """The random dimensions after which attempt `index` leaves no cross
+    non-edge alive, or infinity when its plan.t leave some (see live_rows)."""
+    j, alive = 0, plan.non_edge_rows
+    for j, alive in enumerate(live_rows(plan, seed, index), start=1):
+        pass
+    return math.inf if any(alive) else j
+
+
+def failure_rates(g: BipartiteGraph, seed: int, trials: int, points: list[int]) -> list[float]:
+    """For each t of `points`, ascending, the float estimate_failure_rate
+    gives for `trials` attempts on g at t, from one pass at the largest t."""
+    plan = make_plan(g, points[-1])
+    needed = [dimensions_needed(plan, seed, index) for index in range(trials)]
+    return [sum(j > t for j in needed) / trials for t in points]
 
 
 def main(argv=None) -> int:
@@ -59,9 +80,8 @@ def main(argv=None) -> int:
     print(f"d-prime {dprime}, {non_edge_count} cross non-edges, "
           f"default t {t_default}, target 1/n2 = {1 / n2:.4f}")
     print(f"{'t':>4} {'observed':>9} {'union-bound':>12}")
-    for t in sweep_points(t_default, args.t_max):
-        rate = estimate_failure_rate(
-            g, BuildParams(master_seed=args.seed, t_override=t), args.trials)
+    points = sweep_points(t_default, args.t_max)
+    for t, rate in zip(points, failure_rates(g, args.seed, args.trials, points)):
         bound = min(1.0, non_edge_count * float(survival) ** t)
         print(f"{t:>4} {rate:>9.4f} {bound:>12.4f}")
     print(f"{args.trials} attempts per row, attempt seed {args.seed}")

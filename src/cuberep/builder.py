@@ -15,6 +15,7 @@ import os
 import random
 import re
 import signal
+import sys
 import tempfile
 import threading
 import time
@@ -609,22 +610,6 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _leave_cpu_of(pid: int) -> None:
-    """Move this process off the CPU that process `pid` last ran on, where
-    the platform tells which one that is (Linux's /proc/PID/stat) and lets a
-    process choose its CPUs.  A forked child starts on its parent's CPU,
-    and the kernel may leave it there while the parent runs on, so that the
-    two take turns on one CPU while another idles."""
-    try:
-        with open(f"/proc/{pid}/stat") as stat:
-            cpu = int(stat.read().rsplit(")", 1)[1].split()[36])
-        others = os.sched_getaffinity(0) - {cpu}
-        if others:
-            os.sched_setaffinity(0, others)
-    except (OSError, AttributeError, ValueError, IndexError):
-        pass
-
-
 class _Children:
     """The children that one call forks, each to compute one int beside it.
     Every caller forks a child, does its own work, then acts on the
@@ -670,7 +655,6 @@ class _Children:
             try:
                 os.close(read)
                 gc.disable()
-                _leave_cpu_of(os.getppid())
                 value = compute()
                 os.write(write, value.to_bytes(8, "little"))
                 status = 0
@@ -1088,6 +1072,11 @@ def _decode_dump(text: str) -> tuple[CubeRepresentation, object]:
         raise ValueError(f"dump is not valid JSON: {exc}") from None
     except RecursionError:
         raise ValueError("dump nests too deeply to be a representation") from None
+    except ValueError as exc:  # an int of more digits than int() reads
+        if str(exc).startswith("dump "):  # _dump_object's repeated key
+            raise
+        raise ValueError(f"dump holds a number of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     return rep_from_jsonable(payload), payload.get("report")
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -188,13 +189,19 @@ def gen_random_bipartite(n1: int, n2: int, p: float, seed: int) -> BipartiteGrap
     return BipartiteGraph(n1, n2, edges)
 
 
-def _natural(field: str) -> int:
-    """The int that `field` spells in ASCII digits only, as the dump's
-    vertex keys are (parse_vertex_key); ValueError for a sign, an
-    underscore, any other digit, or more digits than int() reads."""
-    if not (field.isascii() and field.isdigit()):
-        raise ValueError(f"not ASCII digits: {field!r}")
-    return int(field)
+def _naturals(fields: list[str], kind: str, name: str, lineno: int) -> list[int]:
+    """The ints that `fields` spell in ASCII digits only, as the dump's
+    vertex keys are (parse_vertex_key).  GraphFormatError, naming the
+    line's kind and the fields, for a sign, an underscore, any other digit,
+    or more digits than int() reads."""
+    for field in fields:
+        if not (field.isascii() and field.isdigit()):
+            raise GraphFormatError(f"malformed {kind}, {name} must be ASCII digits", lineno)
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        raise GraphFormatError(f"malformed {kind}, {name} must have at most "
+                               f"{sys.get_int_max_str_digits()} digits", lineno) from None
 
 
 # The ASCII control characters but tab: str.split() reads \x0b, \x0c and
@@ -232,11 +239,7 @@ def parse_graph(text: str) -> BipartiteGraph:
             if len(fields) != 5 or fields[1] != "bipartite":
                 raise GraphFormatError(
                     "malformed header, expected 'p bipartite <n1> <n2> <m>'", lineno)
-            try:
-                n1, n2, m = map(_natural, fields[2:])
-            except ValueError:
-                raise GraphFormatError("malformed header, counts must be ASCII digits",
-                                       lineno) from None
+            n1, n2, m = _naturals(fields[2:], "header", "counts", lineno)
             if n1 < 1 or n2 < 1:
                 raise GraphFormatError("side counts must be >= 1", lineno)
             if n1 + n2 > MAX_VERTICES:
@@ -247,11 +250,7 @@ def parse_graph(text: str) -> BipartiteGraph:
                 raise GraphFormatError("edge line before header", lineno)
             if len(fields) != 3:
                 raise GraphFormatError("malformed edge, expected 'e <a> <b>'", lineno)
-            try:
-                a, b = map(_natural, fields[1:])
-            except ValueError:
-                raise GraphFormatError("malformed edge, indices must be ASCII digits",
-                                       lineno) from None
+            a, b = _naturals(fields[1:], "edge", "indices", lineno)
             if not 1 <= a <= n1:
                 raise GraphFormatError(f"a-index {a} outside 1..{n1}", lineno)
             if not 1 <= b <= n2:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -253,7 +254,11 @@ def parse_vertex_key(key: str) -> Vertex:
     if side not in (SIDE_A, SIDE_B) or not (digits.isascii() and digits.isdigit()) \
             or digits.startswith("0"):
         raise ValueError(f"bad vertex key {key!r}")
-    return (side, int(digits))
+    try:
+        return (side, int(digits))
+    except ValueError:  # more digits than int() reads
+        raise ValueError(f"vertex key {side}... has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _ratio_text(num: int, den: int) -> str:

@@ -24,7 +24,7 @@ from .graphs import (
     BipartiteGraph,
     DegreeProfile,
     Vertex,
-    degree_profile,
+    degree_profile,  # unused here; perfbench/tracing.py wraps it under this name
     other_side,
     vertex_order,
 )
@@ -250,5 +250,5 @@ def nonedge_survival_exact(g: BipartiteGraph, permuted: Vertex, other: Vertex) -
     a_index, b_index = (p_index, o_index) if p_side == SIDE_A else (o_index, p_index)
     if g.has_edge(a_index, b_index):
         raise ValueError(f"({p_side}{p_index}, {o_side}{o_index}) is an edge, not a non-edge")
-    d = degree_profile(g).degree(other)
+    d = len(g.neighbours(o_side)[o_index - 1])
     return Fraction(d, d + 1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -73,6 +74,22 @@ def temporary_files(monkeypatch):
 
     monkeypatch.setattr(tempfile, "TemporaryFile", recording)
     return made
+
+
+# The digits that long_number spells anew: of the first placement value, the
+# first placement key, or the first threshold.
+LONG_NUMBER_FIELDS = {
+    "placement": re.compile(r'"placement": \{\n *"[AB][0-9]+": ([0-9]+)'),
+    "key": re.compile(r'"placement": \{\n *"[AB]([0-9]+)"'),
+    "threshold": re.compile(r'"threshold": ([0-9]+)'),
+}
+
+
+def long_number(text: str, field: str) -> str:
+    """The dump text with the digits of one LONG_NUMBER_FIELDS field spelled
+    as 5,000 ones: more digits than int() reads."""
+    match = LONG_NUMBER_FIELDS[field].search(text)
+    return text[:match.start(1)] + "1" * 5000 + text[match.end(1):]
 
 
 def stale_cube(text: str) -> str:

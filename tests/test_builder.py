@@ -29,6 +29,7 @@ from conftest import (
     all_pairs,
     assert_no_child_left,
     bipartite_graphs,
+    long_number,
     matching_report,
     stale_cube,
 )
@@ -959,14 +960,12 @@ class TestRenderBeside:
             assert out.read_bytes() == written_by_write_dump(tmp_path, rep, report)
             assert report.write_seconds > 0.0
 
-    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-                        reason="needs a choice of CPUs")
-    def test_a_child_leaves_its_parent_s_cpu(self):
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU sets here")
+    def test_a_child_may_run_on_its_parent_s_cpus(self):
         cpus = os.sched_getaffinity(0)
         with builder._Children() as children:
-            pid = children.fork(lambda: len(os.sched_getaffinity(0)))
-            assert children.reply(pid) == len(cpus) - 1
-        builder._leave_cpu_of(-1)  # no such process: nothing changes
+            pid = children.fork(lambda: int(os.sched_getaffinity(0) == cpus))
+            assert children.reply(pid) == 1
         assert os.sched_getaffinity(0) == cpus
 
     def test_a_child_runs_without_the_collector(self):
@@ -1554,6 +1553,18 @@ class TestDumpRoundTrip:
     def test_deep_nesting_rejected(self):
         with pytest.raises(ValueError, match="nests too deeply"):
             parse_dump("[" * 100_000)
+
+    @pytest.mark.parametrize("field, error", [
+        # json.loads refuses a number with a plain ValueError, not a
+        # JSONDecodeError, and int() a key with Python's own text
+        ("placement", "dump holds a number of more than 4300 digits"),
+        ("threshold", "dump holds a number of more than 4300 digits"),
+        ("key", "vertex key A... has more than 4300 digits"),
+    ])
+    def test_a_field_of_too_many_digits_rejected(self, field, error):
+        with pytest.raises(ValueError) as excinfo:
+            parse_dump(long_number(VERIFIED_DUMP, field))
+        assert str(excinfo.value) == error
 
     def test_report_block_excludes_timings_by_default(self):
         g = BipartiteGraph(1, 1, {(1, 1)})

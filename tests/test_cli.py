@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from conftest import assert_no_child_left, bipartite_graphs
+from conftest import assert_no_child_left, bipartite_graphs, long_number
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -405,6 +405,17 @@ class TestGraphFileFuzz:
             assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("text, error", [
+    (f"p bipartite 2 2 1\ne 1 {'1' * 5000}\n",
+     "error: line 2: malformed edge, indices must have at most 4300 digits\n"),
+    (f"p bipartite 2 {'2' * 5000} 1\ne 1 1\n",
+     "error: line 1: malformed header, counts must have at most 4300 digits\n"),
+])
+def test_build_refuses_a_field_of_too_many_digits(text, error):
+    # all ASCII digits, but more than int() reads
+    assert run_build(text) == (2, error, None)
+
+
 HUGE_HEADER = "p bipartite 100000000 100000000 0\n"
 HUGE_HEADER_ERROR = "error: line 1: 100000000+100000000 vertices exceed the limit of 32768\n"
 
@@ -554,6 +565,26 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == ("error: line 2: malformed edge, indices must be "
                                 "ASCII digits\n")
+
+    @pytest.mark.parametrize("field, error", [
+        ("placement", "dump holds a number of more than 4300 digits"),
+        ("threshold", "dump holds a number of more than 4300 digits"),
+        ("key", "vertex key A... has more than 4300 digits"),
+    ])
+    def test_field_of_too_many_digits_exit_two(self, forks, monkeypatch, tmp_path, capsys,
+                                               field, error):
+        # the same line on two CPUs and on one; pass 1 refuses a number but
+        # reads no key, so only the long key has its layout checked in a
+        # child, which turns it down
+        graph, dump = self._dump_for(tmp_path, GEN_47)
+        Path(dump).write_text(long_number(Path(dump).read_text(), field))
+        capsys.readouterr()
+        built, outputs = len(forks), []
+        for cpus in (2, 1):
+            monkeypatch.setattr(cuberep.builder, "available_cpus", lambda: cpus)
+            outputs.append((main(["verify", graph, dump]), *capsys.readouterr()))
+        assert outputs == [(2, "", f"error: {error}\n")] * 2
+        assert len(forks) == built + (field == "key")
 
     def test_graph_line_with_a_non_ascii_space_exit_two(self, tmp_path, capsys):
         # str.split() would read the no-break space as a space

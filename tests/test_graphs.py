@@ -275,6 +275,19 @@ class TestGraphFile:
         assert excinfo.value.line == line
         assert f"line {line}:" in str(excinfo.value)
 
+    @pytest.mark.parametrize("text, error", [
+        (f"p bipartite 2 2 1\ne {'1' * 5000} 1\n",
+         "line 2: malformed edge, indices must have at most 4300 digits"),
+        (f"p bipartite {'1' * 5000} 2 0\n",
+         "line 1: malformed header, counts must have at most 4300 digits"),
+        (f"p bipartite 2 2 1\ne {'1' * 5000} x\n",  # a non-digit is named first
+         "line 2: malformed edge, indices must be ASCII digits"),
+    ])
+    def test_fields_of_too_many_digits_are_named_too_long(self, text, error):
+        with pytest.raises(GraphFormatError) as excinfo:
+            parse_graph(text)
+        assert str(excinfo.value) == error
+
     def test_tabs_separate_fields(self):
         assert parse_graph("p\tbipartite 2 2 1\t\ne\t1 2\n").edges == {(1, 2)}
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from cuberep import BuildParams, estimate_failure_rate, gen_random_bipartite
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -29,6 +31,16 @@ def test_failure_curve(capsys):
     assert rates[0] == 1.0  # t = 0 leaves every cross non-edge in place
     assert lines[-1] == "20 attempts per row, attempt seed 606"
 
+
+@pytest.mark.parametrize("n1, n2, p", [(6, 9, 0.3), (9, 6, 0.3), (4, 4, 1.0), (3, 8, 0.0)])
+def test_failure_curve_rows_are_the_estimates_at_their_t(n1, n2, p):
+    # one pass over the attempts at the largest t gives each row's float
+    script = load("failure_curve")
+    g = gen_random_bipartite(n1, n2, p, seed=2026)
+    points = script.sweep_points(12, None)
+    expected = [estimate_failure_rate(g, BuildParams(master_seed=606, t_override=t), 40)
+                for t in points]
+    assert script.failure_rates(g, 606, 40, points) == expected
 
 
 @pytest.mark.parametrize("argv, error", [
